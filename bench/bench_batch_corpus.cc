@@ -14,26 +14,19 @@
 // expansion traversals — and never run slower than the planning pass. Both
 // properties are hard gates.
 //
-// SERVER MODE (the second half) drives the same machinery through the
-// CorpusServer front-end and hard-gates its two contracts:
-//   1. Concurrent submits under a device slot budget execute in FIFO
-//      admission waves with every context pool pre-sized from plan metadata
-//      — ZERO mid-run pool growth charges (a bare BatchEngine on the same
-//      corpus grows its pools while documents execute, printed as the
-//      contrast).
+// SERVER MODE (the second part) drives the same machinery through the
+// CorpusServer tenant API and hard-gates its two contracts:
+//   1. Concurrent submits under a device slot budget are admitted by the
+//      rolling scheduler with every context pool pre-sized from plan
+//      metadata — ZERO mid-run pool growth charges (a bare BatchEngine on
+//      the same corpus grows its pools while documents execute, printed as
+//      the contrast) — the device's reservation peak stays within the
+//      budget, and at least one run queued behind it (the budget bound).
 //   2. A selective multi-query workload over a 16-document corpus skips at
 //      least half the documents by root-Bloom rejection, with the merged
 //      result bit-identical to the unskipped run.
 //
-// SCHEDULER MODE (the third half) pits the two admission disciplines against
-// each other on a mixed large/small workload: small selective runs packed
-// around one full-budget run. Hard gates: rolling admission
-// (ServeUntilIdle) must deliver a strictly lower mean simulated queue-wait
-// than barrier waves (Drain) on the same submissions, both modes must keep
-// zero mid-run pool growths, and every ticket's result must be bit-identical
-// between the two schedules — admission order moves starts, never outputs.
-//
-// SHARDED MODE (the fourth half) scales the server out: the corpus is
+// SHARDED MODE (the third part) scales the server out: the corpus is
 // partitioned across N simulated devices (each with its own slot budget) and
 // every admitted run is Bloom-routed only to the shards that can match, then
 // gathered through the single-device merge path. Hard gates: >= 1.7x
@@ -48,6 +41,8 @@
 // CI can archive the numbers next to the human-readable log.
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analytics/batch.h"
 #include "analytics/server.h"
@@ -131,22 +126,25 @@ int RunServerMode(const gpu::Platform& platform, double scale,
   }
 
   // Sizing pass: an unmetered server reports every run's plan-metadata
-  // footprint; the real budget is set to 1.5x the largest so packing is
-  // forced into multiple waves.
+  // footprint; the real budget is set to 1.5x the largest so the runs
+  // cannot all be resident at once.
   uint64_t max_fp = 0;
   uint64_t sum_fp = 0;
   {
     auto sizer = CorpusServer::Create(&mc.corpus, sizing);
     if (!sizer.ok()) return 1;
+    auto tenant = (*sizer)->OpenTenant({});
+    if (!tenant.ok()) return 1;
     for (const auto& req : requests) {
-      auto admission = (*sizer)->Submit(req);
-      if (!admission.ok()) {
+      auto submitted = tenant->Submit(req);
+      if (!submitted.ok() || !submitted->admitted()) {
         std::fprintf(stderr, "sizing submit: %s\n",
-                     admission.status().ToString().c_str());
+                     submitted.ok() ? submitted->rejection->detail.c_str()
+                                    : submitted.status().ToString().c_str());
         return 1;
       }
-      max_fp = std::max(max_fp, admission->footprint_slots);
-      sum_fp += admission->footprint_slots;
+      max_fp = std::max(max_fp, submitted->admission->footprint_slots);
+      sum_fp += submitted->admission->footprint_slots;
     }
   }
 
@@ -154,39 +152,50 @@ int RunServerMode(const gpu::Platform& platform, double scale,
   opt.device_slot_budget = max_fp + max_fp / 2;
   auto server = CorpusServer::Create(&mc.corpus, opt);
   if (!server.ok()) return 1;
+  auto tenant = (*server)->OpenTenant({});
+  if (!tenant.ok()) return 1;
+  std::vector<CorpusServer::RunTicket> tickets;
   for (const auto& req : requests) {
-    auto admission = (*server)->Submit(req);
-    if (!admission.ok()) return 1;
+    auto submitted = tenant->Submit(req);
+    if (!submitted.ok() || !submitted->admitted()) return 1;
+    tickets.push_back(*submitted->ticket);
   }
-  auto served = (*server)->Drain();
-  if (!served.ok()) {
-    std::fprintf(stderr, "drain: %s\n", served.status().ToString().c_str());
+  if (Status st = (*server)->ServeUntilIdle(); !st.ok()) {
+    std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
     return 1;
+  }
+  std::vector<CorpusServer::ServedRun> served;
+  for (CorpusServer::RunTicket& ticket : tickets) {
+    auto run = ticket.Await();
+    if (!run.ok()) return 1;
+    served.push_back(std::move(*run));
   }
 
   bench::PrintRule();
-  std::printf("%-8s %-16s %14s %6s %6s %7s %12s\n", "ticket", "task",
-              "footprint", "wave", "exec", "skip", "total (ms)");
+  std::printf("%-8s %-16s %14s %10s %6s %7s %12s\n", "ticket", "task",
+              "footprint", "wait (ms)", "exec", "skip", "total (ms)");
   bench::PrintRule();
-  for (const auto& run : *served) {
-    std::printf("%-8llu %-16s %14llu %6llu %6u %7u %12.3f\n",
+  uint64_t queued_runs = 0;
+  for (const auto& run : served) {
+    if (run.queue_wait_seconds > 0.0) ++queued_runs;
+    std::printf("%-8llu %-16s %14llu %10.3f %6u %7u %12.3f\n",
                 static_cast<unsigned long long>(run.admission.ticket),
                 TaskName(run.batch.merged.task),
                 static_cast<unsigned long long>(
                     run.admission.footprint_slots),
-                static_cast<unsigned long long>(run.wave),
+                run.queue_wait_seconds * 1e3,
                 run.admission.documents_to_execute,
                 run.admission.documents_skipped,
                 run.batch.timing.total_seconds() * 1e3);
   }
   const CorpusServer::Stats& stats = (*server)->stats();
   std::printf(
-      "budget %llu slots (sum of footprints %llu): %llu waves, peak "
-      "admitted %llu slots\n",
+      "budget %llu slots (sum of footprints %llu): %llu runs queued behind "
+      "it, peak admitted %llu slots\n",
       static_cast<unsigned long long>(opt.device_slot_budget),
       static_cast<unsigned long long>(sum_fp),
-      static_cast<unsigned long long>(stats.waves),
-      static_cast<unsigned long long>(stats.peak_admitted_slots));
+      static_cast<unsigned long long>(queued_runs),
+      static_cast<unsigned long long>(stats.devices[0].peak_admitted_slots));
 
   // --- Gate 1: admission pre-sizing means zero mid-run pool growth. -------
   if (stats.mid_run_pool_growths != 0) {
@@ -196,13 +205,13 @@ int RunServerMode(const gpu::Platform& platform, double scale,
                  static_cast<unsigned long long>(stats.mid_run_pool_growths));
     return 1;
   }
-  if (stats.peak_admitted_slots > opt.device_slot_budget) {
+  if (stats.devices[0].peak_admitted_slots > opt.device_slot_budget) {
     std::fprintf(stderr, "GATE FAILED: admitted set exceeded the budget\n");
     return 1;
   }
-  if (stats.waves < 2) {
+  if (queued_runs == 0) {
     std::fprintf(stderr,
-                 "GATE FAILED: budget never forced a second wave (packing "
+                 "GATE FAILED: the budget never made a run wait (packing "
                  "untested)\n");
     return 1;
   }
@@ -228,7 +237,7 @@ int RunServerMode(const gpu::Platform& platform, double scale,
   }
 
   // --- Gate 2: the selective run skipped >= half, bit-identically. --------
-  const CorpusServer::ServedRun& selective = served->back();
+  const CorpusServer::ServedRun& selective = served.back();
   if (selective.admission.documents_skipped < kDocuments / 2) {
     std::fprintf(stderr,
                  "GATE FAILED: root Blooms skipped %u of %u documents "
@@ -274,9 +283,9 @@ int RunServerMode(const gpu::Platform& platform, double scale,
   *json += "  \"server\": {\n";
   *json += "    \"budget_slots\": " + JsonNum(opt.device_slot_budget) + ",\n";
   *json += "    \"sum_footprint_slots\": " + JsonNum(sum_fp) + ",\n";
-  *json += "    \"waves\": " + JsonNum(stats.waves) + ",\n";
+  *json += "    \"queued_runs\": " + JsonNum(queued_runs) + ",\n";
   *json += "    \"peak_admitted_slots\": " +
-           JsonNum(stats.peak_admitted_slots) + ",\n";
+           JsonNum(stats.devices[0].peak_admitted_slots) + ",\n";
   *json += "    \"mid_run_pool_growths\": " +
            JsonNum(stats.mid_run_pool_growths) + ",\n";
   *json += "    \"bare_engine_pool_growths\": " + JsonNum(naive_growths) +
@@ -288,178 +297,6 @@ int RunServerMode(const gpu::Platform& platform, double scale,
            JsonNum(full->timing.traversal_ops) + ",\n";
   *json += "    \"skipped_traversal_ops\": " +
            JsonNum(selective.batch.timing.traversal_ops) + "\n";
-  *json += "  },\n";
-  return 0;
-}
-
-/// The scheduler-mode section: rolling admission vs barrier waves on a mixed
-/// large/small workload, all three contracts hard-gated. Returns 0 on
-/// success, 1 on a gate failure.
-int RunSchedulerMode(const gpu::Platform& platform, double scale,
-                     std::string* json) {
-  bench::PrintRule('=');
-  std::printf(
-      "SCHEDULER MODE: rolling admission vs barrier waves over %u "
-      "documents\n",
-      kDocuments);
-
-  MarkerCorpusSpec mspec;
-  mspec.num_docs = kDocuments;
-  mspec.relevant = kDocuments / 2;
-  mspec.num_markers = 8;
-  mspec.files_per_doc = 4;
-  mspec.tokens_per_doc = 3000;
-  mspec.seed = 23;
-  mspec.scale = scale;
-  auto built = BuildMarkerCorpus(mspec);
-  if (!built.ok()) return 1;
-  MarkerCorpus mc = std::move(*built);
-
-  CorpusServer::Options sizing;
-  sizing.engine.gpu = platform.gpu;
-  sizing.engine.charge_pcie = true;
-
-  // The mixed workload, smalls first: selective keyword runs (root Blooms
-  // skip the marker-free half, so their footprints are small) packed around
-  // one corpus-wide inverted index (the full-budget run).
-  CorpusServer::RunRequest small;
-  small.task = Task::kKeywordSearch;
-  for (uint32_t m : mc.markers) small.query_sets.push_back({m});
-  CorpusServer::RunRequest large;
-  large.task = Task::kInvertedIndex;
-  const std::vector<CorpusServer::RunRequest> requests = {small, small, large,
-                                                          small, small};
-
-  uint64_t small_fp = 0;
-  uint64_t large_fp = 0;
-  {
-    auto sizer = CorpusServer::Create(&mc.corpus, sizing);
-    if (!sizer.ok()) return 1;
-    auto s = (*sizer)->Submit(small);
-    auto l = (*sizer)->Submit(large);
-    if (!s.ok() || !l.ok()) return 1;
-    small_fp = s->footprint_slots;
-    large_fp = l->footprint_slots;
-  }
-  // The witness needs a real size gap: all four smalls must co-reside in
-  // the budget the large run needs alone.
-  if (small_fp == 0 || 4 * small_fp > large_fp) {
-    std::fprintf(stderr,
-                 "GATE FAILED: workload mix lost its size gap (small %llu, "
-                 "large %llu slots)\n",
-                 static_cast<unsigned long long>(small_fp),
-                 static_cast<unsigned long long>(large_fp));
-    return 1;
-  }
-
-  // Budget = the large footprint exactly: the large run serializes, the
-  // smalls pack. Barrier waves strand the trailing smalls behind the large
-  // run's wave; rolling admission backfills them at submit time.
-  CorpusServer::Options opt = sizing;
-  opt.device_slot_budget = large_fp;
-
-  auto wave_server = CorpusServer::Create(&mc.corpus, opt);
-  auto rolling_server = CorpusServer::Create(&mc.corpus, opt);
-  if (!wave_server.ok() || !rolling_server.ok()) return 1;
-  auto tenant = (*rolling_server)->OpenTenant({});
-  if (!tenant.ok()) return 1;
-
-  std::vector<CorpusServer::RunTicket> tickets;
-  for (const auto& req : requests) {
-    if (!(*wave_server)->Submit(req).ok()) return 1;
-    auto submitted = tenant->Submit(req);
-    if (!submitted.ok() || !submitted->admitted()) return 1;
-    tickets.push_back(*submitted->ticket);
-  }
-  auto drained = (*wave_server)->Drain();
-  if (!drained.ok()) return 1;
-  if (!(*rolling_server)->ServeUntilIdle().ok()) return 1;
-
-  bench::PrintRule();
-  std::printf("%-8s %-16s %14s %6s %14s %16s %9s\n", "ticket", "task",
-              "footprint", "wave", "wave wait (ms)", "rolling wait (ms)",
-              "backfill");
-  bench::PrintRule();
-  for (size_t i = 0; i < tickets.size(); ++i) {
-    const CorpusServer::ServedRun& waved = (*drained)[i];
-    const CorpusServer::ServedRun* rolled = tickets[i].TryGet();
-    if (rolled == nullptr) {
-      std::fprintf(stderr, "GATE FAILED: ticket %zu never served\n", i);
-      return 1;
-    }
-    std::printf("%-8llu %-16s %14llu %6llu %14.3f %16.3f %9s\n",
-                static_cast<unsigned long long>(waved.admission.ticket),
-                TaskName(waved.batch.merged.task),
-                static_cast<unsigned long long>(
-                    waved.admission.footprint_slots),
-                static_cast<unsigned long long>(waved.wave),
-                waved.queue_wait_seconds * 1e3,
-                rolled->queue_wait_seconds * 1e3,
-                rolled->backfilled ? "yes" : "no");
-    // --- Gate 3: admission order moves starts, never outputs. -------------
-    if (!rolled->batch.merged.SameAs(waved.batch.merged)) {
-      std::fprintf(stderr,
-                   "GATE FAILED: ticket %zu diverged between schedules: %s "
-                   "vs %s\n",
-                   i, rolled->batch.merged.Digest().c_str(),
-                   waved.batch.merged.Digest().c_str());
-      return 1;
-    }
-  }
-
-  const CorpusServer::Stats& wave_stats = (*wave_server)->stats();
-  const CorpusServer::Stats& rolling_stats = (*rolling_server)->stats();
-  const double wave_mean =
-      wave_stats.queue_wait_seconds / static_cast<double>(requests.size());
-  const double rolling_mean =
-      rolling_stats.queue_wait_seconds / static_cast<double>(requests.size());
-  std::printf(
-      "mean queue-wait: waves %.3f ms (%llu waves) vs rolling %.3f ms "
-      "(%llu backfills)\n",
-      wave_mean * 1e3, static_cast<unsigned long long>(wave_stats.waves),
-      rolling_mean * 1e3,
-      static_cast<unsigned long long>(rolling_stats.backfills));
-
-  // --- Gate 1: rolling strictly beats the barrier on mean queue-wait. -----
-  if (rolling_mean >= wave_mean) {
-    std::fprintf(stderr,
-                 "GATE FAILED: rolling mean queue-wait %.3f ms not below "
-                 "barrier waves %.3f ms\n",
-                 rolling_mean * 1e3, wave_mean * 1e3);
-    return 1;
-  }
-  // --- Gate 2: both disciplines keep the pre-sizing contract. -------------
-  if (wave_stats.mid_run_pool_growths != 0 ||
-      rolling_stats.mid_run_pool_growths != 0) {
-    std::fprintf(stderr,
-                 "GATE FAILED: mid-run pool growths under the scheduler "
-                 "(waves %llu, rolling %llu; both must be 0)\n",
-                 static_cast<unsigned long long>(
-                     wave_stats.mid_run_pool_growths),
-                 static_cast<unsigned long long>(
-                     rolling_stats.mid_run_pool_growths));
-    return 1;
-  }
-  if (wave_stats.peak_admitted_slots > opt.device_slot_budget ||
-      rolling_stats.peak_admitted_slots > opt.device_slot_budget) {
-    std::fprintf(stderr, "GATE FAILED: a schedule exceeded the budget\n");
-    return 1;
-  }
-  if (rolling_stats.waves != 0) {
-    std::fprintf(stderr,
-                 "GATE FAILED: the rolling schedule opened a barrier wave\n");
-    return 1;
-  }
-  *json += "  \"scheduler\": {\n";
-  *json += "    \"budget_slots\": " + JsonNum(opt.device_slot_budget) + ",\n";
-  *json += "    \"wave_mean_queue_wait_ms\": " + JsonNum(wave_mean * 1e3) +
-           ",\n";
-  *json += "    \"rolling_mean_queue_wait_ms\": " +
-           JsonNum(rolling_mean * 1e3) + ",\n";
-  *json += "    \"queue_wait_speedup\": " +
-           JsonNum(wave_mean / rolling_mean) + ",\n";
-  *json += "    \"waves\": " + JsonNum(wave_stats.waves) + ",\n";
-  *json += "    \"backfills\": " + JsonNum(rolling_stats.backfills) + "\n";
   *json += "  },\n";
   return 0;
 }
@@ -550,10 +387,12 @@ int RunShardedMode(const gpu::Platform& platform, double scale,
   {
     auto sizer = CorpusServer::Create(&mc.corpus, base);
     if (!sizer.ok()) return 1;
+    auto tenant = (*sizer)->OpenTenant({});
+    if (!tenant.ok()) return 1;
     for (const auto& req : mixed) {
-      auto admission = (*sizer)->Submit(req);
-      if (!admission.ok()) return 1;
-      max_fp = std::max(max_fp, admission->footprint_slots);
+      auto submitted = tenant->Submit(req);
+      if (!submitted.ok() || !submitted->admitted()) return 1;
+      max_fp = std::max(max_fp, submitted->admission->footprint_slots);
     }
   }
   CorpusServer::Options opt = base;
@@ -905,7 +744,6 @@ int main() {
   json += "  },\n";
 
   if (int rc = RunServerMode(platform, scale, &json); rc != 0) return rc;
-  if (int rc = RunSchedulerMode(platform, scale, &json); rc != 0) return rc;
   if (int rc = RunShardedMode(platform, scale, &json); rc != 0) return rc;
   json += "}\n";
 

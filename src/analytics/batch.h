@@ -150,7 +150,7 @@ class BatchEngine {
   /// The deterministic contiguous shard split Run uses over `n` documents:
   /// worker w owns documents [w*chunk, min(n, (w+1)*chunk)). A pure
   /// function of (n, workers), shared with the serving layer so admission
-  /// (CorpusServer::FinalizeGpuFootprint) reasons about exactly the device
+  /// (CorpusServer::ShardFootprint) reasons about exactly the device
   /// contexts execution will create. `workers` == 0 selects hardware
   /// concurrency.
   static std::vector<std::pair<size_t, size_t>> ShardSplit(size_t n,

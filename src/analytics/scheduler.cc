@@ -19,8 +19,7 @@ void RunScheduler::Enqueue(ScheduledRun run) {
     run.footprint_slots = 0;
     run.device_slots.assign(num_devices(), 0);
   } else if (run.device_slots.empty()) {
-    // Single-device callers describe their reservation with one number; it
-    // lives on device 0 (the only device of a group of one).
+    // A reservation described by one number lives on device 0.
     run.device_slots.assign(num_devices(), 0);
     run.device_slots[0] = run.footprint_slots;
   } else {
@@ -32,7 +31,7 @@ void RunScheduler::Enqueue(ScheduledRun run) {
   queue_.push_back(QueuedEntry{run});
 }
 
-int RunScheduler::PickCandidate(AdmissionMode mode) const {
+int RunScheduler::PickCandidate() const {
   if (queue_.empty()) return -1;
   // QoS view of the queue; with all-default priorities and no deadlines
   // this is exactly ticket (FIFO) order.
@@ -48,17 +47,14 @@ int RunScheduler::PickCandidate(AdmissionMode mode) const {
             ? lanes_in_use_ < options_.cpu_lanes
             : group_.CanReserve(entry.run.device_slots, entry.run.tenant);
     if (fits) return static_cast<int>(idx);
-    // Barrier waves admit strictly in order: the first run that does not
-    // fit closes the wave, nothing backfills past it.
-    if (mode == AdmissionMode::kBarrierWaves) return -1;
-    // Rolling backfill is starvation-bounded: once a run has been bypassed
+    // Backfill is starvation-bounded: once a run has been bypassed
     // aging_limit times it is urgent, and nothing may start ahead of it.
     if (entry.bypass >= options_.aging_limit) return -1;
   }
   return -1;
 }
 
-AdmissionDecision RunScheduler::Start(size_t index, AdmissionMode mode) {
+AdmissionDecision RunScheduler::Start(size_t index) {
   const ScheduledRun run = queue_[index].run;
   // PickCandidate just saw the reservation fit; serving is single-threaded,
   // so this cannot fail. The group reservation is all-or-nothing: the run
@@ -74,21 +70,16 @@ AdmissionDecision RunScheduler::Start(size_t index, AdmissionMode mode) {
   AdmissionDecision decision;
   decision.ticket = run.ticket;
   decision.tenant = run.tenant;
-  if (mode == AdmissionMode::kBarrierWaves) {
-    if (active_.empty()) ++waves_;  // first member opens the wave
-    decision.wave = waves_;
-  } else {
-    // A start ahead of any QoS-earlier queued run is a backfill; those
-    // bypassed runs age toward urgency.
-    for (QueuedEntry& other : queue_) {
-      if (other.run.ticket == run.ticket) continue;
-      if (QosBefore(other.run, run)) {
-        ++other.bypass;
-        decision.backfilled = true;
-      }
+  // A start ahead of any QoS-earlier queued run is a backfill; those
+  // bypassed runs age toward urgency.
+  for (QueuedEntry& other : queue_) {
+    if (other.run.ticket == run.ticket) continue;
+    if (QosBefore(other.run, run)) {
+      ++other.bypass;
+      decision.backfilled = true;
     }
-    if (decision.backfilled) ++backfills_;
   }
+  if (decision.backfilled) ++backfills_;
   decision.start_time = now_;
   decision.queue_wait = now_ - run.submit_time;
 
@@ -105,16 +96,12 @@ AdmissionDecision RunScheduler::Start(size_t index, AdmissionMode mode) {
   return decision;
 }
 
-std::optional<AdmissionDecision> RunScheduler::StartNext(AdmissionMode mode) {
+std::optional<AdmissionDecision> RunScheduler::StartNext() {
   while (!queue_.empty()) {
-    const int candidate = PickCandidate(mode);
-    if (candidate >= 0) return Start(static_cast<size_t>(candidate), mode);
+    const int candidate = PickCandidate();
+    if (candidate >= 0) return Start(static_cast<size_t>(candidate));
     if (active_.empty()) return std::nullopt;  // nothing queued can ever fit
-    if (mode == AdmissionMode::kBarrierWaves) {
-      CloseWave();
-    } else {
-      PopEarliestCompletion();
-    }
+    PopEarliestCompletion();
   }
   return std::nullopt;
 }
@@ -161,33 +148,11 @@ void RunScheduler::AccountRelease(const ActiveRun& run, size_t device,
   per_device[device] += held;
 }
 
-void RunScheduler::CloseWave() {
-  if (active_.empty()) return;
-  // The barrier: the wave ends when its slowest member completes, and every
-  // member's reservation is held until then.
-  double wave_end = now_;
-  for (const ActiveRun& run : active_) {
-    wave_end = std::max(
-        wave_end, run.completion < 0.0 ? run.start_time : run.completion);
-  }
-  for (ActiveRun& run : active_) {
-    for (size_t d = 0; d < run.device_slots.size(); ++d) {
-      if (run.device_released[d]) continue;
-      group_.ReleaseOn(d, run.device_slots[d], run.tenant);
-      run.device_released[d] = true;
-      AccountRelease(run, d, wave_end);
-    }
-    if (run.cpu_lane && lanes_in_use_ > 0) --lanes_in_use_;
-  }
-  active_.clear();
-  now_ = wave_end;
-}
-
 void RunScheduler::PopEarliestCompletion() {
   if (active_.empty()) return;
   // The earliest pending (run, device) release event. A device whose shard
   // duration is unreported yet (completion < 0) is treated as completing at
-  // its start — the defensive stance the single-device scheduler took.
+  // its start.
   size_t run_idx = active_.size();
   size_t dev_idx = 0;
   double earliest = 0.0;
@@ -215,8 +180,8 @@ void RunScheduler::PopEarliestCompletion() {
   for (bool released : run.device_released) all_released &= released;
   if (all_released) {
     // Retiring the run advances the clock through its scatter/gather tail
-    // (completion includes the cross-shard merge; for a single device it
-    // equals the release event just popped). A lane run frees its lane
+    // (completion includes the corpus-order merge; for FinishStarted runs
+    // it equals the release event just popped). A lane run frees its lane
     // here — the lane is held for the run's full duration.
     now_ = std::max(now_, run.completion < 0.0 ? run.start_time
                                                : run.completion);
@@ -225,12 +190,8 @@ void RunScheduler::PopEarliestCompletion() {
   }
 }
 
-void RunScheduler::DrainActive(AdmissionMode mode) {
-  if (mode == AdmissionMode::kBarrierWaves) {
-    CloseWave();
-  } else {
-    while (!active_.empty()) PopEarliestCompletion();
-  }
+void RunScheduler::DrainActive() {
+  while (!active_.empty()) PopEarliestCompletion();
 }
 
 }  // namespace gtadoc

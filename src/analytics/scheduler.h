@@ -14,23 +14,6 @@ namespace gtadoc {
 /// Absent deadline: orders after every finite deadline.
 inline constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
-/// How admitted runs give their device-slot reservations back.
-enum class AdmissionMode {
-  /// The legacy Drain discipline: runs are admitted as the longest
-  /// strictly-ordered prefix that fits the budget, every member starts at
-  /// the wave's start, and ALL reservations are held until the slowest
-  /// member completes (a barrier). Admission only happens between waves.
-  kBarrierWaves,
-  /// The rolling window: each run releases its reservation at its OWN
-  /// completion time, and the next eligible queued run is started the
-  /// moment its footprint fits — with QoS ordering, starvation-free
-  /// backfill, and per-completion-event admission. On a sharded device
-  /// group the release is per DEVICE: each device a run scattered to is
-  /// freed the moment that device's shard completes, not when the whole
-  /// run does.
-  kRolling,
-};
-
 /// One queued unit of work as the scheduler sees it: an opaque ticket plus
 /// the admission-relevant facts (footprint, owner, QoS knobs). Durations are
 /// unknown until the run executes; see RunScheduler::FinishStarted.
@@ -38,11 +21,10 @@ struct ScheduledRun {
   uint64_t ticket = 0;           ///< caller-issued, unique, FIFO-ordered
   uint64_t tenant = 0;           ///< SlotBudget owner id (0 = default)
   uint64_t footprint_slots = 0;  ///< device-slot reservation while resident
-  /// Sharded serving: the run's reservation on each device of the group
-  /// (one entry per scheduler device; zero = the run does not touch that
-  /// device). Left empty by single-device callers — Enqueue then places
-  /// footprint_slots on device 0. When set, footprint_slots is normalized
-  /// to the entries' sum.
+  /// The run's reservation on each device of the group (one entry per
+  /// scheduler device; zero = the run does not touch that device). May be
+  /// left empty — Enqueue then places footprint_slots on device 0. When
+  /// set, footprint_slots is normalized to the entries' sum.
   std::vector<uint64_t> device_slots;
   int32_t priority = 0;           ///< higher starts first
   double deadline = kNoDeadline;  ///< absolute simulated s; ties break EDF
@@ -78,36 +60,36 @@ struct AdmissionDecision {
   double start_time = 0.0;
   double queue_wait = 0.0;  ///< start_time - submit_time
   /// True when this run started while a QoS-earlier run was still queued
-  /// (rolling-mode backfill; always false under barrier waves).
+  /// (a backfill).
   bool backfilled = false;
-  uint64_t wave = 0;  ///< 1-based wave number (barrier mode); 0 in rolling
 };
 
-/// \brief Simulated-timeline admission scheduler over the SlotBudget(s) of
-/// one device — or of an N-device group.
+/// \brief Rolling-admission scheduler on a simulated timeline over the
+/// SlotBudgets of an N-device group (N = 1 included).
 ///
 /// The model: admitted runs are co-resident on the device group, overlapping
 /// in SIMULATED time — run i occupies its per-device footprints for
 /// [start_i, completion). Host execution stays serial in admission order
 /// (which keeps results and durations deterministic and bit-identical to
 /// serial runs); the scheduler's clock, queue waits, and budget occupancy
-/// all live on the simulated timeline, which is where rolling admission
-/// beats barrier waves.
+/// all live on the simulated timeline. Each device a run holds is released
+/// at that device's OWN completion, and the next eligible queued run starts
+/// the moment its footprint fits — per-completion-event admission.
 ///
 /// Protocol (driven by the serving layer, single-threaded):
 ///   1. Enqueue every submitted run (footprint known from its RunPlan).
-///   2. Loop: StartNext(mode) picks a run and reserves its footprint on
-///      every device it touches, all or nothing (possibly first advancing
-///      the clock through completion events to free slots); the caller
-///      executes it and reports the measured duration(s) via FinishStarted
-///      (single device) or FinishSharded (per-device durations + the
-///      scatter/gather tail). Repeat until StartNext returns nullopt.
-///   3. DrainActive(mode) retires the remaining completions.
+///   2. Loop: StartNext() picks a run and reserves its footprint on every
+///      device it touches, all or nothing (possibly first advancing the
+///      clock through completion events to free slots); the caller executes
+///      it and reports the measured duration(s) via FinishStarted (one
+///      duration for every device, e.g. a CPU-lane run) or FinishSharded
+///      (per-device durations + the scatter/gather tail). Repeat until
+///      StartNext returns nullopt.
+///   3. DrainActive() retires the remaining completions.
 ///
 /// Ordering: priority desc, then deadline asc (EDF, kNoDeadline last), then
-/// ticket asc (FIFO). Barrier mode admits strictly in this order (no
-/// backfill — a run that does not fit closes the wave); rolling mode
-/// backfills past non-fitting runs, bounded by the aging limit.
+/// ticket asc (FIFO). Runs that do not fit are backfilled past, bounded by
+/// the aging limit.
 ///
 /// Multi-device reservations go through gpu::SlotBudgetGroup: a run holds
 /// slots on all its devices or none (the deadlock-free all-or-nothing
@@ -142,7 +124,7 @@ class RunScheduler {
   /// clock through completion events (releasing their reservations) as
   /// needed to make room. Returns nullopt when the queue is empty, or when
   /// nothing queued can ever fit (a precondition violation).
-  std::optional<AdmissionDecision> StartNext(AdmissionMode mode);
+  std::optional<AdmissionDecision> StartNext();
 
   /// Reports the measured duration of a started run; its completion event
   /// (start + duration) is when its reservation becomes releasable. Must be
@@ -159,10 +141,10 @@ class RunScheduler {
                      const std::vector<double>& device_durations,
                      double gather_seconds);
 
-  /// Retires every remaining active run: closes the final wave (barrier
-  /// mode) or walks the remaining completion events (rolling mode). The
-  /// clock ends at the last completion — the workload's makespan.
-  void DrainActive(AdmissionMode mode);
+  /// Retires every remaining active run by walking the remaining completion
+  /// events. The clock ends at the last completion — the workload's
+  /// makespan.
+  void DrainActive();
 
   /// Abandons every queued (not-yet-started) run — the serving layer's
   /// failure path. Active runs are untouched; DrainActive retires them.
@@ -172,13 +154,10 @@ class RunScheduler {
   size_t queued() const { return queue_.size(); }
   size_t active() const { return active_.size(); }
   bool idle() const { return queue_.empty() && active_.empty(); }
-  /// Waves opened so far (barrier mode only).
-  uint64_t waves() const { return waves_; }
-  /// Rolling-mode starts that jumped ahead of a QoS-earlier queued run.
+  /// Starts that jumped ahead of a QoS-earlier queued run.
   uint64_t backfills() const { return backfills_; }
   /// Per-tenant footprint-slots x simulated-seconds held, accumulated at
-  /// each release. Barrier waves charge every member to the wave's end —
-  /// the barrier's waste, made visible.
+  /// each release.
   const std::map<uint64_t, double>& slot_seconds() const {
     return slot_seconds_;
   }
@@ -215,17 +194,13 @@ class RunScheduler {
   /// QoS order: priority desc, deadline asc, ticket asc.
   static bool QosBefore(const ScheduledRun& a, const ScheduledRun& b);
 
-  /// Index into queue_ of the run to start now, or -1 when none fits (or,
-  /// in rolling mode, when the first non-fitting urgent run blocks
-  /// backfill).
-  int PickCandidate(AdmissionMode mode) const;
+  /// Index into queue_ of the run to start now, or -1 when none fits (or
+  /// when the first non-fitting urgent run blocks backfill).
+  int PickCandidate() const;
   /// Reserves and starts queue_[index]; maintains bypass counters.
-  AdmissionDecision Start(size_t index, AdmissionMode mode);
-  /// Barrier release: clock to the slowest member's completion, everyone
-  /// released there.
-  void CloseWave();
-  /// Rolling release: retire the earliest pending (run, device) completion
-  /// event; the run leaves the active set when its last device is freed.
+  AdmissionDecision Start(size_t index);
+  /// Retires the earliest pending (run, device) completion event; the run
+  /// leaves the active set when its last device is freed.
   void PopEarliestCompletion();
   /// Folds one release into the aggregate and per-device slot-second
   /// accounts.
@@ -237,7 +212,6 @@ class RunScheduler {
   double now_ = 0.0;
   std::vector<QueuedEntry> queue_;  // ticket (FIFO) order
   std::vector<ActiveRun> active_;
-  uint64_t waves_ = 0;
   uint64_t backfills_ = 0;
   uint32_t lanes_in_use_ = 0;
   uint32_t peak_lanes_in_use_ = 0;

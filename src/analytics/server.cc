@@ -31,17 +31,6 @@ std::vector<uint8_t> BloomExecuteMask(const PartitionedCorpus& corpus,
   return execute;
 }
 
-Status CorpusServer::Rejection::ToStatus() const {
-  switch (reason) {
-    case Reason::kOverBudget:
-    case Reason::kOverQuota:
-      return Status::OutOfMemory(detail);
-    case Reason::kMalformed:
-      return Status::InvalidArgument(detail);
-  }
-  return Status::Internal("unknown rejection reason");
-}
-
 const CorpusServer::ServedRun* CorpusServer::RunTicket::TryGet() const {
   if (server_ == nullptr) return nullptr;
   auto it = server_->served_.find(id_);
@@ -75,45 +64,14 @@ Result<CorpusServer::Submitted> CorpusServer::TenantHandle::Submit(
   return Submit(request, RunOptions{});
 }
 
-namespace {
-
-/// Sharded mode's one-budget-per-device set (empty for a single device,
-/// where the server's own budget_ member serves).
-std::vector<std::unique_ptr<gpu::SlotBudget>> MakeDeviceBudgets(
-    const CorpusServer::Options& options) {
-  std::vector<std::unique_ptr<gpu::SlotBudget>> budgets;
-  for (size_t d = 0; options.num_devices > 1 && d < options.num_devices; ++d) {
-    budgets.push_back(
-        std::make_unique<gpu::SlotBudget>(options.device_slot_budget));
-  }
-  return budgets;
-}
-
-std::vector<gpu::SlotBudget*> SchedulerBudgets(
-    gpu::SlotBudget* single,
-    const std::vector<std::unique_ptr<gpu::SlotBudget>>& devices) {
-  if (devices.empty()) return {single};
-  std::vector<gpu::SlotBudget*> out;
-  out.reserve(devices.size());
-  for (const auto& budget : devices) out.push_back(budget.get());
-  return out;
-}
-
-}  // namespace
-
-CorpusServer::CorpusServer(const PartitionedCorpus* corpus,
-                           const Options& options)
+CorpusServer::CorpusServer(
+    const PartitionedCorpus* corpus, const Options& options,
+    std::vector<std::unique_ptr<gpu::SlotBudget>> device_budgets,
+    std::vector<gpu::SlotBudget*> scheduler_budgets)
     : corpus_(corpus),
       options_(options),
-      budget_(options.device_slot_budget),
-      device_budgets_(MakeDeviceBudgets(options)),
-      scheduler_(SchedulerBudgets(&budget_, device_budgets_),
-                 options.scheduler) {
-  // The built-in default tenant carries the legacy single-tenant API:
-  // unquotaed, default priority.
-  tenants_[0] = Tenant{"default", 0, 0};
-  stats_.tenants[0].name = "default";
-}
+      device_budgets_(std::move(device_budgets)),
+      scheduler_(std::move(scheduler_budgets), options.scheduler) {}
 
 Result<std::unique_ptr<CorpusServer>> CorpusServer::Create(
     const PartitionedCorpus* corpus, const Options& options) {
@@ -139,30 +97,38 @@ Result<std::unique_ptr<CorpusServer>> CorpusServer::Create(
   normalized.num_devices = std::max<size_t>(1, normalized.num_devices);
   normalized.replication = std::min(
       normalized.num_devices, std::max<size_t>(1, normalized.replication));
-  std::unique_ptr<CorpusServer> server(new CorpusServer(corpus, normalized));
+  ShardedCorpus::Options sopt;
+  sopt.num_devices = normalized.num_devices;
+  sopt.replication = normalized.replication;
+  auto sharded = ShardedCorpus::Create(corpus, sopt);
+  if (!sharded.ok()) return sharded.status();
+
+  std::vector<std::unique_ptr<gpu::SlotBudget>> budgets;
+  std::vector<gpu::SlotBudget*> scheduler_budgets;
+  for (size_t d = 0; d < normalized.num_devices; ++d) {
+    budgets.push_back(
+        std::make_unique<gpu::SlotBudget>(normalized.device_slot_budget));
+    scheduler_budgets.push_back(budgets.back().get());
+  }
+  std::unique_ptr<CorpusServer> server(
+      new CorpusServer(corpus, normalized, std::move(budgets),
+                       std::move(scheduler_budgets)));
   // One cache for the Submit probes and every execution worker of every
   // run: a document planned at admission is a guaranteed hit at execution.
   server->plan_cache_ = std::make_shared<PlanCache>(
       std::max<size_t>(256, 8 * corpus->partitions.size()));
   server->options_.engine.plan_cache = server->plan_cache_.get();
-  if (normalized.num_devices > 1) {
-    ShardedCorpus::Options sopt;
-    sopt.num_devices = normalized.num_devices;
-    sopt.replication = normalized.replication;
-    auto sharded = ShardedCorpus::Create(corpus, sopt);
-    if (!sharded.ok()) return sharded.status();
-    server->sharded_ = std::move(*sharded);
-    server->device_group_ =
-        std::make_unique<DeviceGroup>(server->sharded_.get());
-    server->route_load_.assign(normalized.num_devices, 0.0);
-  }
+  server->sharded_ = std::move(*sharded);
+  server->device_group_ =
+      std::make_unique<DeviceGroup>(server->sharded_.get());
+  server->route_load_.assign(normalized.num_devices, 0.0);
   return server;
 }
 
 Result<CorpusServer::TenantHandle> CorpusServer::OpenTenant(
     const TenantOptions& options) {
   if (options_.device_slot_budget > 0) {
-    // Sharded quotas span the group, so they are bounded by the group's
+    // Quotas span the device group, so they are bounded by the group's
     // total capacity, not any single device's.
     const uint64_t capacity =
         options_.device_slot_budget * static_cast<uint64_t>(num_devices());
@@ -179,14 +145,10 @@ Result<CorpusServer::TenantHandle> CorpusServer::OpenTenant(
   tenant.slot_quota = options.slot_quota;
   tenant.default_priority = options.default_priority;
   // The quota is enforced where reservations happen, atomically with the
-  // capacity checks: on the single device's budget, or — sharded — at the
-  // group level, where it bounds the tenant's slots summed over ALL devices
-  // (a per-member quota would only bound each device independently).
-  if (sharded_ == nullptr) {
-    budget_.SetOwnerQuota(id, options.slot_quota);
-  } else {
-    scheduler_.group()->SetOwnerQuota(id, options.slot_quota);
-  }
+  // capacity checks: at the group level, where it bounds the tenant's slots
+  // summed over ALL devices (a per-member quota would only bound each
+  // device independently).
+  scheduler_.group()->SetOwnerQuota(id, options.slot_quota);
   stats_.tenants[id].name = tenant.name;
   tenants_[id] = std::move(tenant);
   return TenantHandle(this, id);
@@ -250,45 +212,7 @@ Status CorpusServer::ProbeCpuEstimate(PendingRun* run) {
   return Status::OK();
 }
 
-Status CorpusServer::FinalizeGpuFootprint(PendingRun* run) {
-  const size_t n = corpus_->partitions.size();
-  const std::vector<uint8_t>& mask = run->execute_mask;
-  const std::vector<uint64_t>& doc_slots = run->doc_slots;
-  if (sharded_ != nullptr) return ShardFootprint(run);
-
-  // A run's device footprint is what execution will actually hold: one pool
-  // per worker context that executes anything (BatchEngine creates no
-  // device state for a fully-masked shard), each pre-sized to one value for
-  // every context (the global maximum plan footprint), so the reservation
-  // sums that conservatively. The split is BatchEngine's own, so admission
-  // prices exactly the contexts execution creates.
-  uint64_t presize = 0;
-  for (uint64_t s : doc_slots) presize = std::max(presize, s);
-  run->presize_slots = presize;
-  size_t executing_shards = 0;
-  for (const auto& [lo, hi] :
-       BatchEngine::ShardSplit(n, options_.host_workers)) {
-    for (size_t d = lo; d < hi; ++d) {
-      if (mask.empty() || mask[d] != 0) {
-        ++executing_shards;
-        break;
-      }
-    }
-  }
-  run->admission.footprint_slots = executing_shards * presize;
-
-  // The pre-sizing allocation call each executing context will pay at
-  // setup, charged to admission so moving the growth out of the run does
-  // not make it free.
-  if (options_.reuse_device_state && presize > 0) {
-    run->admission.admission_seconds +=
-        static_cast<double>(executing_shards) *
-        options_.engine.gpu.device_alloc_us * 1e-6;
-  }
-  return Status::OK();
-}
-
-Status CorpusServer::ShardFootprint(PendingRun* run) {
+void CorpusServer::ShardFootprint(PendingRun* run) {
   run->route = sharded_->Route(run->execute_mask, run->doc_slots, route_load_);
   const size_t num_devices = sharded_->num_devices();
   run->device_presize.assign(num_devices, 0);
@@ -310,6 +234,10 @@ Status CorpusServer::ShardFootprint(PendingRun* run) {
       presize = std::max(presize, slots);
       run->device_weight[d] += slots > 0 ? static_cast<double>(slots) : 1.0;
     }
+    // One pool per worker context that executes anything (BatchEngine
+    // creates no device state for a fully-masked context), each pre-sized
+    // to the same value; the split is BatchEngine's own, so admission
+    // prices exactly the contexts execution creates.
     size_t executing_shards = 0;
     for (const auto& [lo, hi] :
          BatchEngine::ShardSplit(docs.size(), options_.host_workers)) {
@@ -323,7 +251,10 @@ Status CorpusServer::ShardFootprint(PendingRun* run) {
     run->device_presize[d] = presize;
     run->device_footprint[d] = executing_shards * presize;
     total += run->device_footprint[d];
-    if (options_.reuse_device_state && presize > 0) {
+    // The pre-sizing allocation call each executing context will pay at
+    // setup, charged to admission so moving the growth out of the run does
+    // not make it free.
+    if (presize > 0) {
       run->admission.admission_seconds +=
           static_cast<double>(executing_shards) *
           options_.engine.gpu.device_alloc_us * 1e-6;
@@ -332,7 +263,6 @@ Status CorpusServer::ShardFootprint(PendingRun* run) {
   // footprint_slots stays the run's TOTAL reservation (what tenant quotas
   // bound); the per-device split is what admission reserves.
   run->admission.footprint_slots = total;
-  return Status::OK();
 }
 
 Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
@@ -386,10 +316,8 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   static_cast<QuerySpec&>(run.engine) =
       ResolveQueryDefaults(request, options_.engine);
 
-  const TaskInput input = GTadocEngine::InputFromOptions(run.engine);
-  if (options_.bloom_skip) {
-    run.execute_mask = BloomExecuteMask(*corpus_, kernel, input);
-  }
+  run.execute_mask = BloomExecuteMask(
+      *corpus_, kernel, GTadocEngine::InputFromOptions(run.engine));
   uint32_t to_execute = static_cast<uint32_t>(corpus_->partitions.size());
   if (!run.execute_mask.empty()) {
     to_execute = 0;
@@ -404,7 +332,8 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   // GPU-side pre-sizing allocation it will not perform. A run that executes
   // nothing is priced as exactly nothing: footprint 0, no probe, no
   // pre-sizing allocation charge — admitted immediately without reserving
-  // any budget.
+  // any budget (its all-unrouted plan makes the gather assemble every
+  // document empty).
   RunBackend backend = run_options.backend == RunBackend::kCpu
                            ? RunBackend::kCpu
                            : RunBackend::kGpu;
@@ -427,11 +356,8 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
         run.cpu_estimate_seconds <= run.gpu_estimate_seconds) {
       backend = RunBackend::kCpu;
     }
-    if (backend == RunBackend::kGpu) {
-      Status st = FinalizeGpuFootprint(&run);
-      if (!st.ok()) return st;
-    }
   }
+  if (backend == RunBackend::kGpu) ShardFootprint(&run);
   run.admission.backend = backend;
   // The unprobed side's sum stays 0, which is exactly the documented
   // losing_estimate_seconds contract for forced dispatch.
@@ -441,29 +367,15 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   run.admission.losing_estimate_seconds = backend == RunBackend::kCpu
                                               ? run.gpu_estimate_seconds
                                               : run.cpu_estimate_seconds;
-  if (sharded_ != nullptr && backend == RunBackend::kGpu &&
-      run.route.doc_device.empty()) {
-    // A run that executes nothing still needs an (all-unrouted) plan so
-    // the gather assembles every document empty.
-    const std::vector<uint8_t> none(corpus_->partitions.size(), 0);
-    run.route = sharded_->Route(none, {}, route_load_);
-  }
 
-  // Over-budget refusal: on one device, the run's whole footprint must fit
-  // the budget; sharded, every device's share must fit that device's.
+  // Over-budget refusal: every device's share must fit that device's
+  // budget.
   uint64_t over_slots = 0;
-  if (options_.device_slot_budget > 0) {
-    if (sharded_ == nullptr) {
-      if (run.admission.footprint_slots > options_.device_slot_budget) {
-        over_slots = run.admission.footprint_slots;
-      }
-    } else {
-      for (uint64_t device_slots : run.device_footprint) {
-        if (device_slots > options_.device_slot_budget) {
-          over_slots = device_slots;
-          break;
-        }
-      }
+  for (uint64_t device_slots : run.device_footprint) {
+    if (options_.device_slot_budget > 0 &&
+        device_slots > options_.device_slot_budget) {
+      over_slots = device_slots;
+      break;
     }
   }
   if (over_slots > 0) {
@@ -506,19 +418,17 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
           : scheduler_.now() + run_options.deadline_seconds;
   ++stats_.submitted;
   ++stats_.tenants[tenant_id].submitted;
-  if (sharded_ != nullptr) {
-    // The admitted run's routed documents become standing load, steering
-    // later runs' replica selection toward the less-loaded devices.
-    for (size_t d = 0; d < run.device_weight.size(); ++d) {
-      route_load_[d] += run.device_weight[d];
-    }
+  // The admitted run's routed documents become standing load, steering
+  // later runs' replica selection toward the less-loaded devices.
+  for (size_t d = 0; d < run.device_weight.size(); ++d) {
+    route_load_[d] += run.device_weight[d];
   }
 
   ScheduledRun scheduled;
   scheduled.ticket = run.admission.ticket;
   scheduled.tenant = tenant_id;
   scheduled.footprint_slots = run.admission.footprint_slots;
-  scheduled.device_slots = run.device_footprint;  // empty on one device
+  scheduled.device_slots = run.device_footprint;  // empty for CPU lanes
   scheduled.cpu_lane = backend == RunBackend::kCpu;
   scheduled.priority = run.admission.priority;
   scheduled.deadline = run.admission.deadline;
@@ -530,33 +440,14 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   return out;
 }
 
-Result<CorpusServer::Admission> CorpusServer::Submit(
-    const RunRequest& request) {
-  auto submitted = SubmitForTenant(0, request, RunOptions{});
-  if (!submitted.ok()) return submitted.status();
-  // The legacy API folds structured refusals back into their Status
-  // equivalents (over-budget -> OutOfMemory, as PR-5 returned).
-  if (submitted->rejection.has_value()) {
-    return submitted->rejection->ToStatus();
-  }
-  return *submitted->admission;
-}
-
 Result<BatchEngine::BatchRun> CorpusServer::Execute(const PendingRun& run) {
+  // The sequential CPU TADOC baseline per document — no device, no pool, no
+  // pre-sizing; bit-identical results through the same merge path.
   BatchEngine::Options bopt;
   bopt.engine = run.engine;
-  if (run.admission.backend == RunBackend::kCpu) {
-    // CPU lane execution: the sequential CPU TADOC baseline per document —
-    // no device, no pool, no pre-sizing; bit-identical results through the
-    // same merge path. presize_slots is 0 by construction (the GPU
-    // footprint was never priced for this run).
-    bopt.backend = kCpuPlanBackend;
-    bopt.cpu = options_.cpu;
-  }
+  bopt.backend = kCpuPlanBackend;
+  bopt.cpu = options_.cpu;
   bopt.host_workers = options_.host_workers;
-  bopt.reuse_device_state = options_.reuse_device_state;
-  bopt.overlap_uploads = options_.overlap_uploads;
-  bopt.presize_pool_slots = run.presize_slots;
   // Live progress: document counters tick as shard workers finish each
   // document, not when the whole batch returns.
   bopt.on_document_complete = [this](const BatchEngine::DocumentRun& doc) {
@@ -572,7 +463,7 @@ Result<BatchEngine::BatchRun> CorpusServer::Execute(const PendingRun& run) {
   return (*engine)->Run(run.task, run.execute_mask);
 }
 
-Result<DeviceGroup::RunResult> CorpusServer::ExecuteSharded(
+Result<DeviceGroup::RunResult> CorpusServer::ExecuteOnDevices(
     const PendingRun& run) {
   DeviceGroup::RunSpec spec;
   spec.task = run.task;
@@ -580,8 +471,6 @@ Result<DeviceGroup::RunResult> CorpusServer::ExecuteSharded(
   spec.route = &run.route;
   spec.device_presize = run.device_presize;
   spec.host_workers = options_.host_workers;
-  spec.reuse_device_state = options_.reuse_device_state;
-  spec.overlap_uploads = options_.overlap_uploads;
   // Live progress: executed documents tick from the shard workers; skipped
   // ones are counted once at gather (per-device callbacks would double
   // count replicas).
@@ -598,10 +487,8 @@ Result<DeviceGroup::RunResult> CorpusServer::ExecuteSharded(
   return result;
 }
 
-Status CorpusServer::ServeLoop(AdmissionMode mode,
-                               std::optional<uint64_t> until_ticket,
-                               std::vector<uint64_t>* completed) {
-  while (auto decision = scheduler_.StartNext(mode)) {
+Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
+  while (auto decision = scheduler_.StartNext()) {
     auto it = pending_.find(decision->ticket);
     if (it == pending_.end()) {
       return Status::Internal("scheduler started unknown ticket " +
@@ -610,34 +497,30 @@ Status CorpusServer::ServeLoop(AdmissionMode mode,
     PendingRun run = std::move(it->second);
     pending_.erase(it);
 
-    // CPU-lane runs execute the whole corpus on the host even on a sharded
-    // server: there is no device to scatter to, so the run is one
-    // BatchEngine over the full (masked) corpus, exactly like single-device
-    // serving — which is also what keeps its results bit-identical.
     const bool cpu_run = run.admission.backend == RunBackend::kCpu;
     std::vector<double> device_durations;
     double gather_seconds = 0.0;
     auto batch = [&]() -> Result<BatchEngine::BatchRun> {
-      if (sharded_ == nullptr || cpu_run) return Execute(run);
-      auto sharded_run = ExecuteSharded(run);
-      if (!sharded_run.ok()) return sharded_run.status();
-      device_durations = std::move(sharded_run->device_durations);
-      gather_seconds = sharded_run->gather_seconds;
-      return std::move(sharded_run->batch);
+      if (cpu_run) return Execute(run);
+      auto gpu_run = ExecuteOnDevices(run);
+      if (!gpu_run.ok()) return gpu_run.status();
+      device_durations = std::move(gpu_run->device_durations);
+      gather_seconds = gpu_run->gather_seconds;
+      return std::move(gpu_run->batch);
     }();
     if (!batch.ok()) {
-      // Match the legacy Drain contract: the first failure abandons the
-      // queue. The failed run's reservation (and any still-active ones)
-      // are retired so the budget does not leak.
+      // The first failure abandons the queue. The failed run's reservation
+      // (and any still-active ones) are retired so the budget does not
+      // leak.
       scheduler_.FinishStarted(decision->ticket, 0.0);
-      scheduler_.DrainActive(mode);
+      scheduler_.DrainActive();
       scheduler_.ClearQueue();
       pending_.clear();
       SyncSchedulerStats();
       return batch.status();
     }
     const double duration = batch->timing.total_seconds();
-    if (sharded_ == nullptr || cpu_run) {
+    if (cpu_run) {
       scheduler_.FinishStarted(decision->ticket, duration);
     } else {
       // Each device is releasable at its OWN shard completion; the run
@@ -648,7 +531,6 @@ Status CorpusServer::ServeLoop(AdmissionMode mode,
 
     ServedRun served;
     served.admission = run.admission;
-    served.wave = decision->wave;
     served.start_seconds = decision->start_time;
     served.completion_seconds = decision->start_time + duration;
     served.queue_wait_seconds = decision->queue_wait;
@@ -659,19 +541,6 @@ Status CorpusServer::ServeLoop(AdmissionMode mode,
     const uint64_t executed =
         static_cast<uint64_t>(served.batch.documents.size()) -
         served.batch.documents_skipped;
-    if (sharded_ == nullptr && !cpu_run) {
-      // Mirror the per-device accounting the sharded path gets from its
-      // DeviceGroup counters, so Stats::devices is uniform across modes.
-      // CPU-lane runs never touch the device, so they never appear here —
-      // devices[] keeps its exact GPU-side meaning under hybrid dispatch.
-      if (executed > 0) ++device0_.runs_routed;
-      device0_.documents_executed += executed;
-      device0_.init_ops += served.batch.timing.init_ops;
-      device0_.traversal_ops += served.batch.timing.traversal_ops;
-      device0_.upload_seconds += served.batch.timing.upload_seconds;
-      device0_.busy_seconds += duration;
-      device0_.mid_run_pool_growths += served.batch.mid_run_pool_growths;
-    }
 
     ++stats_.served;
     stats_.mid_run_pool_growths += served.batch.mid_run_pool_growths;
@@ -698,13 +567,12 @@ Status CorpusServer::ServeLoop(AdmissionMode mode,
 
     const uint64_t ticket = decision->ticket;
     served_.emplace(ticket, std::move(served));
-    if (completed != nullptr) completed->push_back(ticket);
     if (until_ticket.has_value() && ticket == *until_ticket) break;
   }
-  // A full serve retires every remaining completion event (closing the
-  // final wave, in barrier mode); an Await cut short leaves the active set
-  // reserved — those runs are still resident on the simulated timeline.
-  if (!until_ticket.has_value()) scheduler_.DrainActive(mode);
+  // A full serve retires every remaining completion event; an Await cut
+  // short leaves the active set reserved — those runs are still resident
+  // on the simulated timeline.
+  if (!until_ticket.has_value()) scheduler_.DrainActive();
   SyncSchedulerStats();
   return Status::OK();
 }
@@ -716,8 +584,7 @@ Result<CorpusServer::ServedRun> CorpusServer::AwaitTicket(uint64_t ticket) {
                               " is not queued or served (already taken, or "
                               "abandoned by a failed serve)");
     }
-    GTADOC_RETURN_IF_ERROR(
-        ServeLoop(AdmissionMode::kRolling, ticket, nullptr));
+    GTADOC_RETURN_IF_ERROR(ServeLoop(ticket));
   }
   auto it = served_.find(ticket);
   if (it == served_.end()) {
@@ -729,29 +596,9 @@ Result<CorpusServer::ServedRun> CorpusServer::AwaitTicket(uint64_t ticket) {
   return out;
 }
 
-Status CorpusServer::ServeUntilIdle() {
-  return ServeLoop(AdmissionMode::kRolling, std::nullopt, nullptr);
-}
-
-Result<std::vector<CorpusServer::ServedRun>> CorpusServer::Drain() {
-  std::vector<uint64_t> completed;
-  Status st =
-      ServeLoop(AdmissionMode::kBarrierWaves, std::nullopt, &completed);
-  if (!st.ok()) return st;
-  std::sort(completed.begin(), completed.end());
-  std::vector<ServedRun> served;
-  served.reserve(completed.size());
-  for (uint64_t ticket : completed) {
-    auto it = served_.find(ticket);
-    if (it == served_.end()) continue;  // Awaited concurrently; skip
-    served.push_back(std::move(it->second));
-    served_.erase(it);
-  }
-  return served;
-}
+Status CorpusServer::ServeUntilIdle() { return ServeLoop(std::nullopt); }
 
 void CorpusServer::SyncSchedulerStats() {
-  stats_.waves = scheduler_.waves();
   stats_.backfills = scheduler_.backfills();
   stats_.makespan_seconds = scheduler_.now();
   stats_.peak_cpu_lanes_in_use = scheduler_.peak_cpu_lanes_in_use();
@@ -767,19 +614,8 @@ void CorpusServer::SyncSchedulerStats() {
     stats_.tenants[tenant].slot_seconds_per_device = per_device;
   }
 
-  if (sharded_ == nullptr) {
-    stats_.peak_admitted_slots = budget_.peak_in_use();
-    stats_.devices.assign(1, device0_);
-    stats_.devices[0].peak_admitted_slots = budget_.peak_in_use();
-    for (const auto& [tenant, seconds] : scheduler_.slot_seconds()) {
-      (void)tenant;
-      stats_.devices[0].slot_seconds_held += seconds;
-    }
-    return;
-  }
-
   // Group total for the aggregate; per-device peaks (each bounded by the
-  // per-device budget — the sharded admission invariant) in devices[].
+  // per-device budget — the admission invariant) in devices[].
   stats_.peak_admitted_slots = scheduler_.group()->peak_in_use();
   const size_t num_devices = sharded_->num_devices();
   stats_.devices.assign(num_devices, Stats::DeviceStats{});

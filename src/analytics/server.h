@@ -42,9 +42,9 @@ std::vector<uint8_t> BloomExecuteMask(const PartitionedCorpus& corpus,
                                       const TaskKernel& kernel,
                                       const TaskInput& input);
 
-/// \brief Plan-aware serving front-end over BatchEngine: rolling admission,
-/// multi-tenant QoS and corpus-level Bloom pushdown for concurrent
-/// analytics runs on one simulated GPU.
+/// \brief Plan-aware serving front-end over a DeviceGroup: rolling
+/// admission, multi-tenant QoS and corpus-level Bloom pushdown for
+/// concurrent analytics runs on N simulated GPUs (N = 1 by default).
 ///
 /// The paper's pitch is analytics *served* directly on compressed data; a
 /// server multiplexing many queries over one device has levers the
@@ -64,14 +64,13 @@ std::vector<uint8_t> BloomExecuteMask(const PartitionedCorpus& corpus,
 ///   2. **Rolling admission (RunScheduler).** Admitted runs are co-resident
 ///      tenants overlapping in SIMULATED time; each releases its
 ///      reservation at its OWN completion, and the next eligible queued run
-///      starts the moment its footprint fits — no wave barrier. QoS rides
-///      on top: per-tenant slot quotas, run priorities, optional deadlines
-///      (EDF within a priority), and starvation-free backfill (a bypassed
-///      run ages into urgency; see RunSchedulerOptions::aging_limit). Host
-///      execution stays serial in admission order, so served results are
+///      starts the moment its footprint fits. QoS rides on top: per-tenant
+///      slot quotas, run priorities, optional deadlines (EDF within a
+///      priority), and starvation-free backfill (a bypassed run ages into
+///      urgency; see RunSchedulerOptions::aging_limit). Host execution
+///      stays serial in admission order, so served results are
 ///      bit-identical to serial BatchEngine runs under EVERY admission
-///      order; the scheduler governs simulated queue-wait and occupancy,
-///      which is where rolling beats the legacy barrier waves.
+///      order; the scheduler governs simulated queue-wait and occupancy.
 ///   3. **Root-Bloom corpus skip.** For selective runs (keyword / phrase /
 ///      multi-query) a document whose root Bloom filter rejects the query
 ///      (BloomExecuteMask) is skipped before Rebind: no upload, no plan, no
@@ -79,12 +78,12 @@ std::vector<uint8_t> BloomExecuteMask(const PartitionedCorpus& corpus,
 ///      zero entries, so the merged corpus result stays bit-identical to
 ///      the unskipped run.
 ///
-/// The session-oriented API: `OpenTenant` returns a TenantHandle; its
+/// The API is session-oriented: `OpenTenant` returns a TenantHandle; its
 /// `Submit` returns a RunTicket (or a structured Rejection);
 /// `ServeUntilIdle` (or `RunTicket::Await`) executes under rolling
-/// admission. The PR-5 API — server-level `Submit` + `Drain` — remains as
-/// a compatibility shim over a built-in default tenant, with `Drain`
-/// keeping the original FIFO barrier-wave discipline bit-for-bit.
+/// admission. Every GPU run goes through the one sharded path — a
+/// ShardedCorpus plus DeviceGroup, one device being the ordinary case — and
+/// every CPU-lane run through one host BatchEngine over the whole corpus.
 class CorpusServer {
  public:
   /// Which backend a run executes on. kAuto lets the dispatcher compare the
@@ -107,20 +106,18 @@ class CorpusServer {
     GTadocEngine::Options engine;
     /// Device pool-slot budget concurrent admitted runs must fit in (the
     /// device-memory model of admission). 0 = unmetered: everything admits
-    /// immediately. A Submit whose footprint alone exceeds a non-zero
-    /// budget is rejected (Rejection::Reason::kOverBudget). With
-    /// num_devices > 1 this is the budget of EACH device, and the rejection
-    /// triggers when any single device's share of the run cannot fit.
+    /// immediately. This is the budget of EACH device: a Submit is rejected
+    /// (Rejection::Reason::kOverBudget) when any single device's share of
+    /// its footprint exceeds a non-zero budget even alone.
     uint64_t device_slot_budget = 0;
     /// Simulated GPUs the corpus is sharded across (ShardedCorpus,
-    /// round-robin document placement). 1 (or 0) = the classic single-device
-    /// server, whose behavior is bit-for-bit unchanged. With N > 1 each
-    /// admitted run is routed only to the devices holding documents its
-    /// root Blooms did not reject, executes shard-local batches that
-    /// overlap on the simulated timeline, and gathers through the same
-    /// corpus-order merge a single device performs — merged and
-    /// per-document results are bit-identical to a 1-device serial run
-    /// under every device count.
+    /// round-robin document placement); 0 counts as 1. Each admitted GPU run
+    /// is routed only to the devices holding documents its root Blooms did
+    /// not reject, executes shard-local batches that overlap on the
+    /// simulated timeline, and gathers through one corpus-order merge —
+    /// merged and per-document results are bit-identical to a serial
+    /// BatchEngine run under every device count. One device is the same
+    /// path with a topology of one, aliasing the corpus (no grammar copy).
     size_t num_devices = 1;
     /// Grammar copies per document across the device group, clamped to
     /// [1, num_devices]. R > 1 lets hot documents execute on whichever
@@ -130,13 +127,6 @@ class CorpusServer {
     /// worker context holds its own pool, so a run's admission footprint is
     /// its context count times the per-context maximum plan footprint.
     size_t host_workers = 1;
-    /// Skip documents whose root Bloom filter rejects the query
-    /// (BloomExecuteMask). Disable to measure the unskipped baseline.
-    bool bloom_skip = true;
-    /// Forwarded to BatchEngine (device-state reuse across a context's
-    /// documents, upload/traversal pipelining).
-    bool reuse_device_state = true;
-    bool overlap_uploads = true;
     /// Rolling-admission QoS knobs: aging limit for starvation-free
     /// backfill, and `scheduler.cpu_lanes` — the hybrid-dispatch switch.
     /// With cpu_lanes > 0 every kAuto Submit probes BOTH backends'
@@ -199,13 +189,15 @@ class CorpusServer {
   /// root Blooms, before any execution.
   struct Admission {
     uint64_t ticket = 0;  ///< unique, ascending in submission order
-    /// The run's full device pool footprint in slots: per worker context,
-    /// the maximum RunPlan::total_slots over its executed documents, summed
-    /// over contexts. This is what admission reserves against the budget
-    /// and what each context's pool is pre-sized to. A run that executes
-    /// zero documents (fully Bloom-masked, or an empty query on a
-    /// selective task) has footprint 0 and is served without reserving any
-    /// budget — and without charging any pre-sizing allocation.
+    /// The run's full device pool footprint in slots, summed over devices:
+    /// each device's executing worker contexts times the maximum
+    /// RunPlan::total_slots over the documents routed there. Each device's
+    /// share is what admission reserves against that device's budget, and
+    /// the per-device maximum is what its context pools are pre-sized to.
+    /// A run that executes zero documents (fully Bloom-masked, or an empty
+    /// query on a selective task) has footprint 0 and is served without
+    /// reserving any budget — and without charging any pre-sizing
+    /// allocation.
     uint64_t footprint_slots = 0;
     uint32_t documents_to_execute = 0;
     uint32_t documents_skipped = 0;  ///< root-Bloom rejected at Submit
@@ -214,7 +206,7 @@ class CorpusServer {
     /// pay). Execution itself then reports plan_seconds == 0 — planning
     /// moved to admission, it did not disappear.
     double admission_seconds = 0;
-    uint64_t tenant = 0;   ///< owning tenant id (0 = the default tenant)
+    uint64_t tenant = 0;   ///< owning tenant id
     int32_t priority = 0;  ///< resolved priority
     /// Absolute simulated-clock deadline (submit time + deadline_seconds);
     /// kNoDeadline when none was requested.
@@ -236,9 +228,6 @@ class CorpusServer {
   /// schedule, and the full batch output (per-document + merged + timing).
   struct ServedRun {
     Admission admission;
-    /// 1-based barrier wave the run executed in; 0 under rolling admission
-    /// (waves do not exist there).
-    uint64_t wave = 0;
     BatchEngine::BatchRun batch;
     double start_seconds = 0;       ///< simulated admission (start) time
     double completion_seconds = 0;  ///< start + the run's simulated duration
@@ -246,13 +235,13 @@ class CorpusServer {
     /// True when the run started while an earlier-ordered run was still
     /// queued (rolling backfill into budget the larger run could not use).
     bool backfilled = false;
-    /// Sharded serving only: each device's simulated shard duration (0 for
-    /// devices the run was not routed to). completion_seconds is then
-    /// start + max(device_durations) + gather_seconds, while each device's
-    /// reservation was released at its OWN shard completion. Empty on a
-    /// single-device server.
+    /// GPU runs: each device's simulated shard duration (0 for devices the
+    /// run was not routed to). completion_seconds is then start +
+    /// max(device_durations) + gather_seconds, while each device's
+    /// reservation was released at its OWN shard completion. Empty for
+    /// CPU-lane runs.
     std::vector<double> device_durations;
-    /// Sharded serving only: the cross-device merge tail.
+    /// GPU runs: the corpus-order merge tail after the slowest shard.
     double gather_seconds = 0;
   };
 
@@ -270,9 +259,6 @@ class CorpusServer {
     std::string detail;
     uint64_t requested_slots = 0;
     uint64_t limit_slots = 0;
-    /// The legacy-API mapping: kOverBudget/kOverQuota -> OutOfMemory (what
-    /// PR-5 Submit returned), kMalformed -> InvalidArgument.
-    Status ToStatus() const;
   };
 
   /// Handle to one submitted run's future result. Copyable; all copies
@@ -286,8 +272,8 @@ class CorpusServer {
     /// Await moved it out). Never serves; a pure peek.
     const ServedRun* TryGet() const;
     /// Serves (rolling admission) until this run completes, then moves its
-    /// result out of the server. A second Await on the same run — or an
-    /// Await after legacy Drain already returned the run — is NotFound.
+    /// result out of the server. A second Await on the same run is
+    /// NotFound.
     Result<ServedRun> Await();
 
    private:
@@ -314,10 +300,12 @@ class CorpusServer {
     bool valid() const { return server_ != nullptr; }
     uint64_t id() const { return id_; }
     const std::string& name() const;
-    /// Probes and enqueues one run under this tenant (see
-    /// CorpusServer::Submit for what probing does). Policy refusals come
-    /// back as Submitted::rejection; genuine failures (unknown task, probe
-    /// error) as a non-OK Result.
+    /// Probes and enqueues one run under this tenant: resolves the Bloom
+    /// execute mask and plans every executed document through the shared
+    /// PlanCache (the footprint probe — also pre-warming execution);
+    /// reserves nothing yet. Policy refusals come back as
+    /// Submitted::rejection; genuine failures (unknown task, probe error)
+    /// as a non-OK Result.
     Result<Submitted> Submit(const RunRequest& request,
                              const RunOptions& run_options);
     /// Submit with the tenant's default priority and no deadline.
@@ -353,22 +341,17 @@ class CorpusServer {
     BackendStats gpu_backend;
     BackendStats cpu_backend;
     /// Footprint-slots x simulated-seconds the tenant's reservations held.
-    /// Barrier waves charge every member to the wave's end, so the same
-    /// workload shows strictly more slot-seconds under Drain than under
-    /// ServeUntilIdle — the barrier's waste, measured.
     double slot_seconds_held = 0;
     /// Element d is the share of slot_seconds_held the tenant's
-    /// reservations held on device d (one entry on a single-device server;
-    /// entries sum to slot_seconds_held).
+    /// reservations held on device d (entries sum to slot_seconds_held).
     std::vector<double> slot_seconds_per_device;
   };
 
   /// Aggregate serving counters (monotonic over the server's lifetime).
   struct Stats {
-    /// Per-device serving counters. A single-device server reports one
-    /// entry; a sharded server one per simulated GPU — the witness that a
-    /// device the router never selected did no work (all-zero ops) and
-    /// that no device's budget was ever exceeded (peak_admitted_slots).
+    /// Per-device serving counters, one per simulated GPU — the witness
+    /// that a device the router never selected did no work (all-zero ops)
+    /// and that no device's budget was ever exceeded (peak_admitted_slots).
     struct DeviceStats {
       uint64_t runs_routed = 0;  ///< runs that executed >= 1 document here
       uint64_t documents_executed = 0;
@@ -378,7 +361,9 @@ class CorpusServer {
       uint64_t init_ops = 0;       ///< simulated phase-1 ops charged here
       uint64_t traversal_ops = 0;  ///< simulated phase-2 ops charged here
       double upload_seconds = 0;   ///< simulated H2D time charged here
-      double busy_seconds = 0;     ///< summed simulated shard durations
+      /// Summed simulated shard durations (the gather merge tail is not
+      /// device-local work and is not included).
+      double busy_seconds = 0;
       /// Slot-seconds held on this device, summed over tenants.
       double slot_seconds_held = 0;
       uint64_t mid_run_pool_growths = 0;
@@ -397,11 +382,9 @@ class CorpusServer {
     uint64_t submitted = 0;
     uint64_t rejected = 0;  ///< refused at Submit (budget / quota / malformed)
     uint64_t served = 0;
-    uint64_t waves = 0;  ///< barrier waves executed (legacy Drain only)
-    /// High-water mark of concurrently reserved slots; never exceeds the
-    /// budget (the admission invariant). Sharded servers report the GROUP
-    /// total (per-device peaks live in devices[d].peak_admitted_slots,
-    /// each bounded by the per-device budget).
+    /// High-water mark of concurrently reserved slots summed over the
+    /// device group; per-device peaks live in devices[d].peak_admitted_slots,
+    /// each bounded by the per-device budget (the admission invariant).
     uint64_t peak_admitted_slots = 0;
     uint64_t documents_skipped = 0;
     uint64_t documents_executed = 0;
@@ -440,40 +423,18 @@ class CorpusServer {
 
   /// Serves every queued run to completion under rolling admission.
   /// Results are retrieved through each run's RunTicket (Await / TryGet).
-  /// On an execution failure the remaining queue is abandoned (matching
-  /// Drain) and the failure returned.
+  /// On an execution failure the remaining queue is abandoned and the
+  /// failure returned.
   Status ServeUntilIdle();
-
-  /// Legacy single-tenant Submit (PR-5 API): probes and enqueues one run
-  /// under the built-in default tenant — resolving the Bloom execute mask
-  /// and planning every executed document through the shared PlanCache
-  /// (the footprint probe — also pre-warming execution); reserves nothing
-  /// yet. Rejections surface as their Status mapping (OutOfMemory when the
-  /// footprint cannot fit the budget even alone); unknown tasks are
-  /// NotFound.
-  Result<Admission> Submit(const RunRequest& request);
-
-  /// Legacy barrier-wave Drain (PR-5 API): executes every queued run in
-  /// FIFO admission waves and returns the runs completed by THIS call in
-  /// ticket order. Each wave admits the longest FIFO prefix of the queue
-  /// that fits the slot budget, reserves each run's footprint for the
-  /// whole wave (the barrier), executes, then releases. Returns the first
-  /// failure; the queue is consumed either way.
-  Result<std::vector<ServedRun>> Drain();
 
   size_t queued() const { return scheduler_.queued(); }
   const Stats& stats() const { return stats_; }
   /// The cache shared by Submit probes and execution (serving diagnostics).
   PlanCache* plan_cache() const { return plan_cache_.get(); }
   const Options& options() const { return options_; }
-  size_t num_devices() const {
-    return sharded_ == nullptr ? 1 : sharded_->num_devices();
-  }
-  /// The sharded topology (null on a single-device server).
+  size_t num_devices() const { return sharded_->num_devices(); }
+  /// The device topology GPU runs scatter over.
   const ShardedCorpus* sharded_corpus() const { return sharded_.get(); }
-  /// The scatter/gather executor and its per-device counters (null on a
-  /// single-device server).
-  const DeviceGroup* device_group() const { return device_group_.get(); }
 
  private:
   struct Tenant {
@@ -485,14 +446,13 @@ class CorpusServer {
     Admission admission;
     GTadocEngine::Options engine;       ///< fully-resolved per-run options
     std::vector<uint8_t> execute_mask;  ///< empty = all documents
-    uint64_t presize_slots = 0;         ///< per-context pool pre-size
     Task task = Task::kWordCount;
     /// Per-backend plan-derived estimates, summed over executed documents
     /// (0 for a side that was not probed) — the dispatch comparison inputs.
     double gpu_estimate_seconds = 0;
     double cpu_estimate_seconds = 0;
-    /// Sharded serving: per-document planned slots (executed docs only),
-    /// the scatter decision, and its per-device admission metadata.
+    /// GPU runs: per-document planned slots (executed docs only), the
+    /// scatter decision, and its per-device admission metadata.
     std::vector<uint64_t> doc_slots;
     ShardedCorpus::RoutePlan route;
     std::vector<uint64_t> device_presize;
@@ -502,44 +462,39 @@ class CorpusServer {
     std::vector<double> device_weight;
   };
 
-  CorpusServer(const PartitionedCorpus* corpus, const Options& options);
+  CorpusServer(const PartitionedCorpus* corpus, const Options& options,
+               std::vector<std::unique_ptr<gpu::SlotBudget>> device_budgets,
+               std::vector<gpu::SlotBudget*> scheduler_budgets);
 
-  /// The one Submit implementation under both APIs.
   Result<Submitted> SubmitForTenant(uint64_t tenant_id,
                                     const RunRequest& request,
                                     const RunOptions& run_options);
   /// Plans every executed document on a GPU probe engine (Rebind + PlanOnly
   /// against the shared cache), filling doc_slots, the GPU-side cost
   /// estimate, and the probe's admission_seconds. Reserves nothing; the
-  /// footprint is priced by FinalizeGpuFootprint only if the run dispatches
-  /// to the GPU.
+  /// footprint is priced by ShardFootprint only if the run dispatches to
+  /// the GPU.
   Status ProbeGpuPlans(PendingRun* run);
-  /// Prices the GPU-dispatched run's device footprint from the probed
-  /// doc_slots (executing contexts x the per-context maximum plan
-  /// footprint, plus the pre-sizing allocation charge); sharded servers
-  /// route here (ShardFootprint).
-  Status FinalizeGpuFootprint(PendingRun* run);
   /// The CPU twin of ProbeGpuPlans: plans every executed document through
   /// CpuTadocEngine::PlanOnly against the same shared (backend-keyed)
   /// cache, summing the CPU-side estimate and the metered probe seconds.
   Status ProbeCpuEstimate(PendingRun* run);
-  /// Sharded tail of ProbeFootprint: routes the run (least-loaded replica
-  /// selection over the standing per-device load), then prices each device
-  /// exactly as the single-device path prices its one device — executing
-  /// contexts times the per-device maximum plan footprint.
-  Status ShardFootprint(PendingRun* run);
-  /// Executes one admitted run through a masked, pre-sized BatchEngine.
+  /// Prices a GPU-dispatched run: routes it (least-loaded replica selection
+  /// over the standing per-device load), then prices each device as its
+  /// executing contexts times the maximum plan footprint routed there, plus
+  /// the pre-sizing allocation charge.
+  void ShardFootprint(PendingRun* run);
+  /// CPU-lane execution: one masked host BatchEngine over the whole corpus
+  /// (a lane holds no device, so there is nothing to scatter to).
   Result<BatchEngine::BatchRun> Execute(const PendingRun& run);
-  /// Sharded counterpart: scatters the run over the device group along its
+  /// GPU execution: scatters the run over the device group along its
   /// RoutePlan and gathers the global batch.
-  Result<DeviceGroup::RunResult> ExecuteSharded(const PendingRun& run);
-  /// The serving loop under both APIs: starts runs through the scheduler,
-  /// executes each serially, reports durations back. Stops early after
-  /// `until_ticket` completes (leaving the rest queued); appends the
-  /// tickets completed by this call to `completed` when non-null. On
-  /// failure the queue is abandoned.
-  Status ServeLoop(AdmissionMode mode, std::optional<uint64_t> until_ticket,
-                   std::vector<uint64_t>* completed);
+  Result<DeviceGroup::RunResult> ExecuteOnDevices(const PendingRun& run);
+  /// The serving loop: starts runs through the scheduler, executes each
+  /// serially, reports durations back. Stops early after `until_ticket`
+  /// completes (leaving the rest queued). On failure the queue is
+  /// abandoned.
+  Status ServeLoop(std::optional<uint64_t> until_ticket);
   /// RunTicket::Await's implementation.
   Result<ServedRun> AwaitTicket(uint64_t ticket);
   /// Pulls the scheduler/budget-side counters into stats_.
@@ -548,23 +503,21 @@ class CorpusServer {
   const PartitionedCorpus* corpus_;
   Options options_;
   std::shared_ptr<PlanCache> plan_cache_;
-  gpu::SlotBudget budget_;  ///< the single device's budget (num_devices <= 1)
-  /// One budget per simulated GPU (sharded mode only; empty otherwise).
+  /// One budget per simulated GPU.
   std::vector<std::unique_ptr<gpu::SlotBudget>> device_budgets_;
   RunScheduler scheduler_;
-  /// Sharded mode (num_devices > 1): topology, executor, and the standing
-  /// per-device routed-slot load replica selection balances against.
+  /// Topology, executor, and the standing per-device routed-slot load
+  /// replica selection balances against.
   std::unique_ptr<ShardedCorpus> sharded_;
   std::unique_ptr<DeviceGroup> device_group_;
   std::vector<double> route_load_;
-  /// Single-device per-run accounting mirrored into Stats::devices[0].
-  Stats::DeviceStats device0_;
   std::map<uint64_t, Tenant> tenants_;
   std::map<uint64_t, PendingRun> pending_;  ///< queued, by ticket
   std::map<uint64_t, ServedRun> served_;    ///< completed, not yet taken
   uint64_t next_ticket_ = 0;
-  uint64_t next_tenant_ = 1;  ///< 0 is the built-in default tenant
-  std::mutex progress_mu_;    ///< guards live document counters in stats_
+  /// 0 stays the untagged SlotBudget owner, never a tenant.
+  uint64_t next_tenant_ = 1;
+  std::mutex progress_mu_;  ///< guards live document counters in stats_
   Stats stats_;
 };
 

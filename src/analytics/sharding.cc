@@ -24,14 +24,16 @@ Result<std::unique_ptr<ShardedCorpus>> ShardedCorpus::Create(
   std::unique_ptr<ShardedCorpus> sharded(new ShardedCorpus());
   sharded->corpus_ = corpus;
   sharded->replication_ = replication;
-  sharded->device_corpus_.resize(num_devices);
   sharded->device_docs_.resize(num_devices);
   sharded->global_to_local_.resize(num_devices);
   sharded->doc_replicas_.resize(corpus->partitions.size());
-  for (PartitionedCorpus& slice : sharded->device_corpus_) {
-    // Every slice keeps the GLOBAL file count: per-device DocumentRuns then
-    // carry global file bases and gather needs no re-indexing.
-    slice.total_files = corpus->total_files;
+  if (num_devices > 1) {
+    sharded->owned_slices_.resize(num_devices);
+    for (PartitionedCorpus& slice : sharded->owned_slices_) {
+      // Every slice keeps the GLOBAL file count: per-device DocumentRuns
+      // then carry global file bases and gather needs no re-indexing.
+      slice.total_files = corpus->total_files;
+    }
   }
 
   for (uint32_t g = 0; g < corpus->partitions.size(); ++g) {
@@ -42,9 +44,12 @@ Result<std::unique_ptr<ShardedCorpus>> ShardedCorpus::Create(
           static_cast<uint32_t>(sharded->device_docs_[d].size());
       sharded->device_docs_[d].push_back(g);
       sharded->global_to_local_[d][g] = local;
-      sharded->device_corpus_[d].partitions.push_back(corpus->partitions[g]);
-      sharded->device_corpus_[d].file_base.push_back(corpus->file_base[g]);
       sharded->doc_replicas_[g].push_back(static_cast<uint32_t>(d));
+      if (num_devices > 1) {
+        PartitionedCorpus& slice = sharded->owned_slices_[d];
+        slice.partitions.push_back(corpus->partitions[g]);
+        slice.file_base.push_back(corpus->file_base[g]);
+      }
     }
   }
   return sharded;
@@ -116,8 +121,6 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     BatchEngine::Options bopt;
     bopt.engine = spec.engine;
     bopt.host_workers = spec.host_workers;
-    bopt.reuse_device_state = spec.reuse_device_state;
-    bopt.overlap_uploads = spec.overlap_uploads;
     bopt.presize_pool_slots =
         d < spec.device_presize.size() ? spec.device_presize[d] : 0;
     // The gather below performs the one corpus-order merge; shard-local

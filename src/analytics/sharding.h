@@ -27,7 +27,9 @@ namespace gtadoc {
 /// come back gather-ready: the cross-device merge is the same
 /// MergeResult-in-corpus-order pass a single-device batch performs, which is
 /// what keeps sharded results bit-identical to a one-device serial run under
-/// every shard count and replication factor.
+/// every shard count and replication factor. A one-device topology's slice
+/// would be the whole corpus in order, so it aliases the global corpus
+/// instead of copying every grammar.
 class ShardedCorpus {
  public:
   /// Route() verdict for a document no device executes (root-Bloom skipped
@@ -57,18 +59,18 @@ class ShardedCorpus {
   };
 
   /// The corpus must outlive the sharded view (device slices copy the
-  /// grammars but global gather metadata points back into it). Fails on an
-  /// empty corpus.
+  /// grammars — or, on one device, ARE the corpus — and global gather
+  /// metadata points back into it). Fails on an empty corpus.
   static Result<std::unique_ptr<ShardedCorpus>> Create(
       const PartitionedCorpus* corpus, const Options& options);
 
-  size_t num_devices() const { return device_corpus_.size(); }
+  size_t num_devices() const { return device_docs_.size(); }
   size_t replication() const { return replication_; }
   const PartitionedCorpus* global_corpus() const { return corpus_; }
   /// Device d's slice; may hold zero documents when the corpus is smaller
-  /// than the device count.
+  /// than the device count. On one device this is *global_corpus().
   const PartitionedCorpus& device_corpus(size_t d) const {
-    return device_corpus_[d];
+    return owned_slices_.empty() ? *corpus_ : owned_slices_[d];
   }
   /// Device d's documents as global corpus indices (ascending; the local
   /// index of device_docs(d)[i] is i).
@@ -97,7 +99,8 @@ class ShardedCorpus {
 
   const PartitionedCorpus* corpus_ = nullptr;
   size_t replication_ = 1;
-  std::vector<PartitionedCorpus> device_corpus_;
+  /// Per-device grammar copies; empty on one device (the alias).
+  std::vector<PartitionedCorpus> owned_slices_;
   std::vector<std::vector<uint32_t>> device_docs_;
   std::vector<std::vector<uint32_t>> doc_replicas_;
   /// Per device: global doc index -> local index.
@@ -139,8 +142,6 @@ class DeviceGroup {
     std::vector<uint64_t> device_presize;
     /// Forwarded to each device's BatchEngine.
     size_t host_workers = 1;
-    bool reuse_device_state = true;
-    bool overlap_uploads = true;
     /// Invoked once per EXECUTED document (never for masked replicas or
     /// skipped documents — those would double-count across devices). Must
     /// be thread-safe; may be null.

@@ -172,8 +172,12 @@ void SlotBudgetGroup::Release(const std::vector<uint64_t>& slots,
 void SlotBudgetGroup::ReleaseOn(size_t index, uint64_t slots,
                                 uint64_t owner) {
   if (index >= members_.size()) return;
-  members_[index]->Release(slots, owner);
+  // Group lock first, then the member — TryReserve's lock order. Releasing
+  // the member outside the group lock would let a racing TryReserve take
+  // the freed slots while in_use_ still counts them, overstating the
+  // group's in_use/peak.
   std::lock_guard<std::mutex> lock(mu_);
+  members_[index]->Release(slots, owner);
   in_use_ = slots > in_use_ ? 0 : in_use_ - slots;
   OwnerState& state = owners_[owner];
   state.in_use = slots > state.in_use ? 0 : state.in_use - slots;

@@ -13,6 +13,7 @@
 #include "datagen/datagen.h"
 #include "gpu/platform.h"
 #include "gtadoc/engine.h"
+#include "serve_util.h"
 
 namespace gtadoc {
 namespace {
@@ -59,16 +60,15 @@ struct SyntheticDrive {
 };
 
 SyntheticDrive Drive(RunScheduler* scheduler, gpu::SlotBudget* budget,
-                     AdmissionMode mode,
                      const std::map<uint64_t, double>& durations) {
   SyntheticDrive out;
-  while (auto decision = scheduler->StartNext(mode)) {
+  while (auto decision = scheduler->StartNext()) {
     out.start_order.push_back(decision->ticket);
     out.decisions[decision->ticket] = *decision;
     out.peak_at_any_event = std::max(out.peak_at_any_event, budget->in_use());
     scheduler->FinishStarted(decision->ticket, durations.at(decision->ticket));
   }
-  scheduler->DrainActive(mode);
+  scheduler->DrainActive();
   return out;
 }
 
@@ -90,7 +90,7 @@ TEST(RunSchedulerTest, BudgetNeverExceededAtAnyCompletionEvent) {
     durations[t] = 1.0 + static_cast<double>(t);
   }
   SyntheticDrive drive =
-      Drive(&scheduler, &budget, AdmissionMode::kRolling, durations);
+      Drive(&scheduler, &budget, durations);
   ASSERT_EQ(drive.start_order.size(), 5u);
   // The invariant, observed at every admission event and as the overall
   // reservation high-water mark.
@@ -123,7 +123,7 @@ TEST(RunSchedulerTest, PerTenantQuotaRespectedUnderInterleaving) {
     durations[t] = 2.0;
   }
   SyntheticDrive drive =
-      Drive(&scheduler, &budget, AdmissionMode::kRolling, durations);
+      Drive(&scheduler, &budget, durations);
   ASSERT_EQ(drive.start_order.size(), 5u);
   EXPECT_LE(budget.owner_peak_in_use(1), 60u);
   EXPECT_LE(budget.owner_peak_in_use(2), 100u);
@@ -154,7 +154,7 @@ TEST(RunSchedulerTest, AgingAdmitsStarvedLargeRunUnderContinuousBackfill) {
   for (uint64_t t = 2; t < 22; ++t) enqueue(t, 50, 10.0);
 
   SyntheticDrive drive =
-      Drive(&scheduler, &budget, AdmissionMode::kRolling, durations);
+      Drive(&scheduler, &budget, durations);
   ASSERT_EQ(drive.start_order.size(), 22u);
   const auto it =
       std::find(drive.start_order.begin(), drive.start_order.end(), 1u);
@@ -184,7 +184,7 @@ TEST(RunSchedulerTest, DeadlinesOrderStartsEarliestFirst) {
     durations[t] = 1.0;
   }
   SyntheticDrive drive =
-      Drive(&scheduler, &budget, AdmissionMode::kRolling, durations);
+      Drive(&scheduler, &budget, durations);
   EXPECT_EQ(drive.start_order, (std::vector<uint64_t>{1, 3, 2, 0, 4}))
       << "EDF within a priority class; no-deadline runs go last";
 }
@@ -208,75 +208,8 @@ TEST(RunSchedulerTest, PriorityOutranksDeadlineAndSubmissionOrder) {
     durations[t] = 1.0;
   }
   SyntheticDrive drive =
-      Drive(&scheduler, &budget, AdmissionMode::kRolling, durations);
+      Drive(&scheduler, &budget, durations);
   EXPECT_EQ(drive.start_order, (std::vector<uint64_t>{2, 1, 3, 0}));
-}
-
-TEST(RunSchedulerTest, RollingStrictlyBeatsBarrierWavesOnMixedWorkload) {
-  // The workload: small runs around one full-budget run. Barrier waves
-  // strand budget twice — the first wave's smalls block the large run, the
-  // large run's wave blocks the trailing smalls. Rolling starts every
-  // small immediately and the large run as soon as the device drains.
-  auto enqueue_all = [](RunScheduler* scheduler,
-                        std::map<uint64_t, double>* durations) {
-    auto enqueue = [&](uint64_t ticket, uint64_t footprint, double duration) {
-      ScheduledRun run;
-      run.ticket = ticket;
-      run.footprint_slots = footprint;
-      scheduler->Enqueue(run);
-      (*durations)[ticket] = duration;
-    };
-    // Unequal small durations matter: the barrier charges a fast run until
-    // its wave's slowest member finishes; rolling releases it at its own
-    // completion.
-    enqueue(0, 10, 5.0);
-    enqueue(1, 10, 2.0);
-    enqueue(2, 100, 10.0);
-    enqueue(3, 10, 2.0);
-    enqueue(4, 10, 5.0);
-    enqueue(5, 10, 5.0);
-  };
-
-  gpu::SlotBudget wave_budget(100);
-  RunScheduler waves(&wave_budget);
-  std::map<uint64_t, double> durations;
-  enqueue_all(&waves, &durations);
-  SyntheticDrive wave_drive =
-      Drive(&waves, &wave_budget, AdmissionMode::kBarrierWaves, durations);
-
-  gpu::SlotBudget rolling_budget(100);
-  RunScheduler rolling(&rolling_budget);
-  std::map<uint64_t, double> rolling_durations;
-  enqueue_all(&rolling, &rolling_durations);
-  SyntheticDrive rolling_drive = Drive(&rolling, &rolling_budget,
-                                       AdmissionMode::kRolling,
-                                       rolling_durations);
-
-  ASSERT_EQ(wave_drive.start_order.size(), 6u);
-  ASSERT_EQ(rolling_drive.start_order.size(), 6u);
-  auto mean_wait = [](const SyntheticDrive& drive) {
-    double sum = 0;
-    for (const auto& [ticket, decision] : drive.decisions) {
-      sum += decision.queue_wait;
-    }
-    return sum / static_cast<double>(drive.decisions.size());
-  };
-  // No run waits longer under rolling admission, and the mean is strictly
-  // lower: releasing at each run's own completion beats the barrier.
-  for (const auto& [ticket, decision] : rolling_drive.decisions) {
-    EXPECT_LE(decision.queue_wait, wave_drive.decisions.at(ticket).queue_wait)
-        << "ticket " << ticket;
-  }
-  EXPECT_LT(mean_wait(rolling_drive), mean_wait(wave_drive));
-  EXPECT_GE(waves.waves(), 2u);
-  // The barrier also holds reservations longer: slot-seconds measure it.
-  double wave_slot_seconds = 0;
-  for (const auto& [tenant, s] : waves.slot_seconds()) wave_slot_seconds += s;
-  double rolling_slot_seconds = 0;
-  for (const auto& [tenant, s] : rolling.slot_seconds()) {
-    rolling_slot_seconds += s;
-  }
-  EXPECT_LT(rolling_slot_seconds, wave_slot_seconds);
 }
 
 // --------------------------------------------------------------------------
@@ -305,65 +238,62 @@ TEST(SlotBudgetOwnerTest, QuotaBindsAtomicallyWithCapacity) {
 // The tenant serving API, end to end.
 // --------------------------------------------------------------------------
 
-TEST(TenantServingTest, RollingServeIsBitIdenticalToLegacyDrainPerTicket) {
+TEST(TenantServingTest, RollingServeIsBitIdenticalToSerialRunsPerTicket) {
   PartitionedCorpus corpus = MakeCorpus(16, 4);
   const std::vector<Task> tasks = {Task::kWordCount, Task::kInvertedIndex,
                                    Task::kTermVector, Task::kSort,
                                    Task::kInvertedIndex, Task::kWordCount};
 
-  // Identical servers; a budget that forces multiple waves on one and
-  // rolling admission decisions on the other.
+  // A budget that cannot hold every run at once, so rolling admission
+  // makes real start/backfill decisions.
   CorpusServer::Options sizing;
   sizing.engine = GpuOptions();
   auto sizer = CorpusServer::Create(&corpus, sizing);
   ASSERT_TRUE(sizer.ok());
+  auto sizing_tenant = (*sizer)->OpenTenant({});
+  ASSERT_TRUE(sizing_tenant.ok());
   uint64_t max_fp = 0;
   for (Task t : tasks) {
     CorpusServer::RunRequest req;
     req.task = t;
-    auto admission = (*sizer)->Submit(req);
-    ASSERT_TRUE(admission.ok());
-    max_fp = std::max(max_fp, admission->footprint_slots);
+    auto submitted = Admit(*sizing_tenant, req);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    max_fp = std::max(max_fp, submitted->admission->footprint_slots);
   }
   CorpusServer::Options opt = sizing;
   opt.device_slot_budget = max_fp + max_fp / 2;
 
-  auto drain_server = CorpusServer::Create(&corpus, opt);
-  auto rolling_server = CorpusServer::Create(&corpus, opt);
-  ASSERT_TRUE(drain_server.ok());
-  ASSERT_TRUE(rolling_server.ok());
-  auto tenant = (*rolling_server)->OpenTenant({});
+  auto server = CorpusServer::Create(&corpus, opt);
+  ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
   ASSERT_TRUE(tenant.ok());
-
   std::vector<CorpusServer::RunTicket> tickets;
   for (Task t : tasks) {
     CorpusServer::RunRequest req;
     req.task = t;
-    ASSERT_TRUE((*drain_server)->Submit(req).ok());
-    auto submitted = tenant->Submit(req);
+    auto submitted = Admit(*tenant, req);
     ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
-    ASSERT_TRUE(submitted->admitted());
     tickets.push_back(*submitted->ticket);
   }
+  ASSERT_TRUE((*server)->ServeUntilIdle().ok());
 
-  auto drained = (*drain_server)->Drain();
-  ASSERT_TRUE(drained.ok()) << drained.status().ToString();
-  ASSERT_TRUE((*rolling_server)->ServeUntilIdle().ok());
-
-  ASSERT_EQ(drained->size(), tickets.size());
   for (size_t i = 0; i < tickets.size(); ++i) {
     const CorpusServer::ServedRun* peeked = tickets[i].TryGet();
     ASSERT_NE(peeked, nullptr) << "ticket " << i << " not served";
-    // Bit-identity regardless of admission order: rolling may start runs
-    // in a different order than the waves, but every run's output is the
-    // same serial BatchEngine result.
-    EXPECT_TRUE(peeked->batch.merged.SameAs((*drained)[i].batch.merged))
+    // Bit-identity regardless of admission order: every run's output is
+    // the serial BatchEngine result of its task.
+    BatchEngine::Options bopt;
+    bopt.engine = GpuOptions();
+    auto batch = BatchEngine::Create(&corpus, bopt);
+    ASSERT_TRUE(batch.ok());
+    auto serial = (*batch)->Run(tasks[i]);
+    ASSERT_TRUE(serial.ok());
+    EXPECT_TRUE(peeked->batch.merged.SameAs(serial->merged))
         << TaskName(tasks[i]);
-    ASSERT_EQ(peeked->batch.documents.size(),
-              (*drained)[i].batch.documents.size());
+    ASSERT_EQ(peeked->batch.documents.size(), serial->documents.size());
     for (size_t d = 0; d < peeked->batch.documents.size(); ++d) {
       EXPECT_TRUE(peeked->batch.documents[d].result.SameAs(
-          (*drained)[i].batch.documents[d].result))
+          serial->documents[d].result))
           << TaskName(tasks[i]) << " doc " << d;
     }
     // Await moves the result out; a second Await is NotFound.
@@ -373,13 +303,10 @@ TEST(TenantServingTest, RollingServeIsBitIdenticalToLegacyDrainPerTicket) {
     EXPECT_TRUE(tickets[i].Await().status().IsNotFound());
   }
 
-  // The rolling server admitted under the same budget invariant...
-  EXPECT_LE((*rolling_server)->stats().peak_admitted_slots,
-            opt.device_slot_budget);
-  // ...with no wave barrier, and no later mean queue-wait than the waves.
-  EXPECT_EQ((*rolling_server)->stats().waves, 0u);
-  EXPECT_LE((*rolling_server)->stats().queue_wait_seconds,
-            (*drain_server)->stats().queue_wait_seconds);
+  // Admission held the budget, and the budget provably bound.
+  const CorpusServer::Stats& stats = (*server)->stats();
+  EXPECT_LE(stats.peak_admitted_slots, opt.device_slot_budget);
+  EXPECT_GT(stats.queue_wait_seconds, 0.0);
 }
 
 TEST(TenantServingTest, AwaitServesJustFarEnoughAndStatsTrackTenants) {
@@ -437,11 +364,13 @@ TEST(TenantServingTest, RejectionReasonsAreStructured) {
   sizing.engine = GpuOptions();
   auto sizer = CorpusServer::Create(&corpus, sizing);
   ASSERT_TRUE(sizer.ok());
+  auto sizing_tenant = (*sizer)->OpenTenant({});
+  ASSERT_TRUE(sizing_tenant.ok());
   CorpusServer::RunRequest req;
   req.task = Task::kWordCount;
-  auto probed = (*sizer)->Submit(req);
-  ASSERT_TRUE(probed.ok());
-  const uint64_t footprint = probed->footprint_slots;
+  auto probed = Admit(*sizing_tenant, req);
+  ASSERT_TRUE(probed.ok()) << probed.status().ToString();
+  const uint64_t footprint = probed->admission->footprint_slots;
   ASSERT_GT(footprint, 2u);
 
   CorpusServer::Options opt = sizing;
@@ -462,7 +391,6 @@ TEST(TenantServingTest, RejectionReasonsAreStructured) {
             CorpusServer::Rejection::Reason::kOverQuota);
   EXPECT_EQ(over_quota->rejection->requested_slots, footprint);
   EXPECT_EQ(over_quota->rejection->limit_slots, footprint - 1);
-  EXPECT_TRUE(over_quota->rejection->ToStatus().IsOutOfMemory());
 
   // Malformed: a negative deadline is a structured refusal, not a crash
   // and not an opaque Status.
@@ -473,7 +401,6 @@ TEST(TenantServingTest, RejectionReasonsAreStructured) {
   ASSERT_FALSE(malformed->admitted());
   EXPECT_EQ(malformed->rejection->reason,
             CorpusServer::Rejection::Reason::kMalformed);
-  EXPECT_TRUE(malformed->rejection->ToStatus().IsInvalidArgument());
 
   // Over-budget: a budget below the footprint refuses any tenant.
   CorpusServer::Options tiny = sizing;
@@ -487,18 +414,18 @@ TEST(TenantServingTest, RejectionReasonsAreStructured) {
   ASSERT_FALSE(over_budget->admitted());
   EXPECT_EQ(over_budget->rejection->reason,
             CorpusServer::Rejection::Reason::kOverBudget);
-  EXPECT_TRUE(over_budget->rejection->ToStatus().IsOutOfMemory());
+  EXPECT_EQ(over_budget->rejection->requested_slots, footprint);
+  EXPECT_EQ(over_budget->rejection->limit_slots, footprint - 1);
 
   // A quota no budget could honor is refused at OpenTenant.
   CorpusServer::TenantOptions oversized;
   oversized.slot_quota = footprint + 1;
   EXPECT_FALSE((*tiny_server)->OpenTenant(oversized).ok());
 
-  // Unknown tasks stay a genuine NotFound under both APIs.
+  // An unknown task is a genuine NotFound, not a policy refusal.
   CorpusServer::RunRequest unknown;
   unknown.task = static_cast<Task>(987654);
   EXPECT_TRUE(tenant->Submit(unknown).status().IsNotFound());
-  EXPECT_TRUE((*server)->Submit(unknown).status().IsNotFound());
 
   // Rejected runs were never queued; the structured refusals were counted.
   EXPECT_EQ((*server)->queued(), 0u);
@@ -513,15 +440,17 @@ TEST(TenantServingTest, PriorityReordersRollingStartsAcrossTenants) {
   sizing.engine = GpuOptions();
   auto sizer = CorpusServer::Create(&corpus, sizing);
   ASSERT_TRUE(sizer.ok());
+  auto sizing_tenant = (*sizer)->OpenTenant({});
+  ASSERT_TRUE(sizing_tenant.ok());
   CorpusServer::RunRequest req;
   req.task = Task::kInvertedIndex;
-  auto probed = (*sizer)->Submit(req);
-  ASSERT_TRUE(probed.ok());
+  auto probed = Admit(*sizing_tenant, req);
+  ASSERT_TRUE(probed.ok()) << probed.status().ToString();
 
   // The budget admits exactly one run at a time, so starts serialize and
   // the order is pure QoS.
   CorpusServer::Options opt = sizing;
-  opt.device_slot_budget = probed->footprint_slots;
+  opt.device_slot_budget = probed->admission->footprint_slots;
   auto server = CorpusServer::Create(&corpus, opt);
   ASSERT_TRUE(server.ok());
   CorpusServer::TenantOptions batch_opt;

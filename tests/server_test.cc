@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,6 +14,7 @@
 #include "gpu/platform.h"
 #include "gtadoc/engine.h"
 #include "sequitur/compressor.h"
+#include "serve_util.h"
 #include "tadoc/parallel_engine.h"
 
 namespace gtadoc {
@@ -116,7 +116,7 @@ TEST(SlotBudgetTest, ZeroCapacityIsUnmetered) {
 // Admission control.
 // --------------------------------------------------------------------------
 
-TEST(CorpusServerTest, AdmittedWavesNeverExceedSlotBudget) {
+TEST(CorpusServerTest, AdmittedRunsNeverExceedSlotBudget) {
   PartitionedCorpus corpus = MakeCorpus(16, 4);
   const std::vector<Task> tasks = {Task::kWordCount, Task::kInvertedIndex,
                                    Task::kTermVector, Task::kSort,
@@ -127,46 +127,46 @@ TEST(CorpusServerTest, AdmittedWavesNeverExceedSlotBudget) {
   sizing.engine = GpuOptions();
   auto sizer = CorpusServer::Create(&corpus, sizing);
   ASSERT_TRUE(sizer.ok());
+  auto sizing_tenant = (*sizer)->OpenTenant({});
+  ASSERT_TRUE(sizing_tenant.ok());
   uint64_t max_fp = 0;
   uint64_t sum_fp = 0;
   for (Task t : tasks) {
     CorpusServer::RunRequest req;
     req.task = t;
-    auto admission = (*sizer)->Submit(req);
-    ASSERT_TRUE(admission.ok()) << admission.status().ToString();
-    EXPECT_GT(admission->footprint_slots, 0u);
-    max_fp = std::max(max_fp, admission->footprint_slots);
-    sum_fp += admission->footprint_slots;
+    auto submitted = Admit(*sizing_tenant, req);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    EXPECT_GT(submitted->admission->footprint_slots, 0u);
+    max_fp = std::max(max_fp, submitted->admission->footprint_slots);
+    sum_fp += submitted->admission->footprint_slots;
   }
 
-  // A budget below the total forces multiple waves; each wave's admitted
-  // footprints must fit it, and the reservation high-water mark proves the
-  // invariant held at every instant.
+  // A budget below the total cannot hold every run at once: some run must
+  // wait for another's release, and the reservation high-water mark proves
+  // the budget held at every instant.
   CorpusServer::Options opt = sizing;
   opt.device_slot_budget = max_fp + max_fp / 2;
   ASSERT_LT(opt.device_slot_budget, sum_fp);
   auto server = CorpusServer::Create(&corpus, opt);
   ASSERT_TRUE(server.ok());
+  std::vector<CorpusServer::RunRequest> requests;
   for (Task t : tasks) {
     CorpusServer::RunRequest req;
     req.task = t;
-    ASSERT_TRUE((*server)->Submit(req).ok());
+    requests.push_back(req);
   }
-  auto served = (*server)->Drain();
+  auto served = SubmitAndServe(server->get(), requests);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   ASSERT_EQ(served->size(), tasks.size());
 
-  std::map<uint64_t, uint64_t> wave_slots;
-  for (const auto& run : *served) {
-    wave_slots[run.wave] += run.admission.footprint_slots;
-  }
-  EXPECT_GE(wave_slots.size(), 2u) << "budget never forced a second wave";
-  for (const auto& [wave, slots] : wave_slots) {
-    EXPECT_LE(slots, opt.device_slot_budget) << "wave " << wave;
-  }
+  bool waited = false;
+  for (const auto& run : *served) waited |= run.queue_wait_seconds > 0.0;
+  EXPECT_TRUE(waited) << "the budget never made a run wait";
   const CorpusServer::Stats& stats = (*server)->stats();
+  ASSERT_EQ(stats.devices.size(), 1u);
+  EXPECT_GT(stats.devices[0].peak_admitted_slots, 0u);
+  EXPECT_LE(stats.devices[0].peak_admitted_slots, opt.device_slot_budget);
   EXPECT_LE(stats.peak_admitted_slots, opt.device_slot_budget);
-  EXPECT_EQ(stats.waves, wave_slots.size());
   EXPECT_EQ(stats.served, tasks.size());
 }
 
@@ -177,10 +177,15 @@ TEST(CorpusServerTest, RunLargerThanBudgetIsRejectedAtSubmit) {
   opt.device_slot_budget = 1;  // nothing real fits
   auto server = CorpusServer::Create(&corpus, opt);
   ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
   CorpusServer::RunRequest req;
   req.task = Task::kWordCount;
-  auto admission = (*server)->Submit(req);
-  EXPECT_FALSE(admission.ok());
+  auto submitted = tenant->Submit(req);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  ASSERT_FALSE(submitted->admitted());
+  EXPECT_EQ(submitted->rejection->reason,
+            CorpusServer::Rejection::Reason::kOverBudget);
   EXPECT_EQ((*server)->stats().rejected, 1u);
   EXPECT_EQ((*server)->queued(), 0u);
 }
@@ -195,22 +200,28 @@ TEST(CorpusServerTest, ServedFifoAndBitIdenticalToSerialBatchRuns) {
   opt.engine = GpuOptions();
   auto server = CorpusServer::Create(&corpus, opt);
   ASSERT_TRUE(server.ok());
-  std::vector<uint64_t> tickets;
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
+  std::vector<CorpusServer::RunTicket> tickets;
   for (Task t : tasks) {
     CorpusServer::RunRequest req;
     req.task = t;
-    auto admission = (*server)->Submit(req);
-    ASSERT_TRUE(admission.ok());
-    tickets.push_back(admission->ticket);
+    auto submitted = Admit(*tenant, req);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    tickets.push_back(*submitted->ticket);
   }
-  auto served = (*server)->Drain();
+  auto served = ServeAll(server->get(), tickets);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   ASSERT_EQ(served->size(), tasks.size());
 
   for (size_t i = 0; i < served->size(); ++i) {
-    // FIFO: runs are served in ticket (submission) order.
-    EXPECT_EQ((*served)[i].admission.ticket, tickets[i]);
-    if (i > 0) EXPECT_GE((*served)[i].wave, (*served)[i - 1].wave);
+    // FIFO: tickets ascend in submission order, and with equal priorities
+    // and no deadlines runs start in ticket order.
+    EXPECT_EQ((*served)[i].admission.ticket, tickets[i].id());
+    if (i > 0) {
+      EXPECT_GT(tickets[i].id(), tickets[i - 1].id());
+      EXPECT_GE((*served)[i].start_seconds, (*served)[i - 1].start_seconds);
+    }
 
     // Bit-identity: the served output equals a standalone serial
     // BatchEngine run of the same task with the same options.
@@ -242,13 +253,14 @@ TEST(CorpusServerTest, AdmissionPreSizingLeavesZeroMidRunGrowth) {
   opt.engine = GpuOptions();
   auto server = CorpusServer::Create(&corpus, opt);
   ASSERT_TRUE(server.ok());
+  std::vector<CorpusServer::RunRequest> requests;
   for (Task t : {Task::kWordCount, Task::kInvertedIndex, Task::kTermVector}) {
     CorpusServer::RunRequest req;
     req.task = t;
-    ASSERT_TRUE((*server)->Submit(req).ok());
+    requests.push_back(req);
   }
-  auto served = (*server)->Drain();
-  ASSERT_TRUE(served.ok());
+  auto served = SubmitAndServe(server->get(), requests);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_EQ((*server)->stats().mid_run_pool_growths, 0u);
   for (const auto& run : *served) {
     EXPECT_EQ(run.batch.mid_run_pool_growths, 0u);
@@ -277,20 +289,21 @@ TEST(CorpusServerTest, BloomSkipIsBitIdenticalWithStrictlyLessWork) {
   opt.engine.charge_pcie = true;  // uploads visible, so the skip shows up
   auto server = CorpusServer::Create(&mc.corpus, opt);
   ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
 
   CorpusServer::RunRequest req;
   req.task = Task::kKeywordSearch;
   for (uint32_t m : mc.markers) req.query_sets.push_back({m});
-  auto admission = (*server)->Submit(req);
-  ASSERT_TRUE(admission.ok()) << admission.status().ToString();
+  auto submitted = Admit(*tenant, req);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
   // Every marker-free document's root Bloom provably rejects every marker.
-  EXPECT_EQ(admission->documents_skipped, 12u - 4u);
-  EXPECT_EQ(admission->documents_to_execute, 4u);
+  EXPECT_EQ(submitted->admission->documents_skipped, 12u - 4u);
+  EXPECT_EQ(submitted->admission->documents_to_execute, 4u);
 
-  auto served = (*server)->Drain();
+  auto served = submitted->ticket->Await();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
-  ASSERT_EQ(served->size(), 1u);
-  const BatchEngine::BatchRun& skipped = (*served)[0].batch;
+  const BatchEngine::BatchRun& skipped = served->batch;
   EXPECT_EQ(skipped.documents_skipped, 8u);
   for (size_t d = 0; d < skipped.documents.size(); ++d) {
     EXPECT_EQ(skipped.documents[d].skipped, d >= 4) << "doc " << d;
@@ -338,10 +351,8 @@ TEST(CorpusServerTest, BloomFalsePositiveDocExecutesAndStaysCorrect) {
   CorpusServer::RunRequest req;
   req.task = Task::kKeywordSearch;
   req.query_words = {mc.false_positive};
-  auto admission = (*server)->Submit(req);
-  ASSERT_TRUE(admission.ok());
-  auto served = (*server)->Drain();
-  ASSERT_TRUE(served.ok());
+  auto served = SubmitAndServe(server->get(), {req});
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
   const BatchEngine::BatchRun& run = (*served)[0].batch;
   EXPECT_FALSE(run.documents[4].skipped)
       << "a Bloom hit must execute, even when it is a false positive";
@@ -407,13 +418,15 @@ TEST(CorpusServerTest, PhraseSkipNeedsEveryWordOfASet) {
   opt.engine = GpuOptions();
   auto server = CorpusServer::Create(&*corpus, opt);
   ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
   CorpusServer::RunRequest req;
   req.task = Task::kPhraseSearch;
   req.query_sets = input.query_sets;
-  auto admission = (*server)->Submit(req);
-  ASSERT_TRUE(admission.ok());
-  EXPECT_GE(admission->documents_skipped, 7u);
-  auto served = (*server)->Drain();
+  auto submitted = Admit(*tenant, req);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  EXPECT_GE(submitted->admission->documents_skipped, 7u);
+  auto served = submitted->ticket->Await();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
 
   BatchEngine::Options bopt;
@@ -424,9 +437,8 @@ TEST(CorpusServerTest, PhraseSkipNeedsEveryWordOfASet) {
   ASSERT_TRUE(batch.ok());
   auto full = (*batch)->Run(Task::kPhraseSearch);
   ASSERT_TRUE(full.ok());
-  EXPECT_TRUE((*served)[0].batch.merged.SameAs(full->merged))
-      << (*served)[0].batch.merged.Digest() << " vs "
-      << full->merged.Digest();
+  EXPECT_TRUE(served->batch.merged.SameAs(full->merged))
+      << served->batch.merged.Digest() << " vs " << full->merged.Digest();
 }
 
 TEST(CorpusServerTest, EmptyQuerySkipsEveryDocumentAndStaysCorrect) {
@@ -436,15 +448,17 @@ TEST(CorpusServerTest, EmptyQuerySkipsEveryDocumentAndStaysCorrect) {
   opt.engine = GpuOptions();
   auto server = CorpusServer::Create(&mc.corpus, opt);
   ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
   CorpusServer::RunRequest req;
   req.task = Task::kKeywordSearch;  // empty query: nothing can match
-  auto admission = (*server)->Submit(req);
-  ASSERT_TRUE(admission.ok());
-  EXPECT_EQ(admission->documents_to_execute, 0u);
-  EXPECT_EQ(admission->footprint_slots, 0u);
-  auto served = (*server)->Drain();
-  ASSERT_TRUE(served.ok());
-  EXPECT_TRUE((*served)[0].batch.merged.keyword_search.empty());
+  auto submitted = Admit(*tenant, req);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  EXPECT_EQ(submitted->admission->documents_to_execute, 0u);
+  EXPECT_EQ(submitted->admission->footprint_slots, 0u);
+  auto served = submitted->ticket->Await();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served->batch.merged.keyword_search.empty());
 
   BatchEngine::Options bopt;
   bopt.engine = opt.engine;
@@ -453,7 +467,7 @@ TEST(CorpusServerTest, EmptyQuerySkipsEveryDocumentAndStaysCorrect) {
   ASSERT_TRUE(batch.ok());
   auto full = (*batch)->Run(Task::kKeywordSearch);
   ASSERT_TRUE(full.ok());
-  EXPECT_TRUE((*served)[0].batch.merged.SameAs(full->merged));
+  EXPECT_TRUE(served->batch.merged.SameAs(full->merged));
 }
 
 TEST(CorpusServerTest, FullyMaskedShardHoldsNoDeviceState) {
@@ -473,19 +487,24 @@ TEST(CorpusServerTest, FullyMaskedShardHoldsNoDeviceState) {
   one.host_workers = 1;
   auto server_one = CorpusServer::Create(&mc.corpus, one);
   ASSERT_TRUE(server_one.ok());
-  auto admission_one = (*server_one)->Submit(req);
-  ASSERT_TRUE(admission_one.ok());
+  auto tenant_one = (*server_one)->OpenTenant({});
+  ASSERT_TRUE(tenant_one.ok());
+  auto admitted_one = Admit(*tenant_one, req);
+  ASSERT_TRUE(admitted_one.ok()) << admitted_one.status().ToString();
 
   CorpusServer::Options two = one;
   two.host_workers = 2;
   auto server_two = CorpusServer::Create(&mc.corpus, two);
   ASSERT_TRUE(server_two.ok());
-  auto admission_two = (*server_two)->Submit(req);
-  ASSERT_TRUE(admission_two.ok());
-  EXPECT_EQ(admission_two->footprint_slots, admission_one->footprint_slots)
+  auto tenant_two = (*server_two)->OpenTenant({});
+  ASSERT_TRUE(tenant_two.ok());
+  auto admitted_two = Admit(*tenant_two, req);
+  ASSERT_TRUE(admitted_two.ok()) << admitted_two.status().ToString();
+  EXPECT_EQ(admitted_two->admission->footprint_slots,
+            admitted_one->admission->footprint_slots)
       << "a fully-masked shard must not be priced (or allocated)";
 
-  auto served = (*server_two)->Drain();
+  auto served = admitted_two->ticket->Await();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_EQ((*server_two)->stats().mid_run_pool_growths, 0u);
 
@@ -496,7 +515,7 @@ TEST(CorpusServerTest, FullyMaskedShardHoldsNoDeviceState) {
   ASSERT_TRUE(batch.ok());
   auto full = (*batch)->Run(Task::kKeywordSearch);
   ASSERT_TRUE(full.ok());
-  EXPECT_TRUE((*served)[0].batch.merged.SameAs(full->merged));
+  EXPECT_TRUE(served->batch.merged.SameAs(full->merged));
 }
 
 TEST(CorpusServerTest, EmptyRequestFieldsInheritServerDefaults) {
@@ -507,21 +526,24 @@ TEST(CorpusServerTest, EmptyRequestFieldsInheritServerDefaults) {
   opt.engine.query_words = {mc.markers[0]};  // the server-wide default query
   auto server = CorpusServer::Create(&mc.corpus, opt);
   ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
 
   // An empty-query request inherits the default instead of silently
   // running (and Bloom-skipping) an empty accept set.
   CorpusServer::RunRequest inherit;
   inherit.task = Task::kKeywordSearch;
-  auto inherited = (*server)->Submit(inherit);
-  ASSERT_TRUE(inherited.ok());
-  EXPECT_EQ(inherited->documents_to_execute, 2u);
+  auto inherited = Admit(*tenant, inherit);
+  ASSERT_TRUE(inherited.ok()) << inherited.status().ToString();
+  EXPECT_EQ(inherited->admission->documents_to_execute, 2u);
 
   CorpusServer::RunRequest explicit_req = inherit;
   explicit_req.query_words = {mc.markers[0]};
-  auto explicit_admission = (*server)->Submit(explicit_req);
+  auto explicit_admission = Admit(*tenant, explicit_req);
   ASSERT_TRUE(explicit_admission.ok());
-  auto served = (*server)->Drain();
-  ASSERT_TRUE(served.ok());
+  auto served = ServeAll(server->get(),
+                         {*inherited->ticket, *explicit_admission->ticket});
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
   ASSERT_EQ(served->size(), 2u);
   EXPECT_TRUE(
       (*served)[0].batch.merged.SameAs((*served)[1].batch.merged));
@@ -542,9 +564,8 @@ TEST(CorpusServerTest, ExplicitQueryWordsReplaceDefaultQuerySets) {
   CorpusServer::RunRequest req;
   req.task = Task::kKeywordSearch;
   req.query_words = {mc.markers[1]};
-  ASSERT_TRUE((*server)->Submit(req).ok());
-  auto served = (*server)->Drain();
-  ASSERT_TRUE(served.ok());
+  auto served = SubmitAndServe(server->get(), {req});
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
   // The run answered the request's single word, not the default sets.
   EXPECT_TRUE((*served)[0].batch.merged.keyword_multi.empty());
 
@@ -552,9 +573,8 @@ TEST(CorpusServerTest, ExplicitQueryWordsReplaceDefaultQuerySets) {
   plain.engine = GpuOptions();
   auto reference = CorpusServer::Create(&mc.corpus, plain);
   ASSERT_TRUE(reference.ok());
-  ASSERT_TRUE((*reference)->Submit(req).ok());
-  auto expected = (*reference)->Drain();
-  ASSERT_TRUE(expected.ok());
+  auto expected = SubmitAndServe(reference->get(), {req});
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   EXPECT_TRUE(
       (*served)[0].batch.merged.SameAs((*expected)[0].batch.merged));
   EXPECT_FALSE((*served)[0].batch.merged.keyword_search.empty());
@@ -567,12 +587,14 @@ TEST(CorpusServerTest, NonSelectiveTasksNeverSkip) {
   opt.engine = GpuOptions();
   auto server = CorpusServer::Create(&mc.corpus, opt);
   ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
   CorpusServer::RunRequest req;
   req.task = Task::kWordCount;
-  auto admission = (*server)->Submit(req);
-  ASSERT_TRUE(admission.ok());
-  EXPECT_EQ(admission->documents_skipped, 0u);
-  EXPECT_EQ(admission->documents_to_execute, 6u);
+  auto submitted = Admit(*tenant, req);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  EXPECT_EQ(submitted->admission->documents_skipped, 0u);
+  EXPECT_EQ(submitted->admission->documents_to_execute, 6u);
 }
 
 // --------------------------------------------------------------------------

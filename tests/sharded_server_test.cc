@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,6 +14,7 @@
 #include "datagen/datagen.h"
 #include "gpu/platform.h"
 #include "gtadoc/engine.h"
+#include "serve_util.h"
 #include "tadoc/parallel_engine.h"
 
 namespace gtadoc {
@@ -115,6 +115,35 @@ TEST(ShardedCorpusTest, RoundRobinPlacementWithReplication) {
   EXPECT_EQ(placements, 7u * 2u);
 }
 
+TEST(ShardedCorpusTest, OneDeviceTopologyAliasesTheCorpus) {
+  MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/5, /*relevant=*/2,
+                                     /*num_markers=*/1);
+  // One device is the ordinary serving case: its slice would be the whole
+  // corpus in order, so it must BE the corpus — no grammar copies.
+  ShardedCorpus::Options opt;
+  opt.num_devices = 1;
+  opt.replication = 3;  // clamps to 1
+  auto sharded = ShardedCorpus::Create(&mc.corpus, opt);
+  ASSERT_TRUE(sharded.ok());
+  EXPECT_EQ(&(*sharded)->device_corpus(0), (*sharded)->global_corpus());
+  EXPECT_EQ((*sharded)->replication(), 1u);
+  ASSERT_EQ((*sharded)->device_docs(0).size(), 5u);
+  for (uint32_t g = 0; g < 5; ++g) {
+    EXPECT_EQ((*sharded)->device_docs(0)[g], g);
+  }
+
+  // The server serves its single device through that alias.
+  auto server = CorpusServer::Create(&mc.corpus, ServerOptions(1, 1));
+  ASSERT_TRUE(server.ok());
+  EXPECT_EQ(&(*server)->sharded_corpus()->device_corpus(0), &mc.corpus);
+
+  // Two devices own real slices.
+  opt.num_devices = 2;
+  auto split = ShardedCorpus::Create(&mc.corpus, opt);
+  ASSERT_TRUE(split.ok());
+  EXPECT_NE(&(*split)->device_corpus(0), &mc.corpus);
+}
+
 TEST(ShardedCorpusTest, RouteKeepsPrimaryOnTiesAndFollowsLoad) {
   MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/4, /*relevant=*/1,
                                      /*num_markers=*/1);
@@ -151,8 +180,8 @@ TEST(ShardedCorpusTest, RouteKeepsPrimaryOnTiesAndFollowsLoad) {
 }
 
 // --------------------------------------------------------------------------
-// Bit-identity: merged AND per-document results match the single-device
-// serial server under every shard count and replication factor.
+// Bit-identity: merged AND per-document results match a serial single-device
+// BatchEngine run under every shard count and replication factor.
 // --------------------------------------------------------------------------
 
 TEST(ShardedServerTest, BitIdenticalToSingleDeviceAcrossShardsAndReplication) {
@@ -160,34 +189,43 @@ TEST(ShardedServerTest, BitIdenticalToSingleDeviceAcrossShardsAndReplication) {
                                      /*num_markers=*/2);
   const std::vector<CorpusServer::RunRequest> requests = MixedRequests(mc);
 
-  // The reference: the classic single-device serial server.
-  auto baseline_server = CorpusServer::Create(&mc.corpus, ServerOptions(1, 1));
-  ASSERT_TRUE(baseline_server.ok());
+  // The reference: each request as one serial BatchEngine run over the
+  // same root-Bloom execute mask the server derives.
+  std::vector<BatchEngine::BatchRun> baseline;
+  uint64_t expected_skipped = 0;
+  uint64_t expected_executed = 0;
   for (const auto& request : requests) {
-    ASSERT_TRUE((*baseline_server)->Submit(request).ok());
+    BatchEngine::Options bopt;
+    bopt.engine = GpuOptions();
+    static_cast<QuerySpec&>(bopt.engine) =
+        ResolveQueryDefaults(request, bopt.engine);
+    auto batch = BatchEngine::Create(&mc.corpus, bopt);
+    ASSERT_TRUE(batch.ok());
+    const TaskKernel& kernel = **TaskRegistry::Get(request.task);
+    auto run = (*batch)->Run(
+        request.task,
+        BloomExecuteMask(mc.corpus, kernel,
+                         GTadocEngine::InputFromOptions(bopt.engine)));
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    expected_skipped += run->documents_skipped;
+    expected_executed += run->documents.size() - run->documents_skipped;
+    baseline.push_back(std::move(*run));
   }
-  auto baseline = (*baseline_server)->Drain();
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  ASSERT_EQ(baseline->size(), requests.size());
 
-  for (size_t num_devices : {2, 3, 4}) {
+  for (size_t num_devices : {1, 2, 3, 4}) {
     for (size_t replication : {1, 2}) {
       SCOPED_TRACE("devices=" + std::to_string(num_devices) +
                    " replication=" + std::to_string(replication));
       auto server = CorpusServer::Create(
           &mc.corpus, ServerOptions(num_devices, replication));
       ASSERT_TRUE(server.ok());
-      for (const auto& request : requests) {
-        auto admission = (*server)->Submit(request);
-        ASSERT_TRUE(admission.ok()) << admission.status().ToString();
-      }
-      auto served = (*server)->Drain();
+      auto served = SubmitAndServe(server->get(), requests);
       ASSERT_TRUE(served.ok()) << served.status().ToString();
-      ASSERT_EQ(served->size(), baseline->size());
+      ASSERT_EQ(served->size(), baseline.size());
 
       for (size_t r = 0; r < served->size(); ++r) {
         const BatchEngine::BatchRun& sharded = (*served)[r].batch;
-        const BatchEngine::BatchRun& reference = (*baseline)[r].batch;
+        const BatchEngine::BatchRun& reference = baseline[r];
         EXPECT_TRUE(sharded.merged.SameAs(reference.merged))
             << "run " << r << ": " << sharded.merged.Digest() << " vs "
             << reference.merged.Digest();
@@ -205,11 +243,9 @@ TEST(ShardedServerTest, BitIdenticalToSingleDeviceAcrossShardsAndReplication) {
         EXPECT_EQ(sharded.documents_skipped, reference.documents_skipped);
         EXPECT_EQ(sharded.mid_run_pool_growths, 0u);
       }
-      // Aggregate document accounting matches the reference server too.
-      EXPECT_EQ((*server)->stats().documents_executed,
-                (*baseline_server)->stats().documents_executed);
-      EXPECT_EQ((*server)->stats().documents_skipped,
-                (*baseline_server)->stats().documents_skipped);
+      // Aggregate document accounting matches the reference too.
+      EXPECT_EQ((*server)->stats().documents_executed, expected_executed);
+      EXPECT_EQ((*server)->stats().documents_skipped, expected_skipped);
     }
   }
 }
@@ -226,18 +262,19 @@ TEST(ShardedServerTest, BloomRejectedShardReceivesNoWork) {
                                      /*num_markers=*/2);
   auto server = CorpusServer::Create(&mc.corpus, ServerOptions(4, 1));
   ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
 
   CorpusServer::RunRequest request;
   request.task = Task::kKeywordSearch;
   for (uint32_t m : mc.markers) request.query_sets.push_back({m});
-  auto admission = (*server)->Submit(request);
-  ASSERT_TRUE(admission.ok()) << admission.status().ToString();
-  EXPECT_EQ(admission->documents_to_execute, 2u);
-  EXPECT_EQ(admission->documents_skipped, 6u);
+  auto submitted = Admit(*tenant, request);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  EXPECT_EQ(submitted->admission->documents_to_execute, 2u);
+  EXPECT_EQ(submitted->admission->documents_skipped, 6u);
 
-  auto served = (*server)->Drain();
+  auto served = submitted->ticket->Await();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
-  ASSERT_EQ(served->size(), 1u);
 
   const CorpusServer::Stats& stats = (*server)->stats();
   ASSERT_EQ(stats.devices.size(), 4u);
@@ -258,7 +295,7 @@ TEST(ShardedServerTest, BloomRejectedShardReceivesNoWork) {
     EXPECT_EQ(stats.devices[d].slot_seconds_held, 0.0) << "device " << d;
   }
   // Only routed devices ran, and only their shard durations are non-zero.
-  const CorpusServer::ServedRun& run = (*served)[0];
+  const CorpusServer::ServedRun& run = *served;
   ASSERT_EQ(run.device_durations.size(), 4u);
   EXPECT_GT(run.device_durations[0], 0.0);
   EXPECT_GT(run.device_durations[1], 0.0);
@@ -294,27 +331,30 @@ TEST(ShardedServerTest, BloomFalsePositiveShardExecutesAndStaysCorrect) {
   if (mask.empty()) mask.assign(mc.corpus.partitions.size(), 1);
   ASSERT_EQ(mask[4], 1u) << "the false-positive document must pass";
 
-  auto baseline_server =
-      CorpusServer::Create(&mc.corpus, ServerOptions(1, 1));
-  ASSERT_TRUE(baseline_server.ok());
-  ASSERT_TRUE((*baseline_server)->Submit(probe).ok());
-  auto baseline = (*baseline_server)->Drain();
+  // The unskipped serial reference.
+  BatchEngine::Options bopt;
+  bopt.engine = query;
+  auto batch = BatchEngine::Create(&mc.corpus, bopt);
+  ASSERT_TRUE(batch.ok());
+  auto baseline = (*batch)->Run(Task::kKeywordSearch);
   ASSERT_TRUE(baseline.ok());
 
   auto server = CorpusServer::Create(&mc.corpus, ServerOptions(3, 1));
   ASSERT_TRUE(server.ok());
-  auto admission = (*server)->Submit(probe);
-  ASSERT_TRUE(admission.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
+  auto submitted = Admit(*tenant, probe);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
   uint32_t expected_execute = 0;
   for (uint8_t e : mask) expected_execute += e;
-  EXPECT_EQ(admission->documents_to_execute, expected_execute);
-  auto served = (*server)->Drain();
-  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(submitted->admission->documents_to_execute, expected_execute);
+  auto served = submitted->ticket->Await();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
 
   // The false-positive document executed on its round-robin device (doc 4
   // -> device 1 over 3 devices), contributed NOTHING — it passed the Bloom
   // without containing the word — and every result still matches the
-  // unsharded server bit for bit.
+  // unsharded serial run bit for bit.
   const CorpusServer::Stats& stats = (*server)->stats();
   ASSERT_EQ(stats.devices.size(), 3u);
   std::vector<uint64_t> expected_per_device(3, 0);
@@ -326,13 +366,12 @@ TEST(ShardedServerTest, BloomFalsePositiveShardExecutesAndStaysCorrect) {
         << "device " << d;
   }
   EXPECT_GE(stats.devices[4 % 3].documents_executed, 1u);
-  const BatchEngine::BatchRun& run = (*served)[0].batch;
+  const BatchEngine::BatchRun& run = served->batch;
   EXPECT_FALSE(run.documents[4].skipped);
   EXPECT_TRUE(run.documents[4].result.keyword_search.empty());
-  EXPECT_TRUE(run.merged.SameAs((*baseline)[0].batch.merged));
+  EXPECT_TRUE(run.merged.SameAs(baseline->merged));
   for (size_t d = 0; d < 12; ++d) {
-    EXPECT_TRUE(run.documents[d].result.SameAs(
-        (*baseline)[0].batch.documents[d].result))
+    EXPECT_TRUE(run.documents[d].result.SameAs(baseline->documents[d].result))
         << "doc " << d;
   }
 }
@@ -351,8 +390,7 @@ TEST(ShardedServerTest, PerDeviceBudgetNeverExceededUnderRollingAdmission) {
   // per-device footprint through each device's reservation peak.
   auto sizing = CorpusServer::Create(&mc.corpus, ServerOptions(2, 1));
   ASSERT_TRUE(sizing.ok());
-  ASSERT_TRUE((*sizing)->Submit(request).ok());
-  ASSERT_TRUE((*sizing)->ServeUntilIdle().ok());
+  ASSERT_TRUE(SubmitAndServe(sizing->get(), {request}).ok());
   uint64_t max_device_footprint = 0;
   for (const auto& device : (*sizing)->stats().devices) {
     max_device_footprint =
@@ -369,13 +407,9 @@ TEST(ShardedServerTest, PerDeviceBudgetNeverExceededUnderRollingAdmission) {
   ASSERT_TRUE(server.ok());
   auto tenant = (*server)->OpenTenant({});
   ASSERT_TRUE(tenant.ok());
-  std::vector<CorpusServer::RunTicket> tickets;
   for (int i = 0; i < 3; ++i) {
-    auto submitted = tenant->Submit(request);
-    ASSERT_TRUE(submitted.ok());
-    ASSERT_TRUE(submitted->admitted())
-        << submitted->rejection->detail;
-    tickets.push_back(*submitted->ticket);
+    auto submitted = Admit(*tenant, request);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
   }
   ASSERT_TRUE((*server)->ServeUntilIdle().ok());
 
@@ -404,9 +438,11 @@ TEST(ShardedServerTest, TenantQuotaSpansShards) {
 
   auto sizing = CorpusServer::Create(&mc.corpus, ServerOptions(4, 1));
   ASSERT_TRUE(sizing.ok());
-  auto sized = (*sizing)->Submit(request);
-  ASSERT_TRUE(sized.ok());
-  const uint64_t total_footprint = sized->footprint_slots;
+  auto sizing_tenant = (*sizing)->OpenTenant({});
+  ASSERT_TRUE(sizing_tenant.ok());
+  auto sized = Admit(*sizing_tenant, request);
+  ASSERT_TRUE(sized.ok()) << sized.status().ToString();
+  const uint64_t total_footprint = sized->admission->footprint_slots;
   ASSERT_GT(total_footprint, 0u);
 
   // Generous per-device budget; the tenant's quota is one slot short of
@@ -456,8 +492,7 @@ TEST(ShardedServerTest, SingleDeviceStatsMirrorAggregates) {
   ASSERT_TRUE(server.ok());
   CorpusServer::RunRequest request;
   request.task = Task::kWordCount;
-  ASSERT_TRUE((*server)->Submit(request).ok());
-  ASSERT_TRUE((*server)->ServeUntilIdle().ok());
+  ASSERT_TRUE(SubmitAndServe(server->get(), {request}).ok());
 
   const CorpusServer::Stats& stats = (*server)->stats();
   ASSERT_EQ(stats.devices.size(), 1u);
