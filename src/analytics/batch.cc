@@ -13,7 +13,8 @@
 namespace gtadoc {
 
 Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
-    const PartitionedCorpus* corpus, const Options& options) {
+    const PartitionedCorpus* corpus, const Options& options,
+    const CorpusIndex* index, const std::vector<uint32_t>* index_ids) {
   if (corpus == nullptr || corpus->partitions.empty()) {
     return Status::InvalidArgument("batch needs at least one document");
   }
@@ -39,6 +40,13 @@ Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
         std::max<size_t>(256, 4 * corpus->partitions.size()));
     engine->options_.engine.plan_cache = engine->owned_plan_cache_.get();
   }
+  if (index == nullptr) {
+    engine->owned_index_ = std::make_unique<CorpusIndex>(&corpus->partitions);
+    index = engine->owned_index_.get();
+    index_ids = nullptr;
+  }
+  engine->index_ = index;
+  engine->index_ids_ = index_ids;
   return engine;
 }
 
@@ -148,8 +156,14 @@ Status BatchEngine::RunShard(Task task, const std::vector<uint8_t>* execute,
       if (options_.on_document_complete) options_.on_document_complete(out);
       continue;
     }
+    // The document's lazily built index, shared with every other run and
+    // replica of it.
+    const uint32_t index_doc =
+        index_ids_ != nullptr ? (*index_ids_)[i] : static_cast<uint32_t>(i);
+    auto index = index_->Get(index_doc);
+    if (!index.ok()) return index.status();
     if (cpu_backend) {
-      auto created = CpuTadocEngine::Create(doc, cpu_options);
+      auto created = CpuTadocEngine::Create(doc, *index, cpu_options);
       if (!created.ok()) return created.status();
       auto run = created->Run(task);
       if (!run.ok()) return run.status();
@@ -159,12 +173,11 @@ Status BatchEngine::RunShard(Task task, const std::vector<uint8_t>* execute,
       continue;
     }
     if (engine != nullptr && options_.reuse_device_state) {
-      Status st = engine->Rebind(doc);
-      if (!st.ok()) return st;
+      engine->Rebind(doc, *index);
     } else {
       // First document of the context, or the cold path: a fresh engine
       // (and device) per document — the baseline reuse is measured against.
-      auto created = GTadocEngine::Create(doc, eopt);
+      auto created = GTadocEngine::Create(doc, *index, eopt);
       if (!created.ok()) return created.status();
       engine = std::move(*created);
     }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "analytics/document_index.h"
 #include "analytics/engine.h"
 #include "analytics/results.h"
 #include "common/result.h"
@@ -139,10 +140,17 @@ class BatchEngine {
     uint64_t mid_run_pool_growths = 0;
   };
 
-  /// The corpus must outlive the engine. Fails on an empty corpus or on
-  /// pre-set shared_device/shared_pool.
+  /// The corpus must outlive the engine. Every executed document's engine
+  /// borrows its DocumentIndex from `index`, where document i of `corpus` is
+  /// document `(*index_ids)[i]` of the index (null ids: document i) — a
+  /// device slice of a sharded corpus borrows the global index this way, so
+  /// replicas share one entry. Both must outlive the engine. Null `index`:
+  /// the engine owns a lazy index over `corpus`, kept across its Runs.
+  /// Fails on an empty corpus or on pre-set shared_device/shared_pool.
   static Result<std::unique_ptr<BatchEngine>> Create(
-      const PartitionedCorpus* corpus, const Options& options);
+      const PartitionedCorpus* corpus, const Options& options,
+      const CorpusIndex* index = nullptr,
+      const std::vector<uint32_t>* index_ids = nullptr);
 
   /// Runs one task over every document and merges.
   Result<BatchRun> Run(Task task);
@@ -203,6 +211,11 @@ class BatchEngine {
   Options options_;
   /// Backing storage when the caller preset no options.engine.plan_cache.
   std::shared_ptr<PlanCache> owned_plan_cache_;
+  /// Document indexes (borrowed, or owned_index_), and the corpus-to-index
+  /// document map (null: identity).
+  const CorpusIndex* index_ = nullptr;
+  const std::vector<uint32_t>* index_ids_ = nullptr;
+  std::unique_ptr<CorpusIndex> owned_index_;
 };
 
 }  // namespace gtadoc

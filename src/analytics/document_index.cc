@@ -1,0 +1,55 @@
+#include "analytics/document_index.h"
+
+#include <string>
+
+#include "analytics/run_plan.h"
+
+namespace gtadoc {
+
+Result<std::shared_ptr<const DocumentIndex>> DocumentIndex::Build(
+    const Grammar& g) {
+  auto dag = DagView::Build(g);
+  if (!dag.ok()) return dag.status();
+  auto index = std::make_shared<DocumentIndex>();
+  index->dag = std::move(*dag);
+  index->fingerprint = GrammarFingerprint(g);
+  return std::shared_ptr<const DocumentIndex>(std::move(index));
+}
+
+CorpusIndex::CorpusIndex(const std::vector<Grammar>* documents)
+    : documents_(documents), entries_(new Entry[documents->size()]) {}
+
+Result<std::shared_ptr<const DocumentIndex>> CorpusIndex::Get(
+    uint32_t doc) const {
+  if (doc >= size()) {
+    return Status::InvalidArgument("document " + std::to_string(doc) +
+                                   " is outside the indexed corpus");
+  }
+  Entry& entry = entries_[doc];
+  std::call_once(entry.once, [&] {
+    auto built = DocumentIndex::Build((*documents_)[doc]);
+    if (built.ok()) {
+      entry.index = std::move(*built);
+    } else {
+      entry.status = built.status();
+    }
+    entry.builds.fetch_add(1, std::memory_order_release);
+  });
+  if (entry.index == nullptr) return entry.status;
+  return entry.index;
+}
+
+uint32_t CorpusIndex::builds(uint32_t doc) const {
+  if (doc >= size()) return 0;
+  return entries_[doc].builds.load(std::memory_order_acquire);
+}
+
+uint64_t CorpusIndex::builds() const {
+  uint64_t total = 0;
+  for (size_t d = 0; d < size(); ++d) {
+    total += entries_[d].builds.load(std::memory_order_acquire);
+  }
+  return total;
+}
+
+}  // namespace gtadoc

@@ -17,8 +17,8 @@
 namespace gtadoc {
 
 /// Identity of a grammar for plan-cache keying: an FNV fold of the symbol
-/// space and every rule body. Host-side and O(compressed size); engines
-/// compute it once per Create/Rebind, never per Run.
+/// space and every rule body. Host-side and O(compressed size); computed
+/// once per document by DocumentIndex::Build, never per Run.
 uint64_t GrammarFingerprint(const Grammar& g);
 
 /// \brief The run options that affect a plan's shape.

@@ -118,9 +118,10 @@ Result<std::unique_ptr<CorpusServer>> CorpusServer::Create(
   server->plan_cache_ = std::make_shared<PlanCache>(
       std::max<size_t>(256, 8 * corpus->partitions.size()));
   server->options_.engine.plan_cache = server->plan_cache_.get();
+  server->index_ = std::make_unique<CorpusIndex>(&corpus->partitions);
   server->sharded_ = std::move(*sharded);
-  server->device_group_ =
-      std::make_unique<DeviceGroup>(server->sharded_.get());
+  server->device_group_ = std::make_unique<DeviceGroup>(server->sharded_.get(),
+                                                        server->index_.get());
   server->route_load_.assign(normalized.num_devices, 0.0);
   return server;
 }
@@ -158,30 +159,41 @@ Status CorpusServer::ProbeGpuPlans(PendingRun* run) {
   const size_t n = corpus_->partitions.size();
   const std::vector<uint8_t>& mask = run->execute_mask;
 
-  // Plan every executed document once on a probe context; PlanOnly fills
-  // the shared cache, so this is the ONLY time planning is charged — the
-  // execution contexts resolve every plan as a cache hit. Each plan's
-  // backend-priced estimate sums into the run's GPU-side dispatch input.
+  // Plan every executed document once; the shared cache makes this the
+  // ONLY time planning is charged — the execution contexts resolve every
+  // plan as a cache hit. Each plan's backend-priced estimate sums into the
+  // run's GPU-side dispatch input. The key differs per document only in
+  // the grammar fingerprint, so a hit needs no device work at all; a miss
+  // binds the probe engine to the document (uncharged, as the probe's
+  // clock is reset after the bind) and builds the plan there.
   std::vector<uint64_t>& doc_slots = run->doc_slots;
   doc_slots.assign(n, 0);
+  PlanKey key = GTadocEngine::PlanKeyFor(run->engine, 0, run->task);
   std::unique_ptr<GTadocEngine> probe;
   for (size_t d = 0; d < n; ++d) {
     if (!mask.empty() && mask[d] == 0) continue;
-    const Grammar* doc = &corpus_->partitions[d];
-    if (probe == nullptr) {
-      auto created = GTadocEngine::Create(doc, run->engine);
-      if (!created.ok()) return created.status();
-      probe = std::move(*created);
-    } else {
-      Status st = probe->Rebind(doc);
-      if (!st.ok()) return st;
+    auto index = index_->Get(static_cast<uint32_t>(d));
+    if (!index.ok()) return index.status();
+    key.grammar_fp = (*index)->fingerprint;
+    std::shared_ptr<const RunPlan> plan = plan_cache_->Get(key);
+    if (plan == nullptr) {
+      const Grammar* doc = &corpus_->partitions[d];
+      if (probe == nullptr) {
+        auto created = GTadocEngine::Create(doc, *index, run->engine);
+        if (!created.ok()) return created.status();
+        probe = std::move(*created);
+      } else {
+        probe->Rebind(doc, *index);
+      }
+      ++stats_.gpu_probe_binds;
+      probe->device()->ResetClock();
+      auto built = probe->BuildPlan(run->task);
+      if (!built.ok()) return built.status();
+      run->admission.admission_seconds += probe->device()->SimSeconds();
+      plan = std::move(*built);
     }
-    probe->device()->ResetClock();
-    auto plan = probe->PlanOnly(run->task);
-    if (!plan.ok()) return plan.status();
-    run->admission.admission_seconds += probe->device()->SimSeconds();
-    doc_slots[d] = (*plan)->total_slots;
-    run->gpu_estimate_seconds += (*plan)->estimate.seconds;
+    doc_slots[d] = plan->total_slots;
+    run->gpu_estimate_seconds += plan->estimate.seconds;
   }
   return Status::OK();
 }
@@ -200,7 +212,9 @@ Status CorpusServer::ProbeCpuEstimate(PendingRun* run) {
   copt.plan_cache = plan_cache_.get();
   for (size_t d = 0; d < corpus_->partitions.size(); ++d) {
     if (!mask.empty() && mask[d] == 0) continue;
-    auto probe = CpuTadocEngine::Create(&corpus_->partitions[d], copt);
+    auto index = index_->Get(static_cast<uint32_t>(d));
+    if (!index.ok()) return index.status();
+    auto probe = CpuTadocEngine::Create(&corpus_->partitions[d], *index, copt);
     if (!probe.ok()) return probe.status();
     double probe_seconds = 0.0;
     auto plan =
@@ -458,7 +472,7 @@ Result<BatchEngine::BatchRun> CorpusServer::Execute(const PendingRun& run) {
       ++stats_.documents_executed;
     }
   };
-  auto engine = BatchEngine::Create(corpus_, bopt);
+  auto engine = BatchEngine::Create(corpus_, bopt, index_.get());
   if (!engine.ok()) return engine.status();
   return (*engine)->Run(run.task, run.execute_mask);
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analytics/batch.h"
+#include "analytics/document_index.h"
 #include "analytics/query_spec.h"
 #include "analytics/run_plan.h"
 #include "analytics/scheduler.h"
@@ -406,6 +407,10 @@ class CorpusServer {
     uint32_t peak_cpu_lanes_in_use = 0;
     /// Shared plan-cache counters; refreshed on every serve.
     PlanCacheStats plan_cache;
+    /// Documents the GPU Submit probes bound a device grammar for. A probe
+    /// binds only on a plan-cache miss; a hit needs just the document's
+    /// index fingerprint.
+    uint64_t gpu_probe_binds = 0;
     std::map<uint64_t, TenantStats> tenants;  ///< by tenant id
     /// One entry per device (see DeviceStats); refreshed on every serve.
     std::vector<DeviceStats> devices;
@@ -435,6 +440,10 @@ class CorpusServer {
   size_t num_devices() const { return sharded_->num_devices(); }
   /// The device topology GPU runs scatter over.
   const ShardedCorpus* sharded_corpus() const { return sharded_.get(); }
+  /// The corpus's DocumentIndexes, keyed by global document id: built on a
+  /// document's first probe or execution, then shared by every probe, run,
+  /// device and replica for the server's lifetime.
+  const CorpusIndex& document_index() const { return *index_; }
 
  private:
   struct Tenant {
@@ -469,11 +478,12 @@ class CorpusServer {
   Result<Submitted> SubmitForTenant(uint64_t tenant_id,
                                     const RunRequest& request,
                                     const RunOptions& run_options);
-  /// Plans every executed document on a GPU probe engine (Rebind + PlanOnly
-  /// against the shared cache), filling doc_slots, the GPU-side cost
-  /// estimate, and the probe's admission_seconds. Reserves nothing; the
-  /// footprint is priced by ShardFootprint only if the run dispatches to
-  /// the GPU.
+  /// Resolves every executed document's GPU plan against the shared cache,
+  /// filling doc_slots, the GPU-side cost estimate, and the probe's
+  /// admission_seconds. A hit needs only the document's index fingerprint;
+  /// a miss binds the probe engine to the document and builds the plan
+  /// there. Reserves nothing; the footprint is priced by ShardFootprint
+  /// only if the run dispatches to the GPU.
   Status ProbeGpuPlans(PendingRun* run);
   /// The CPU twin of ProbeGpuPlans: plans every executed document through
   /// CpuTadocEngine::PlanOnly against the same shared (backend-keyed)
@@ -503,6 +513,9 @@ class CorpusServer {
   const PartitionedCorpus* corpus_;
   Options options_;
   std::shared_ptr<PlanCache> plan_cache_;
+  /// Lazily built per-document indexes of corpus_, borrowed by the probes,
+  /// the CPU lanes and every device.
+  std::unique_ptr<CorpusIndex> index_;
   /// One budget per simulated GPU.
   std::vector<std::unique_ptr<gpu::SlotBudget>> device_budgets_;
   RunScheduler scheduler_;

@@ -134,7 +134,8 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
         if (!r.skipped) notify(r);
       };
     }
-    auto engine = BatchEngine::Create(&corpus_->device_corpus(d), bopt);
+    auto engine = BatchEngine::Create(&corpus_->device_corpus(d), bopt, index_,
+                                      &corpus_->device_docs(d));
     if (!engine.ok()) return engine.status();
     auto run = (*engine)->Run(spec.task, route.device_masks[d]);
     if (!run.ok()) return run.status();

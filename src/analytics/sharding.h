@@ -172,9 +172,12 @@ class DeviceGroup {
     uint64_t mid_run_pool_growths = 0;
   };
 
-  /// The sharded corpus must outlive the group.
-  explicit DeviceGroup(const ShardedCorpus* corpus)
-      : corpus_(corpus), counters_(corpus->num_devices()) {}
+  /// The sharded corpus and `index` — the lazily built DocumentIndexes of
+  /// the GLOBAL corpus — must outlive the group. Every device borrows its
+  /// documents' indexes by global id, so a document's replicas share one
+  /// entry.
+  DeviceGroup(const ShardedCorpus* corpus, const CorpusIndex* index)
+      : corpus_(corpus), index_(index), counters_(corpus->num_devices()) {}
 
   Result<RunResult> Execute(const RunSpec& spec);
 
@@ -182,6 +185,7 @@ class DeviceGroup {
 
  private:
   const ShardedCorpus* corpus_;
+  const CorpusIndex* index_;
   std::vector<DeviceCounters> counters_;
 };
 

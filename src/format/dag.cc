@@ -2,9 +2,25 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_map>
 
 namespace gtadoc {
+
+namespace {
+
+/// Sorts `ids` and appends one (id, multiplicity) entry per distinct id to
+/// `out` — the id-ordered aggregation of one rule body.
+template <typename Entry>
+void AppendAggregated(std::vector<uint32_t>* ids, std::vector<Entry>* out) {
+  std::sort(ids->begin(), ids->end());
+  for (size_t i = 0; i < ids->size();) {
+    size_t j = i + 1;
+    while (j < ids->size() && (*ids)[j] == (*ids)[i]) ++j;
+    out->push_back(Entry{(*ids)[i], static_cast<uint32_t>(j - i)});
+    i = j;
+  }
+}
+
+}  // namespace
 
 Result<DagView> DagView::Build(const Grammar& g) {
   if (g.rules.empty()) return Status::Corruption("grammar has no rules");
@@ -12,29 +28,29 @@ Result<DagView> DagView::Build(const Grammar& g) {
   const size_t n = g.rules.size();
 
   DagView v;
-  v.children_.resize(n);
-  v.words_.resize(n);
-  v.parents_.resize(n);
+  v.child_off_.assign(n + 1, 0);
+  v.word_off_.assign(n + 1, 0);
   v.in_edges_nonroot_.assign(n, 0);
   v.root_freq_.assign(n, 0);
   v.depth_.assign(n, 0);
   v.body_size_.assign(n, 0);
 
-  // Aggregate bodies. A scratch map per rule keeps construction O(body).
-  std::unordered_map<uint32_t, uint32_t> child_freq;
-  std::unordered_map<uint32_t, uint32_t> word_freq;
+  // Aggregate bodies: each rule's child and word ids, sorted and
+  // run-length folded straight into the flat arrays.
+  std::vector<uint32_t> child_ids;
+  std::vector<uint32_t> word_ids;
   for (uint32_t r = 0; r < n; ++r) {
-    child_freq.clear();
-    word_freq.clear();
+    child_ids.clear();
+    word_ids.clear();
     v.body_size_[r] = static_cast<uint32_t>(g.rules[r].size());
     for (uint32_t sym : g.rules[r]) {
       if (g.IsRule(sym)) {
         const uint32_t child = g.RuleIndex(sym);
         if (child >= n) return Status::Corruption("rule id out of range");
         if (child == r) return Status::Corruption("rule references itself");
-        ++child_freq[child];
+        child_ids.push_back(child);
       } else if (g.IsWord(sym)) {
-        ++word_freq[sym];
+        word_ids.push_back(sym);
       } else {
         // Splitters may only appear in the root.
         if (r != 0) return Status::Corruption("splitter outside root rule");
@@ -43,28 +59,24 @@ Result<DagView> DagView::Build(const Grammar& g) {
         }
       }
     }
-    v.children_[r].reserve(child_freq.size());
-    for (const auto& [child, freq] : child_freq) {
-      v.children_[r].push_back(RuleChildEntry{child, freq});
-    }
-    std::sort(v.children_[r].begin(), v.children_[r].end(),
-              [](const RuleChildEntry& a, const RuleChildEntry& b) {
-                return a.child < b.child;
-              });
-    v.words_[r].reserve(word_freq.size());
-    for (const auto& [word, freq] : word_freq) {
-      v.words_[r].push_back(RuleWordEntry{word, freq});
-    }
-    std::sort(v.words_[r].begin(), v.words_[r].end(),
-              [](const RuleWordEntry& a, const RuleWordEntry& b) {
-                return a.word < b.word;
-              });
+    AppendAggregated(&child_ids, &v.children_);
+    AppendAggregated(&word_ids, &v.words_);
+    v.child_off_[r + 1] = static_cast<uint32_t>(v.children_.size());
+    v.word_off_[r + 1] = static_cast<uint32_t>(v.words_.size());
   }
+  v.children_.shrink_to_fit();
+  v.words_.shrink_to_fit();
 
-  // Parents, in-edge counts, root frequencies.
+  // Parents (each child's parents in ascending parent id), in-edge counts,
+  // root frequencies.
+  v.parent_off_.assign(n + 1, 0);
+  for (const RuleChildEntry& e : v.children_) ++v.parent_off_[e.child + 1];
+  for (uint32_t r = 0; r < n; ++r) v.parent_off_[r + 1] += v.parent_off_[r];
+  v.parents_.resize(v.children_.size());
+  std::vector<uint32_t> cursor(v.parent_off_.begin(), v.parent_off_.end() - 1);
   for (uint32_t r = 0; r < n; ++r) {
-    for (const RuleChildEntry& e : v.children_[r]) {
-      v.parents_[e.child].push_back(r);
+    for (const RuleChildEntry& e : v.children(r)) {
+      v.parents_[cursor[e.child]++] = r;
       if (r != 0) ++v.in_edges_nonroot_[e.child];
       if (r == 0) v.root_freq_[e.child] = e.freq;
     }
@@ -74,7 +86,7 @@ Result<DagView> DagView::Build(const Grammar& g) {
   // cycles and rules unreachable from the root.
   std::vector<uint32_t> pending(n, 0);
   for (uint32_t r = 0; r < n; ++r) {
-    pending[r] = static_cast<uint32_t>(v.parents_[r].size());
+    pending[r] = v.parent_off_[r + 1] - v.parent_off_[r];
   }
   std::deque<uint32_t> ready;
   if (pending[0] != 0) return Status::Corruption("root rule has a parent");
@@ -84,7 +96,7 @@ Result<DagView> DagView::Build(const Grammar& g) {
     const uint32_t r = ready.front();
     ready.pop_front();
     v.topo_order_.push_back(r);
-    for (const RuleChildEntry& e : v.children_[r]) {
+    for (const RuleChildEntry& e : v.children(r)) {
       v.depth_[e.child] = std::max(v.depth_[e.child], v.depth_[r] + 1);
       if (--pending[e.child] == 0) ready.push_back(e.child);
     }

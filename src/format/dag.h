@@ -23,28 +23,53 @@ struct RuleWordEntry {
   uint32_t freq;
 };
 
+/// A read-only view of one rule's aggregated entries inside a DagView's flat
+/// arrays: `size`/`empty`/`[]` and range-for. Valid while the view lives.
+template <typename T>
+class DagSpan {
+ public:
+  DagSpan(const T* data, size_t size) : data_(data), size_(size) {}
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T& operator[](size_t i) const { return data_[i]; }
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+
+ private:
+  const T* data_;
+  size_t size_;
+};
+
 /// \brief DAG interpretation of a grammar (Figure 1(e)).
 ///
 /// Precomputes everything both engines traverse: aggregated child edges with
 /// multiplicities, aggregated local words, distinct parent lists, in-edge
 /// counts excluding the root (Algorithm 1 seeds traversal from rules whose
 /// only parent is the root), topological order and per-rule depth.
+///
+/// Storage is CSR: one flat array per entry kind plus per-rule offsets, so a
+/// view costs a handful of allocations however many rules it holds. Entry
+/// order is fixed: children by rule id, words by word id, parents in
+/// ascending parent id (the order edges are discovered scanning rules 0..n).
 class DagView {
  public:
   /// Validates the grammar (id ranges, acyclicity, non-empty root) and
   /// builds the view. Returns Corruption for malformed grammars.
   static Result<DagView> Build(const Grammar& g);
 
-  size_t num_rules() const { return children_.size(); }
+  size_t num_rules() const { return in_edges_nonroot_.size(); }
 
-  const std::vector<RuleChildEntry>& children(uint32_t r) const {
-    return children_[r];
+  DagSpan<RuleChildEntry> children(uint32_t r) const {
+    return Row(children_, child_off_, r);
   }
-  const std::vector<RuleWordEntry>& words(uint32_t r) const {
-    return words_[r];
+  DagSpan<RuleWordEntry> words(uint32_t r) const {
+    return Row(words_, word_off_, r);
   }
   /// Distinct parent rule indices (the root appears as parent index 0).
-  const std::vector<uint32_t>& parents(uint32_t r) const { return parents_[r]; }
+  DagSpan<uint32_t> parents(uint32_t r) const {
+    return Row(parents_, parent_off_, r);
+  }
 
   /// Number of distinct parents other than the root (Algorithm 1's
   /// rule.numInEdge; rules with zero start the top-down traversal).
@@ -53,7 +78,7 @@ class DagView {
   }
   /// Number of distinct child rules (bottom-up readiness threshold).
   uint32_t num_out_edges(uint32_t r) const {
-    return static_cast<uint32_t>(children_[r].size());
+    return child_off_[r + 1] - child_off_[r];
   }
   /// How many times rule `r` appears directly in the root body.
   uint32_t root_freq(uint32_t r) const { return root_freq_[r]; }
@@ -69,9 +94,19 @@ class DagView {
   uint32_t body_size(uint32_t r) const { return body_size_[r]; }
 
  private:
-  std::vector<std::vector<RuleChildEntry>> children_;
-  std::vector<std::vector<RuleWordEntry>> words_;
-  std::vector<std::vector<uint32_t>> parents_;
+  template <typename T>
+  static DagSpan<T> Row(const std::vector<T>& flat,
+                        const std::vector<uint32_t>& off, uint32_t r) {
+    return DagSpan<T>(flat.data() + off[r], off[r + 1] - off[r]);
+  }
+
+  // CSR: row r of each kind is [off[r], off[r + 1]) of its flat array.
+  std::vector<uint32_t> child_off_;
+  std::vector<RuleChildEntry> children_;
+  std::vector<uint32_t> word_off_;
+  std::vector<RuleWordEntry> words_;
+  std::vector<uint32_t> parent_off_;
+  std::vector<uint32_t> parents_;
   std::vector<uint32_t> in_edges_nonroot_;
   std::vector<uint32_t> root_freq_;
   std::vector<uint32_t> depth_;

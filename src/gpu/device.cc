@@ -8,8 +8,9 @@
 namespace gtadoc {
 namespace gpu {
 
-Device::Device(const GpuSpec& spec, size_t host_workers)
-    : spec_(spec), pool_(host_workers) {}
+Device::Device(const GpuSpec& spec, size_t host_workers) : spec_(spec) {
+  if (host_workers != 1) pool_ = std::make_unique<ThreadPool>(host_workers);
+}
 
 KernelCost Device::Launch(const char* name, uint32_t num_threads,
                           const std::function<void(ThreadCtx&)>& kernel) {
@@ -18,7 +19,7 @@ KernelCost Device::Launch(const char* name, uint32_t num_threads,
   cost.num_threads = num_threads;
   if (num_threads > 0) {
     std::mutex agg_mu;
-    pool_.ParallelFor(0, num_threads, [&](size_t lo, size_t hi) {
+    const auto run_chunk = [&](size_t lo, size_t hi) {
       uint64_t total = 0, max_ops = 0, atomics = 0, serialized = 0;
       for (size_t t = lo; t < hi; ++t) {
         ThreadCtx ctx(static_cast<uint32_t>(t), num_threads);
@@ -33,7 +34,12 @@ KernelCost Device::Launch(const char* name, uint32_t num_threads,
       cost.atomic_ops += atomics;
       cost.serialized_atomic_ops += serialized;
       cost.max_thread_ops = std::max(cost.max_thread_ops, max_ops);
-    });
+    };
+    if (pool_ == nullptr) {
+      run_chunk(0, num_threads);
+    } else {
+      pool_->ParallelFor(0, num_threads, run_chunk);
+    }
   }
 
   double seconds = spec_.kernel_launch_us * 1e-6;

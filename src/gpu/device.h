@@ -153,7 +153,10 @@ class Device {
 
  private:
   GpuSpec spec_;
-  ThreadPool pool_;
+  /// Kernel workers; null for one host worker, whose kernels run inline on
+  /// the launching thread (the same single chunk, without a thread per
+  /// device).
+  std::unique_ptr<ThreadPool> pool_;
   double sim_seconds_ = 0;
   DeviceStats stats_;
   size_t bytes_in_use_ = 0;
@@ -166,7 +169,7 @@ class Device {
 template <typename T>
 class DeviceBuffer {
  public:
-  DeviceBuffer() : device_(nullptr) {}
+  DeviceBuffer() = default;
   /// Value-initializes `count` elements (atomics become zero). Works for
   /// non-copyable T such as std::atomic.
   DeviceBuffer(Device* device, size_t count) : device_(device), data_(count) {
@@ -207,7 +210,7 @@ class DeviceBuffer {
       device_ = nullptr;
     }
   }
-  Device* device_;
+  Device* device_ = nullptr;
   std::vector<T> data_;
 };
 

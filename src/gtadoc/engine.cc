@@ -9,23 +9,29 @@
 
 namespace gtadoc {
 
-GTadocEngine::GTadocEngine(const Grammar* g, DagView dag,
+GTadocEngine::GTadocEngine(const Grammar* g,
+                           std::shared_ptr<const DocumentIndex> index,
                            const Options& options)
-    : g_(g), dag_(std::move(dag)), options_(options) {}
+    : g_(g), index_(std::move(index)), options_(options) {}
 
 Result<std::unique_ptr<GTadocEngine>> GTadocEngine::Create(
     const Grammar* g, const Options& options) {
+  auto index = DocumentIndex::Build(*g);
+  if (!index.ok()) return index.status();
+  return Create(g, std::move(*index), options);
+}
+
+Result<std::unique_ptr<GTadocEngine>> GTadocEngine::Create(
+    const Grammar* g, std::shared_ptr<const DocumentIndex> index,
+    const Options& options) {
   if (options.ngram_len < 2) {
     return Status::InvalidArgument("ngram_len must be >= 2");
   }
   if (options.shared_pool != nullptr && options.shared_device == nullptr) {
     return Status::InvalidArgument("shared_pool requires shared_device");
   }
-  auto dag = DagView::Build(*g);
-  if (!dag.ok()) return dag.status();
   std::unique_ptr<GTadocEngine> engine(
-      new GTadocEngine(g, std::move(*dag), options));
-  engine->grammar_fp_ = GrammarFingerprint(*g);
+      new GTadocEngine(g, std::move(index), options));
   if (options.shared_device != nullptr) {
     engine->device_ = options.shared_device;
   } else {
@@ -44,23 +50,27 @@ Result<std::unique_ptr<GTadocEngine>> GTadocEngine::Create(
   }
   engine->device_->ResetClock();
   const gpu::DeviceStats before = engine->device_->stats();
-  engine->dev_ = DeviceGrammar::Build(*g, engine->dag_, engine->device_,
+  engine->dev_ = DeviceGrammar::Build(*g, engine->dag(), engine->device_,
                                       options.charge_pcie);
   engine->MeasureCreate(before.total_ops, before.h2d_bytes);
   return engine;
 }
 
 Status GTadocEngine::Rebind(const Grammar* g) {
-  auto dag = DagView::Build(*g);
-  if (!dag.ok()) return dag.status();
+  auto index = DocumentIndex::Build(*g);
+  if (!index.ok()) return index.status();
+  Rebind(g, std::move(*index));
+  return Status::OK();
+}
+
+void GTadocEngine::Rebind(const Grammar* g,
+                          std::shared_ptr<const DocumentIndex> index) {
   g_ = g;
-  dag_ = std::move(*dag);
-  grammar_fp_ = GrammarFingerprint(*g);
+  index_ = std::move(index);
   device_->ResetClock();
   const gpu::DeviceStats before = device_->stats();
-  dev_.Rebind(*g, dag_, device_, options_.charge_pcie);
+  dev_.Rebind(*g, dag(), device_, options_.charge_pcie);
   MeasureCreate(before.total_ops, before.h2d_bytes);
-  return Status::OK();
 }
 
 void GTadocEngine::MeasureCreate(uint64_t ops_before, uint64_t h2d_before) {
@@ -73,7 +83,7 @@ void GTadocEngine::MeasureCreate(uint64_t ops_before, uint64_t h2d_before) {
 TraversalStrategy GTadocEngine::ChosenStrategy(Task task) const {
   if (options_.strategy != TraversalStrategy::kAuto) return options_.strategy;
   const TaskInput input = MakeInput();
-  return SelectStrategy(task, *g_, dag_, &input);
+  return SelectStrategy(task, *g_, dag(), &input);
 }
 
 TaskInput GTadocEngine::InputFromOptions(const Options& options) {
@@ -83,26 +93,27 @@ TaskInput GTadocEngine::InputFromOptions(const Options& options) {
 
 TaskInput GTadocEngine::MakeInput() const { return InputFromOptions(options_); }
 
-PlanShape GTadocEngine::MakeShape() const {
+PlanShape GTadocEngine::MakeShape(const Options& options) {
   PlanShape shape;
-  shape.input = MakeInput();
-  shape.scheduling = static_cast<int>(options_.scheduling);
+  shape.input = InputFromOptions(options);
+  shape.scheduling = static_cast<int>(options.scheduling);
   shape.vertical_partition =
-      options_.scheduling == SchedulingMode::kVerticalPartition;
-  shape.lock_mode = static_cast<int>(options_.lock_mode);
-  shape.split_threshold = options_.split_threshold;
+      options.scheduling == SchedulingMode::kVerticalPartition;
+  shape.lock_mode = static_cast<int>(options.lock_mode);
+  shape.split_threshold = options.split_threshold;
   return shape;
 }
 
-PlanKey GTadocEngine::MakePlanKey(Task task,
+PlanKey GTadocEngine::MakePlanKey(const Options& options, uint64_t grammar_fp,
+                                  Task task,
                                   TraversalStrategy* strategy_override,
-                                  const PlanShape& shape) const {
+                                  const PlanShape& shape) {
   if (*strategy_override == TraversalStrategy::kAuto) {
-    *strategy_override = options_.strategy;
+    *strategy_override = options.strategy;
   }
   PlanKey key;
   key.backend = kGpuPlanBackend;
-  key.grammar_fp = grammar_fp_;
+  key.grammar_fp = grammar_fp;
   key.task = static_cast<int>(task);
   key.strategy_override = static_cast<int>(*strategy_override);
   key.shape_fp = shape.Fingerprint();
@@ -163,16 +174,20 @@ struct GTadocEngine::GpuPlanner : public Planner {
 Result<std::shared_ptr<const RunPlan>> GTadocEngine::ResolvePlan(
     const TaskKernel& kernel, TraversalStrategy strategy_override,
     bool* cache_hit) {
-  const PlanShape shape = MakeShape();
-  const PlanKey key = MakePlanKey(kernel.task(), &strategy_override, shape);
+  const PlanShape shape = MakeShape(options_);
+  const PlanKey key = MakePlanKey(options_, index_->fingerprint, kernel.task(),
+                                  &strategy_override, shape);
   std::shared_ptr<const RunPlan> plan = plan_cache_->Get(key);
-  if (plan != nullptr) {
-    *cache_hit = true;
-    return plan;
-  }
-  *cache_hit = false;
+  *cache_hit = plan != nullptr;
+  if (plan != nullptr) return plan;
+  return BuildAndCachePlan(kernel, strategy_override, shape, key);
+}
+
+Result<std::shared_ptr<const RunPlan>> GTadocEngine::BuildAndCachePlan(
+    const TaskKernel& kernel, TraversalStrategy strategy_override,
+    const PlanShape& shape, const PlanKey& key) {
   GpuPlanner planner(this);
-  auto built = planner.BuildPlan(kernel, *g_, dag_, shape, strategy_override,
+  auto built = planner.BuildPlan(kernel, *g_, dag(), shape, strategy_override,
                                  key);
   if (!built.ok()) return built.status();
   plan_cache_->Put(*built);
@@ -187,10 +202,27 @@ Result<std::shared_ptr<const RunPlan>> GTadocEngine::PlanOnly(
   return ResolvePlan(**kernel_lookup, strategy_override, &cache_hit);
 }
 
+Result<std::shared_ptr<const RunPlan>> GTadocEngine::BuildPlan(
+    Task task, TraversalStrategy strategy_override) {
+  auto kernel_lookup = TaskRegistry::Get(task);
+  if (!kernel_lookup.ok()) return kernel_lookup.status();
+  const PlanShape shape = MakeShape(options_);
+  const PlanKey key = MakePlanKey(options_, index_->fingerprint, task,
+                                  &strategy_override, shape);
+  return BuildAndCachePlan(**kernel_lookup, strategy_override, shape, key);
+}
+
+PlanKey GTadocEngine::PlanKeyFor(const Options& options, uint64_t grammar_fp,
+                                 Task task,
+                                 TraversalStrategy strategy_override) {
+  return MakePlanKey(options, grammar_fp, task, &strategy_override,
+                     MakeShape(options));
+}
+
 std::shared_ptr<const RunPlan> GTadocEngine::CachedPlan(
     Task task, TraversalStrategy strategy_override) const {
-  const PlanShape shape = MakeShape();
-  return plan_cache_->Peek(MakePlanKey(task, &strategy_override, shape));
+  return plan_cache_->Peek(PlanKeyFor(options_, index_->fingerprint, task,
+                                      strategy_override));
 }
 
 std::vector<uint8_t> GTadocEngine::RelevancePass(const WordFilter& filter) {

@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "analytics/document_index.h"
 #include "analytics/engine.h"
 #include "analytics/query_spec.h"
 #include "analytics/results.h"
@@ -87,10 +88,16 @@ class GTadocEngine {
     PlanCache* plan_cache = nullptr;
   };
 
-  /// Validates the grammar, builds the DAG view, the device grammar and the
-  /// memory pool (all charged to the init phase of every subsequent Run).
+  /// Builds the grammar's DocumentIndex (validating it) and creates the
+  /// engine over it.
   static Result<std::unique_ptr<GTadocEngine>> Create(const Grammar* g,
                                                       const Options& options);
+  /// Creates the engine over `g`'s prebuilt index (shared: the engine keeps
+  /// a reference) and builds the device grammar and the memory pool, charged
+  /// to the init phase of every subsequent Run.
+  static Result<std::unique_ptr<GTadocEngine>> Create(
+      const Grammar* g, std::shared_ptr<const DocumentIndex> index,
+      const Options& options);
 
   /// Executes one task; `strategy_override` forces a traversal direction for
   /// the Section VI-C experiment.
@@ -111,6 +118,22 @@ class GTadocEngine {
       Task task,
       TraversalStrategy strategy_override = TraversalStrategy::kAuto);
 
+  /// The miss half of PlanOnly: builds the plan (charging the planning
+  /// passes to the device clock) and caches it WITHOUT looking its key up
+  /// first — for a caller that already missed on PlanKeyFor's key, so each
+  /// lookup is counted once.
+  Result<std::shared_ptr<const RunPlan>> BuildPlan(
+      Task task,
+      TraversalStrategy strategy_override = TraversalStrategy::kAuto);
+
+  /// The plan-cache key a Run of `task` consumes on an engine built with
+  /// `options` over a document whose index fingerprint is `grammar_fp`. A
+  /// serving probe looks this up before deciding whether it needs to bind
+  /// the document at all: on a hit, the fingerprint is all it needs.
+  static PlanKey PlanKeyFor(
+      const Options& options, uint64_t grammar_fp, Task task,
+      TraversalStrategy strategy_override = TraversalStrategy::kAuto);
+
   /// The per-run TaskInput `options` describe (query_sets flattened into the
   /// effective accept set) — the exact input every kernel hook of a Run built
   /// from `options` receives. Exposed so serving layers (batch skip paths,
@@ -123,9 +146,12 @@ class GTadocEngine {
   /// charged only for arrays the new document outgrows) and subsequent Runs
   /// charge the new document's init cost. The grammar must outlive the
   /// engine. This is the batch warm path; a fresh Create is the cold path.
+  /// Builds the grammar's DocumentIndex first.
   Status Rebind(const Grammar* g);
+  /// Rebind onto `g`'s prebuilt (shared) index.
+  void Rebind(const Grammar* g, std::shared_ptr<const DocumentIndex> index);
 
-  const DagView& dag() const { return dag_; }
+  const DagView& dag() const { return index_->dag; }
   gpu::Device* device() { return device_; }
   TraversalStrategy ChosenStrategy(Task task) const;
   const Options& options() const { return options_; }
@@ -142,7 +168,8 @@ class GTadocEngine {
   uint32_t last_traversal_rounds() const { return last_rounds_; }
 
  private:
-  GTadocEngine(const Grammar* g, DagView dag, const Options& options);
+  GTadocEngine(const Grammar* g, std::shared_ptr<const DocumentIndex> index,
+               const Options& options);
 
   /// The engine's charged planning passes (engine.cc): relevance and bounds
   /// run as the genQueryReach / genLocTblBound mask-protocol device kernels,
@@ -153,18 +180,24 @@ class GTadocEngine {
   /// The per-run task parameters handed to every kernel hook
   /// (InputFromOptions over this engine's options).
   TaskInput MakeInput() const;
-  /// The shape-relevant option slice feeding the plan key (builds and moves
-  /// its own TaskInput — no extra query copies on the hot path).
-  PlanShape MakeShape() const;
+  /// The shape-relevant option slice of `options` feeding the plan key
+  /// (builds and moves its own TaskInput — no extra query copies on the hot
+  /// path).
+  static PlanShape MakeShape(const Options& options);
   /// The one place plan keys are assembled: resolves a kAuto override
-  /// against the engine's configured strategy (in place) and stamps the GPU
-  /// backend, so store and lookup can never drift apart.
-  PlanKey MakePlanKey(Task task, TraversalStrategy* strategy_override,
-                      const PlanShape& shape) const;
+  /// against the configured strategy (in place) and stamps the GPU backend,
+  /// so store and lookup can never drift apart.
+  static PlanKey MakePlanKey(const Options& options, uint64_t grammar_fp,
+                             Task task, TraversalStrategy* strategy_override,
+                             const PlanShape& shape);
   /// Resolves (or fetches) the run's plan; `*cache_hit` reports which.
   Result<std::shared_ptr<const RunPlan>> ResolvePlan(
       const TaskKernel& kernel, TraversalStrategy strategy_override,
       bool* cache_hit);
+  /// Builds and caches the plan for `key` (the cache-miss path).
+  Result<std::shared_ptr<const RunPlan>> BuildAndCachePlan(
+      const TaskKernel& kernel, TraversalStrategy strategy_override,
+      const PlanShape& shape, const PlanKey& key);
   /// Sizes the global reduce table from the tighter of the plan's
   /// ExpectedDistinctKeys hint and the driver's structural bound.
   gpu::GpuHashTable::Options WordTableOptions(const RunPlan& plan,
@@ -247,9 +280,8 @@ class GTadocEngine {
                       AnalyticsResult* out, double* phase1_seconds);
 
   const Grammar* g_;
-  DagView dag_;
+  std::shared_ptr<const DocumentIndex> index_;
   Options options_;
-  uint64_t grammar_fp_ = 0;
   std::unique_ptr<gpu::Device> owned_device_;
   gpu::Device* device_ = nullptr;  ///< owned_device_ or options_.shared_device
   /// The engine's recycled state pool (used when options_.shared_pool is

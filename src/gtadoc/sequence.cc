@@ -135,8 +135,12 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
   const std::vector<uint64_t>& exp_len = plan.exp_len;
   const PlannedLease lease = AcquirePlanned(plan);
   auto ht = [&](uint32_t r) { return HeadTailRef(lease.state_at(r), hl); };
-  std::vector<uint8_t> ht_mask(n, 0);
-  ht_mask[0] = 1;  // the root has no parents; its buffers are never read
+  // A rule's ready flag publishes its head/tail buffers: set with release
+  // after they are written, read with acquire before a parent copies them
+  // (rules of one round run on concurrent host workers).
+  std::vector<std::atomic<uint8_t>> ht_mask(n);
+  // The root has no parents; its buffers are never read.
+  ht_mask[0].store(1, std::memory_order_relaxed);
 
   // Attempt kernel: returns per-rule success; a rule that hits a not-ready
   // child fails and retries next round (the Figure 7 flow).
@@ -148,7 +152,7 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
     device_->Launch("initHeadTail", n, [&](gpu::ThreadCtx& ctx) {
       const uint32_t r = ctx.tid();
       ctx.Charge(1);
-      if (ht_mask[r]) return;
+      if (ht_mask[r].load(std::memory_order_relaxed)) return;
       const uint64_t b0 = dev_.body_off[r], b1 = dev_.body_off[r + 1];
       const uint32_t want_h =
           static_cast<uint32_t>(std::min<uint64_t>(hl, exp_len[r]));
@@ -161,7 +165,8 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
           ht(r).set_head(got++, sym);
         } else {
           const uint32_t c = sym - rule_base;
-          if (!ht_mask[c]) return;  // fail; retry next round
+          // Not ready: fail, retry next round.
+          if (!ht_mask[c].load(std::memory_order_acquire)) return;
           const uint32_t take = std::min(want_h - got, ht(c).head_len());
           for (uint32_t i = 0; i < take; ++i) {
             ht(r).set_head(got++, ht(c).head(i));
@@ -184,7 +189,7 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
           ++got_t;
         } else {
           const uint32_t c = sym - rule_base;
-          if (!ht_mask[c]) return;
+          if (!ht_mask[c].load(std::memory_order_acquire)) return;
           const uint32_t tl = ht(c).tail_len();
           const uint32_t take = std::min(want_t - got_t, tl);
           for (uint32_t i = 0; i < take; ++i) {
@@ -198,12 +203,14 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
       for (uint32_t i = 0; i < got_t; ++i) {
         ht(r).set_tail(got_t - 1 - i, rev[i]);
       }
-      ht_mask[r] = 1;
+      ht_mask[r].store(1, std::memory_order_release);
       progress.store(true, std::memory_order_relaxed);
     });
   }
   for (uint32_t r = 1; r < n; ++r) {
-    if (!ht_mask[r]) return Status::Internal("head/tail init did not converge");
+    if (!ht_mask[r].load(std::memory_order_relaxed)) {
+      return Status::Internal("head/tail init did not converge");
+    }
   }
   // Allocation calls are accounted separately into phase 1 by Run; excluding
   // them here keeps the cold and rebind paths' phase decomposition identical.
@@ -242,7 +249,7 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
       const uint64_t hi = std::min(root_len, lo + 256);
       ctx.Charge((hi > lo ? hi - lo : 0) + seed_extra);
     });
-    for (uint32_t r : dag_.topo_order()) {
+    for (uint32_t r : dag().topo_order()) {
       if (r == 0) continue;
       TallyStateOps tally;
       for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {

@@ -12,10 +12,15 @@ namespace gtadoc {
 
 Result<CpuTadocEngine> CpuTadocEngine::Create(const Grammar* g,
                                               const CpuTadocOptions& options) {
-  auto dag = DagView::Build(*g);
-  if (!dag.ok()) return dag.status();
-  CpuTadocEngine engine(g, std::move(*dag), options);
-  engine.grammar_fp_ = GrammarFingerprint(*g);
+  auto index = DocumentIndex::Build(*g);
+  if (!index.ok()) return index.status();
+  return Create(g, std::move(*index), options);
+}
+
+Result<CpuTadocEngine> CpuTadocEngine::Create(
+    const Grammar* g, std::shared_ptr<const DocumentIndex> index,
+    const CpuTadocOptions& options) {
+  CpuTadocEngine engine(g, std::move(index), options);
   if (options.plan_cache != nullptr) {
     engine.plan_cache_ = options.plan_cache;
   } else {
@@ -28,7 +33,7 @@ Result<CpuTadocEngine> CpuTadocEngine::Create(const Grammar* g,
 TraversalStrategy CpuTadocEngine::ChosenStrategy(Task task) const {
   if (options_.strategy != TraversalStrategy::kAuto) return options_.strategy;
   const TaskInput input = MakeInput();
-  return SelectStrategy(task, *g_, dag_, &input);
+  return SelectStrategy(task, *g_, dag(), &input);
 }
 
 TaskInput CpuTadocEngine::MakeInput() const {
@@ -156,7 +161,7 @@ PlanKey CpuTadocEngine::MakePlanKey(Task task,
   }
   PlanKey key;
   key.backend = kCpuPlanBackend;
-  key.grammar_fp = grammar_fp_;
+  key.grammar_fp = index_->fingerprint;
   key.task = static_cast<int>(task);
   key.strategy_override = static_cast<int>(*strategy_override);
   key.shape_fp = shape.Fingerprint();
@@ -175,8 +180,8 @@ Result<std::shared_ptr<const RunPlan>> CpuTadocEngine::ResolvePlan(
     return plan;
   }
   *cache_hit = false;
-  CpuPlanner planner(&dag_, &options_.cpu, plan_meter);
-  auto built = planner.BuildPlan(kernel, *g_, dag_, shape, strategy_override,
+  CpuPlanner planner(&dag(), &options_.cpu, plan_meter);
+  auto built = planner.BuildPlan(kernel, *g_, dag(), shape, strategy_override,
                                  key);
   if (!built.ok()) return built.status();
   plan_cache_->Put(*built);
@@ -223,9 +228,9 @@ Result<EngineRun> CpuTadocEngine::Run(
   // Phase 1: data-structure preparation. Building the DAG view costs one
   // pass over every rule body plus the aggregation maps.
   uint64_t init_ops = 0;
-  for (uint32_t r = 0; r < dag_.num_rules(); ++r) {
-    init_ops += 2ull * dag_.body_size(r);
-    init_ops += dag_.children(r).size() + dag_.words(r).size();
+  for (uint32_t r = 0; r < dag().num_rules(); ++r) {
+    init_ops += 2ull * dag().body_size(r);
+    init_ops += dag().children(r).size() + dag().words(r).size();
   }
   init_meter.Charge(init_ops);
 
@@ -331,7 +336,7 @@ AnalyticsResult CpuTadocEngine::GlobalTopDown(const TaskKernel& kernel,
   const TaskInput input = MakeInput();
   const WordFilter& filter = plan.filter;
   const StateLayout& layout = kernel.Layout(TraversalStrategy::kTopDown);
-  const uint32_t n = static_cast<uint32_t>(dag_.num_rules());
+  const uint32_t n = static_cast<uint32_t>(dag().num_rules());
 
   // Rule occurrence weights carried in layout state over a host arena at the
   // plan's offsets, parents before children (Algorithm 1's effect, computed
@@ -341,8 +346,8 @@ AnalyticsResult CpuTadocEngine::GlobalTopDown(const TaskKernel& kernel,
   CpuStateOps ops(meter);
   for (uint32_t r = 0; r < n; ++r) layout.Init(arena.at(r), ops);
   layout.Absorb(arena.at(0), 0, 1, ops);
-  for (uint32_t r : dag_.topo_order()) {
-    for (const RuleChildEntry& e : dag_.children(r)) {
+  for (uint32_t r : dag().topo_order()) {
+    for (const RuleChildEntry& e : dag().children(r)) {
       layout.Merge(arena.at(e.child), arena.at(r), e.freq, ops);
       meter->Charge(1);  // the readiness bookkeeping of the parallel rounds
     }
@@ -358,7 +363,7 @@ AnalyticsResult CpuTadocEngine::GlobalTopDown(const TaskKernel& kernel,
   for (uint32_t r = 0; r < n; ++r) {
     const uint64_t weight = weight_of(r);
     if (weight == 0) continue;
-    for (const RuleWordEntry& w : dag_.words(r)) {
+    for (const RuleWordEntry& w : dag().words(r)) {
       if (!filter.Accepts(w.word)) {
         meter->Charge(1);
         continue;
@@ -387,12 +392,12 @@ AnalyticsResult CpuTadocEngine::GlobalBottomUp(const TaskKernel& kernel,
   // to accepted words and shaped by the kernel's bottom-up layout over the
   // plan's regions.
   HostStateArena arena;
-  BuildRuleStatesCpu(dag_, plan, layout, meter, &arena);
+  BuildRuleStatesCpu(dag(), plan, layout, meter, &arena);
   CpuStateOps ops(meter);
 
   // Reduce from the root and its direct children (level-2 nodes).
   std::unordered_map<uint32_t, uint64_t> counts;
-  for (const RuleWordEntry& w : dag_.words(0)) {
+  for (const RuleWordEntry& w : dag().words(0)) {
     if (!filter.Accepts(w.word)) {
       meter->Charge(1);
       continue;
@@ -400,7 +405,7 @@ AnalyticsResult CpuTadocEngine::GlobalBottomUp(const TaskKernel& kernel,
     counts[w.word] += w.freq;
     meter->Charge(kCpuHashUpdateOps);
   }
-  for (const RuleChildEntry& e : dag_.children(0)) {
+  for (const RuleChildEntry& e : dag().children(0)) {
     layout.ForEach(arena.at(e.child), ops, [&](uint32_t word, uint64_t c) {
       counts[word] += c * e.freq;
       meter->Charge(kCpuHashUpdateOps);
@@ -427,7 +432,7 @@ AnalyticsResult CpuTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
   const std::vector<uint8_t>& relevant = plan.relevant;
   const uint32_t num_files = g_->num_files();
   const StateLayout& layout = kernel.Layout(TraversalStrategy::kTopDown);
-  const uint32_t n = static_cast<uint32_t>(dag_.num_rules());
+  const uint32_t n = static_cast<uint32_t>(dag().num_rules());
 
   // Per-rule file state: how rule r's occurrences distribute over files, in
   // whatever shape the kernel's layout declares, at the plan's resolved
@@ -463,9 +468,9 @@ AnalyticsResult CpuTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
 
   // Topological propagation of the file states, pruned to relevant subtrees
   // (the layout's cross-chunk reduce along each DAG edge).
-  for (uint32_t r : dag_.topo_order()) {
+  for (uint32_t r : dag().topo_order()) {
     if (r == 0 || relevant[r] == 0) continue;
-    for (const RuleChildEntry& e : dag_.children(r)) {
+    for (const RuleChildEntry& e : dag().children(r)) {
       if (relevant[e.child] == 0) continue;
       layout.Merge(arena.at(e.child), arena.at(r), e.freq, ops);
     }
@@ -474,7 +479,7 @@ AnalyticsResult CpuTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
   // Reduce: accepted local words scaled by the rule's per-file state.
   for (uint32_t r = 1; r < n; ++r) {
     if (relevant[r] == 0) continue;
-    for (const RuleWordEntry& w : dag_.words(r)) {
+    for (const RuleWordEntry& w : dag().words(r)) {
       if (!filter.Accepts(w.word)) continue;
       layout.ForEach(arena.at(r), ops, [&](uint32_t file, uint64_t fw) {
         tv[file][w.word] += static_cast<uint64_t>(w.freq) * fw;
@@ -503,7 +508,7 @@ AnalyticsResult CpuTadocEngine::FileTaskBottomUp(const TaskKernel& kernel,
   // (states of rules without accepted words stay empty, pruning the root
   // scan below for free).
   HostStateArena arena;
-  BuildRuleStatesCpu(dag_, plan, layout, meter, &arena);
+  BuildRuleStatesCpu(dag(), plan, layout, meter, &arena);
   CpuStateOps ops(meter);
 
   // Root scan: each level-2 occurrence merges its state into the

@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "analytics/document_index.h"
 #include "analytics/engine.h"
 #include "analytics/query_spec.h"
 #include "analytics/results.h"
@@ -53,10 +54,15 @@ struct CpuTadocOptions : QuerySpec {
 /// measured.
 class CpuTadocEngine {
  public:
-  /// Validates the grammar and builds the DAG (counted as phase 1 on the
-  /// first Run; Create itself is cheap bookkeeping).
+  /// Builds the grammar's DocumentIndex (validating it) and creates the
+  /// engine over it. The DAG walk is counted as phase 1 on every Run.
   static Result<CpuTadocEngine> Create(const Grammar* g,
                                        const CpuTadocOptions& options);
+  /// Creates the engine over `g`'s prebuilt index (shared: the engine keeps
+  /// a reference, so serving layers build each document's index once).
+  static Result<CpuTadocEngine> Create(
+      const Grammar* g, std::shared_ptr<const DocumentIndex> index,
+      const CpuTadocOptions& options);
 
   /// Runs one task; `strategy_override` replaces options.strategy when not
   /// kAuto (used by the Section VI-C experiment).
@@ -75,7 +81,7 @@ class CpuTadocEngine {
       TraversalStrategy strategy_override = TraversalStrategy::kAuto,
       double* probe_seconds = nullptr);
 
-  const DagView& dag() const { return dag_; }
+  const DagView& dag() const { return index_->dag; }
   /// The strategy the selector would pick for `task`.
   TraversalStrategy ChosenStrategy(Task task) const;
   /// The engine's plan cache (owned or shared; diagnostics/serving stats).
@@ -87,8 +93,9 @@ class CpuTadocEngine {
       TraversalStrategy strategy_override = TraversalStrategy::kAuto) const;
 
  private:
-  CpuTadocEngine(const Grammar* g, DagView dag, const CpuTadocOptions& options)
-      : g_(g), dag_(std::move(dag)), options_(options) {}
+  CpuTadocEngine(const Grammar* g, std::shared_ptr<const DocumentIndex> index,
+                 const CpuTadocOptions& options)
+      : g_(g), index_(std::move(index)), options_(options) {}
 
   /// The engine's charged planning passes (cpu_engine.cc): relevance/bounds
   /// as metered reverse-topological loops, the GPU passes' twins.
@@ -126,9 +133,8 @@ class CpuTadocEngine {
   std::vector<uint32_t> RootFileIds(CpuCostMeter* meter) const;
 
   const Grammar* g_;
-  DagView dag_;
+  std::shared_ptr<const DocumentIndex> index_;
   CpuTadocOptions options_;
-  uint64_t grammar_fp_ = 0;
   /// The engine's plan cache when options_.plan_cache is null (shared so the
   /// value-type engine stays copyable).
   std::shared_ptr<PlanCache> owned_plan_cache_;

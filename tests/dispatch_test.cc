@@ -539,7 +539,8 @@ TEST(DispatchTest, DeviceGroupRefusesCpuWork) {
   sopt.num_devices = 2;
   auto sharded = ShardedCorpus::Create(&mc.corpus, sopt);
   ASSERT_TRUE(sharded.ok());
-  DeviceGroup group(sharded->get());
+  CorpusIndex index(&mc.corpus.partitions);
+  DeviceGroup group(sharded->get(), &index);
 
   const std::vector<uint8_t> all(mc.corpus.partitions.size(), 1);
   ShardedCorpus::RoutePlan route = (*sharded)->Route(all, {}, {});
