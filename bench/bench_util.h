@@ -46,11 +46,18 @@ inline PreparedDataset Prepare(const DatasetSpec& spec, double scale = 1.0) {
 }
 
 /// Environment knob: GTADOC_BENCH_SCALE shrinks every dataset (CI smoke).
+/// Unset means 1.0; anything but a finite positive number exits with 2.
 inline double BenchScale() {
   const char* env = std::getenv("GTADOC_BENCH_SCALE");
   if (env == nullptr) return 1.0;
-  const double v = std::atof(env);
-  return v > 0 ? v : 1.0;
+  char* end = nullptr;
+  const double v = std::strtod(env, &end);
+  if (end == env || *end != '\0' || !std::isfinite(v) || v <= 0) {
+    std::fprintf(stderr,
+                 "GTADOC_BENCH_SCALE='%s' is not a positive number\n", env);
+    std::exit(2);
+  }
+  return v;
 }
 
 /// Geometric mean helper for "average speedup" rows (paper convention).

@@ -134,7 +134,13 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   if (cmd == "compress") return Compress(argc, argv);
   if (cmd == "stats") return Stats(argv[2]);
-  if (cmd == "run" && argc >= 4) return RunTask(argv[2], argv[3]);
+  if (cmd == "run") {
+    if (argc < 4) {
+      std::fprintf(stderr, "usage: tdc_tool run <file.tdc> <task>\n");
+      return 2;
+    }
+    return RunTask(argv[2], argv[3]);
+  }
   if (cmd == "decompress") return Decompress(argv[2]);
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
   return 2;

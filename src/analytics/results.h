@@ -1,10 +1,14 @@
 #ifndef GTADOC_ANALYTICS_RESULTS_H_
 #define GTADOC_ANALYTICS_RESULTS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/span.h"
 
 namespace gtadoc {
 
@@ -49,13 +53,60 @@ using InvertedIndexResult = std::map<uint32_t, std::vector<uint32_t>>;
 using TermVectorResult =
     std::vector<std::vector<std::pair<uint32_t, uint64_t>>>;
 
-/// (file id, l-gram) -> count. The l-gram is the concatenated word ids.
-using SequenceCountResult =
-    std::map<std::pair<uint32_t, std::vector<uint32_t>>, uint64_t>;
+/// (file id, l-gram) -> count as parallel arrays sorted by (file, gram),
+/// one entry per distinct key. Entry i is file `files[i]`, gram `gram(i)`
+/// (the word ids `words[i * ngram_len, (i + 1) * ngram_len)`) and count
+/// `counts[i]`.
+struct SequenceCountResult {
+  uint32_t ngram_len = 0;  ///< l; implied by the arrays when non-empty
+  std::vector<uint32_t> files;
+  std::vector<uint32_t> words;
+  std::vector<uint64_t> counts;
 
-/// l-gram -> (file id, count) ordered by count desc, file id asc.
-using RankedInvertedIndexResult =
-    std::map<std::vector<uint32_t>, std::vector<std::pair<uint32_t, uint64_t>>>;
+  size_t size() const { return counts.size(); }
+  bool empty() const { return counts.empty(); }
+  Span<uint32_t> gram(size_t i) const {
+    return Span<uint32_t>(words.data() + i * ngram_len, ngram_len);
+  }
+  /// The count of (file, gram); 0 when absent.
+  uint64_t Count(uint32_t file, const std::vector<uint32_t>& gram) const;
+
+  /// Equal entries (ngram_len is implied by the arrays).
+  bool operator==(const SequenceCountResult& o) const {
+    return files == o.files && words == o.words && counts == o.counts;
+  }
+};
+
+/// l-gram -> postings (file id, count), grams ascending. CSR: gram g is the
+/// word ids `grams[g * ngram_len, (g + 1) * ngram_len)` and its postings are
+/// `postings[offsets[g], offsets[g + 1])`, ordered by count desc, file id
+/// asc. `offsets` always starts with 0, so it holds size() + 1 entries.
+struct RankedInvertedIndexResult {
+  using Posting = std::pair<uint32_t, uint64_t>;
+
+  uint32_t ngram_len = 0;  ///< l; implied by the arrays when non-empty
+  std::vector<uint32_t> grams;
+  std::vector<uint64_t> offsets = {0};
+  std::vector<Posting> postings;
+
+  /// Number of distinct grams.
+  size_t size() const { return offsets.size() - 1; }
+  bool empty() const { return size() == 0; }
+  Span<uint32_t> gram(size_t g) const {
+    return Span<uint32_t>(grams.data() + g * ngram_len, ngram_len);
+  }
+  Span<Posting> postings_at(size_t g) const {
+    return Span<Posting>(postings.data() + offsets[g],
+                         offsets[g + 1] - offsets[g]);
+  }
+  /// The postings of `gram`; empty when absent.
+  Span<Posting> Postings(const std::vector<uint32_t>& gram) const;
+
+  /// Equal grams and postings (ngram_len is implied by the arrays).
+  bool operator==(const RankedInvertedIndexResult& o) const {
+    return grams == o.grams && offsets == o.offsets && postings == o.postings;
+  }
+};
 
 /// (file id, total query-word hits) for every file containing at least one
 /// query word, ordered by file id asc.

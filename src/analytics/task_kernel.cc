@@ -298,8 +298,7 @@ void TaskKernel::AssembleFileWord(const TaskInput& input, uint32_t num_files,
 }
 
 void TaskKernel::AssembleSequence(const TaskInput& input,
-                                  std::vector<gpu::NgramCount> counts,
-                                  AssemblyOps* ops,
+                                  gpu::NgramCounts counts, AssemblyOps* ops,
                                   AnalyticsResult* out) const {
   (void)input;
   (void)counts;
@@ -665,6 +664,185 @@ class TermVectorKernel : public TaskKernel {
   }
 };
 
+// ------------------------------------------------------ flat n-gram tables ---
+//
+// Both sequence results are flat tables (analytics/results.h). The helpers
+// below work on any table with `ngram_len`/`files`/`words`/`counts` arrays:
+// gpu::NgramCounts (drained, any order) and SequenceCountResult.
+
+/// One (file, gram, count) entry packed for sorting: the gram's L words sit
+/// inline, so std::sort moves the keys themselves instead of chasing an
+/// index permutation through the arrays. L == 0 stands for longer grams,
+/// which are compared through their offset into the source word pool.
+template <uint32_t L>
+struct GramRecord {
+  static constexpr uint32_t kLen = L;
+  uint32_t file;
+  uint32_t w[L];
+  uint64_t count;
+
+  void Set(uint32_t f, const uint32_t* pool, size_t off, uint64_t c) {
+    file = f;
+    std::copy_n(pool + off, L, w);
+    count = c;
+  }
+  const uint32_t* gram(const uint32_t* pool) const {
+    (void)pool;
+    return w;
+  }
+};
+
+template <>
+struct GramRecord<0> {
+  static constexpr uint32_t kLen = 0;
+  uint32_t file;
+  size_t off;
+  uint64_t count;
+
+  void Set(uint32_t f, const uint32_t* pool, size_t o, uint64_t c) {
+    (void)pool;
+    file = f;
+    off = o;
+    count = c;
+  }
+  const uint32_t* gram(const uint32_t* pool) const { return pool + off; }
+};
+
+/// Calls fn(GramRecord<l>()) for the inline lengths, fn(GramRecord<0>())
+/// otherwise.
+template <typename Fn>
+void WithGramRecord(uint32_t l, Fn&& fn) {
+  switch (l) {
+    case 2: return fn(GramRecord<2>());
+    case 3: return fn(GramRecord<3>());
+    case 4: return fn(GramRecord<4>());
+    case 5: return fn(GramRecord<5>());
+    case 6: return fn(GramRecord<6>());
+    case 7: return fn(GramRecord<7>());
+    case 8: return fn(GramRecord<8>());
+    default: return fn(GramRecord<0>());
+  }
+}
+
+/// Lexicographic three-way comparison of two l-word grams.
+int CompareGrams(const uint32_t* a, const uint32_t* b, uint32_t l) {
+  for (uint32_t k = 0; k < l; ++k) {
+    if (a[k] != b[k]) return a[k] < b[k] ? -1 : 1;
+  }
+  return 0;
+}
+
+template <typename R, typename Table>
+std::vector<R> PackRecords(const Table& t) {
+  std::vector<R> recs(t.counts.size());
+  for (size_t i = 0; i < recs.size(); ++i) {
+    recs[i].Set(t.files[i], t.words.data(), i * t.ngram_len, t.counts[i]);
+  }
+  return recs;
+}
+
+/// True when every entry's (file, gram) is strictly greater than the
+/// previous one's.
+template <typename Table>
+bool StrictlyAscendingByFileGram(const Table& t) {
+  const uint32_t l = t.ngram_len;
+  for (size_t i = 1; i < t.counts.size(); ++i) {
+    if (t.files[i - 1] != t.files[i]) {
+      if (t.files[i - 1] > t.files[i]) return false;
+    } else if (CompareGrams(&t.words[(i - 1) * l], &t.words[i * l], l) >= 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Orders `t` by (file, gram) and sums the counts of equal keys into one
+/// entry. A table that already is strictly ascending costs one scan.
+template <typename Table>
+void SortByFileGram(Table* t) {
+  if (StrictlyAscendingByFileGram(*t)) return;
+  WithGramRecord(t->ngram_len, [t](auto tag) {
+    using R = decltype(tag);
+    const uint32_t l = R::kLen != 0 ? R::kLen : t->ngram_len;
+    const uint32_t* pool = t->words.data();
+    std::vector<R> recs = PackRecords<R>(*t);
+    std::sort(recs.begin(), recs.end(), [pool, l](const R& a, const R& b) {
+      if (a.file != b.file) return a.file < b.file;
+      return CompareGrams(a.gram(pool), b.gram(pool), l) < 0;
+    });
+    std::vector<uint32_t> words(t->words.size());
+    size_t n = 0;
+    for (size_t i = 0; i < recs.size(); ++i) {
+      const uint32_t* g = recs[i].gram(pool);
+      if (n > 0 && recs[i].file == t->files[n - 1] &&
+          CompareGrams(recs[i - 1].gram(pool), g, l) == 0) {
+        t->counts[n - 1] += recs[i].count;
+        continue;
+      }
+      t->files[n] = recs[i].file;
+      t->counts[n] = recs[i].count;
+      std::copy_n(g, l, words.begin() + n * l);
+      ++n;
+    }
+    t->files.resize(n);
+    t->counts.resize(n);
+    words.resize(n * l);
+    t->words = std::move(words);
+  });
+}
+
+/// Groups the entries of `t` (any order) by gram: grams ascending, each
+/// gram's postings by count desc then file asc. Entries with an equal
+/// (file, gram) stay separate postings.
+template <typename Table>
+RankedInvertedIndexResult RankByGram(const Table& t) {
+  RankedInvertedIndexResult r;
+  r.ngram_len = t.ngram_len;
+  WithGramRecord(t.ngram_len, [&t, &r](auto tag) {
+    using R = decltype(tag);
+    const uint32_t l = R::kLen != 0 ? R::kLen : t.ngram_len;
+    const uint32_t* pool = t.words.data();
+    std::vector<R> recs = PackRecords<R>(t);
+    std::sort(recs.begin(), recs.end(), [pool, l](const R& a, const R& b) {
+      const int c = CompareGrams(a.gram(pool), b.gram(pool), l);
+      if (c != 0) return c < 0;
+      if (a.count != b.count) return a.count > b.count;
+      return a.file < b.file;
+    });
+    r.postings.reserve(recs.size());
+    for (size_t i = 0; i < recs.size(); ++i) {
+      const uint32_t* g = recs[i].gram(pool);
+      if (i == 0 || CompareGrams(recs[i - 1].gram(pool), g, l) != 0) {
+        if (i > 0) r.offsets.push_back(i);
+        r.grams.insert(r.grams.end(), g, g + l);
+      }
+      r.postings.emplace_back(recs[i].file, recs[i].count);
+    }
+    if (!recs.empty()) r.offsets.push_back(recs.size());
+  });
+  return r;
+}
+
+/// Every window of every file as one (file, gram, 1) entry, charging
+/// `meter` the CPU engines' per-window ordered-map insert.
+SequenceCountResult UncompressedWindows(
+    const std::vector<std::vector<uint32_t>>& files, uint32_t l,
+    CpuCostMeter* meter) {
+  SequenceCountResult windows;
+  windows.ngram_len = l;
+  for (uint32_t f = 0; f < files.size(); ++f) {
+    const auto& file = files[f];
+    for (size_t i = 0; i + l <= file.size(); ++i) {
+      windows.files.push_back(f);
+      windows.words.insert(windows.words.end(), file.begin() + i,
+                           file.begin() + i + l);
+      windows.counts.push_back(1);
+      if (meter != nullptr) meter->Charge(2 * l + kCpuSeqMapDescentOps);
+    }
+  }
+  return windows;
+}
+
 // ----------------------------------------------------------- sequenceCount ---
 
 class SequenceCountKernel : public TaskKernel {
@@ -673,22 +851,36 @@ class SequenceCountKernel : public TaskKernel {
   const char* name() const override { return "sequenceCount"; }
   TraversalShape shape() const override { return TraversalShape::kSequence; }
 
-  void AssembleSequence(const TaskInput& input,
-                        std::vector<gpu::NgramCount> counts, AssemblyOps* ops,
-                        AnalyticsResult* out) const override {
+  void AssembleSequence(const TaskInput& input, gpu::NgramCounts counts,
+                        AssemblyOps* ops, AnalyticsResult* out) const override {
     (void)input;
     ops->ChargeUpdates(counts.size());
-    for (auto& nc : counts) {
-      out->sequence_count[{nc.file, std::move(nc.words)}] += nc.count;
-    }
+    SequenceCountResult& r = out->sequence_count;
+    r.ngram_len = counts.ngram_len;
+    r.files = std::move(counts.files);
+    r.words = std::move(counts.words);
+    r.counts = std::move(counts.counts);
+    SortByFileGram(&r);
   }
 
+  /// Appends the document's entries with their files offset. Documents merge
+  /// in ascending file_base in corpus order, so the appended table stays
+  /// sorted and FinalizeMerge only scans it.
   void Merge(const AnalyticsResult& doc, uint32_t file_base,
              AnalyticsResult* acc, uint64_t* merge_ops) const override {
-    for (const auto& [key, c] : doc.sequence_count) {
-      acc->sequence_count[{key.first + file_base, key.second}] = c;
-      ++*merge_ops;
-    }
+    const SequenceCountResult& d = doc.sequence_count;
+    if (d.empty()) return;
+    SequenceCountResult& a = acc->sequence_count;
+    a.ngram_len = d.ngram_len;
+    for (uint32_t f : d.files) a.files.push_back(f + file_base);
+    a.words.insert(a.words.end(), d.words.begin(), d.words.end());
+    a.counts.insert(a.counts.end(), d.counts.begin(), d.counts.end());
+    *merge_ops += d.size();
+  }
+
+  void FinalizeMerge(AnalyticsResult* acc, uint64_t* merge_ops) const override {
+    (void)merge_ops;
+    SortByFileGram(&acc->sequence_count);
   }
 
   uint64_t ResultBytes(const AnalyticsResult& r,
@@ -703,10 +895,11 @@ class SequenceCountKernel : public TaskKernel {
 
   void DigestFold(const AnalyticsResult& r, uint64_t* h,
                   size_t* entries) const override {
-    for (const auto& [key, c] : r.sequence_count) {
-      *h = HashCombine(*h, key.first);
-      for (uint32_t w : key.second) *h = HashCombine(*h, w);
-      *h = HashCombine(*h, c);
+    const SequenceCountResult& t = r.sequence_count;
+    for (size_t i = 0; i < t.size(); ++i) {
+      *h = HashCombine(*h, t.files[i]);
+      for (uint32_t w : t.gram(i)) *h = HashCombine(*h, w);
+      *h = HashCombine(*h, t.counts[i]);
       ++*entries;
     }
   }
@@ -716,16 +909,8 @@ class SequenceCountKernel : public TaskKernel {
       CpuCostMeter* meter) const override {
     AnalyticsResult out;
     out.task = Task::kSequenceCount;
-    const uint32_t l = input.ngram_len;
-    for (uint32_t f = 0; f < files.size(); ++f) {
-      const auto& file = files[f];
-      if (file.size() < l) continue;
-      for (size_t i = 0; i + l <= file.size(); ++i) {
-        std::vector<uint32_t> gram(file.begin() + i, file.begin() + i + l);
-        ++out.sequence_count[{f, std::move(gram)}];
-        if (meter != nullptr) meter->Charge(2 * l + kCpuSeqMapDescentOps);
-      }
-    }
+    out.sequence_count = UncompressedWindows(files, input.ngram_len, meter);
+    SortByFileGram(&out.sequence_count);
     return out;
   }
 };
@@ -738,54 +923,68 @@ class RankedInvertedIndexKernel : public TaskKernel {
   const char* name() const override { return "rankedInvertedIndex"; }
   TraversalShape shape() const override { return TraversalShape::kSequence; }
 
-  void AssembleSequence(const TaskInput& input,
-                        std::vector<gpu::NgramCount> counts, AssemblyOps* ops,
-                        AnalyticsResult* out) const override {
+  void AssembleSequence(const TaskInput& input, gpu::NgramCounts counts,
+                        AssemblyOps* ops, AnalyticsResult* out) const override {
     (void)input;
-    uint64_t entries = 0;
-    for (auto& nc : counts) {
-      out->ranked_inverted_index[std::move(nc.words)].emplace_back(nc.file,
-                                                                   nc.count);
-      ++entries;
-    }
-    ops->ChargeUpdates(2 * entries);
-    ops->ChargeGroupSort(out->ranked_inverted_index.size(), entries);
-    Canonicalize(out);
+    out->ranked_inverted_index = RankByGram(counts);
+    ops->ChargeUpdates(2 * counts.size());
+    ops->ChargeGroupSort(out->ranked_inverted_index.size(), counts.size());
   }
 
   void Canonicalize(AnalyticsResult* r) const override {
-    for (auto& [gram, files] : r->ranked_inverted_index) {
-      (void)gram;
-      std::sort(files.begin(), files.end(), CountDescIdAsc);
+    RankedInvertedIndexResult& t = r->ranked_inverted_index;
+    for (size_t g = 0; g < t.size(); ++g) {
+      std::sort(t.postings.begin() + t.offsets[g],
+                t.postings.begin() + t.offsets[g + 1], CountDescIdAsc);
     }
   }
 
+  /// Appends the document's gram blocks with their files offset; equal
+  /// grams of different documents are coalesced by FinalizeMerge.
   void Merge(const AnalyticsResult& doc, uint32_t file_base,
              AnalyticsResult* acc, uint64_t* merge_ops) const override {
-    for (const auto& [gram, files] : doc.ranked_inverted_index) {
-      auto& list = acc->ranked_inverted_index[gram];
-      for (const auto& [f, c] : files) list.emplace_back(f + file_base, c);
-      *merge_ops += files.size();
+    const RankedInvertedIndexResult& d = doc.ranked_inverted_index;
+    if (d.empty()) return;
+    RankedInvertedIndexResult& a = acc->ranked_inverted_index;
+    a.ngram_len = d.ngram_len;
+    a.grams.insert(a.grams.end(), d.grams.begin(), d.grams.end());
+    const uint64_t base = a.postings.size();
+    for (size_t g = 1; g < d.offsets.size(); ++g) {
+      a.offsets.push_back(base + d.offsets[g]);
     }
+    for (const auto& [f, c] : d.postings) {
+      a.postings.emplace_back(f + file_base, c);
+    }
+    *merge_ops += d.postings.size();
   }
 
   void FinalizeMerge(AnalyticsResult* acc, uint64_t* merge_ops) const override {
-    for (auto& [gram, files] : acc->ranked_inverted_index) {
-      (void)gram;
-      std::sort(files.begin(), files.end(), CountDescIdAsc);
-      *merge_ops += files.size() * 2;
+    RankedInvertedIndexResult& a = acc->ranked_inverted_index;
+    *merge_ops += a.postings.size() * 2;
+    bool ascending = true;
+    for (size_t g = 1; g < a.size() && ascending; ++g) {
+      ascending = CompareGrams(a.gram(g - 1).begin(), a.gram(g).begin(),
+                               a.ngram_len) < 0;
     }
-    Canonicalize(acc);
+    if (ascending) {
+      Canonicalize(acc);
+      return;
+    }
+    // Equal grams from several documents: re-rank all postings in one sort.
+    gpu::NgramCounts entries;
+    entries.ngram_len = a.ngram_len;
+    for (size_t g = 0; g < a.size(); ++g) {
+      for (const auto& [f, c] : a.postings_at(g)) {
+        entries.Add(f, a.gram(g).begin(), c);
+      }
+    }
+    a = RankByGram(entries);
   }
 
   uint64_t ResultBytes(const AnalyticsResult& r,
                        uint32_t ngram_len) const override {
-    uint64_t bytes = 0;
-    for (const auto& [gram, files] : r.ranked_inverted_index) {
-      (void)gram;
-      bytes += 4ull * ngram_len + files.size() * 12;
-    }
-    return bytes;
+    const RankedInvertedIndexResult& t = r.ranked_inverted_index;
+    return t.size() * 4ull * ngram_len + t.postings.size() * 12;
   }
 
   bool Equal(const AnalyticsResult& a,
@@ -795,9 +994,10 @@ class RankedInvertedIndexKernel : public TaskKernel {
 
   void DigestFold(const AnalyticsResult& r, uint64_t* h,
                   size_t* entries) const override {
-    for (const auto& [ngram, files] : r.ranked_inverted_index) {
-      for (uint32_t w : ngram) *h = HashCombine(*h, w);
-      for (const auto& [f, c] : files) {
+    const RankedInvertedIndexResult& t = r.ranked_inverted_index;
+    for (size_t g = 0; g < t.size(); ++g) {
+      for (uint32_t w : t.gram(g)) *h = HashCombine(*h, w);
+      for (const auto& [f, c] : t.postings_at(g)) {
         *h = HashCombine(HashCombine(*h, f), c);
       }
       ++*entries;
@@ -809,24 +1009,12 @@ class RankedInvertedIndexKernel : public TaskKernel {
       CpuCostMeter* meter) const override {
     AnalyticsResult out;
     out.task = Task::kRankedInvertedIndex;
-    const uint32_t l = input.ngram_len;
-    std::map<std::vector<uint32_t>, std::unordered_map<uint32_t, uint64_t>>
-        per_gram;
-    for (uint32_t f = 0; f < files.size(); ++f) {
-      const auto& file = files[f];
-      if (file.size() < l) continue;
-      for (size_t i = 0; i + l <= file.size(); ++i) {
-        std::vector<uint32_t> gram(file.begin() + i, file.begin() + i + l);
-        ++per_gram[std::move(gram)][f];
-        if (meter != nullptr) meter->Charge(2 * l + kCpuSeqMapDescentOps);
-      }
-    }
-    for (auto& [gram, counts] : per_gram) {
-      auto& list = out.ranked_inverted_index[gram];
-      list.assign(counts.begin(), counts.end());
-      std::sort(list.begin(), list.end(), CountDescIdAsc);
-      if (meter != nullptr) meter->Charge(counts.size() * 4);
-    }
+    SequenceCountResult counts =
+        UncompressedWindows(files, input.ngram_len, meter);
+    SortByFileGram(&counts);
+    // Ranking each gram's (file, count) list: 4 ops per posting.
+    if (meter != nullptr) meter->Charge(counts.size() * 4);
+    out.ranked_inverted_index = RankByGram(counts);
     return out;
   }
 };
@@ -1254,13 +1442,16 @@ class PhraseSearchKernel : public TaskKernel {
     return false;
   }
 
-  void AssembleSequence(const TaskInput& input,
-                        std::vector<gpu::NgramCount> counts, AssemblyOps* ops,
-                        AnalyticsResult* out) const override {
+  void AssembleSequence(const TaskInput& input, gpu::NgramCounts counts,
+                        AssemblyOps* ops, AnalyticsResult* out) const override {
     auto match = [&counts](const std::vector<uint32_t>& phrase) {
       std::map<uint32_t, uint64_t> hits;
-      for (const gpu::NgramCount& nc : counts) {
-        if (nc.words == phrase) hits[nc.file] += nc.count;
+      if (phrase.size() == counts.ngram_len) {
+        for (size_t i = 0; i < counts.size(); ++i) {
+          if (std::equal(phrase.begin(), phrase.end(), counts.gram(i))) {
+            hits[counts.files[i]] += counts.counts[i];
+          }
+        }
       }
       return PhraseSearchResult(hits.begin(), hits.end());
     };

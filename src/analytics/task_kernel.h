@@ -282,10 +282,11 @@ class TaskKernel {
   virtual void AssembleFileWord(const TaskInput& input, uint32_t num_files,
                                 const std::vector<FileWordCount>& counts,
                                 AssemblyOps* ops, AnalyticsResult* out) const;
-  /// kSequence: builds the result from drained (file, gram, count) entries.
+  /// kSequence: builds the result from drained (file, gram, count) entries
+  /// (flat arrays, order unspecified, one entry per key).
   virtual void AssembleSequence(const TaskInput& input,
-                                std::vector<gpu::NgramCount> counts,
-                                AssemblyOps* ops, AnalyticsResult* out) const;
+                                gpu::NgramCounts counts, AssemblyOps* ops,
+                                AnalyticsResult* out) const;
 
   // --- result operations (absorbed from the old results.cc switches) ------
   /// Canonical ordering of ties the task definition leaves ambiguous.

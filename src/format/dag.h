@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/span.h"
 #include "format/grammar.h"
 
 namespace gtadoc {
@@ -21,24 +22,6 @@ struct RuleChildEntry {
 struct RuleWordEntry {
   uint32_t word;
   uint32_t freq;
-};
-
-/// A read-only view of one rule's aggregated entries inside a DagView's flat
-/// arrays: `size`/`empty`/`[]` and range-for. Valid while the view lives.
-template <typename T>
-class DagSpan {
- public:
-  DagSpan(const T* data, size_t size) : data_(data), size_(size) {}
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  const T& operator[](size_t i) const { return data_[i]; }
-  const T* begin() const { return data_; }
-  const T* end() const { return data_ + size_; }
-
- private:
-  const T* data_;
-  size_t size_;
 };
 
 /// \brief DAG interpretation of a grammar (Figure 1(e)).
@@ -60,14 +43,14 @@ class DagView {
 
   size_t num_rules() const { return in_edges_nonroot_.size(); }
 
-  DagSpan<RuleChildEntry> children(uint32_t r) const {
+  Span<RuleChildEntry> children(uint32_t r) const {
     return Row(children_, child_off_, r);
   }
-  DagSpan<RuleWordEntry> words(uint32_t r) const {
+  Span<RuleWordEntry> words(uint32_t r) const {
     return Row(words_, word_off_, r);
   }
   /// Distinct parent rule indices (the root appears as parent index 0).
-  DagSpan<uint32_t> parents(uint32_t r) const {
+  Span<uint32_t> parents(uint32_t r) const {
     return Row(parents_, parent_off_, r);
   }
 
@@ -95,9 +78,9 @@ class DagView {
 
  private:
   template <typename T>
-  static DagSpan<T> Row(const std::vector<T>& flat,
+  static Span<T> Row(const std::vector<T>& flat,
                         const std::vector<uint32_t>& off, uint32_t r) {
-    return DagSpan<T>(flat.data() + off[r], off[r + 1] - off[r]);
+    return Span<T>(flat.data() + off[r], off[r + 1] - off[r]);
   }
 
   // CSR: row r of each kind is [off[r], off[r + 1]) of its flat array.

@@ -137,18 +137,20 @@ uint64_t GpuNgramTable::Lookup(uint32_t file, const uint32_t* words) const {
   return total;
 }
 
-std::vector<NgramCount> GpuNgramTable::Drain() const {
+NgramCounts GpuNgramTable::Drain() const {
   const uint32_t used =
       std::min<uint32_t>(node_cursor_.load(std::memory_order_relaxed),
                          static_cast<uint32_t>(files_.size()));
-  std::vector<NgramCount> out;
-  out.reserve(used);
+  // Node n's key lives at n * l in the pool, so the pool's first used * l
+  // words are the drained grams in node order.
+  NgramCounts out;
+  out.ngram_len = l_;
+  out.files.assign(files_.data(), files_.data() + used);
+  out.words.assign(key_pool_.data(),
+                   key_pool_.data() + static_cast<size_t>(used) * l_);
+  out.counts.resize(used);
   for (uint32_t i = 0; i < used; ++i) {
-    NgramCount nc;
-    nc.file = files_[i];
-    nc.words.assign(&key_pool_[key_offsets_[i]], &key_pool_[key_offsets_[i]] + l_);
-    nc.count = values_[i].load(std::memory_order_relaxed);
-    out.push_back(std::move(nc));
+    out.counts[i] = values_[i].load(std::memory_order_relaxed);
   }
   return out;
 }

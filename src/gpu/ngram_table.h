@@ -2,6 +2,7 @@
 #define GTADOC_GPU_NGRAM_TABLE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -11,11 +12,28 @@
 namespace gtadoc {
 namespace gpu {
 
-/// One drained n-gram count.
-struct NgramCount {
-  uint32_t file = 0;
+/// \brief Drained (file, l-gram) -> count entries as flat parallel arrays.
+///
+/// Entry i is file `files[i]`, gram `words[i * ngram_len, (i + 1) *
+/// ngram_len)` and count `counts[i]`: the node array and key pool of
+/// GpuNgramTable copied out as they are, with no allocation per entry.
+struct NgramCounts {
+  uint32_t ngram_len = 0;
+  std::vector<uint32_t> files;
   std::vector<uint32_t> words;
-  uint64_t count = 0;
+  std::vector<uint64_t> counts;
+
+  size_t size() const { return counts.size(); }
+  /// Entry i's l words.
+  const uint32_t* gram(size_t i) const {
+    return words.data() + i * ngram_len;
+  }
+  /// Appends one entry; `gram` holds ngram_len words.
+  void Add(uint32_t file, const uint32_t* gram, uint64_t count) {
+    files.push_back(file);
+    words.insert(words.end(), gram, gram + ngram_len);
+    counts.push_back(count);
+  }
 };
 
 /// \brief Thread-safe GPU table keyed by (file, l-word sequence) with exact
@@ -44,8 +62,8 @@ class GpuNgramTable {
   /// Host-side exact lookup (0 when absent).
   uint64_t Lookup(uint32_t file, const uint32_t* words) const;
 
-  /// Drains all counts; order unspecified.
-  std::vector<NgramCount> Drain() const;
+  /// Drains all counts in node order (unspecified; one entry per key).
+  NgramCounts Drain() const;
 
   uint32_t ngram_len() const { return l_; }
   uint32_t num_nodes_used() const {

@@ -597,14 +597,13 @@ AnalyticsResult CpuTadocEngine::SequenceTask(const TaskKernel& kernel,
 
   // Reshape the (file, gram) counts through the kernel, identically to the
   // GPU drain path.
-  std::vector<gpu::NgramCount> drained;
-  drained.reserve(counts.size());
-  for (auto& [key, c] : counts) {
-    gpu::NgramCount nc;
-    nc.file = key.first;
-    nc.words = key.second;
-    nc.count = c;
-    drained.push_back(std::move(nc));
+  gpu::NgramCounts drained;
+  drained.ngram_len = l;
+  drained.files.reserve(counts.size());
+  drained.words.reserve(counts.size() * l);
+  drained.counts.reserve(counts.size());
+  for (const auto& [key, c] : counts) {
+    drained.Add(key.first, key.second.data(), c);
   }
   CpuAssembly assembly(meter);
   kernel.AssembleSequence(input, std::move(drained), &assembly, &out);

@@ -68,11 +68,11 @@ TEST(UncompressedSequentialTest, SequenceCountL2) {
   UncompressedAnalytics a(files, /*ngram_len=*/2);
   auto r = a.RunSequential(Task::kSequenceCount);
   // file0 bigrams: ab, ba, ac ; file1: ba, ab.
-  EXPECT_EQ((r.sequence_count[{0, {0, 1}}]), 1u);
-  EXPECT_EQ((r.sequence_count[{0, {1, 0}}]), 1u);
-  EXPECT_EQ((r.sequence_count[{0, {0, 2}}]), 1u);
-  EXPECT_EQ((r.sequence_count[{1, {1, 0}}]), 1u);
-  EXPECT_EQ((r.sequence_count[{1, {0, 1}}]), 1u);
+  EXPECT_EQ((r.sequence_count.Count(0, {0, 1})), 1u);
+  EXPECT_EQ((r.sequence_count.Count(0, {1, 0})), 1u);
+  EXPECT_EQ((r.sequence_count.Count(0, {0, 2})), 1u);
+  EXPECT_EQ((r.sequence_count.Count(1, {1, 0})), 1u);
+  EXPECT_EQ((r.sequence_count.Count(1, {0, 1})), 1u);
   EXPECT_EQ(r.sequence_count.size(), 5u);
 }
 
@@ -88,7 +88,7 @@ TEST(UncompressedSequentialTest, RankedInvertedIndexL2) {
   std::vector<std::vector<uint32_t>> files = {{0, 1, 2}, {0, 1, 0, 1}};
   UncompressedAnalytics a(files, 2);
   auto r = a.RunSequential(Task::kRankedInvertedIndex);
-  const auto& ab = r.ranked_inverted_index[{0, 1}];
+  const auto ab = r.ranked_inverted_index.Postings({0, 1});
   ASSERT_EQ(ab.size(), 2u);
   EXPECT_EQ(ab[0], (std::pair<uint32_t, uint64_t>{1, 2}));
   EXPECT_EQ(ab[1], (std::pair<uint32_t, uint64_t>{0, 1}));

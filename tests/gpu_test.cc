@@ -262,8 +262,9 @@ TEST(GpuNgramTableTest, FilesSeparateKeys) {
   EXPECT_EQ(table.Lookup(1, ab), 10u);
   auto drained = table.Drain();
   EXPECT_EQ(drained.size(), 2u);
-  for (const auto& nc : drained) {
-    EXPECT_EQ(nc.words, (std::vector<uint32_t>{7, 8}));
+  for (size_t i = 0; i < drained.size(); ++i) {
+    EXPECT_EQ(std::vector<uint32_t>(drained.gram(i), drained.gram(i) + 2),
+              (std::vector<uint32_t>{7, 8}));
   }
 }
 

@@ -44,11 +44,11 @@ TEST(GTadocEngineTest, Figure1SequenceCountL2) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   // Check one cross-rule trigram: fileA = w1 w2 w3 w1 w2 w4 ... contains
   // (w2,w3,w1) once per R1 instance => 2 occurrences in fileA.
-  EXPECT_EQ((run->result.sequence_count[{0, {1, 2, 0}}]), 2u);
+  EXPECT_EQ((run->result.sequence_count.Count(0, {1, 2, 0})), 2u);
   // And (w1,w2,w3) occurs twice in fileA (starts of both R1 halves).
-  EXPECT_EQ((run->result.sequence_count[{0, {0, 1, 2}}]), 2u);
+  EXPECT_EQ((run->result.sequence_count.Count(0, {0, 1, 2})), 2u);
   // fileB = w1 w2 w1 has exactly one trigram.
-  EXPECT_EQ((run->result.sequence_count[{1, {0, 1, 0}}]), 1u);
+  EXPECT_EQ((run->result.sequence_count.Count(1, {0, 1, 0})), 1u);
 }
 
 TEST(GTadocEngineTest, RejectsBadNgramLen) {

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analytics/batch.h"
 #include "analytics/task_kernel.h"
 #include "analytics/uncompressed.h"
 #include "common/hash.h"
+#include "common/random.h"
 #include "datagen/datagen.h"
 #include "format/dag.h"
 #include "gpu/platform.h"
@@ -699,6 +704,307 @@ TEST(KeywordSearchTest, RunsThroughBatchAndParallelEngines) {
   ASSERT_TRUE(parallel_run.ok());
   EXPECT_TRUE(parallel_run->result.SameAs(truth))
       << parallel_run->result.Digest() << " vs " << truth.Digest();
+}
+
+// ----------------------------------------------- flat sequence results ---
+//
+// sequenceCount and rankedInvertedIndex results are flat sorted arrays. A
+// property test checks them against the std::map model they replaced:
+// same contents, same iteration order (so the same digests), same charges.
+
+/// The map types the flat results replaced.
+using SequenceMap =
+    std::map<std::pair<uint32_t, std::vector<uint32_t>>, uint64_t>;
+using Postings = std::vector<std::pair<uint32_t, uint64_t>>;
+using RankedMap = std::map<std::vector<uint32_t>, Postings>;
+
+bool CountDescFileAsc(const std::pair<uint32_t, uint64_t>& a,
+                      const std::pair<uint32_t, uint64_t>& b) {
+  return a.second != b.second ? a.second > b.second : a.first < b.first;
+}
+
+/// AssemblyOps that records every charge as (name, a, b).
+class RecordingOps : public AssemblyOps {
+ public:
+  using Call = std::tuple<std::string, uint64_t, uint64_t>;
+
+  void ChargeUpdates(uint64_t n) override {
+    calls.emplace_back("updates", n, 0);
+  }
+  void ChargeSort(uint64_t n) override { calls.emplace_back("sort", n, 0); }
+  void ChargeGroupSort(uint64_t groups, uint64_t entries) override {
+    calls.emplace_back("groupSort", groups, entries);
+  }
+  void SortPairs(std::vector<std::pair<uint64_t, uint64_t>>* kv) override {
+    (void)kv;
+    ADD_FAILURE() << "sequence assembly must not call SortPairs";
+  }
+  void SelectTopK(
+      uint32_t k,
+      std::vector<std::vector<std::pair<uint32_t, uint64_t>>>* groups)
+      override {
+    (void)k;
+    (void)groups;
+    ADD_FAILURE() << "sequence assembly must not call SelectTopK";
+  }
+
+  std::vector<Call> calls;
+};
+
+/// A random drained table: keys drawn from a small pool so (file, gram)
+/// keys and grams across files repeat, in shuffled order. `entries` may be 0.
+gpu::NgramCounts RandomDrain(Rng* rng, uint32_t l, uint32_t num_files,
+                             size_t entries) {
+  gpu::NgramCounts drain;
+  drain.ngram_len = l;
+  std::vector<uint32_t> gram(l);
+  for (size_t i = 0; i < entries; ++i) {
+    for (uint32_t& w : gram) w = static_cast<uint32_t>(rng->Uniform(3));
+    drain.Add(static_cast<uint32_t>(rng->Uniform(num_files)), gram.data(),
+              1 + rng->Uniform(4));
+  }
+  return drain;
+}
+
+std::vector<uint32_t> GramOf(const gpu::NgramCounts& d, size_t i) {
+  return std::vector<uint32_t>(d.gram(i), d.gram(i) + d.ngram_len);
+}
+
+/// `d`'s entries in a random order.
+gpu::NgramCounts Shuffled(const gpu::NgramCounts& d, Rng* rng) {
+  std::vector<size_t> order(d.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng->Uniform(i)]);
+  }
+  gpu::NgramCounts out;
+  out.ngram_len = d.ngram_len;
+  for (size_t i : order) out.Add(d.files[i], d.gram(i), d.counts[i]);
+  return out;
+}
+
+template <typename Span>
+std::vector<uint32_t> ToVector(const Span& span) {
+  return std::vector<uint32_t>(span.begin(), span.end());
+}
+
+SequenceMap SequenceModel(const gpu::NgramCounts& d) {
+  SequenceMap m;
+  for (size_t i = 0; i < d.size(); ++i) {
+    m[{d.files[i], GramOf(d, i)}] += d.counts[i];
+  }
+  return m;
+}
+
+RankedMap RankedModel(const gpu::NgramCounts& d) {
+  RankedMap m;
+  for (size_t i = 0; i < d.size(); ++i) {
+    m[GramOf(d, i)].emplace_back(d.files[i], d.counts[i]);
+  }
+  for (auto& [gram, list] : m) {
+    std::sort(list.begin(), list.end(), CountDescFileAsc);
+  }
+  return m;
+}
+
+SequenceMap ToMap(const SequenceCountResult& r) {
+  SequenceMap m;
+  for (size_t i = 0; i < r.size(); ++i) {
+    m[{r.files[i], ToVector(r.gram(i))}] += r.counts[i];
+  }
+  return m;
+}
+
+RankedMap ToMap(const RankedInvertedIndexResult& r) {
+  RankedMap m;
+  for (size_t g = 0; g < r.size(); ++g) {
+    auto& list = m[ToVector(r.gram(g))];
+    for (const auto& posting : r.postings_at(g)) list.push_back(posting);
+  }
+  return m;
+}
+
+/// The map-order digest folds the flat results must reproduce.
+std::pair<uint64_t, size_t> MapFold(const SequenceMap& m) {
+  uint64_t h = 0;
+  size_t entries = 0;
+  for (const auto& [key, c] : m) {
+    h = HashCombine(h, key.first);
+    for (uint32_t w : key.second) h = HashCombine(h, w);
+    h = HashCombine(h, c);
+    ++entries;
+  }
+  return {h, entries};
+}
+
+std::pair<uint64_t, size_t> MapFold(const RankedMap& m) {
+  uint64_t h = 0;
+  size_t entries = 0;
+  for (const auto& [gram, files] : m) {
+    for (uint32_t w : gram) h = HashCombine(h, w);
+    for (const auto& [f, c] : files) h = HashCombine(HashCombine(h, f), c);
+    ++entries;
+  }
+  return {h, entries};
+}
+
+std::pair<uint64_t, size_t> KernelFold(const AnalyticsResult& r) {
+  uint64_t h = 0;
+  size_t entries = 0;
+  TaskRegistry::Find(r.task)->DigestFold(r, &h, &entries);
+  return {h, entries};
+}
+
+uint64_t MapBytes(const SequenceMap& m, uint32_t l) {
+  return m.size() * (12 + 4ull * l);
+}
+
+uint64_t MapBytes(const RankedMap& m, uint32_t l) {
+  uint64_t bytes = 0;
+  for (const auto& [gram, files] : m) bytes += 4ull * l + files.size() * 12;
+  return bytes;
+}
+
+TEST(FlatSequenceResultsTest, AssemblyMatchesMapModel) {
+  const TaskKernel* seq = TaskRegistry::Find(Task::kSequenceCount);
+  const TaskKernel* ranked = TaskRegistry::Find(Task::kRankedInvertedIndex);
+  Rng rng(20261017);
+  // 2, 3 and 5 pack inline; 9 exercises the long-gram path.
+  for (uint32_t l : {2u, 3u, 5u, 9u}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const uint32_t num_files = 1 + static_cast<uint32_t>(rng.Uniform(5));
+      const size_t entries = trial % 8 == 0 ? 0 : rng.Uniform(120);
+      const gpu::NgramCounts drain =
+          RandomDrain(&rng, l, num_files, entries);
+      SCOPED_TRACE(testing::Message() << "l=" << l << " trial=" << trial
+                                      << " entries=" << entries);
+      TaskInput input;
+      input.ngram_len = l;
+
+      AnalyticsResult sc;
+      sc.task = Task::kSequenceCount;
+      RecordingOps sc_ops;
+      seq->AssembleSequence(input, drain, &sc_ops, &sc);
+      const SequenceMap sc_model = SequenceModel(drain);
+      EXPECT_EQ(ToMap(sc.sequence_count), sc_model);
+      EXPECT_EQ(sc.sequence_count.size(), sc_model.size());  // one per key
+      EXPECT_EQ(KernelFold(sc), MapFold(sc_model));
+      EXPECT_EQ(sc_ops.calls,
+                (std::vector<RecordingOps::Call>{{"updates", entries, 0}}));
+      EXPECT_EQ(ResultBytes(sc, l), MapBytes(sc_model, l));
+      for (const auto& [key, c] : sc_model) {
+        EXPECT_EQ(sc.sequence_count.Count(key.first, key.second), c);
+      }
+      EXPECT_EQ(sc.sequence_count.Count(num_files, std::vector<uint32_t>(l)),
+                0u);
+      EXPECT_EQ(sc.sequence_count.Count(0, std::vector<uint32_t>(l, 7)), 0u);
+
+      AnalyticsResult rk;
+      rk.task = Task::kRankedInvertedIndex;
+      RecordingOps rk_ops;
+      ranked->AssembleSequence(input, drain, &rk_ops, &rk);
+      const RankedMap rk_model = RankedModel(drain);
+      EXPECT_EQ(ToMap(rk.ranked_inverted_index), rk_model);
+      EXPECT_EQ(rk.ranked_inverted_index.size(), rk_model.size());
+      EXPECT_EQ(KernelFold(rk), MapFold(rk_model));
+      EXPECT_EQ(rk_ops.calls,
+                (std::vector<RecordingOps::Call>{
+                    {"updates", 2 * entries, 0},
+                    {"groupSort", rk_model.size(), entries}}));
+      EXPECT_EQ(ResultBytes(rk, l), MapBytes(rk_model, l));
+      for (const auto& [gram, list] : rk_model) {
+        const auto postings = rk.ranked_inverted_index.Postings(gram);
+        EXPECT_EQ(Postings(postings.begin(), postings.end()), list);
+      }
+      EXPECT_TRUE(
+          rk.ranked_inverted_index.Postings(std::vector<uint32_t>(l, 7))
+              .empty());
+    }
+  }
+}
+
+TEST(FlatSequenceResultsTest, MergeOrderDoesNotMatter) {
+  Rng rng(7);
+  for (Task task : {Task::kSequenceCount, Task::kRankedInvertedIndex}) {
+    const TaskKernel* kernel = TaskRegistry::Find(task);
+    for (uint32_t l : {2u, 3u, 5u, 9u}) {
+      for (int trial = 0; trial < 15; ++trial) {
+        SCOPED_TRACE(testing::Message() << TaskName(task) << " l=" << l
+                                        << " trial=" << trial);
+        TaskInput input;
+        input.ngram_len = l;
+        // Documents as a GPU drain yields them: one entry per key.
+        const size_t num_docs = 1 + rng.Uniform(6);
+        std::vector<AnalyticsResult> docs(num_docs);
+        std::vector<uint32_t> bases(num_docs);
+        SequenceMap seq_model;
+        RankedMap ranked_model;
+        uint32_t next_base = 0;
+        for (size_t d = 0; d < num_docs; ++d) {
+          const uint32_t num_files = 1 + static_cast<uint32_t>(rng.Uniform(4));
+          const size_t entries = rng.Bernoulli(0.2) ? 0 : rng.Uniform(60);
+          gpu::NgramCounts drain;
+          drain.ngram_len = l;
+          for (const auto& [key, c] :
+               SequenceModel(RandomDrain(&rng, l, num_files, entries))) {
+            drain.Add(key.first, key.second.data(), c);
+          }
+          drain = Shuffled(drain, &rng);
+          for (size_t i = 0; i < drain.size(); ++i) {
+            seq_model[{drain.files[i] + next_base, GramOf(drain, i)}] =
+                drain.counts[i];
+            ranked_model[GramOf(drain, i)].emplace_back(
+                drain.files[i] + next_base, drain.counts[i]);
+          }
+          docs[d].task = task;
+          CpuAssembly uncharged(nullptr);
+          kernel->AssembleSequence(input, std::move(drain), &uncharged,
+                                   &docs[d]);
+          bases[d] = next_base;
+          next_base += num_files;
+        }
+        uint64_t model_ops = 0;
+        for (auto& [gram, list] : ranked_model) {
+          std::sort(list.begin(), list.end(), CountDescFileAsc);
+          model_ops += list.size();  // Merge
+          if (task == Task::kRankedInvertedIndex) {
+            model_ops += 2 * list.size();  // FinalizeMerge
+          }
+        }
+
+        auto merge = [&](const std::vector<size_t>& order) {
+          AnalyticsResult acc;
+          acc.task = task;
+          uint64_t ops = 0;
+          for (size_t d : order) MergeResult(docs[d], bases[d], &acc, &ops);
+          FinalizeMergedResult(&acc, &ops);
+          return std::make_pair(acc, ops);
+        };
+        std::vector<size_t> order(num_docs);
+        for (size_t d = 0; d < num_docs; ++d) order[d] = d;
+        const auto [corpus, corpus_ops] = merge(order);
+        for (size_t i = num_docs; i > 1; --i) {
+          std::swap(order[i - 1], order[rng.Uniform(i)]);
+        }
+        const auto [shuffled, shuffled_ops] = merge(order);
+
+        EXPECT_TRUE(shuffled.SameAs(corpus))
+            << shuffled.Digest() << " vs " << corpus.Digest();
+        EXPECT_EQ(shuffled.Digest(), corpus.Digest());
+        EXPECT_EQ(corpus_ops, model_ops);
+        EXPECT_EQ(shuffled_ops, model_ops);
+        if (task == Task::kSequenceCount) {
+          EXPECT_EQ(ToMap(corpus.sequence_count), seq_model);
+          EXPECT_EQ(KernelFold(corpus), MapFold(seq_model));
+          EXPECT_EQ(ResultBytes(corpus, l), MapBytes(seq_model, l));
+        } else {
+          EXPECT_EQ(ToMap(corpus.ranked_inverted_index), ranked_model);
+          EXPECT_EQ(KernelFold(corpus), MapFold(ranked_model));
+          EXPECT_EQ(ResultBytes(corpus, l), MapBytes(ranked_model, l));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
