@@ -80,17 +80,18 @@ struct SequenceCountResult {
 /// l-gram -> postings (file id, count), grams ascending. CSR: gram g is the
 /// word ids `grams[g * ngram_len, (g + 1) * ngram_len)` and its postings are
 /// `postings[offsets[g], offsets[g + 1])`, ordered by count desc, file id
-/// asc. `offsets` always starts with 0, so it holds size() + 1 entries.
+/// asc. `offsets` is empty when there are no grams and holds size() + 1
+/// entries starting with 0 otherwise.
 struct RankedInvertedIndexResult {
   using Posting = std::pair<uint32_t, uint64_t>;
 
   uint32_t ngram_len = 0;  ///< l; implied by the arrays when non-empty
   std::vector<uint32_t> grams;
-  std::vector<uint64_t> offsets = {0};
+  std::vector<uint64_t> offsets;
   std::vector<Posting> postings;
 
   /// Number of distinct grams.
-  size_t size() const { return offsets.size() - 1; }
+  size_t size() const { return offsets.empty() ? 0 : offsets.size() - 1; }
   bool empty() const { return size() == 0; }
   Span<uint32_t> gram(size_t g) const {
     return Span<uint32_t>(grams.data() + g * ngram_len, ngram_len);

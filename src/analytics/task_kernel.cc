@@ -672,8 +672,9 @@ class TermVectorKernel : public TaskKernel {
 
 /// One (file, gram, count) entry packed for sorting: the gram's L words sit
 /// inline, so std::sort moves the keys themselves instead of chasing an
-/// index permutation through the arrays. L == 0 stands for longer grams,
-/// which are compared through their offset into the source word pool.
+/// index permutation through the arrays. L == 0 stands for every other
+/// length; those grams are compared through their offset into the source
+/// word pool.
 template <uint32_t L>
 struct GramRecord {
   static constexpr uint32_t kLen = L;
@@ -708,20 +709,12 @@ struct GramRecord<0> {
   const uint32_t* gram(const uint32_t* pool) const { return pool + off; }
 };
 
-/// Calls fn(GramRecord<l>()) for the inline lengths, fn(GramRecord<0>())
-/// otherwise.
+/// Calls fn(GramRecord<3>()) for trigrams (the default l), and
+/// fn(GramRecord<0>()) otherwise.
 template <typename Fn>
 void WithGramRecord(uint32_t l, Fn&& fn) {
-  switch (l) {
-    case 2: return fn(GramRecord<2>());
-    case 3: return fn(GramRecord<3>());
-    case 4: return fn(GramRecord<4>());
-    case 5: return fn(GramRecord<5>());
-    case 6: return fn(GramRecord<6>());
-    case 7: return fn(GramRecord<7>());
-    case 8: return fn(GramRecord<8>());
-    default: return fn(GramRecord<0>());
-  }
+  if (l == 3) return fn(GramRecord<3>());
+  return fn(GramRecord<0>());
 }
 
 /// Lexicographic three-way comparison of two l-word grams.
@@ -794,8 +787,7 @@ void SortByFileGram(Table* t) {
 /// Groups the entries of `t` (any order) by gram: grams ascending, each
 /// gram's postings by count desc then file asc. Entries with an equal
 /// (file, gram) stay separate postings.
-template <typename Table>
-RankedInvertedIndexResult RankByGram(const Table& t) {
+RankedInvertedIndexResult RankByGram(const gpu::NgramCounts& t) {
   RankedInvertedIndexResult r;
   r.ngram_len = t.ngram_len;
   WithGramRecord(t.ngram_len, [&t, &r](auto tag) {
@@ -813,7 +805,7 @@ RankedInvertedIndexResult RankByGram(const Table& t) {
     for (size_t i = 0; i < recs.size(); ++i) {
       const uint32_t* g = recs[i].gram(pool);
       if (i == 0 || CompareGrams(recs[i - 1].gram(pool), g, l) != 0) {
-        if (i > 0) r.offsets.push_back(i);
+        r.offsets.push_back(i);
         r.grams.insert(r.grams.end(), g, g + l);
       }
       r.postings.emplace_back(recs[i].file, recs[i].count);
@@ -821,26 +813,6 @@ RankedInvertedIndexResult RankByGram(const Table& t) {
     if (!recs.empty()) r.offsets.push_back(recs.size());
   });
   return r;
-}
-
-/// Every window of every file as one (file, gram, 1) entry, charging
-/// `meter` the CPU engines' per-window ordered-map insert.
-SequenceCountResult UncompressedWindows(
-    const std::vector<std::vector<uint32_t>>& files, uint32_t l,
-    CpuCostMeter* meter) {
-  SequenceCountResult windows;
-  windows.ngram_len = l;
-  for (uint32_t f = 0; f < files.size(); ++f) {
-    const auto& file = files[f];
-    for (size_t i = 0; i + l <= file.size(); ++i) {
-      windows.files.push_back(f);
-      windows.words.insert(windows.words.end(), file.begin() + i,
-                           file.begin() + i + l);
-      windows.counts.push_back(1);
-      if (meter != nullptr) meter->Charge(2 * l + kCpuSeqMapDescentOps);
-    }
-  }
-  return windows;
 }
 
 // ----------------------------------------------------------- sequenceCount ---
@@ -909,8 +881,25 @@ class SequenceCountKernel : public TaskKernel {
       CpuCostMeter* meter) const override {
     AnalyticsResult out;
     out.task = Task::kSequenceCount;
-    out.sequence_count = UncompressedWindows(files, input.ngram_len, meter);
-    SortByFileGram(&out.sequence_count);
+    const uint32_t l = input.ngram_len;
+    std::map<std::pair<uint32_t, std::vector<uint32_t>>, uint64_t> counts;
+    for (uint32_t f = 0; f < files.size(); ++f) {
+      const auto& file = files[f];
+      if (file.size() < l) continue;
+      for (size_t i = 0; i + l <= file.size(); ++i) {
+        std::vector<uint32_t> gram(file.begin() + i, file.begin() + i + l);
+        ++counts[{f, std::move(gram)}];
+        if (meter != nullptr) meter->Charge(2 * l + kCpuSeqMapDescentOps);
+      }
+    }
+    // The map's order is the result's (file, gram) order.
+    SequenceCountResult& r = out.sequence_count;
+    r.ngram_len = l;
+    for (const auto& [key, c] : counts) {
+      r.files.push_back(key.first);
+      r.words.insert(r.words.end(), key.second.begin(), key.second.end());
+      r.counts.push_back(c);
+    }
     return out;
   }
 };
@@ -947,6 +936,7 @@ class RankedInvertedIndexKernel : public TaskKernel {
     if (d.empty()) return;
     RankedInvertedIndexResult& a = acc->ranked_inverted_index;
     a.ngram_len = d.ngram_len;
+    if (a.offsets.empty()) a.offsets.push_back(0);
     a.grams.insert(a.grams.end(), d.grams.begin(), d.grams.end());
     const uint64_t base = a.postings.size();
     for (size_t g = 1; g < d.offsets.size(); ++g) {
@@ -961,18 +951,12 @@ class RankedInvertedIndexKernel : public TaskKernel {
   void FinalizeMerge(AnalyticsResult* acc, uint64_t* merge_ops) const override {
     RankedInvertedIndexResult& a = acc->ranked_inverted_index;
     *merge_ops += a.postings.size() * 2;
-    bool ascending = true;
-    for (size_t g = 1; g < a.size() && ascending; ++g) {
-      ascending = CompareGrams(a.gram(g - 1).begin(), a.gram(g).begin(),
-                               a.ngram_len) < 0;
-    }
-    if (ascending) {
-      Canonicalize(acc);
-      return;
-    }
     // Equal grams from several documents: re-rank all postings in one sort.
     gpu::NgramCounts entries;
     entries.ngram_len = a.ngram_len;
+    entries.files.reserve(a.postings.size());
+    entries.words.reserve(a.postings.size() * a.ngram_len);
+    entries.counts.reserve(a.postings.size());
     for (size_t g = 0; g < a.size(); ++g) {
       for (const auto& [f, c] : a.postings_at(g)) {
         entries.Add(f, a.gram(g).begin(), c);
@@ -1009,12 +993,31 @@ class RankedInvertedIndexKernel : public TaskKernel {
       CpuCostMeter* meter) const override {
     AnalyticsResult out;
     out.task = Task::kRankedInvertedIndex;
-    SequenceCountResult counts =
-        UncompressedWindows(files, input.ngram_len, meter);
-    SortByFileGram(&counts);
-    // Ranking each gram's (file, count) list: 4 ops per posting.
-    if (meter != nullptr) meter->Charge(counts.size() * 4);
-    out.ranked_inverted_index = RankByGram(counts);
+    const uint32_t l = input.ngram_len;
+    std::map<std::vector<uint32_t>, std::unordered_map<uint32_t, uint64_t>>
+        per_gram;
+    for (uint32_t f = 0; f < files.size(); ++f) {
+      const auto& file = files[f];
+      if (file.size() < l) continue;
+      for (size_t i = 0; i + l <= file.size(); ++i) {
+        std::vector<uint32_t> gram(file.begin() + i, file.begin() + i + l);
+        ++per_gram[std::move(gram)][f];
+        if (meter != nullptr) meter->Charge(2 * l + kCpuSeqMapDescentOps);
+      }
+    }
+    // The map's order is the result's gram order.
+    RankedInvertedIndexResult& r = out.ranked_inverted_index;
+    r.ngram_len = l;
+    for (const auto& [gram, counts] : per_gram) {
+      std::vector<std::pair<uint32_t, uint64_t>> list(counts.begin(),
+                                                      counts.end());
+      std::sort(list.begin(), list.end(), CountDescIdAsc);
+      if (meter != nullptr) meter->Charge(counts.size() * 4);
+      if (r.offsets.empty()) r.offsets.push_back(0);
+      r.grams.insert(r.grams.end(), gram.begin(), gram.end());
+      r.postings.insert(r.postings.end(), list.begin(), list.end());
+      r.offsets.push_back(r.postings.size());
+    }
     return out;
   }
 };

@@ -869,7 +869,7 @@ TEST(FlatSequenceResultsTest, AssemblyMatchesMapModel) {
   const TaskKernel* seq = TaskRegistry::Find(Task::kSequenceCount);
   const TaskKernel* ranked = TaskRegistry::Find(Task::kRankedInvertedIndex);
   Rng rng(20261017);
-  // 2, 3 and 5 pack inline; 9 exercises the long-gram path.
+  // 3 packs inline; 2, 5 and 9 sort through offsets into the word pool.
   for (uint32_t l : {2u, 3u, 5u, 9u}) {
     for (int trial = 0; trial < 40; ++trial) {
       const uint32_t num_files = 1 + static_cast<uint32_t>(rng.Uniform(5));
@@ -1005,6 +1005,53 @@ TEST(FlatSequenceResultsTest, MergeOrderDoesNotMatter) {
       }
     }
   }
+}
+
+TEST(FlatSequenceResultsTest, DefaultAndMovedFromRankedResultsHaveNoGrams) {
+  const RankedInvertedIndexResult fresh;
+  EXPECT_EQ(fresh.size(), 0u);
+  EXPECT_TRUE(fresh.empty());
+  EXPECT_TRUE(fresh.Postings({}).empty());
+
+  gpu::NgramCounts drain;
+  drain.ngram_len = 2;
+  const uint32_t ab[] = {0, 1};
+  drain.Add(0, ab, 3);
+  drain.Add(1, ab, 5);
+  TaskInput input;
+  input.ngram_len = 2;
+  AnalyticsResult doc;
+  doc.task = Task::kRankedInvertedIndex;
+  CpuAssembly uncharged(nullptr);
+  TaskRegistry::Find(doc.task)->AssembleSequence(input, drain, &uncharged,
+                                                 &doc);
+  ASSERT_EQ(doc.ranked_inverted_index.size(), 1u);
+
+  AnalyticsResult source = doc;
+  const RankedInvertedIndexResult taken(
+      std::move(source.ranked_inverted_index));
+  EXPECT_EQ(taken, doc.ranked_inverted_index);
+  const RankedInvertedIndexResult& moved = source.ranked_inverted_index;
+  EXPECT_EQ(moved.size(), 0u);
+  EXPECT_TRUE(moved.empty());
+  EXPECT_TRUE(moved.Postings({0, 1}).empty());
+  EXPECT_EQ(KernelFold(source), std::make_pair(uint64_t{0}, size_t{0}));
+  EXPECT_EQ(ResultBytes(source, 2), 0u);
+
+  // A moved-from accumulator merges like a fresh one.
+  uint64_t ops = 0;
+  MergeResult(doc, 4, &source, &ops);
+  FinalizeMergedResult(&source, &ops);
+  AnalyticsResult acc;
+  acc.task = doc.task;
+  uint64_t fresh_ops = 0;
+  MergeResult(doc, 4, &acc, &fresh_ops);
+  FinalizeMergedResult(&acc, &fresh_ops);
+  EXPECT_TRUE(source.SameAs(acc));
+  EXPECT_EQ(ops, fresh_ops);
+  const auto postings = acc.ranked_inverted_index.Postings({0, 1});
+  EXPECT_EQ(Postings(postings.begin(), postings.end()),
+            (Postings{{5, 5}, {4, 3}}));
 }
 
 }  // namespace
