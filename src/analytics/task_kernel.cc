@@ -1,6 +1,8 @@
 #include "analytics/task_kernel.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <unordered_map>
@@ -725,6 +727,49 @@ int CompareGrams(const uint32_t* a, const uint32_t* b, uint32_t l) {
   return 0;
 }
 
+/// Sorts `recs` ascending by a key of kWords 32-bit words, most significant
+/// first, where key(r, k) is word k of r's key. An LSD radix sort over the
+/// key's bytes: one pass builds every byte's histogram, and a byte that is
+/// the same in every record decides no order and costs no scatter pass.
+/// Records with equal keys keep their input order.
+template <size_t kWords, typename R, typename Key>
+void RadixSortRecords(std::vector<R>* recs, Key key) {
+  const size_t n = recs->size();
+  if (n < 2) return;
+  constexpr size_t kDigits = 4 * kWords;
+  // Digit d is byte d % 4 of key word kWords - 1 - d / 4: least significant
+  // first.
+  std::vector<std::array<size_t, 256>> hist(kDigits);  // zero-initialized
+  for (const R& r : *recs) {
+    for (size_t k = 0; k < kWords; ++k) {
+      const uint32_t v = key(r, k);
+      std::array<size_t, 256>* h = &hist[4 * (kWords - 1 - k)];
+      ++h[0][v & 0xff];
+      ++h[1][(v >> 8) & 0xff];
+      ++h[2][(v >> 16) & 0xff];
+      ++h[3][v >> 24];
+    }
+  }
+  std::vector<R> scratch(n);
+  std::vector<R>* src = recs;
+  std::vector<R>* dst = &scratch;
+  for (size_t d = 0; d < kDigits; ++d) {
+    std::array<size_t, 256>& h = hist[d];
+    const uint32_t shift = 8 * (d % 4);
+    const size_t k = kWords - 1 - d / 4;
+    if (h[(key(src->front(), k) >> shift) & 0xff] == n) continue;
+    size_t sum = 0;
+    for (size_t& c : h) {
+      const size_t count = c;
+      c = sum;
+      sum += count;
+    }
+    for (const R& r : *src) (*dst)[h[(key(r, k) >> shift) & 0xff]++] = r;
+    std::swap(src, dst);
+  }
+  if (src != recs) recs->swap(scratch);
+}
+
 template <typename R, typename Table>
 std::vector<R> PackRecords(const Table& t) {
   std::vector<R> recs(t.counts.size());
@@ -759,10 +804,16 @@ void SortByFileGram(Table* t) {
     const uint32_t l = R::kLen != 0 ? R::kLen : t->ngram_len;
     const uint32_t* pool = t->words.data();
     std::vector<R> recs = PackRecords<R>(*t);
-    std::sort(recs.begin(), recs.end(), [pool, l](const R& a, const R& b) {
-      if (a.file != b.file) return a.file < b.file;
-      return CompareGrams(a.gram(pool), b.gram(pool), l) < 0;
-    });
+    if constexpr (R::kLen == 3) {
+      RadixSortRecords<4>(&recs, [](const R& r, size_t k) {
+        return k == 0 ? r.file : r.w[k - 1];
+      });
+    } else {
+      std::sort(recs.begin(), recs.end(), [pool, l](const R& a, const R& b) {
+        if (a.file != b.file) return a.file < b.file;
+        return CompareGrams(a.gram(pool), b.gram(pool), l) < 0;
+      });
+    }
     std::vector<uint32_t> words(t->words.size());
     size_t n = 0;
     for (size_t i = 0; i < recs.size(); ++i) {
@@ -795,12 +846,28 @@ RankedInvertedIndexResult RankByGram(const gpu::NgramCounts& t) {
     const uint32_t l = R::kLen != 0 ? R::kLen : t.ngram_len;
     const uint32_t* pool = t.words.data();
     std::vector<R> recs = PackRecords<R>(t);
-    std::sort(recs.begin(), recs.end(), [pool, l](const R& a, const R& b) {
-      const int c = CompareGrams(a.gram(pool), b.gram(pool), l);
-      if (c != 0) return c < 0;
-      if (a.count != b.count) return a.count > b.count;
-      return a.file < b.file;
-    });
+    if constexpr (R::kLen == 3) {
+      // Key (gram, ~count, file): count descending is ~count ascending.
+      RadixSortRecords<6>(&recs, [](const R& r, size_t k) -> uint32_t {
+        switch (k) {
+          case 3:
+            return ~static_cast<uint32_t>(r.count >> 32);
+          case 4:
+            return ~static_cast<uint32_t>(r.count);
+          case 5:
+            return r.file;
+          default:
+            return r.w[k];
+        }
+      });
+    } else {
+      std::sort(recs.begin(), recs.end(), [pool, l](const R& a, const R& b) {
+        const int c = CompareGrams(a.gram(pool), b.gram(pool), l);
+        if (c != 0) return c < 0;
+        if (a.count != b.count) return a.count > b.count;
+        return a.file < b.file;
+      });
+    }
     r.postings.reserve(recs.size());
     for (size_t i = 0; i < recs.size(); ++i) {
       const uint32_t* g = recs[i].gram(pool);
@@ -813,6 +880,95 @@ RankedInvertedIndexResult RankByGram(const gpu::NgramCounts& t) {
     if (!recs.empty()) r.offsets.push_back(recs.size());
   });
   return r;
+}
+
+/// The grams [first, last) of a ranked table, strictly ascending.
+struct GramRun {
+  const RankedInvertedIndexResult* table;
+  size_t first;
+  size_t last;
+};
+
+/// Appends gram g of `src` with its postings to `out`.
+void AppendGram(const RankedInvertedIndexResult& src, size_t g,
+                RankedInvertedIndexResult* out) {
+  const Span<uint32_t> gram = src.gram(g);
+  const Span<RankedInvertedIndexResult::Posting> p = src.postings_at(g);
+  out->grams.insert(out->grams.end(), gram.begin(), gram.end());
+  out->postings.insert(out->postings.end(), p.begin(), p.end());
+  out->offsets.push_back(out->postings.size());
+}
+
+/// Merges two runs into one ranked table. A gram in both gets the rank
+/// merge of its two posting lists.
+RankedInvertedIndexResult MergeTwoRuns(const GramRun& a, const GramRun& b,
+                                       uint32_t l) {
+  RankedInvertedIndexResult out;
+  out.ngram_len = l;
+  const auto postings = [](const GramRun& r) {
+    return r.table->offsets[r.last] - r.table->offsets[r.first];
+  };
+  out.grams.reserve((a.last - a.first + b.last - b.first) * l);
+  out.offsets.reserve(a.last - a.first + b.last - b.first + 1);
+  out.postings.reserve(postings(a) + postings(b));
+  out.offsets.push_back(0);
+  size_t i = a.first;
+  size_t j = b.first;
+  while (i < a.last && j < b.last) {
+    const int c = CompareGrams(a.table->gram(i).begin(),
+                               b.table->gram(j).begin(), l);
+    if (c < 0) {
+      AppendGram(*a.table, i++, &out);
+    } else if (c > 0) {
+      AppendGram(*b.table, j++, &out);
+    } else {
+      const Span<uint32_t> gram = a.table->gram(i);
+      out.grams.insert(out.grams.end(), gram.begin(), gram.end());
+      const auto pa = a.table->postings_at(i++);
+      const auto pb = b.table->postings_at(j++);
+      std::merge(pa.begin(), pa.end(), pb.begin(), pb.end(),
+                 std::back_inserter(out.postings), CountDescIdAsc);
+      out.offsets.push_back(out.postings.size());
+    }
+  }
+  for (; i < a.last; ++i) AppendGram(*a.table, i, &out);
+  for (; j < b.last; ++j) AppendGram(*b.table, j, &out);
+  return out;
+}
+
+/// Coalesces a concatenation of ranked blocks (each sorted by gram, each
+/// gram's postings ranked, as RankByGram and this function leave them) into
+/// one ranked table. The maximal strictly ascending stretches of grams are
+/// merged pairwise as sorted runs, so a gram found in one run keeps its
+/// postings as they are and no posting is re-sorted.
+void MergeGramRuns(RankedInvertedIndexResult* t) {
+  const uint32_t l = t->ngram_len;
+  std::vector<GramRun> runs;
+  for (size_t g = 0; g < t->size(); ++g) {
+    if (g == 0 || CompareGrams(t->gram(g - 1).begin(), t->gram(g).begin(),
+                               l) >= 0) {
+      runs.push_back({t, g, g});
+    }
+    ++runs.back().last;
+  }
+  if (runs.size() < 2) return;
+  std::vector<RankedInvertedIndexResult> merged;  // what `runs` point into
+  while (runs.size() > 1) {
+    std::vector<RankedInvertedIndexResult> next;
+    next.reserve((runs.size() + 1) / 2);
+    for (size_t r = 0; r + 1 < runs.size(); r += 2) {
+      next.push_back(MergeTwoRuns(runs[r], runs[r + 1], l));
+    }
+    if (runs.size() % 2 == 1) {  // copied: its table may be freed below
+      next.push_back(MergeTwoRuns(runs.back(), GramRun{t, 0, 0}, l));
+    }
+    merged = std::move(next);
+    runs.clear();
+    for (const RankedInvertedIndexResult& m : merged) {
+      runs.push_back({&m, 0, m.size()});
+    }
+  }
+  *t = std::move(merged.front());
 }
 
 // ----------------------------------------------------------- sequenceCount ---
@@ -951,18 +1107,7 @@ class RankedInvertedIndexKernel : public TaskKernel {
   void FinalizeMerge(AnalyticsResult* acc, uint64_t* merge_ops) const override {
     RankedInvertedIndexResult& a = acc->ranked_inverted_index;
     *merge_ops += a.postings.size() * 2;
-    // Equal grams from several documents: re-rank all postings in one sort.
-    gpu::NgramCounts entries;
-    entries.ngram_len = a.ngram_len;
-    entries.files.reserve(a.postings.size());
-    entries.words.reserve(a.postings.size() * a.ngram_len);
-    entries.counts.reserve(a.postings.size());
-    for (size_t g = 0; g < a.size(); ++g) {
-      for (const auto& [f, c] : a.postings_at(g)) {
-        entries.Add(f, a.gram(g).begin(), c);
-      }
-    }
-    a = RankByGram(entries);
+    MergeGramRuns(&a);
   }
 
   uint64_t ResultBytes(const AnalyticsResult& r,
@@ -1293,8 +1438,11 @@ class TfIdfKernel : public TaskKernel {
                         const std::vector<FileWordCount>& counts,
                         AssemblyOps* ops, AnalyticsResult* out) const override {
     (void)input;
-    std::unordered_map<uint32_t, uint32_t> df;
-    for (const FileWordCount& e : counts) ++df[e.word];  // (file, word) unique
+    std::vector<uint32_t> df;  // by word id; (file, word) pairs are unique
+    for (const FileWordCount& e : counts) {
+      if (e.word >= df.size()) df.resize(size_t{e.word} + 1, 0);
+      ++df[e.word];
+    }
     out->tf_idf.assign(num_files, std::vector<TfIdfEntry>());
     for (const FileWordCount& e : counts) {
       TfIdfEntry entry;
@@ -1333,9 +1481,12 @@ class TfIdfKernel : public TaskKernel {
 
   void FinalizeMerge(AnalyticsResult* acc, uint64_t* merge_ops) const override {
     const uint64_t num_files = acc->tf_idf.size();
-    std::unordered_map<uint32_t, uint32_t> df;
+    std::vector<uint32_t> df;  // by word id
     for (const auto& vec : acc->tf_idf) {
-      for (const TfIdfEntry& e : vec) ++df[e.word];
+      for (const TfIdfEntry& e : vec) {
+        if (e.word >= df.size()) df.resize(size_t{e.word} + 1, 0);
+        ++df[e.word];
+      }
     }
     for (auto& vec : acc->tf_idf) {
       for (TfIdfEntry& e : vec) {

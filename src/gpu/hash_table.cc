@@ -156,12 +156,20 @@ std::vector<std::pair<uint64_t, uint64_t>> GpuHashTable::Drain() const {
   const uint32_t used =
       std::min<uint32_t>(node_cursor_.load(std::memory_order_relaxed),
                          static_cast<uint32_t>(keys_.size()));
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  if (mode_ != LockMode::kAtomicOnly) {
+    // Locked inserts leave one node per key: copy the nodes in node order.
+    out.resize(used);
+    for (uint32_t i = 0; i < used; ++i) {
+      out[i] = {keys_[i], values_[i].load(std::memory_order_relaxed)};
+    }
+    return out;
+  }
   std::unordered_map<uint64_t, uint64_t> agg;
   agg.reserve(used);
   for (uint32_t i = 0; i < used; ++i) {
     agg[keys_[i]] += values_[i].load(std::memory_order_relaxed);
   }
-  std::vector<std::pair<uint64_t, uint64_t>> out;
   out.reserve(agg.size());
   for (const auto& kv : agg) out.push_back(kv);
   return out;

@@ -56,8 +56,10 @@ class GpuHashTable {
   /// Reads a key's value (0 when absent). Host-side helper for tests.
   uint64_t Lookup(uint64_t key) const;
 
-  /// Drains all (key, value) pairs, aggregating duplicate-key nodes (which
-  /// can exist only in kAtomicOnly mode). Order is unspecified.
+  /// Drains all (key, value) pairs, one per key. Under the locking modes
+  /// every key has one node and the pairs come out in node order (the order
+  /// of first insertion). kAtomicOnly can leave two nodes for one key; its
+  /// drain sums them, in no particular order.
   std::vector<std::pair<uint64_t, uint64_t>> Drain() const;
 
   uint32_t num_nodes_used() const {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <map>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -226,6 +228,32 @@ TEST_P(GpuHashTableLockModes, ConcurrentSumsAreExact) {
     total += v;
   }
   EXPECT_EQ(total, 4096u);
+}
+
+TEST(GpuHashTableTest, LockedDrainsComeOutInFirstInsertionOrder) {
+  for (LockMode mode : {LockMode::kPerEntryTryLock, LockMode::kGlobalLock}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    Device device(TestSpec(), 1);
+    GpuHashTable table(&device,
+                       {.num_entries = 4, .max_nodes = 64, .lock_mode = mode});
+    // Keys arrive out of order, repeat, and share four buckets.
+    const uint64_t keys[] = {90, 3, 17, 3, 1ull << 40, 90, 5, 17, 64, 3};
+    std::vector<uint64_t> first_seen;
+    std::map<uint64_t, uint64_t> sums;
+    ThreadCtx ctx(0, 1);
+    for (size_t i = 0; i < std::size(keys); ++i) {
+      ASSERT_EQ(table.AddOrInsert(ctx, keys[i], i + 1), InsertOutcome::kDone);
+      if (sums.count(keys[i]) == 0) first_seen.push_back(keys[i]);
+      sums[keys[i]] += i + 1;
+    }
+    const auto drained = table.Drain();
+    ASSERT_EQ(drained.size(), table.num_nodes_used());
+    ASSERT_EQ(drained.size(), first_seen.size());
+    for (size_t i = 0; i < drained.size(); ++i) {
+      EXPECT_EQ(drained[i].first, first_seen[i]) << "node " << i;
+      EXPECT_EQ(drained[i].second, sums[first_seen[i]]) << "node " << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, GpuHashTableLockModes,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -865,62 +866,135 @@ uint64_t MapBytes(const RankedMap& m, uint32_t l) {
   return bytes;
 }
 
-TEST(FlatSequenceResultsTest, AssemblyMatchesMapModel) {
+/// A drained trigram table for the l = 3 radix sorts. Words, files and
+/// counts come from pools whose values differ from a neighbour in a single
+/// byte (word ids up to 2^32 - 1, counts in both 32-bit halves), so every
+/// key digit decides some order. Entries reuse a few grams and counts, so
+/// equal counts meet in different files and (file, gram) keys repeat.
+gpu::NgramCounts WideTrigramDrain(Rng* rng, size_t entries) {
+  static const uint32_t kWords[] = {0,        1,         0x100,     0x10000,
+                                    0x400000, 0x1000000, 0xffffffff};
+  static const uint32_t kFiles[] = {0,       1,         0x100,
+                                    0x10000, 0x1000000, 0xfffffffe};
+  static const uint64_t kCounts[] = {1,
+                                     0x101,
+                                     0x10001,
+                                     0x1000001,
+                                     0xffffffff,
+                                     1ull << 32,
+                                     (1ull << 32) + 1,
+                                     (1ull << 40) + 1,
+                                     (1ull << 48) + 1,
+                                     (1ull << 56) + 1};
+  std::vector<std::vector<uint32_t>> grams(1 + rng->Uniform(6),
+                                           std::vector<uint32_t>(3));
+  for (auto& gram : grams) {
+    for (uint32_t& w : gram) w = kWords[rng->Uniform(std::size(kWords))];
+  }
+  gpu::NgramCounts drain;
+  drain.ngram_len = 3;
+  for (size_t i = 0; i < entries; ++i) {
+    drain.Add(kFiles[rng->Uniform(std::size(kFiles))],
+              grams[rng->Uniform(grams.size())].data(),
+              kCounts[rng->Uniform(std::size(kCounts))]);
+  }
+  return drain;
+}
+
+/// Assembles `drain` with both sequence kernels and checks each result and
+/// its charges against the map model. No entry of `drain` is in
+/// `absent_file`.
+void ExpectAssemblyMatchesMapModel(const gpu::NgramCounts& drain,
+                                   uint32_t absent_file) {
   const TaskKernel* seq = TaskRegistry::Find(Task::kSequenceCount);
   const TaskKernel* ranked = TaskRegistry::Find(Task::kRankedInvertedIndex);
+  const uint32_t l = drain.ngram_len;
+  const uint64_t entries = drain.size();
+  TaskInput input;
+  input.ngram_len = l;
+
+  AnalyticsResult sc;
+  sc.task = Task::kSequenceCount;
+  RecordingOps sc_ops;
+  seq->AssembleSequence(input, drain, &sc_ops, &sc);
+  const SequenceMap sc_model = SequenceModel(drain);
+  EXPECT_EQ(ToMap(sc.sequence_count), sc_model);
+  EXPECT_EQ(sc.sequence_count.size(), sc_model.size());  // one per key
+  EXPECT_EQ(KernelFold(sc), MapFold(sc_model));
+  EXPECT_EQ(sc_ops.calls,
+            (std::vector<RecordingOps::Call>{{"updates", entries, 0}}));
+  EXPECT_EQ(ResultBytes(sc, l), MapBytes(sc_model, l));
+  for (const auto& [key, c] : sc_model) {
+    EXPECT_EQ(sc.sequence_count.Count(key.first, key.second), c);
+  }
+  EXPECT_EQ(sc.sequence_count.Count(absent_file, std::vector<uint32_t>(l)),
+            0u);
+  EXPECT_EQ(sc.sequence_count.Count(0, std::vector<uint32_t>(l, 7)), 0u);
+
+  AnalyticsResult rk;
+  rk.task = Task::kRankedInvertedIndex;
+  RecordingOps rk_ops;
+  ranked->AssembleSequence(input, drain, &rk_ops, &rk);
+  const RankedMap rk_model = RankedModel(drain);
+  EXPECT_EQ(ToMap(rk.ranked_inverted_index), rk_model);
+  EXPECT_EQ(rk.ranked_inverted_index.size(), rk_model.size());
+  EXPECT_EQ(KernelFold(rk), MapFold(rk_model));
+  EXPECT_EQ(rk_ops.calls, (std::vector<RecordingOps::Call>{
+                              {"updates", 2 * entries, 0},
+                              {"groupSort", rk_model.size(), entries}}));
+  EXPECT_EQ(ResultBytes(rk, l), MapBytes(rk_model, l));
+  for (const auto& [gram, list] : rk_model) {
+    const auto postings = rk.ranked_inverted_index.Postings(gram);
+    EXPECT_EQ(Postings(postings.begin(), postings.end()), list);
+  }
+  EXPECT_TRUE(
+      rk.ranked_inverted_index.Postings(std::vector<uint32_t>(l, 7)).empty());
+}
+
+TEST(FlatSequenceResultsTest, AssemblyMatchesMapModel) {
   Rng rng(20261017);
-  // 3 packs inline; 2, 5 and 9 sort through offsets into the word pool.
+  // 3 packs inline and radix-sorts; 2, 5 and 9 sort through offsets into the
+  // word pool.
   for (uint32_t l : {2u, 3u, 5u, 9u}) {
     for (int trial = 0; trial < 40; ++trial) {
       const uint32_t num_files = 1 + static_cast<uint32_t>(rng.Uniform(5));
       const size_t entries = trial % 8 == 0 ? 0 : rng.Uniform(120);
-      const gpu::NgramCounts drain =
-          RandomDrain(&rng, l, num_files, entries);
       SCOPED_TRACE(testing::Message() << "l=" << l << " trial=" << trial
                                       << " entries=" << entries);
-      TaskInput input;
-      input.ngram_len = l;
-
-      AnalyticsResult sc;
-      sc.task = Task::kSequenceCount;
-      RecordingOps sc_ops;
-      seq->AssembleSequence(input, drain, &sc_ops, &sc);
-      const SequenceMap sc_model = SequenceModel(drain);
-      EXPECT_EQ(ToMap(sc.sequence_count), sc_model);
-      EXPECT_EQ(sc.sequence_count.size(), sc_model.size());  // one per key
-      EXPECT_EQ(KernelFold(sc), MapFold(sc_model));
-      EXPECT_EQ(sc_ops.calls,
-                (std::vector<RecordingOps::Call>{{"updates", entries, 0}}));
-      EXPECT_EQ(ResultBytes(sc, l), MapBytes(sc_model, l));
-      for (const auto& [key, c] : sc_model) {
-        EXPECT_EQ(sc.sequence_count.Count(key.first, key.second), c);
-      }
-      EXPECT_EQ(sc.sequence_count.Count(num_files, std::vector<uint32_t>(l)),
-                0u);
-      EXPECT_EQ(sc.sequence_count.Count(0, std::vector<uint32_t>(l, 7)), 0u);
-
-      AnalyticsResult rk;
-      rk.task = Task::kRankedInvertedIndex;
-      RecordingOps rk_ops;
-      ranked->AssembleSequence(input, drain, &rk_ops, &rk);
-      const RankedMap rk_model = RankedModel(drain);
-      EXPECT_EQ(ToMap(rk.ranked_inverted_index), rk_model);
-      EXPECT_EQ(rk.ranked_inverted_index.size(), rk_model.size());
-      EXPECT_EQ(KernelFold(rk), MapFold(rk_model));
-      EXPECT_EQ(rk_ops.calls,
-                (std::vector<RecordingOps::Call>{
-                    {"updates", 2 * entries, 0},
-                    {"groupSort", rk_model.size(), entries}}));
-      EXPECT_EQ(ResultBytes(rk, l), MapBytes(rk_model, l));
-      for (const auto& [gram, list] : rk_model) {
-        const auto postings = rk.ranked_inverted_index.Postings(gram);
-        EXPECT_EQ(Postings(postings.begin(), postings.end()), list);
-      }
-      EXPECT_TRUE(
-          rk.ranked_inverted_index.Postings(std::vector<uint32_t>(l, 7))
-              .empty());
+      ExpectAssemblyMatchesMapModel(RandomDrain(&rng, l, num_files, entries),
+                                    num_files);
     }
   }
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t entries = trial % 8 == 0 ? 0 : rng.Uniform(200);
+    SCOPED_TRACE(testing::Message() << "wide trigrams trial=" << trial
+                                    << " entries=" << entries);
+    ExpectAssemblyMatchesMapModel(WideTrigramDrain(&rng, entries), 2);
+  }
+}
+
+/// The (file, gram) entries of one document whose grams are the
+/// consecutive run first, first + 1, ... of an ascending gram sequence
+/// (gram i is l - 1 zeros, then i). Each gram goes to a random subset of the
+/// document's files, with counts from {1, 2, 3}, so equal counts meet in
+/// different files.
+gpu::NgramCounts ChainedDocDrain(Rng* rng, uint32_t l, uint32_t num_files,
+                                 uint32_t first, uint32_t num_grams) {
+  gpu::NgramCounts drain;
+  drain.ngram_len = l;
+  std::vector<uint32_t> gram(l, 0);
+  for (uint32_t i = first; i < first + num_grams; ++i) {
+    gram[l - 1] = i;
+    bool any = false;
+    for (uint32_t f = 0; f < num_files; ++f) {
+      const bool last_chance = f + 1 == num_files && !any;
+      if (last_chance || rng->Bernoulli(0.6)) {
+        drain.Add(f, gram.data(), 1 + rng->Uniform(3));
+        any = true;
+      }
+    }
+  }
+  return drain;
 }
 
 TEST(FlatSequenceResultsTest, MergeOrderDoesNotMatter) {
@@ -929,25 +1003,47 @@ TEST(FlatSequenceResultsTest, MergeOrderDoesNotMatter) {
     const TaskKernel* kernel = TaskRegistry::Find(task);
     for (uint32_t l : {2u, 3u, 5u, 9u}) {
       for (int trial = 0; trial < 15; ++trial) {
+        // Every third trial chains the documents' gram ranges: a document
+        // starts at the previous non-empty one's last gram (a shared
+        // boundary gram), just after it (one ascending stretch across both)
+        // or anywhere, and empty documents sit between non-empty ones.
+        const bool chained = trial % 3 == 0;
         SCOPED_TRACE(testing::Message() << TaskName(task) << " l=" << l
-                                        << " trial=" << trial);
+                                        << " trial=" << trial
+                                        << (chained ? " chained" : ""));
         TaskInput input;
         input.ngram_len = l;
         // Documents as a GPU drain yields them: one entry per key.
-        const size_t num_docs = 1 + rng.Uniform(6);
+        const size_t num_docs =
+            chained ? 2 + rng.Uniform(4) : 1 + rng.Uniform(6);
         std::vector<AnalyticsResult> docs(num_docs);
         std::vector<uint32_t> bases(num_docs);
         SequenceMap seq_model;
         RankedMap ranked_model;
         uint32_t next_base = 0;
+        uint32_t last_gram = 0;
         for (size_t d = 0; d < num_docs; ++d) {
           const uint32_t num_files = 1 + static_cast<uint32_t>(rng.Uniform(4));
-          const size_t entries = rng.Bernoulli(0.2) ? 0 : rng.Uniform(60);
           gpu::NgramCounts drain;
           drain.ngram_len = l;
-          for (const auto& [key, c] :
-               SequenceModel(RandomDrain(&rng, l, num_files, entries))) {
-            drain.Add(key.first, key.second.data(), c);
+          if (chained) {
+            if (d % 2 == 0 || !rng.Bernoulli(0.5)) {
+              const uint64_t kind = d == 0 ? 2 : rng.Uniform(3);
+              const uint32_t first =
+                  kind == 0   ? last_gram
+                  : kind == 1 ? last_gram + 1
+                              : static_cast<uint32_t>(rng.Uniform(12));
+              const uint32_t num_grams =
+                  1 + static_cast<uint32_t>(rng.Uniform(4));
+              drain = ChainedDocDrain(&rng, l, num_files, first, num_grams);
+              last_gram = first + num_grams - 1;
+            }
+          } else {
+            const size_t entries = rng.Bernoulli(0.2) ? 0 : rng.Uniform(60);
+            for (const auto& [key, c] :
+                 SequenceModel(RandomDrain(&rng, l, num_files, entries))) {
+              drain.Add(key.first, key.second.data(), c);
+            }
           }
           drain = Shuffled(drain, &rng);
           for (size_t i = 0; i < drain.size(); ++i) {
@@ -983,16 +1079,7 @@ TEST(FlatSequenceResultsTest, MergeOrderDoesNotMatter) {
         std::vector<size_t> order(num_docs);
         for (size_t d = 0; d < num_docs; ++d) order[d] = d;
         const auto [corpus, corpus_ops] = merge(order);
-        for (size_t i = num_docs; i > 1; --i) {
-          std::swap(order[i - 1], order[rng.Uniform(i)]);
-        }
-        const auto [shuffled, shuffled_ops] = merge(order);
-
-        EXPECT_TRUE(shuffled.SameAs(corpus))
-            << shuffled.Digest() << " vs " << corpus.Digest();
-        EXPECT_EQ(shuffled.Digest(), corpus.Digest());
         EXPECT_EQ(corpus_ops, model_ops);
-        EXPECT_EQ(shuffled_ops, model_ops);
         if (task == Task::kSequenceCount) {
           EXPECT_EQ(ToMap(corpus.sequence_count), seq_model);
           EXPECT_EQ(KernelFold(corpus), MapFold(seq_model));
@@ -1001,6 +1088,26 @@ TEST(FlatSequenceResultsTest, MergeOrderDoesNotMatter) {
           EXPECT_EQ(ToMap(corpus.ranked_inverted_index), ranked_model);
           EXPECT_EQ(KernelFold(corpus), MapFold(ranked_model));
           EXPECT_EQ(ResultBytes(corpus, l), MapBytes(ranked_model, l));
+        }
+
+        // Chained trials try every merge order; the others one shuffle.
+        std::vector<std::vector<size_t>> orders;
+        if (chained) {
+          while (std::next_permutation(order.begin(), order.end())) {
+            orders.push_back(order);
+          }
+        } else {
+          for (size_t i = num_docs; i > 1; --i) {
+            std::swap(order[i - 1], order[rng.Uniform(i)]);
+          }
+          orders.push_back(order);
+        }
+        for (const std::vector<size_t>& o : orders) {
+          const auto [merged, merged_ops] = merge(o);
+          EXPECT_TRUE(merged.SameAs(corpus))
+              << merged.Digest() << " vs " << corpus.Digest();
+          EXPECT_EQ(merged.Digest(), corpus.Digest());
+          EXPECT_EQ(merged_ops, model_ops);
         }
       }
     }
