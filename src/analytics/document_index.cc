@@ -12,6 +12,17 @@ Result<std::shared_ptr<const DocumentIndex>> DocumentIndex::Build(
   if (!dag.ok()) return dag.status();
   auto index = std::make_shared<DocumentIndex>();
   index->dag = std::move(*dag);
+  const DagView& v = index->dag;
+  std::vector<uint64_t>& blooms = index->rule_blooms;
+  blooms.assign(v.num_rules(), 0);
+  const std::vector<uint32_t>& order = v.topo_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const uint32_t r = *it;
+    uint64_t bloom = 0;
+    for (const RuleWordEntry& w : v.words(r)) bloom |= WordBloomMask(w.word);
+    for (const RuleChildEntry& e : v.children(r)) bloom |= blooms[e.child];
+    blooms[r] = bloom;
+  }
   index->fingerprint = GrammarFingerprint(g);
   return std::shared_ptr<const DocumentIndex>(std::move(index));
 }

@@ -14,14 +14,20 @@
 namespace gtadoc {
 
 /// \brief Everything the engines derive from a document's grammar alone:
-/// the validated DAG view (Figure 1(e)) and the grammar fingerprint plans
-/// are keyed by.
+/// the validated DAG view (Figure 1(e)), the per-rule subtree Bloom filters
+/// and the grammar fingerprint plans are keyed by.
 ///
 /// Immutable once built. TADOC and G-TADOC prepare the rule DAG once when a
 /// document is loaded and then run many analytics over it; engines borrow a
 /// shared DocumentIndex instead of rebuilding it per run.
 struct DocumentIndex {
   DagView dag;
+  /// Per-rule 64-bit Bloom filters over each rule's *subtree* vocabulary
+  /// (children before parents). A word absent from rule r's filter is
+  /// provably absent from its whole expansion, so selective relevance is one
+  /// flat probe per rule (the planner's planBloomRelevance pass).
+  /// rule_blooms[0] covers the whole document and equals DocumentBloom(g).
+  std::vector<uint64_t> rule_blooms;
   uint64_t fingerprint = 0;
 
   /// The one builder every engine path goes through. Returns Corruption for

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analytics/document_index.h"
 #include "common/hash.h"
 
 namespace gtadoc {
@@ -73,10 +74,9 @@ uint64_t RegionGroupEnd(const RegionGroup& group) {
 bool PlanEquals(const RunPlan& a, const RunPlan& b) {
   return a.key == b.key && a.task == b.task && a.strategy == b.strategy &&
          a.window == b.window && a.filter == b.filter &&
-         a.relevant == b.relevant &&
-         a.relevance_from_bloom == b.relevance_from_bloom &&
-         a.bound == b.bound && a.exp_len == b.exp_len && a.state == b.state &&
-         a.aux == b.aux && a.assembly_offset == b.assembly_offset &&
+         a.relevant == b.relevant && a.bound == b.bound &&
+         a.exp_len == b.exp_len && a.state == b.state && a.aux == b.aux &&
+         a.assembly_offset == b.assembly_offset &&
          a.assembly_slots == b.assembly_slots &&
          a.total_slots == b.total_slots && a.expected_keys == b.expected_keys &&
          a.profile == b.profile && a.estimate == b.estimate;
@@ -147,9 +147,10 @@ size_t PlanCache::size() const {
 // ---------------------------------------------------------------------------
 
 Result<std::shared_ptr<const RunPlan>> Planner::BuildPlan(
-    const TaskKernel& kernel, const Grammar& g, const DagView& dag,
+    const TaskKernel& kernel, const Grammar& g, const DocumentIndex& index,
     const PlanShape& shape, TraversalStrategy strategy_override,
     const PlanKey& key) {
+  const DagView& dag = index.dag;
   auto plan = std::make_shared<RunPlan>();
   const TaskInput& input = shape.input;
   plan->key = key;
@@ -209,9 +210,9 @@ Result<std::shared_ptr<const RunPlan>> Planner::BuildPlan(
           state_sizes[r] = layout.SlotsForBound(plan->dims, plan->bound[r]);
         }
       } else {
-        // Per-rule relevance: persisted compression-time Blooms turn the
-        // bottom-up reachability traversal into one flat probe pass.
-        if (plan->filter.selective() && g.has_rule_blooms()) {
+        // Per-rule relevance: one flat probe of each rule's subtree Bloom
+        // against every accepted word's mask.
+        if (plan->filter.selective()) {
           const std::vector<uint32_t>* accepted = kernel.AcceptedWords(input);
           std::vector<uint64_t> masks;
           if (accepted != nullptr) {
@@ -223,15 +224,14 @@ Result<std::shared_ptr<const RunPlan>> Planner::BuildPlan(
           plan->relevant.assign(n, 0);
           for (uint32_t r = 0; r < n; ++r) {
             for (uint64_t m : masks) {
-              if ((g.rule_blooms[r] & m) == m) {
+              if ((index.rule_blooms[r] & m) == m) {
                 plan->relevant[r] = 1;
                 break;
               }
             }
           }
-          plan->relevance_from_bloom = true;
         } else {
-          plan->relevant = RelevanceTraversal(plan->filter);
+          plan->relevant.assign(n, 1);
         }
         state_sizes.assign(n, 0);
         for (uint32_t r = 1; r < n; ++r) {

@@ -16,6 +16,8 @@
 
 namespace gtadoc {
 
+struct DocumentIndex;
+
 /// Identity of a grammar for plan-cache keying: an FNV fold of the symbol
 /// space and every rule body. Host-side and O(compressed size); computed
 /// once per document by DocumentIndex::Build, never per Run.
@@ -166,12 +168,12 @@ struct RunPlan {
   StateDims dims;
   uint32_t window = 3;
   WordFilter filter;
-  /// Per-rule relevance of selective per-file top-down runs; empty when the
-  /// executor needs no mask. True = the rule's subtree may contain an
-  /// accepted word (exact from the traversal pass, a superset from persisted
-  /// rule Blooms — supersets only cost work, never correctness).
+  /// Per-rule relevance of per-file top-down runs; empty when the executor
+  /// needs no mask. True = the rule's subtree may contain an accepted word:
+  /// a probe of the index's rule Blooms for selective runs, so a superset of
+  /// the exact answer (supersets only cost work, never correctness); all
+  /// rules otherwise.
   std::vector<uint8_t> relevant;
-  bool relevance_from_bloom = false;
   /// Bottom-up per-rule content bounds (Algorithm 2's memory-requirement
   /// transmission); empty for top-down plans.
   std::vector<uint64_t> bound;
@@ -252,10 +254,9 @@ class PlanCache {
 /// The plan *values* are engine-independent; what differs per engine is how
 /// the planning passes are charged (the GPU prices them as mask-protocol
 /// device kernels, the CPU as metered topological loops), so each engine
-/// implements the three charged passes and inherits the shared skeleton.
-/// When the grammar carries compression-time rule Blooms, the relevance mask
-/// needs no traversal at all: one flat probe pass over the persisted filters
-/// replaces the bottom-up reachability rounds.
+/// implements the charged passes and inherits the shared skeleton. The
+/// relevance mask needs no traversal: one flat probe pass over the index's
+/// per-rule Blooms (DocumentIndex::rule_blooms) resolves it.
 class Planner {
  public:
   virtual ~Planner() = default;
@@ -264,14 +265,11 @@ class Planner {
   /// through the virtual passes; everything else is host-side work the
   /// pre-plan drivers never charged either.
   Result<std::shared_ptr<const RunPlan>> BuildPlan(
-      const TaskKernel& kernel, const Grammar& g, const DagView& dag,
+      const TaskKernel& kernel, const Grammar& g, const DocumentIndex& index,
       const PlanShape& shape, TraversalStrategy strategy_override,
       const PlanKey& key);
 
  protected:
-  /// Exact per-rule relevance via the engine's bottom-up reachability pass
-  /// (the fallback when the grammar persists no rule Blooms).
-  virtual std::vector<uint8_t> RelevanceTraversal(const WordFilter& filter) = 0;
   /// Bottom-up content bounds (own accepted words + children, clamped).
   virtual std::vector<uint64_t> BoundsTraversal(const WordFilter& filter,
                                                 uint64_t vocab_clamp) = 0;

@@ -8,19 +8,23 @@
 
 namespace gtadoc {
 
-std::vector<uint8_t> BloomExecuteMask(const PartitionedCorpus& corpus,
-                                      const TaskKernel& kernel,
-                                      const TaskInput& input) {
+std::vector<uint64_t> DocumentBlooms(const PartitionedCorpus& corpus) {
+  std::vector<uint64_t> blooms;
+  blooms.reserve(corpus.partitions.size());
+  for (const Grammar& g : corpus.partitions) blooms.push_back(DocumentBloom(g));
+  return blooms;
+}
+
+std::vector<uint8_t> BloomExecuteMask(
+    const std::vector<uint64_t>& document_blooms, const TaskKernel& kernel,
+    const TaskInput& input) {
   // Each document answers one question — may this run produce output here?
   // — and the kernel owns the answer (TaskKernel::MayMatchDocument), probed
-  // against the document's persisted root Bloom. Documents without Blooms
-  // (v1 containers, hand-built grammars) always execute.
-  std::vector<uint8_t> execute(corpus.partitions.size(), 1);
+  // against the document's root Bloom.
+  std::vector<uint8_t> execute(document_blooms.size(), 1);
   bool any_skip = false;
-  for (size_t d = 0; d < corpus.partitions.size(); ++d) {
-    const Grammar& g = corpus.partitions[d];
-    if (!g.has_rule_blooms()) continue;
-    if (!kernel.MayMatchDocument(g.rule_blooms[0], input)) {
+  for (size_t d = 0; d < document_blooms.size(); ++d) {
+    if (!kernel.MayMatchDocument(document_blooms[d], input)) {
       execute[d] = 0;
       any_skip = true;
     }
@@ -119,6 +123,7 @@ Result<std::unique_ptr<CorpusServer>> CorpusServer::Create(
       std::max<size_t>(256, 8 * corpus->partitions.size()));
   server->options_.engine.plan_cache = server->plan_cache_.get();
   server->index_ = std::make_unique<CorpusIndex>(&corpus->partitions);
+  server->document_blooms_ = DocumentBlooms(*corpus);
   server->sharded_ = std::move(*sharded);
   server->device_group_ = std::make_unique<DeviceGroup>(server->sharded_.get(),
                                                         server->index_.get());
@@ -331,7 +336,7 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
       ResolveQueryDefaults(request, options_.engine);
 
   run.execute_mask = BloomExecuteMask(
-      *corpus_, kernel, GTadocEngine::InputFromOptions(run.engine));
+      document_blooms_, kernel, GTadocEngine::InputFromOptions(run.engine));
   uint32_t to_execute = static_cast<uint32_t>(corpus_->partitions.size());
   if (!run.execute_mask.empty()) {
     to_execute = 0;

@@ -22,26 +22,27 @@
 
 namespace gtadoc {
 
-/// Which documents of `corpus` a run of `kernel` over `input` must execute,
-/// decided purely from the documents' persisted root Bloom filters
-/// (Grammar::rule_blooms[0], the whole-document vocabulary filter). The
-/// per-document question — may this run produce output here? — is answered
-/// by the kernel itself (TaskKernel::MayMatchDocument): the default derives
-/// "any accepted word may be present" from AcceptedWords (keywordSearch),
-/// and kernels with conjunctive semantics override it (phraseSearch rejects
-/// a document unless every word of some query phrase may be present).
+/// Each document's root Bloom filter (DocumentBloom), in corpus order.
+std::vector<uint64_t> DocumentBlooms(const PartitionedCorpus& corpus);
+
+/// Which documents a run of `kernel` over `input` must execute, decided
+/// purely from the documents' root Bloom filters (`document_blooms`, one per
+/// document as DocumentBlooms returns them). The per-document question —
+/// may this run produce output here? — is answered by the kernel itself
+/// (TaskKernel::MayMatchDocument): the default derives "any accepted word
+/// may be present" from AcceptedWords (keywordSearch), and kernels with
+/// conjunctive semantics override it (phraseSearch rejects a document
+/// unless every word of some query phrase may be present).
 ///
 /// Returns the empty vector — BatchEngine::Run's "no mask" convention —
-/// when nothing is skippable (non-selective kernels, Bloom-less corpora, or
-/// every document passing). Documents without persisted Blooms (v1
-/// containers, hand-built grammars) always execute. Bloom false positives
-/// only cost work — a passed document that holds no real match executes and
-/// contributes an empty result — never correctness: a rejected word is
-/// *provably* absent from the whole document, so the skipped document's
-/// result is empty by construction.
-std::vector<uint8_t> BloomExecuteMask(const PartitionedCorpus& corpus,
-                                      const TaskKernel& kernel,
-                                      const TaskInput& input);
+/// when nothing is skippable (non-selective kernels, or every document
+/// passing). Bloom false positives only cost work — a passed document that
+/// holds no real match executes and contributes an empty result — never
+/// correctness: a rejected word is *provably* absent from the whole
+/// document, so the skipped document's result is empty by construction.
+std::vector<uint8_t> BloomExecuteMask(
+    const std::vector<uint64_t>& document_blooms, const TaskKernel& kernel,
+    const TaskInput& input);
 
 /// \brief Plan-aware serving front-end over a DeviceGroup: rolling
 /// admission, multi-tenant QoS and corpus-level Bloom pushdown for
@@ -516,6 +517,9 @@ class CorpusServer {
   /// Lazily built per-document indexes of corpus_, borrowed by the probes,
   /// the CPU lanes and every device.
   std::unique_ptr<CorpusIndex> index_;
+  /// DocumentBlooms(*corpus_), computed once at Create: Submit's
+  /// BloomExecuteMask input.
+  std::vector<uint64_t> document_blooms_;
   /// One budget per simulated GPU.
   std::vector<std::unique_ptr<gpu::SlotBudget>> device_budgets_;
   RunScheduler scheduler_;

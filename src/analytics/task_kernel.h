@@ -254,9 +254,9 @@ class TaskKernel {
     return nullptr;
   }
 
-  /// Corpus-pushdown seam: may a document whose persisted root Bloom filter
-  /// is `root_bloom` (Grammar::rule_blooms[0], covering the document's whole
-  /// vocabulary) produce any output for this run? The serving layer
+  /// Corpus-pushdown seam: may a document whose root Bloom filter is
+  /// `root_bloom` (DocumentBloom, covering the document's whole vocabulary)
+  /// produce any output for this run? The serving layer
   /// (CorpusServer / BloomExecuteMask) skips documents this returns false
   /// for — no upload, no plan, no traversal — so false must be a *proof* of
   /// an empty result; false positives (true without a real match) only cost

@@ -193,13 +193,15 @@ Result<MarkerCorpus> BuildMarkerCorpus(const MarkerCorpusSpec& mspec) {
         std::move(tok.file_tokens[f]));
   }
 
-  // Compress the marker-free documents first: their persisted root Blooms
-  // drive the marker selection.
+  // Compress the marker-free documents first: their root Blooms drive the
+  // marker selection.
   std::vector<Grammar> docs(mspec.num_docs);
+  std::vector<uint64_t> doc_blooms(mspec.num_docs, 0);
   for (uint32_t d = mspec.relevant; d < mspec.num_docs; ++d) {
     auto g = CompressTokenStreams(doc_files[d], out.num_words);
     if (!g.ok()) return g.status();
     docs[d] = std::move(*g);
+    doc_blooms[d] = DocumentBloom(docs[d]);
   }
   for (uint32_t c = 0;
        c < kCandidateSpace && out.markers.size() < mspec.num_markers; ++c) {
@@ -208,7 +210,7 @@ Result<MarkerCorpus> BuildMarkerCorpus(const MarkerCorpusSpec& mspec) {
     bool rejected_everywhere = true;
     bool passes_first_irrelevant = false;
     for (uint32_t d = mspec.relevant; d < mspec.num_docs; ++d) {
-      if ((docs[d].rule_blooms[0] & mask) == mask) {
+      if ((doc_blooms[d] & mask) == mask) {
         rejected_everywhere = false;
         if (d == mspec.relevant) passes_first_irrelevant = true;
       }

@@ -81,7 +81,7 @@ struct MarkerCorpus {
 /// and the bench gates: `num_docs` documents (files_per_doc files each)
 /// over a small shared vocabulary, plus `num_markers` marker words injected
 /// ONLY into documents [0, relevant). Markers are chosen so every
-/// marker-free document's persisted root Bloom filter provably rejects
+/// marker-free document's root Bloom filter (DocumentBloom) provably rejects
 /// them — the skip a consumer measures is deterministic, not seed luck.
 /// Fails with Internal when the candidate space cannot supply num_markers
 /// such words (raise the space or shrink the vocabulary).

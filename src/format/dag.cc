@@ -145,22 +145,4 @@ Result<DagStats> ComputeDagStats(const Grammar& g) {
   return s;
 }
 
-Status ComputeRuleBlooms(Grammar* g) {
-  auto view = DagView::Build(*g);
-  if (!view.ok()) return view.status();
-  const DagView& v = *view;
-  g->rule_blooms.assign(v.num_rules(), 0);
-  const std::vector<uint32_t>& order = v.topo_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const uint32_t r = *it;
-    uint64_t bloom = 0;
-    for (const RuleWordEntry& w : v.words(r)) bloom |= WordBloomMask(w.word);
-    for (const RuleChildEntry& e : v.children(r)) {
-      bloom |= g->rule_blooms[e.child];
-    }
-    g->rule_blooms[r] = bloom;
-  }
-  return Status::OK();
-}
-
 }  // namespace gtadoc

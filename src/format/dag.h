@@ -115,12 +115,6 @@ struct DagStats {
 /// Computes statistics; requires a valid grammar (uses DagView internally).
 Result<DagStats> ComputeDagStats(const Grammar& g);
 
-/// Fills `g->rule_blooms` with per-rule subtree Bloom filters (children
-/// before parents, so each filter covers the rule's full expansion). Run at
-/// compression time; the serializer persists the result. Fails on grammars
-/// DagView rejects.
-Status ComputeRuleBlooms(Grammar* g);
-
 }  // namespace gtadoc
 
 #endif  // GTADOC_FORMAT_DAG_H_

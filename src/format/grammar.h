@@ -26,13 +26,6 @@ struct Grammar {
   /// Dictionary: id -> word text, size num_words. May be empty when analytics
   /// only need ids (the engines never look at strings).
   std::vector<std::string> words;
-  /// Per-rule 64-bit Bloom filters over the rule's *subtree* vocabulary,
-  /// computed at compression time (ComputeRuleBlooms) and persisted by the
-  /// serializer (container format v2). A query word absent from rule r's
-  /// filter is provably absent from its whole expansion, so keyword-style
-  /// relevance needs no runtime traversal. Empty when absent (v1 files,
-  /// hand-built grammars); consumers must then fall back to a traversal.
-  std::vector<uint64_t> rule_blooms;
 
   uint32_t num_terminals() const { return num_words + num_splitters; }
   uint32_t num_files() const { return num_splitters + 1; }
@@ -52,23 +45,32 @@ struct Grammar {
   uint32_t SplitterIndex(uint32_t id) const { return id - num_words; }
 
   const std::vector<uint32_t>& root() const { return rules[0]; }
-
-  bool has_rule_blooms() const {
-    return !rules.empty() && rule_blooms.size() == rules.size();
-  }
 };
 
 /// The two k=2 Bloom bits of word id `word` (SplitMix64-derived, stable
-/// across platforms so persisted filters stay valid). Shared by the
-/// compression-time filter builder and the runtime relevance probes:
-/// word w may appear in rule r's subtree iff
-/// (rule_blooms[r] & WordBloomMask(w)) == WordBloomMask(w).
+/// across platforms). Shared by every filter builder and probe: word w may
+/// appear in a filter's vocabulary only if
+/// (filter & WordBloomMask(w)) == WordBloomMask(w).
 inline uint64_t WordBloomMask(uint32_t word) {
   uint64_t x = word + 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   x ^= x >> 31;
   return (1ull << (x & 63)) | (1ull << ((x >> 6) & 63));
+}
+
+/// The whole document's vocabulary filter: WordBloomMask ORed over every
+/// word symbol of every rule body. For a valid grammar (every rule reachable
+/// from the root) it equals the root rule's subtree filter,
+/// DocumentIndex::rule_blooms[0], without building the index.
+inline uint64_t DocumentBloom(const Grammar& g) {
+  uint64_t bloom = 0;
+  for (const auto& body : g.rules) {
+    for (uint32_t sym : body) {
+      if (g.IsWord(sym)) bloom |= WordBloomMask(sym);
+    }
+  }
+  return bloom;
 }
 
 }  // namespace gtadoc

@@ -1,5 +1,7 @@
 #include "format/serializer.h"
 
+#include <cstring>
+
 #include "common/hash.h"
 #include "common/io.h"
 
@@ -7,76 +9,28 @@ namespace gtadoc {
 
 namespace {
 constexpr char kMagic[4] = {'G', 'T', 'D', 'C'};
-/// v1: header + dictionary + rules. v2 adds the optional per-rule subtree
-/// Bloom section (kFlagRuleBlooms) between the dictionary and the rules.
-/// A grammar without Blooms serializes as v1 byte-for-byte, so old readers
-/// keep working whenever the new section is absent.
+/// v1: header + dictionary + rules, the only version written. v2 containers
+/// also carry a per-rule subtree Bloom section (kFlagRuleBlooms) between the
+/// dictionary and the rules; the filters are a pure function of the rule
+/// bodies (DocumentIndex::Build derives them), so the reader bounds-checks
+/// that section and skips it.
 constexpr uint8_t kVersion = 1;
 constexpr uint8_t kVersionBlooms = 2;
 constexpr uint8_t kFlagDictionary = 0x01;
 constexpr uint8_t kFlagRuleBlooms = 0x02;
-
-/// The header prefix shared by ParseGrammar and PeekGrammarHeader: magic,
-/// version, flags and counts, with the fabricated-count guards. One parser
-/// for both consumers so the probe can never drift from the real reader.
-/// Leaves *r positioned at the dictionary section.
-Status ReadHeaderPrefix(BinaryReader* r, GrammarHeader* h) {
-  char magic[4];
-  for (int i = 0; i < 4; ++i) {
-    auto b = r->GetU8();
-    if (!b.ok()) return b.status();
-    magic[i] = static_cast<char>(*b);
-  }
-  if (std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::Corruption("bad magic");
-  }
-  auto version = r->GetU8();
-  if (!version.ok()) return version.status();
-  if (*version != kVersion && *version != kVersionBlooms) {
-    return Status::Corruption("unsupported version " +
-                              std::to_string(*version));
-  }
-  h->version = *version;
-  auto flags = r->GetU8();
-  if (!flags.ok()) return flags.status();
-  if (*version == kVersion && (*flags & kFlagRuleBlooms) != 0) {
-    return Status::Corruption("v1 container cannot carry rule Blooms");
-  }
-  h->has_dictionary = (*flags & kFlagDictionary) != 0;
-  h->has_rule_blooms = (*flags & kFlagRuleBlooms) != 0;
-  GTADOC_ASSIGN_OR_RETURN(h->num_words, r->GetVarint32());
-  GTADOC_ASSIGN_OR_RETURN(h->num_splitters, r->GetVarint32());
-  GTADOC_ASSIGN_OR_RETURN(h->num_rules, r->GetVarint64());
-  if (h->num_rules == 0) return Status::Corruption("grammar has no rules");
-  if (h->num_rules > (1ull << 32)) {
-    return Status::Corruption("rule count too large");
-  }
-  // Every rule costs at least one body-length byte, so a fabricated count
-  // larger than the remaining input is rejected before any allocation sized
-  // from it (a crafted header must not force a multi-GiB reserve).
-  if (h->num_rules > r->remaining()) {
-    return Status::Corruption("rule count exceeds input size");
-  }
-  return Status::OK();
-}
 }  // namespace
 
-std::string SerializeGrammar(const Grammar& g, bool include_dictionary,
-                             bool include_blooms) {
+std::string SerializeGrammar(const Grammar& g, bool include_dictionary) {
   BinaryWriter w;
   w.PutRaw(kMagic, sizeof(kMagic));
   const bool dict = include_dictionary && g.words.size() == g.num_words;
-  const bool blooms = include_blooms && g.has_rule_blooms();
-  w.PutU8(blooms ? kVersionBlooms : kVersion);
-  w.PutU8((dict ? kFlagDictionary : 0) | (blooms ? kFlagRuleBlooms : 0));
+  w.PutU8(kVersion);
+  w.PutU8(dict ? kFlagDictionary : 0);
   w.PutVarint32(g.num_words);
   w.PutVarint32(g.num_splitters);
   w.PutVarint64(g.rules.size());
   if (dict) {
     for (const std::string& word : g.words) w.PutLengthPrefixed(word);
-  }
-  if (blooms) {
-    for (uint64_t bloom : g.rule_blooms) w.PutU64(bloom);
   }
   for (const auto& body : g.rules) {
     w.PutVarint32(static_cast<uint32_t>(body.size()));
@@ -100,16 +54,49 @@ Result<Grammar> ParseGrammar(Slice data) {
     return Status::Corruption("checksum mismatch");
   }
 
-  BinaryReader r(Slice(data.data(), body_len));
-  GrammarHeader header;
-  GTADOC_RETURN_IF_ERROR(ReadHeaderPrefix(&r, &header));
-  const uint64_t num_rules = header.num_rules;
+  if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
+    return Status::Corruption("bad magic");
+  }
+  BinaryReader r(
+      Slice(data.data() + sizeof(kMagic), body_len - sizeof(kMagic)));
+  uint8_t version = 0;
+  uint8_t flags = 0;
+  GTADOC_ASSIGN_OR_RETURN(version, r.GetU8());
+  GTADOC_ASSIGN_OR_RETURN(flags, r.GetU8());
+  if (version != kVersion && version != kVersionBlooms) {
+    return Status::Corruption("unsupported version " +
+                              std::to_string(version));
+  }
+  const bool has_blooms = (flags & kFlagRuleBlooms) != 0;
+  if (version == kVersion && has_blooms) {
+    return Status::Corruption("v1 container cannot carry rule Blooms");
+  }
 
   Grammar g;
-  g.num_words = header.num_words;
-  g.num_splitters = header.num_splitters;
+  uint64_t num_rules = 0;
+  GTADOC_ASSIGN_OR_RETURN(g.num_words, r.GetVarint32());
+  GTADOC_ASSIGN_OR_RETURN(g.num_splitters, r.GetVarint32());
+  GTADOC_ASSIGN_OR_RETURN(num_rules, r.GetVarint64());
+  if (num_rules == 0) return Status::Corruption("grammar has no rules");
+  // Symbol ids are 32-bit: terminals plus rules must fit, or the id-range
+  // checks below would wrap.
+  const uint64_t max_symbol =
+      static_cast<uint64_t>(g.num_words) + g.num_splitters + num_rules;
+  if (max_symbol > (1ull << 32)) {
+    return Status::Corruption("symbol space exceeds 32-bit ids");
+  }
+  // Every rule costs at least one body-length byte and every dictionary
+  // word one length byte, so a fabricated count larger than the remaining
+  // input is rejected before any allocation sized from it (a crafted header
+  // must not force a multi-GiB reserve).
+  if (num_rules > r.remaining()) {
+    return Status::Corruption("rule count exceeds input size");
+  }
 
-  if (header.has_dictionary) {
+  if ((flags & kFlagDictionary) != 0) {
+    if (g.num_words > r.remaining()) {
+      return Status::Corruption("dictionary word count exceeds input size");
+    }
     g.words.reserve(g.num_words);
     for (uint32_t i = 0; i < g.num_words; ++i) {
       auto word = r.GetLengthPrefixed();
@@ -118,20 +105,18 @@ Result<Grammar> ParseGrammar(Slice data) {
     }
   }
 
-  if (header.has_rule_blooms) {
+  if (has_blooms) {
+    // Divide instead of multiplying: a fabricated 2^61-rule count must not
+    // wrap the size check.
     if (num_rules > r.remaining() / 8) {
       return Status::Corruption("rule Bloom section truncated");
     }
-    g.rule_blooms.reserve(num_rules);
     for (uint64_t i = 0; i < num_rules; ++i) {
       auto bloom = r.GetU64();
       if (!bloom.ok()) return bloom.status();
-      g.rule_blooms.push_back(*bloom);
     }
   }
 
-  const uint64_t max_symbol =
-      static_cast<uint64_t>(g.num_terminals()) + num_rules;
   g.rules.resize(num_rules);
   for (uint64_t i = 0; i < num_rules; ++i) {
     uint32_t len;
@@ -149,36 +134,6 @@ Result<Grammar> ParseGrammar(Slice data) {
   }
   if (!r.AtEnd()) return Status::Corruption("trailing bytes after rules");
   return g;
-}
-
-Result<GrammarHeader> PeekGrammarHeader(Slice data) {
-  if (data.size() < sizeof(kMagic) + 2 + 8) {
-    return Status::Corruption("container too small");
-  }
-  // The probe deliberately skips the trailing checksum: it reads O(header)
-  // bytes of an O(container) file, and a corrupt container still fails the
-  // full ParseGrammar a consumer runs before executing anything.
-  BinaryReader r(Slice(data.data(), data.size() - 8));
-  GrammarHeader h;
-  GTADOC_RETURN_IF_ERROR(ReadHeaderPrefix(&r, &h));
-  if (h.has_dictionary) {
-    // Skip the dictionary by walking length prefixes; GetLengthPrefixed
-    // returns a bounds-checked view without copying the string.
-    for (uint32_t i = 0; i < h.num_words; ++i) {
-      auto word = r.GetLengthPrefixed();
-      if (!word.ok()) return word.status();
-    }
-  }
-  if (h.has_rule_blooms) {
-    // Divide instead of multiplying: a fabricated 2^61-rule count must not
-    // wrap the arithmetic and slip past the truncation check.
-    if (h.num_rules > r.remaining() / 8) {
-      return Status::Corruption("rule Bloom section truncated");
-    }
-    // Rule 0 is the root: its subtree filter covers the whole document.
-    GTADOC_ASSIGN_OR_RETURN(h.root_bloom, r.GetU64());
-  }
-  return h;
 }
 
 Status WriteGrammarFile(const Grammar& g, const std::string& path,

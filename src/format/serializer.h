@@ -9,60 +9,30 @@
 
 namespace gtadoc {
 
-/// \brief Binary TADOC container: header, optional dictionary, optional
-/// per-rule subtree Bloom filters, varint-encoded rule bodies, trailing
-/// FNV-1a checksum.
+/// \brief Binary TADOC container: header, optional dictionary,
+/// varint-encoded rule bodies, trailing FNV-1a checksum.
 ///
 /// Layout:
 ///   magic  "GTDC"            (4 bytes)
-///   version u8               (1, or 2 when rule Blooms are present)
-///   flags   u8               (bit 0: dictionary, bit 1: rule Blooms)
+///   version u8               (1)
+///   flags   u8               (bit 0: dictionary)
 ///   num_words     varint32
 ///   num_splitters varint32
 ///   num_rules     varint64
 ///   [dictionary: num_words length-prefixed strings]
-///   [rule Blooms: num_rules u64 filters — v2 only]
 ///   per rule: varint32 body length, then that many varint32 symbol ids
 ///   checksum u64 (FNV-1a of all preceding bytes)
 ///
-/// Backward compatibility: a grammar without Blooms (or with
-/// include_blooms = false) serializes as a v1 container byte-for-byte, and
-/// ParseGrammar reads both versions — v1 files simply load with empty
-/// rule_blooms, and relevance planning falls back to a traversal.
+/// Version 2 containers (flags bit 1) also hold num_rules u64 per-rule
+/// Bloom filters between the dictionary and the rule bodies. ParseGrammar
+/// still reads them and skips that section: the engines derive the same
+/// filters from the rule bodies (DocumentIndex::rule_blooms).
 ///
 /// ParseGrammar verifies the magic, version, checksum and every id range, and
 /// returns Corruption on any mismatch — it never crashes on malformed input.
-std::string SerializeGrammar(const Grammar& g, bool include_dictionary = true,
-                             bool include_blooms = true);
+std::string SerializeGrammar(const Grammar& g, bool include_dictionary = true);
 
 Result<Grammar> ParseGrammar(Slice data);
-
-/// \brief Container header summary, readable without materializing the
-/// grammar — the serving layer's cheap load-time probe.
-///
-/// `root_bloom` is rule 0's persisted subtree Bloom filter, i.e. the whole
-/// document's vocabulary filter: a corpus server can reject a document for a
-/// keyword query from this one word, before parsing (or uploading) any rule
-/// body. 0 when the container carries no Bloom section (v1 files) —
-/// consumers must then treat the document as potentially relevant.
-struct GrammarHeader {
-  uint8_t version = 0;
-  bool has_dictionary = false;
-  bool has_rule_blooms = false;
-  uint32_t num_words = 0;
-  uint32_t num_splitters = 0;
-  uint64_t num_rules = 0;
-  uint64_t root_bloom = 0;
-};
-
-/// Reads just the header (magic, version, flags, counts) and — when present
-/// — the root rule's Bloom filter, skipping the dictionary without
-/// materializing strings and never touching the rule bodies: O(header +
-/// dictionary lengths) instead of O(container). Structural errors in the
-/// bytes it reads return Corruption, but the trailing whole-file checksum is
-/// NOT verified (that is ParseGrammar's job); the probe is a fast pre-filter,
-/// not a validator.
-Result<GrammarHeader> PeekGrammarHeader(Slice data);
 
 /// Convenience wrappers for on-disk .tdc files.
 Status WriteGrammarFile(const Grammar& g, const std::string& path,

@@ -129,9 +129,6 @@ struct GTadocEngine::GpuPlanner : public Planner {
   GTadocEngine* engine;
 
  protected:
-  std::vector<uint8_t> RelevanceTraversal(const WordFilter& filter) override {
-    return engine->RelevancePass(filter);
-  }
   std::vector<uint64_t> BoundsTraversal(const WordFilter& filter,
                                         uint64_t vocab_clamp) override {
     return engine->BoundsPass(filter, vocab_clamp);
@@ -187,8 +184,8 @@ Result<std::shared_ptr<const RunPlan>> GTadocEngine::BuildAndCachePlan(
     const TaskKernel& kernel, TraversalStrategy strategy_override,
     const PlanShape& shape, const PlanKey& key) {
   GpuPlanner planner(this);
-  auto built = planner.BuildPlan(kernel, *g_, dag(), shape, strategy_override,
-                                 key);
+  auto built = planner.BuildPlan(kernel, *g_, *index_, shape,
+                                 strategy_override, key);
   if (!built.ok()) return built.status();
   plan_cache_->Put(*built);
   return *built;
@@ -223,39 +220,6 @@ std::shared_ptr<const RunPlan> GTadocEngine::CachedPlan(
     Task task, TraversalStrategy strategy_override) const {
   return plan_cache_->Peek(PlanKeyFor(options_, index_->fingerprint, task,
                                       strategy_override));
-}
-
-std::vector<uint8_t> GTadocEngine::RelevancePass(const WordFilter& filter) {
-  const uint32_t n = dev_.num_rules;
-  if (!filter.selective()) return std::vector<uint8_t>(n, 1);
-  // genQueryReachKernel: bottom-up reachability of accepted words — the
-  // selective kernel's grammar exploit. A rule is relevant iff it owns an
-  // accepted word or any child subtree does; irrelevant rules carry no
-  // accumulator state and are skipped by the reduce kernels.
-  std::vector<uint8_t> relevant(n, 0);
-  internal::BottomUpRounds(
-      device_, dev_, "genQueryReach", [&](uint32_t r, gpu::ThreadCtx& ctx) {
-        uint8_t rel = 0;
-        for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
-          ctx.Charge(1);
-          if (filter.Accepts(dev_.word_id[e])) {
-            rel = 1;
-            break;
-          }
-        }
-        if (rel == 0) {
-          for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1];
-               ++e) {
-            ctx.Charge(1);
-            if (relevant[dev_.child_id[e]] != 0) {
-              rel = 1;
-              break;
-            }
-          }
-        }
-        relevant[r] = rel;
-      });
-  return relevant;
 }
 
 std::vector<uint64_t> GTadocEngine::BoundsPass(const WordFilter& filter,
@@ -353,7 +317,7 @@ Result<EngineRun> GTadocEngine::Run(Task task,
   const uint64_t allocs_before = device_->stats().device_allocs;
 
   // Plan resolution: a cache hit costs nothing; a miss runs the charged
-  // planning passes (relevance/bounds/expansion traversals).
+  // planning passes (relevance probe, bounds/expansion traversals).
   bool cache_hit = false;
   auto plan_lookup = ResolvePlan(kernel, strategy_override, &cache_hit);
   if (!plan_lookup.ok()) return plan_lookup.status();

@@ -47,7 +47,7 @@ namespace gtadoc {
 /// a PlanCache keyed by (grammar fingerprint, kernel, shape options). The
 /// shape pipelines are pure executors of that plan, so a same-shape rebind
 /// run (the serving hot path) skips planning entirely: plan_seconds == 0 and
-/// zero relevance/bounds traversals are launched.
+/// no relevance probe or bounds traversal is launched.
 ///
 /// Timing: phase 1 (initialization) covers device-grammar construction, the
 /// PCIe transfer, root scanning, memory-bound computation, planning (or a
@@ -171,9 +171,10 @@ class GTadocEngine {
   GTadocEngine(const Grammar* g, std::shared_ptr<const DocumentIndex> index,
                const Options& options);
 
-  /// The engine's charged planning passes (engine.cc): relevance and bounds
-  /// run as the genQueryReach / genLocTblBound mask-protocol device kernels,
-  /// expansion lengths as the sequence pipeline's expLen rounds.
+  /// The engine's charged planning passes (engine.cc): bounds run as the
+  /// genLocTblBound mask-protocol device kernel, expansion lengths as the
+  /// sequence pipeline's expLen rounds, and the relevance probe as one flat
+  /// planBloomRelevance launch.
   struct GpuPlanner;
 
   // --- shared helpers (engine.cc) ---
@@ -213,9 +214,6 @@ class GTadocEngine {
   /// charging the D2H copy when PCIe is billed.
   void DrainWordTable(const gpu::GpuHashTable& table,
                       std::vector<std::pair<uint32_t, uint64_t>>* counts);
-  /// Exact per-rule relevance via the genQueryReach bottom-up pass (the
-  /// planner's fallback when the grammar persists no rule Blooms).
-  std::vector<uint8_t> RelevancePass(const WordFilter& filter);
   /// Bottom-up content bounds via the genLocTblBound pass.
   std::vector<uint64_t> BoundsPass(const WordFilter& filter,
                                    uint64_t vocab_clamp);

@@ -191,10 +191,10 @@ Status GTadocEngine::GlobalVerticalPartition(const TaskKernel& kernel,
 // the region's shape is whatever the kernel's StateLayout declares (the
 // canonical dense-array-plus-nonzero-list for the built-ins, a presence
 // bitmap or anything else for custom kernels). The executor only drives
-// Init/Absorb/Merge/ReadSlot; the plan's relevance mask (a Bloom probe over
-// persisted filters, or the genQueryReach pass) already pruned every rule
-// whose subtree holds no accepted word, so only the matching corner of the
-// grammar carries state.
+// Init/Absorb/Merge/ReadSlot; the plan's relevance mask (a probe of the
+// index's per-rule Bloom filters) already pruned every rule whose subtree
+// holds no accepted word, so only the matching corner of the grammar
+// carries state.
 // ---------------------------------------------------------------------------
 
 Status GTadocEngine::FileTaskTopDown(const TaskKernel& kernel,

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "format/dag.h"
 #include "sequitur/sequitur.h"
 
 namespace gtadoc {
@@ -27,11 +26,7 @@ Result<Grammar> CompressTokenStreams(
     }
     for (uint32_t tok : file_tokens[f]) enc.Append(tok);
   }
-  Grammar g = enc.Flatten(num_words, num_splitters);
-  // Compression-time metadata: per-rule subtree Bloom filters, persisted by
-  // the serializer so keyword-style relevance needs no runtime traversal.
-  GTADOC_RETURN_IF_ERROR(ComputeRuleBlooms(&g));
-  return g;
+  return enc.Flatten(num_words, num_splitters);
 }
 
 Result<Grammar> CompressTokens(const TokenizedCorpus& tokens) {

@@ -66,38 +66,6 @@ struct CpuTadocEngine::CpuPlanner : public Planner {
   CpuCostMeter* meter;
 
  protected:
-  /// Reverse-topological relevance of a selective kernel's accepted words: a
-  /// rule is relevant iff it owns an accepted word or any child subtree does
-  /// — the CPU twin of the GPU genQueryReach pass.
-  std::vector<uint8_t> RelevanceTraversal(const WordFilter& filter) override {
-    const size_t n = dag->num_rules();
-    if (!filter.selective()) return std::vector<uint8_t>(n, 1);
-    std::vector<uint8_t> relevant(n, 0);
-    const auto& order = dag->topo_order();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const uint32_t r = *it;
-      uint8_t rel = 0;
-      for (const RuleWordEntry& w : dag->words(r)) {
-        meter->Charge(1);
-        if (filter.Accepts(w.word)) {
-          rel = 1;
-          break;
-        }
-      }
-      if (rel == 0) {
-        for (const RuleChildEntry& e : dag->children(r)) {
-          meter->Charge(1);
-          if (relevant[e.child] != 0) {
-            rel = 1;
-            break;
-          }
-        }
-      }
-      relevant[r] = rel;
-    }
-    return relevant;
-  }
-
   /// Per-rule content bounds of the bottom-up state (the CPU twin of the GPU
   /// genLocTblBound pass): own distinct accepted words plus the children's
   /// bounds, clamped by the accepted vocabulary.
@@ -181,8 +149,8 @@ Result<std::shared_ptr<const RunPlan>> CpuTadocEngine::ResolvePlan(
   }
   *cache_hit = false;
   CpuPlanner planner(&dag(), &options_.cpu, plan_meter);
-  auto built = planner.BuildPlan(kernel, *g_, dag(), shape, strategy_override,
-                                 key);
+  auto built = planner.BuildPlan(kernel, *g_, *index_, shape,
+                                 strategy_override, key);
   if (!built.ok()) return built.status();
   plan_cache_->Put(*built);
   return *built;
@@ -235,7 +203,7 @@ Result<EngineRun> CpuTadocEngine::Run(
   init_meter.Charge(init_ops);
 
   // Plan resolution: a cache hit costs nothing; a miss runs the metered
-  // relevance/bounds passes.
+  // relevance probe and bounds pass.
   bool cache_hit = false;
   auto plan_lookup =
       ResolvePlan(kernel, strategy_override, &plan_meter, &cache_hit);
@@ -438,8 +406,8 @@ AnalyticsResult CpuTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
   // whatever shape the kernel's layout declares, at the plan's resolved
   // offsets. This is the "file information" the paper notes becomes
   // expensive with many files (Section VI-C). The plan's relevance mask
-  // (Bloom probes or the traversal pass) already pruned rules whose subtree
-  // cannot contribute — they were planned no regions.
+  // (the rule-Bloom probe) already pruned rules whose subtree cannot
+  // contribute — they were planned no regions.
   HostStateArena arena;
   BindArena(plan.state, &arena);
   CpuStateOps ops(meter);

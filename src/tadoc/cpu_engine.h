@@ -97,8 +97,8 @@ class CpuTadocEngine {
                  const CpuTadocOptions& options)
       : g_(g), index_(std::move(index)), options_(options) {}
 
-  /// The engine's charged planning passes (cpu_engine.cc): relevance/bounds
-  /// as metered reverse-topological loops, the GPU passes' twins.
+  /// The engine's charged planning passes (cpu_engine.cc): bounds as a
+  /// metered reverse-topological loop, the GPU pass's twin.
   struct CpuPlanner;
 
   /// The per-run task parameters handed to every kernel hook (query_sets

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "analytics/document_index.h"
 #include "common/io.h"
+#include "container_fixtures.h"
 #include "format/dag.h"
 #include "format/grammar.h"
 #include "format/serializer.h"
@@ -8,21 +10,6 @@
 
 namespace gtadoc {
 namespace {
-
-/// The paper's Figure 1 grammar: words w1..w4 (ids 0..3), one splitter (4),
-/// rules R0=5: [R1 R1 spt1 R2 w1], R1=6: [R2 w3 R2 w4], R2=7: [w1 w2].
-Grammar Figure1Grammar() {
-  Grammar g;
-  g.num_words = 4;
-  g.num_splitters = 1;
-  g.words = {"w1", "w2", "w3", "w4"};
-  g.rules = {
-      {6, 6, 4, 7, 0},  // R0: R1 R1 spt1 R2 w1
-      {7, 2, 7, 3},     // R1: R2 w3 R2 w4
-      {0, 1},           // R2: w1 w2
-  };
-  return g;
-}
 
 TEST(GrammarTest, IdSpaceHelpers) {
   Grammar g = Figure1Grammar();
@@ -204,51 +191,66 @@ TEST(SerializerTest, ParsedGrammarPassesDagValidation) {
   EXPECT_TRUE(DagView::Build(*back).ok());
 }
 
-TEST(SerializerTest, PeekGrammarHeaderSurfacesRootBloom) {
-  // The serving layer's cheap load-time probe: counts and the root rule's
-  // whole-document Bloom filter, without materializing rules or strings.
-  Grammar g = Figure1Grammar();
-  ASSERT_TRUE(ComputeRuleBlooms(&g).ok());
-  auto header = PeekGrammarHeader(SerializeGrammar(g));
-  ASSERT_TRUE(header.ok()) << header.status().ToString();
-  EXPECT_EQ(header->version, 2);
-  EXPECT_TRUE(header->has_rule_blooms);
-  EXPECT_TRUE(header->has_dictionary);
-  EXPECT_EQ(header->num_words, g.num_words);
-  EXPECT_EQ(header->num_splitters, g.num_splitters);
-  EXPECT_EQ(header->num_rules, g.rules.size());
-  EXPECT_EQ(header->root_bloom, g.rule_blooms[0]);
+// ------------------------------------------- version-2 compatibility ---
 
-  // Without a dictionary the Bloom section sits right after the counts.
-  auto no_dict = PeekGrammarHeader(SerializeGrammar(g, false));
-  ASSERT_TRUE(no_dict.ok());
-  EXPECT_FALSE(no_dict->has_dictionary);
-  EXPECT_EQ(no_dict->root_bloom, g.rule_blooms[0]);
+TEST(SerializerTest, V2ContainerParsesLikeItsV1Twin) {
+  auto v2 = ParseGrammar(Figure1V2Container());
+  auto v1 = ParseGrammar(Figure1V1Container());
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+  const Grammar g = Figure1Grammar();
+  for (const Grammar* parsed : {&*v2, &*v1}) {
+    EXPECT_EQ(parsed->num_words, g.num_words);
+    EXPECT_EQ(parsed->num_splitters, g.num_splitters);
+    EXPECT_EQ(parsed->rules, g.rules);
+    EXPECT_EQ(parsed->words, g.words);
+  }
 }
 
-TEST(SerializerTest, PeekGrammarHeaderOnV1ReportsNoBloom) {
-  Grammar g = Figure1Grammar();  // no blooms: serializes as v1
-  auto header = PeekGrammarHeader(SerializeGrammar(g));
-  ASSERT_TRUE(header.ok());
-  EXPECT_EQ(header->version, 1);
-  EXPECT_FALSE(header->has_rule_blooms);
-  EXPECT_EQ(header->root_bloom, 0u);
-  EXPECT_EQ(header->num_rules, g.rules.size());
+TEST(SerializerTest, V2BloomSectionEqualsDerivedRuleBlooms) {
+  const std::string v2 = Figure1V2Container();
+  auto parsed = ParseGrammar(v2);
+  ASSERT_TRUE(parsed.ok());
+  auto index = DocumentIndex::Build(*parsed);
+  ASSERT_TRUE(index.ok());
+  std::vector<uint64_t> persisted;
+  BinaryReader r(Slice(v2.data() + kFigure1V2BloomOffset,
+                       kFigure1V2BloomCount * 8));
+  for (size_t i = 0; i < kFigure1V2BloomCount; ++i) {
+    auto bloom = r.GetU64();
+    ASSERT_TRUE(bloom.ok());
+    persisted.push_back(*bloom);
+  }
+  EXPECT_EQ(persisted, (*index)->rule_blooms);
+  EXPECT_EQ(DocumentBloom(*parsed), (*index)->rule_blooms[0]);
+  // The test-side v2 writer reproduces the fixture from the derived filters.
+  EXPECT_EQ(V2Container(*parsed, (*index)->rule_blooms), v2);
 }
 
-TEST(SerializerTest, PeekGrammarHeaderRejectsTruncation) {
-  Grammar g = Figure1Grammar();
-  ASSERT_TRUE(ComputeRuleBlooms(&g).ok());
-  const std::string blob = SerializeGrammar(g);
-  EXPECT_FALSE(PeekGrammarHeader(Slice(blob.data(), 8)).ok());
-  EXPECT_FALSE(PeekGrammarHeader("XXXX" + blob.substr(4)).ok());
-  // A header promising a Bloom section the container cannot hold.
-  auto probe = PeekGrammarHeader(Slice(blob.data(), 16));
-  EXPECT_FALSE(probe.ok());
+TEST(SerializerTest, WritesTheV1FixtureBytesExactly) {
+  EXPECT_EQ(SerializeGrammar(Figure1Grammar()), Figure1V1Container());
+  // Loading a v2 container and writing it back drops the Bloom section.
+  auto v2 = ParseGrammar(Figure1V2Container());
+  ASSERT_TRUE(v2.ok());
+  EXPECT_EQ(SerializeGrammar(*v2), Figure1V1Container());
 }
 
-TEST(SerializerTest, PeekGrammarHeaderRejectsFabricatedRuleCount) {
-  // A crafted 2^61-rule count must not wrap the Bloom-section size check.
+// A v2 header whose Bloom section cannot fit the input is Corruption even
+// with a valid checksum, and never an allocation or a read past the end.
+TEST(SerializerTest, RejectsTruncatedBloomSection) {
+  const std::string v2 = Figure1V2Container();
+  // Keep the header, dictionary and 2 of the 3 filters (16 bytes), then a
+  // fresh checksum: the 3-rule section no longer fits.
+  const std::string cut =
+      Reseal(v2.substr(0, kFigure1V2BloomOffset + 16) + std::string(8, '\0'));
+  auto truncated = ParseGrammar(cut);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_TRUE(truncated.status().IsCorruption());
+}
+
+// Likewise when a fabricated rule count promises a Bloom section of 2^64+8
+// bytes: the size check must not wrap.
+TEST(SerializerTest, RejectsFabricatedBloomRuleCount) {
   BinaryWriter w;
   w.PutRaw("GTDC", 4);
   w.PutU8(2);     // version with Blooms
@@ -256,9 +258,47 @@ TEST(SerializerTest, PeekGrammarHeaderRejectsFabricatedRuleCount) {
   w.PutVarint32(4);
   w.PutVarint32(0);
   w.PutVarint64((1ull << 61) + 1);
-  std::string body = w.Release();
-  body.append(8, '\0');  // checksum tail (the peek does not verify it)
-  EXPECT_FALSE(PeekGrammarHeader(body).ok());
+  w.PutU64(0);
+  auto fabricated = ParseGrammar(Reseal(w.Release()));
+  ASSERT_FALSE(fabricated.ok());
+  EXPECT_TRUE(fabricated.status().IsCorruption());
+}
+
+// A dictionary count larger than the input must be rejected before the
+// dictionary is reserved: every word costs at least one length byte.
+TEST(SerializerTest, RejectsDictionaryCountLargerThanInput) {
+  BinaryWriter w;
+  w.PutRaw("GTDC", 4);
+  w.PutU8(1);
+  w.PutU8(0x01);  // dictionary flag
+  w.PutVarint32(0xFFFFFFF0u);
+  w.PutVarint32(0);
+  w.PutVarint64(1);
+  w.PutU8(0);
+  w.PutU64(0);
+  const std::string container = Reseal(w.Release());
+  ASSERT_EQ(container.size(), 22u);
+  auto parsed = ParseGrammar(container);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
+}
+
+// Terminal and rule counts whose sum overflows 32-bit symbol ids would make
+// the id-range check wrap.
+TEST(SerializerTest, RejectsSymbolSpaceBeyond32Bits) {
+  BinaryWriter w;
+  w.PutRaw("GTDC", 4);
+  w.PutU8(1);
+  w.PutU8(0);
+  w.PutVarint32(0xFFFFFFFFu);
+  w.PutVarint32(2);
+  w.PutVarint64(1);
+  w.PutU8(1);  // root body: one symbol
+  w.PutVarint32(0);
+  w.PutU64(0);
+  auto parsed = ParseGrammar(Reseal(w.Release()));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
 }
 
 }  // namespace

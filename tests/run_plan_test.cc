@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analytics/batch.h"
+#include "analytics/document_index.h"
 #include "analytics/run_plan.h"
 #include "analytics/task_kernel.h"
 #include "analytics/uncompressed.h"
 #include "common/hash.h"
+#include "common/random.h"
+#include "container_fixtures.h"
 #include "datagen/datagen.h"
 #include "format/dag.h"
 #include "format/serializer.h"
@@ -152,6 +156,34 @@ TEST(PlanCacheTest, CachedPlanIsBitForBitTheFreshlyPlannedPlan) {
                           *(*narrow)->CachedPlan(Task::kKeywordSearch)));
 }
 
+// The same document loaded from a version-2 container (with a persisted
+// Bloom section) and from its version-1 twin has one grammar
+// fingerprint, so both share one plan-cache key. Whichever copy plans first,
+// the cached plan must be exactly what the other copy would build fresh.
+TEST(PlanCacheTest, ContainerVersionsShareOneKeyAndOnePlan) {
+  auto v2 = ParseGrammar(Figure1V2Container());
+  auto v1 = ParseGrammar(Figure1V1Container());
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+  PlanCache shared;
+  GTadocEngine::Options opt = GpuOptions({2});  // w3: R0 and R1 hold it
+  opt.plan_cache = &shared;
+  const Task task = Task::kKeywordSearch;
+  const TraversalStrategy top_down = TraversalStrategy::kTopDown;
+  for (const Grammar* g : {&*v2, &*v1}) {
+    auto engine = GTadocEngine::Create(g, opt);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->PlanOnly(task, top_down).ok());
+    auto cached = (*engine)->CachedPlan(task, top_down);
+    auto fresh = (*engine)->BuildPlan(task, top_down);
+    ASSERT_NE(cached, nullptr);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_TRUE(PlanEquals(*cached, **fresh))
+        << (g == &*v2 ? "v2 copy" : "v1 copy");
+  }
+  EXPECT_EQ(shared.size(), 1u);
+}
+
 TEST(PlanCacheTest, CpuHitSkipsPlanningAndKeepsResultsIdentical) {
   Prepared p = PrepareCorpus(24, 9000, 43);
   const std::vector<uint32_t> query = {1, 7};
@@ -273,84 +305,103 @@ TEST(PlanCacheTest, SharedCacheKeysPlansPerBackend) {
 
 // ------------------------------------------------------------- rule Blooms ---
 
-TEST(RuleBloomTest, CompressionBuildsSubtreeSupersetFilters) {
+TEST(RuleBloomTest, IndexBuildsSubtreeSupersetFilters) {
   Prepared p = PrepareCorpus(12, 8000, 46);
-  ASSERT_TRUE(p.grammar.has_rule_blooms());
-  auto dag = DagView::Build(p.grammar);
-  ASSERT_TRUE(dag.ok());
-  for (uint32_t r = 0; r < dag->num_rules(); ++r) {
-    const uint64_t bloom = p.grammar.rule_blooms[r];
+  auto index = DocumentIndex::Build(p.grammar);
+  ASSERT_TRUE(index.ok());
+  const DagView& dag = (*index)->dag;
+  const std::vector<uint64_t>& blooms = (*index)->rule_blooms;
+  ASSERT_EQ(blooms.size(), dag.num_rules());
+  for (uint32_t r = 0; r < dag.num_rules(); ++r) {
     // Every direct word of the rule is present in its filter...
-    for (const RuleWordEntry& w : dag->words(r)) {
+    for (const RuleWordEntry& w : dag.words(r)) {
       const uint64_t mask = WordBloomMask(w.word);
-      EXPECT_EQ(bloom & mask, mask) << "rule " << r << " word " << w.word;
+      EXPECT_EQ(blooms[r] & mask, mask) << "rule " << r << " word " << w.word;
     }
     // ...and every child's filter is contained in the parent's (subtree
     // coverage), which is what makes Bloom relevance a safe superset.
-    for (const RuleChildEntry& e : dag->children(r)) {
-      EXPECT_EQ(bloom & p.grammar.rule_blooms[e.child],
-                p.grammar.rule_blooms[e.child])
+    for (const RuleChildEntry& e : dag.children(r)) {
+      EXPECT_EQ(blooms[r] & blooms[e.child], blooms[e.child])
           << "rule " << r << " child " << e.child;
     }
   }
 }
 
+// The root Bloom a server computes per document without building its index
+// is the index's root-rule filter, on any Sequitur output.
+TEST(RuleBloomTest, DocumentBloomEqualsIndexRootBloom) {
+  Rng rng(2024);
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    DatasetSpec spec = DatasetA();
+    spec.num_files = 1 + static_cast<uint32_t>(rng.Uniform(6));
+    spec.total_tokens = 200 + rng.Uniform(3000);
+    spec.vocabulary = 8 + static_cast<uint32_t>(rng.Uniform(400));
+    spec.seed = seed;
+    const TokenizedCorpus tokens = GenerateTokens(spec);
+    auto g = CompressTokenStreams(tokens.file_tokens,
+                                  static_cast<uint32_t>(tokens.words.size()));
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    auto index = DocumentIndex::Build(*g);
+    ASSERT_TRUE(index.ok());
+    EXPECT_EQ(DocumentBloom(*g), (*index)->rule_blooms[0]) << "seed " << seed;
+  }
+}
+
 TEST(RuleBloomTest, SerializerRoundTripsFiltersAndLoadsOldFormat) {
   Prepared p = PrepareCorpus(8, 6000, 47);
-  ASSERT_TRUE(p.grammar.has_rule_blooms());
+  auto index = DocumentIndex::Build(p.grammar);
+  ASSERT_TRUE(index.ok());
 
-  // v2 round trip: filters survive byte-for-byte.
-  const std::string v2 = SerializeGrammar(p.grammar);
-  ASSERT_GE(v2.size(), 5u);
-  EXPECT_EQ(static_cast<uint8_t>(v2[4]), 2u);  // version byte
-  auto parsed = ParseGrammar(v2);
+  // The writer emits version 1 only; the filters are derived again from
+  // the parsed rule bodies, bit for bit.
+  const std::string v1 = SerializeGrammar(p.grammar);
+  ASSERT_GE(v1.size(), 5u);
+  EXPECT_EQ(static_cast<uint8_t>(v1[4]), 1u);  // version byte
+  auto parsed = ParseGrammar(v1);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->rule_blooms, p.grammar.rule_blooms);
   EXPECT_EQ(parsed->rules, p.grammar.rules);
+  auto reindexed = DocumentIndex::Build(*parsed);
+  ASSERT_TRUE(reindexed.ok());
+  EXPECT_EQ((*reindexed)->rule_blooms, (*index)->rule_blooms);
 
-  // v1 emission (no filters): byte-compatible with the old format and still
-  // loadable — relevance then falls back to the traversal pass.
-  const std::string v1 = SerializeGrammar(p.grammar,
-                                          /*include_dictionary=*/true,
-                                          /*include_blooms=*/false);
-  EXPECT_EQ(static_cast<uint8_t>(v1[4]), 1u);
-  auto old = ParseGrammar(v1);
+  // A version-2 container of the same grammar (persisted Bloom section)
+  // still loads, to the same grammar.
+  auto old = ParseGrammar(V2Container(p.grammar, (*index)->rule_blooms));
   ASSERT_TRUE(old.ok()) << old.status().ToString();
-  EXPECT_TRUE(old->rule_blooms.empty());
   EXPECT_EQ(old->rules, p.grammar.rules);
+  EXPECT_EQ(old->words, p.grammar.words);
 
-  // Both forms drive the engines to identical keyword results; only the
-  // relevance path differs (persisted filters vs the genQueryReach pass).
+  // Bloom relevance may only over-approximate: every rule whose subtree
+  // really holds a query word is kept.
   const std::vector<uint32_t> query = {3, 8, 100000};
-  auto with = GTadocEngine::Create(&*parsed, GpuOptions(query));
-  auto without = GTadocEngine::Create(&*old, GpuOptions(query));
-  ASSERT_TRUE(with.ok());
-  ASSERT_TRUE(without.ok());
-  auto with_run = (*with)->Run(Task::kKeywordSearch);
-  auto without_run = (*without)->Run(Task::kKeywordSearch);
-  ASSERT_TRUE(with_run.ok());
-  ASSERT_TRUE(without_run.ok());
-  EXPECT_TRUE(with_run->result.SameAs(without_run->result));
-  EXPECT_TRUE((*with)->CachedPlan(Task::kKeywordSearch)->relevance_from_bloom);
-  EXPECT_FALSE(
-      (*without)->CachedPlan(Task::kKeywordSearch)->relevance_from_bloom);
-
-  // Bloom relevance may only over-approximate: every rule the exact pass
-  // keeps, the Bloom pass keeps too.
-  const auto& bloom_rel = (*with)->CachedPlan(Task::kKeywordSearch)->relevant;
-  const auto& exact_rel =
-      (*without)->CachedPlan(Task::kKeywordSearch)->relevant;
-  ASSERT_EQ(bloom_rel.size(), exact_rel.size());
-  for (size_t r = 0; r < exact_rel.size(); ++r) {
-    if (exact_rel[r] != 0) EXPECT_NE(bloom_rel[r], 0) << r;
+  const TraversalStrategy top_down = TraversalStrategy::kTopDown;
+  auto engine = GTadocEngine::Create(&*parsed, GpuOptions(query));
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE((*engine)->Run(Task::kKeywordSearch, top_down).ok());
+  auto plan = (*engine)->CachedPlan(Task::kKeywordSearch, top_down);
+  ASSERT_NE(plan, nullptr);
+  const DagView& dag = (*index)->dag;
+  ASSERT_EQ(plan->relevant.size(), dag.num_rules());
+  std::vector<uint8_t> exact(dag.num_rules(), 0);
+  const std::vector<uint32_t>& topo = dag.topo_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    for (const RuleWordEntry& w : dag.words(*it)) {
+      if (std::count(query.begin(), query.end(), w.word) != 0) {
+        exact[*it] = 1;
+      }
+    }
+    for (const RuleChildEntry& e : dag.children(*it)) {
+      if (exact[e.child] != 0) exact[*it] = 1;
+    }
+  }
+  for (size_t r = 0; r < exact.size(); ++r) {
+    if (exact[r] != 0) EXPECT_NE(plan->relevant[r], 0) << r;
   }
 }
 
 TEST(RuleBloomTest, V1ContainerWithBloomFlagIsCorruption) {
   Prepared p = PrepareCorpus(4, 2000, 48);
-  std::string bytes = SerializeGrammar(p.grammar,
-                                       /*include_dictionary=*/true,
-                                       /*include_blooms=*/false);
+  std::string bytes = SerializeGrammar(p.grammar);
   bytes[5] = static_cast<char>(bytes[5] | 0x02);  // claim Blooms in v1
   // The checksum also breaks, but even with it patched the version gate must
   // hold; either way this must be a clean Corruption, never a crash.

@@ -542,7 +542,8 @@ TEST(BatchCallbackTest, OnDocumentCompleteFiresOncePerDocument) {
   const TaskKernel& kernel = **TaskRegistry::Get(Task::kKeywordSearch);
   TaskInput input;
   input.query_words = bopt.engine.query_words;
-  std::vector<uint8_t> mask = BloomExecuteMask(mc.corpus, kernel, input);
+  std::vector<uint8_t> mask =
+      BloomExecuteMask(DocumentBlooms(mc.corpus), kernel, input);
   auto run = (*engine)->Run(Task::kKeywordSearch, mask);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(executed + skipped,

@@ -398,13 +398,12 @@ TEST(CorpusServerTest, PhraseSkipNeedsEveryWordOfASet) {
   input.query_sets = {{mc.markers[0], mc.markers[1]}};
   input.query_words = {mc.markers[0], mc.markers[1]};
 
-  std::vector<uint8_t> phrase_mask =
-      BloomExecuteMask(*corpus, phrase, input);
+  const std::vector<uint64_t> blooms = DocumentBlooms(*corpus);
+  std::vector<uint8_t> phrase_mask = BloomExecuteMask(blooms, phrase, input);
   ASSERT_EQ(phrase_mask.size(), corpus->partitions.size());
   EXPECT_EQ(phrase_mask[partial_doc], 0)
       << "phrase needs every word; a doc missing one is skippable";
-  std::vector<uint8_t> keyword_mask =
-      BloomExecuteMask(*corpus, keyword, input);
+  std::vector<uint8_t> keyword_mask = BloomExecuteMask(blooms, keyword, input);
   EXPECT_EQ(keyword_mask[partial_doc], 1)
       << "keyword needs any word; a doc holding one must execute";
   for (uint32_t d = 0; d < 3; ++d) {

@@ -204,7 +204,7 @@ TEST(ShardedServerTest, BitIdenticalToSingleDeviceAcrossShardsAndReplication) {
     const TaskKernel& kernel = **TaskRegistry::Get(request.task);
     auto run = (*batch)->Run(
         request.task,
-        BloomExecuteMask(mc.corpus, kernel,
+        BloomExecuteMask(DocumentBlooms(mc.corpus), kernel,
                          GTadocEngine::InputFromOptions(bopt.engine)));
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     expected_skipped += run->documents_skipped;
@@ -326,8 +326,9 @@ TEST(ShardedServerTest, BloomFalsePositiveShardExecutesAndStaysCorrect) {
   GTadocEngine::Options query = GpuOptions();
   query.query_words = probe.query_words;
   const TaskKernel& kernel = **TaskRegistry::Get(Task::kKeywordSearch);
-  std::vector<uint8_t> mask = BloomExecuteMask(
-      mc.corpus, kernel, GTadocEngine::InputFromOptions(query));
+  std::vector<uint8_t> mask =
+      BloomExecuteMask(DocumentBlooms(mc.corpus), kernel,
+                       GTadocEngine::InputFromOptions(query));
   if (mask.empty()) mask.assign(mc.corpus.partitions.size(), 1);
   ASSERT_EQ(mask[4], 1u) << "the false-positive document must pass";
 
