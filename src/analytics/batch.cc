@@ -87,17 +87,17 @@ Status BatchEngine::AssembleSkippedDocument(Task task,
   return EmptyDocumentResult(**kernel_lookup, input, num_files, out);
 }
 
-Status BatchEngine::RunShard(Task task, const std::vector<uint8_t>* execute,
+Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
                              size_t lo, size_t hi,
                              std::vector<DocumentRun>* runs,
                              uint64_t* mid_run_growths) const {
   GTadocEngine::Options eopt = options_.engine;
-  // A fully-masked shard must hold NO device state: admission only
-  // reserves budget for contexts that execute something, so allocating a
-  // pre-sized pool here would put more on the device than was reserved.
+  // A shard without plans to execute must hold NO device state: admission
+  // only reserves budget for contexts that execute something, so allocating
+  // a pre-sized pool here would put more on the device than was reserved.
   bool shard_executes = false;
   for (size_t i = lo; i < hi && !shard_executes; ++i) {
-    shard_executes = execute == nullptr || (*execute)[i] != 0;
+    shard_executes = plans == nullptr || (*plans)[i] != nullptr;
   }
   const bool cpu_backend = options_.backend == kCpuPlanBackend;
   std::unique_ptr<gpu::Device> device;
@@ -108,12 +108,10 @@ Status BatchEngine::RunShard(Task task, const std::vector<uint8_t>* execute,
     // high-water mark once, the grammar arena is rebound per document.
     device = std::make_unique<gpu::Device>(eopt.gpu, eopt.host_workers);
     pool = std::make_unique<gpu::MemoryPool>(device.get());
-    if (options_.presize_pool_slots > 0) {
-      // Admission pre-sizing: the serving layer knows the run's footprint
-      // from plan metadata, so the one growth happens here, before any
-      // document executes — growths past the baseline are mid-run.
-      pool->EnsureCapacity(options_.presize_pool_slots);
-    }
+    // Handed plans carry the run's footprint, so the one growth happens
+    // here, before any document executes — growths past the baseline are
+    // mid-run.
+    if (presize > 0) pool->EnsureCapacity(presize);
     growth_baseline = pool->growth_count();
     eopt.shared_device = device.get();
     eopt.shared_pool = pool.get();
@@ -121,7 +119,7 @@ Status BatchEngine::RunShard(Task task, const std::vector<uint8_t>* execute,
 
   const TaskKernel* kernel = nullptr;
   TaskInput input;
-  if (execute != nullptr) {
+  if (plans != nullptr) {
     auto kernel_lookup = TaskRegistry::Get(task);
     if (!kernel_lookup.ok()) return kernel_lookup.status();
     kernel = *kernel_lookup;
@@ -144,7 +142,8 @@ Status BatchEngine::RunShard(Task task, const std::vector<uint8_t>* execute,
     DocumentRun& out = (*runs)[i];
     out.doc = static_cast<uint32_t>(i);
     out.file_base = corpus_->file_base[i];
-    if (execute != nullptr && (*execute)[i] == 0) {
+    const RunPlan* plan = plans != nullptr ? (*plans)[i].get() : nullptr;
+    if (plans != nullptr && plan == nullptr) {
       // Corpus-level pushdown: provably irrelevant document — no upload,
       // no plan, no traversal. It still contributes a (trivially empty)
       // per-document result so the merge path is unchanged.
@@ -165,7 +164,7 @@ Status BatchEngine::RunShard(Task task, const std::vector<uint8_t>* execute,
     if (cpu_backend) {
       auto created = CpuTadocEngine::Create(doc, *index, cpu_options);
       if (!created.ok()) return created.status();
-      auto run = created->Run(task);
+      auto run = plan != nullptr ? created->Run(*plan) : created->Run(task);
       if (!run.ok()) return run.status();
       out.result = std::move(run->result);
       out.timing = run->timing;
@@ -181,7 +180,7 @@ Status BatchEngine::RunShard(Task task, const std::vector<uint8_t>* execute,
       if (!created.ok()) return created.status();
       engine = std::move(*created);
     }
-    auto run = engine->Run(task);
+    auto run = plan != nullptr ? engine->Run(*plan) : engine->Run(task);
     if (!run.ok()) return run.status();
     out.result = std::move(run->result);
     out.timing = run->timing;
@@ -250,21 +249,33 @@ RunTiming BatchEngine::ComposeTiming(const std::vector<DocumentRun>& runs,
 }
 
 Result<BatchEngine::BatchRun> BatchEngine::Run(Task task) {
-  return Run(task, std::vector<uint8_t>());
+  return Execute(task, nullptr, 0);
 }
 
-Result<BatchEngine::BatchRun> BatchEngine::Run(
-    Task task, const std::vector<uint8_t>& execute_mask) {
+Result<BatchEngine::BatchRun> BatchEngine::Run(Task task,
+                                               const PlanList& plans) {
+  if (plans.size() != corpus_->partitions.size()) {
+    return Status::InvalidArgument("plan list size mismatch");
+  }
+  // Every executing context is pre-sized to the largest handed footprint —
+  // the per-context value admission reserved.
+  uint64_t presize = 0;
+  for (const std::shared_ptr<const RunPlan>& plan : plans) {
+    if (plan == nullptr) continue;
+    if (plan->task != task || plan->key.backend != options_.backend) {
+      return Status::InvalidArgument(
+          "plan was built for another task or backend");
+    }
+    presize = std::max(presize, plan->total_slots);
+  }
+  return Execute(task, &plans, presize);
+}
+
+Result<BatchEngine::BatchRun> BatchEngine::Execute(Task task,
+                                                   const PlanList* plans,
+                                                   uint64_t presize) {
   Timer wall;
   const size_t n = corpus_->partitions.size();
-  const std::vector<uint8_t>* execute = nullptr;
-  if (!execute_mask.empty()) {
-    if (execute_mask.size() != n) {
-      return Status::InvalidArgument("execute mask size mismatch");
-    }
-    execute = &execute_mask;
-  }
-
   BatchRun batch;
   batch.documents.resize(n);
 
@@ -273,19 +284,19 @@ Result<BatchEngine::BatchRun> BatchEngine::Run(
 
   std::vector<uint64_t> shard_growths(shards.size(), 0);
   if (shards.size() == 1) {
-    Status st = RunShard(task, execute, shards[0].first, shards[0].second,
-                         &batch.documents, &shard_growths[0]);
+    Status st = RunShard(task, plans, presize, shards[0].first,
+                         shards[0].second, &batch.documents, &shard_growths[0]);
     if (!st.ok()) return st;
   } else {
     std::vector<Status> shard_status(shards.size());
     ThreadPool host_pool(shards.size());
     for (size_t s = 0; s < shards.size(); ++s) {
       host_pool.Submit(
-          [this, task, execute, s, &shards, &shard_status, &shard_growths,
-           &batch] {
+          [this, task, plans, presize, s, &shards, &shard_status,
+           &shard_growths, &batch] {
             shard_status[s] =
-                RunShard(task, execute, shards[s].first, shards[s].second,
-                         &batch.documents, &shard_growths[s]);
+                RunShard(task, plans, presize, shards[s].first,
+                         shards[s].second, &batch.documents, &shard_growths[s]);
           });
     }
     host_pool.Wait();

@@ -82,15 +82,6 @@ class BatchEngine {
     /// Pipeline document i+1's grammar upload under document i's traversal
     /// in the simulated schedule.
     bool overlap_uploads = true;
-    /// Grow each reuse context's pool to this many slots up front, before
-    /// any document executes (one allocation charge at context setup). A
-    /// serving layer that knows the run's full footprint from plan metadata
-    /// (RunPlan::total_slots, via GTadocEngine::PlanOnly) sets this to the
-    /// run's per-context maximum so NO document triggers a mid-run
-    /// EnsureCapacity growth — the admission contract BatchRun's
-    /// mid_run_pool_growths verifies. 0 = no pre-sizing (pools grow lazily
-    /// to the shard's high-water mark, charged mid-run).
-    uint64_t presize_pool_slots = 0;
     /// Merge per-document results into BatchRun::merged (and charge the
     /// merge reduce pass). Sharded serving turns this off for shard-local
     /// runs: the device group gathers per-document results and performs
@@ -113,9 +104,9 @@ class BatchEngine {
     uint32_t file_base = 0;  ///< global file id of the document's file 0
     AnalyticsResult result;  ///< document-local file ids
     RunTiming timing;
-    /// True when the document was skipped by the caller's execute mask
-    /// (e.g. the CorpusServer's root-Bloom pushdown): no upload, no plan,
-    /// no traversal — `result` is the kernel's assembly of zero drained
+    /// True when the caller's plan list held no plan for the document (e.g.
+    /// the CorpusServer's root-Bloom pushdown): no upload, no plan, no
+    /// traversal — `result` is the kernel's assembly of zero drained
     /// entries and `timing` is all zeros.
     bool skipped = false;
   };
@@ -130,13 +121,13 @@ class BatchEngine {
     /// overlap_saved_seconds, merge reduce included in traversal_seconds.
     /// total_seconds() is the batch makespan on one simulated GPU.
     RunTiming timing;
-    /// Documents the execute mask skipped (0 for an unmasked Run).
+    /// Documents handed no plan (0 for Run(task)).
     uint32_t documents_skipped = 0;
-    /// Shared-context pool growths charged AFTER the presize, i.e. while
-    /// documents were executing. A serving layer that pre-sized pools from
-    /// plan metadata proves its admission contract by this staying 0. Only
-    /// reuse contexts are counted (the cold path's engine-owned pools are
-    /// per-document by construction).
+    /// Shared-context pool growths charged AFTER the pre-size to the handed
+    /// plans' footprint, i.e. while documents were executing. A serving
+    /// layer proves its admission contract by this staying 0 on Runs it
+    /// hands plans to. Only reuse contexts are counted (the cold path's
+    /// engine-owned pools are per-document by construction).
     uint64_t mid_run_pool_growths = 0;
   };
 
@@ -152,8 +143,19 @@ class BatchEngine {
       const CorpusIndex* index = nullptr,
       const std::vector<uint32_t>* index_ids = nullptr);
 
-  /// Runs one task over every document and merges.
+  /// Runs one task over every document and merges; each document's engine
+  /// resolves its own plan through the shared cache.
   Result<BatchRun> Run(Task task);
+
+  /// Like Run, but each document executes its entry of `plans` (a serving
+  /// probe's) with no planner or cache call. A null entry skips the
+  /// document: its DocumentRun is the kernel's assembly of zero entries at
+  /// zero cost, so the merge matches Run(task) whenever only documents that
+  /// could not have produced output are skipped (the root-Bloom guarantee).
+  /// Executing contexts' pools are pre-sized to the largest handed
+  /// total_slots first, so none grows mid-run. InvalidArgument on a list of
+  /// the wrong size, or a plan for another task, backend or grammar.
+  Result<BatchRun> Run(Task task, const PlanList& plans);
 
   /// The deterministic contiguous shard split Run uses over `n` documents:
   /// worker w owns documents [w*chunk, min(n, (w+1)*chunk)). A pure
@@ -168,37 +170,30 @@ class BatchEngine {
   /// assembly of zero drained entries, bit-identical to executing a document
   /// with no matching content, at zero simulated cost. Exposed for gather
   /// paths (sharded serving) that must fill in documents no device
-  /// executed; masked Runs use the same assembly internally.
+  /// executed; plan-list Runs use the same assembly internally.
   static Status AssembleSkippedDocument(Task task,
                                         const GTadocEngine::Options& engine,
                                         uint32_t num_files,
                                         AnalyticsResult* out);
 
-  /// Like Run, but executes only documents with execute_mask[d] != 0.
-  /// Skipped documents still contribute a DocumentRun — the kernel's
-  /// assembly of zero drained entries, with zero timing — so the merged
-  /// corpus view is bit-identical to an unmasked Run whenever the mask only
-  /// skips documents that could not have produced output (the CorpusServer's
-  /// root-Bloom guarantee). An empty mask executes everything; any other
-  /// size mismatch is InvalidArgument.
-  Result<BatchRun> Run(Task task, const std::vector<uint8_t>& execute_mask);
-
   size_t num_documents() const { return corpus_->partitions.size(); }
   uint32_t total_files() const { return corpus_->total_files; }
   const Options& options() const { return options_; }
-  /// The plan cache shared by every worker context (serving diagnostics).
-  PlanCache* plan_cache() const { return options_.engine.plan_cache; }
 
  private:
   BatchEngine(const PartitionedCorpus* corpus, const Options& options)
       : corpus_(corpus), options_(options) {}
 
+  /// Both Runs: `plans` null resolves every document's plan, otherwise it
+  /// is a validated plan list whose largest total_slots is `presize`.
+  Result<BatchRun> Execute(Task task, const PlanList* plans, uint64_t presize);
   /// Runs documents [lo, hi) on one worker's device context, writing into
-  /// (*runs)[lo..hi); documents with execute[d] == 0 (null = run all) get
-  /// empty assembled results without touching the device. `*mid_run_growths`
-  /// receives the context pool's growths after the presize. Returns the
-  /// first failure.
-  Status RunShard(Task task, const std::vector<uint8_t>* execute, size_t lo,
+  /// (*runs)[lo..hi); documents with a null plan (`plans` null = resolve
+  /// every plan) get empty assembled results without touching the device.
+  /// An executing context's pool is pre-sized to `presize` slots;
+  /// `*mid_run_growths` receives its growths after that. Returns the first
+  /// failure.
+  Status RunShard(Task task, const PlanList* plans, uint64_t presize, size_t lo,
                   size_t hi, std::vector<DocumentRun>* runs,
                   uint64_t* mid_run_growths) const;
 

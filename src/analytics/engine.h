@@ -31,7 +31,9 @@ struct RunTiming {
   /// hit: the hit path performs no planning at all, which is the whole win
   /// of rebind-heavy serving over same-shape documents.
   double plan_seconds = 0;
-  /// Plan-cache hits this timing aggregates (0 or 1 for a single run).
+  /// Runs this timing aggregates that executed a pre-resolved plan — a
+  /// plan-cache hit, or a plan handed to Run(plan) (0 or 1 for a single
+  /// run).
   uint64_t plan_cache_hits = 0;
 
   /// H2D share of init_seconds (the grammar upload). This is the part of

@@ -190,8 +190,9 @@ struct RunPlan {
   /// Pool capacity covering every group above — the run's FULL device pool
   /// footprint, known before execution. This is the serving layer's
   /// scheduler input: CorpusServer admission-controls and bin-packs
-  /// concurrent runs from this one number (via GTadocEngine::PlanOnly) and
-  /// pre-sizes each execution context's pool to it, which is what
+  /// concurrent runs from this one number, then hands the same plans to
+  /// execution, where BatchEngine pre-sizes each context's pool to the
+  /// largest handed total_slots before any document runs — which is what
   /// guarantees zero mid-run EnsureCapacity growth.
   uint64_t total_slots = 0;
   /// The kernel's distinct-key hint for the global reduce table, resolved
@@ -204,6 +205,10 @@ struct RunPlan {
   /// probes return to the dispatcher.
   CostEstimate estimate;
 };
+
+/// One plan per document of a corpus, in corpus order; a null entry marks a
+/// document that does not execute (BatchEngine::Run, DeviceGroup::RunSpec).
+using PlanList = std::vector<std::shared_ptr<const RunPlan>>;
 
 /// Structural equality of two plans (the cache-determinism contract: a
 /// cached plan must be bit-for-bit the plan a fresh Planner would build).

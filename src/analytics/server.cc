@@ -22,18 +22,23 @@ std::vector<uint8_t> BloomExecuteMask(
   // — and the kernel owns the answer (TaskKernel::MayMatchDocument), probed
   // against the document's root Bloom.
   std::vector<uint8_t> execute(document_blooms.size(), 1);
-  bool any_skip = false;
   for (size_t d = 0; d < document_blooms.size(); ++d) {
-    if (!kernel.MayMatchDocument(document_blooms[d], input)) {
-      execute[d] = 0;
-      any_skip = true;
-    }
+    execute[d] = kernel.MayMatchDocument(document_blooms[d], input) ? 1 : 0;
   }
-  // All-ones collapses to "no mask" so the execution path stays untouched
-  // for non-selective runs.
-  if (!any_skip) return {};
   return execute;
 }
+
+namespace {
+
+/// A plan list's backend-priced estimate summed in corpus order (0 when
+/// empty) — the dispatch input.
+double EstimateSeconds(const PlanList& plans) {
+  double seconds = 0.0;
+  for (const auto& plan : plans) seconds += plan ? plan->estimate.seconds : 0;
+  return seconds;
+}
+
+}  // namespace
 
 const CorpusServer::ServedRun* CorpusServer::RunTicket::TryGet() const {
   if (server_ == nullptr) return nullptr;
@@ -117,8 +122,8 @@ Result<std::unique_ptr<CorpusServer>> CorpusServer::Create(
   std::unique_ptr<CorpusServer> server(
       new CorpusServer(corpus, normalized, std::move(budgets),
                        std::move(scheduler_budgets)));
-  // One cache for the Submit probes and every execution worker of every
-  // run: a document planned at admission is a guaranteed hit at execution.
+  // One cache for the Submit probes of every run: a repeat shape is a free
+  // probe. Execution runs each run's own plans and never consults it.
   server->plan_cache_ = std::make_shared<PlanCache>(
       std::max<size_t>(256, 8 * corpus->partitions.size()));
   server->options_.engine.plan_cache = server->plan_cache_.get();
@@ -160,23 +165,21 @@ Result<CorpusServer::TenantHandle> CorpusServer::OpenTenant(
   return TenantHandle(this, id);
 }
 
-Status CorpusServer::ProbeGpuPlans(PendingRun* run) {
+Status CorpusServer::ProbeGpuPlans(PendingRun* run, PlanList* plans) {
   const size_t n = corpus_->partitions.size();
   const std::vector<uint8_t>& mask = run->execute_mask;
 
-  // Plan every executed document once; the shared cache makes this the
-  // ONLY time planning is charged — the execution contexts resolve every
-  // plan as a cache hit. Each plan's backend-priced estimate sums into the
-  // run's GPU-side dispatch input. The key differs per document only in
-  // the grammar fingerprint, so a hit needs no device work at all; a miss
-  // binds the probe engine to the document (uncharged, as the probe's
-  // clock is reset after the bind) and builds the plan there.
-  std::vector<uint64_t>& doc_slots = run->doc_slots;
-  doc_slots.assign(n, 0);
+  // Resolve every executed document's plan once — the ONLY time planning is
+  // charged: a GPU-dispatched run executes exactly these plans. The key
+  // differs per document only in the grammar fingerprint, so a hit needs no
+  // device work at all; a miss binds the probe engine to the document
+  // (uncharged, as the probe's clock is reset after the bind) and builds the
+  // plan there.
+  plans->assign(n, nullptr);
   PlanKey key = GTadocEngine::PlanKeyFor(run->engine, 0, run->task);
   std::unique_ptr<GTadocEngine> probe;
   for (size_t d = 0; d < n; ++d) {
-    if (!mask.empty() && mask[d] == 0) continue;
+    if (mask[d] == 0) continue;
     auto index = index_->Get(static_cast<uint32_t>(d));
     if (!index.ok()) return index.status();
     key.grammar_fp = (*index)->fingerprint;
@@ -197,26 +200,26 @@ Status CorpusServer::ProbeGpuPlans(PendingRun* run) {
       run->admission.admission_seconds += probe->device()->SimSeconds();
       plan = std::move(*built);
     }
-    doc_slots[d] = plan->total_slots;
-    run->gpu_estimate_seconds += plan->estimate.seconds;
+    (*plans)[d] = std::move(plan);
   }
   return Status::OK();
 }
 
-Status CorpusServer::ProbeCpuEstimate(PendingRun* run) {
+Status CorpusServer::ProbeCpuPlans(PendingRun* run, PlanList* plans) {
   const std::vector<uint8_t>& mask = run->execute_mask;
   // The CPU probe resolves the same documents' plans under the CPU planner
   // — same shared cache, kCpuPlanBackend key, so the two backends' plans
-  // can never serve each other — and sums the CPU-priced estimates. The
-  // metered planning cost lands in admission_seconds exactly like the GPU
-  // probe's device time (a repeat shape is a free cache hit).
+  // can never serve each other. The metered planning cost lands in
+  // admission_seconds exactly like the GPU probe's device time (a repeat
+  // shape is a free cache hit).
   CpuTadocOptions copt;
   static_cast<QuerySpec&>(copt) = run->engine;
   copt.cpu = options_.cpu;
   copt.strategy = run->engine.strategy;
   copt.plan_cache = plan_cache_.get();
+  plans->assign(corpus_->partitions.size(), nullptr);
   for (size_t d = 0; d < corpus_->partitions.size(); ++d) {
-    if (!mask.empty() && mask[d] == 0) continue;
+    if (mask[d] == 0) continue;
     auto index = index_->Get(static_cast<uint32_t>(d));
     if (!index.ok()) return index.status();
     auto probe = CpuTadocEngine::Create(&corpus_->partitions[d], *index, copt);
@@ -226,15 +229,14 @@ Status CorpusServer::ProbeCpuEstimate(PendingRun* run) {
         probe->PlanOnly(run->task, TraversalStrategy::kAuto, &probe_seconds);
     if (!plan.ok()) return plan.status();
     run->admission.admission_seconds += probe_seconds;
-    run->cpu_estimate_seconds += (*plan)->estimate.seconds;
+    (*plans)[d] = std::move(*plan);
   }
   return Status::OK();
 }
 
 void CorpusServer::ShardFootprint(PendingRun* run) {
-  run->route = sharded_->Route(run->execute_mask, run->doc_slots, route_load_);
+  run->route = sharded_->Route(run->execute_mask, run->plans, route_load_);
   const size_t num_devices = sharded_->num_devices();
-  run->device_presize.assign(num_devices, 0);
   run->device_footprint.assign(num_devices, 0);
   run->device_weight.assign(num_devices, 0.0);
 
@@ -242,32 +244,33 @@ void CorpusServer::ShardFootprint(PendingRun* run) {
   for (size_t d = 0; d < num_devices; ++d) {
     if (run->route.device_documents[d] == 0) continue;
     const std::vector<uint32_t>& docs = sharded_->device_docs(d);
-    const std::vector<uint8_t>& mask = run->route.device_masks[d];
+    auto routed_here = [&](size_t i) {
+      return run->route.doc_device[docs[i]] == d;
+    };
     // Per-device pre-size: the maximum plan footprint over the documents
-    // routed HERE — each device's pools are sized to its own documents,
-    // not the corpus-wide maximum.
+    // routed HERE — the value this device's BatchEngine pre-sizes its pools
+    // to from the same plans, not the corpus-wide maximum.
     uint64_t presize = 0;
     for (size_t i = 0; i < docs.size(); ++i) {
-      if (mask[i] == 0) continue;
-      const uint64_t slots = run->doc_slots[docs[i]];
+      if (!routed_here(i)) continue;
+      const uint64_t slots = run->plans[docs[i]]->total_slots;
       presize = std::max(presize, slots);
       run->device_weight[d] += slots > 0 ? static_cast<double>(slots) : 1.0;
     }
     // One pool per worker context that executes anything (BatchEngine
-    // creates no device state for a fully-masked context), each pre-sized
+    // creates no device state for a context without plans), each pre-sized
     // to the same value; the split is BatchEngine's own, so admission
     // prices exactly the contexts execution creates.
     size_t executing_shards = 0;
     for (const auto& [lo, hi] :
          BatchEngine::ShardSplit(docs.size(), options_.host_workers)) {
       for (size_t i = lo; i < hi; ++i) {
-        if (mask[i] != 0) {
+        if (routed_here(i)) {
           ++executing_shards;
           break;
         }
       }
     }
-    run->device_presize[d] = presize;
     run->device_footprint[d] = executing_shards * presize;
     total += run->device_footprint[d];
     // The pre-sizing allocation call each executing context will pay at
@@ -337,11 +340,8 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
 
   run.execute_mask = BloomExecuteMask(
       document_blooms_, kernel, GTadocEngine::InputFromOptions(run.engine));
-  uint32_t to_execute = static_cast<uint32_t>(corpus_->partitions.size());
-  if (!run.execute_mask.empty()) {
-    to_execute = 0;
-    for (uint8_t e : run.execute_mask) to_execute += e != 0 ? 1 : 0;
-  }
+  uint32_t to_execute = 0;
+  for (uint8_t e : run.execute_mask) to_execute += e;
   run.admission.documents_to_execute = to_execute;
   run.admission.documents_skipped =
       static_cast<uint32_t>(corpus_->partitions.size()) - to_execute;
@@ -351,41 +351,38 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   // GPU-side pre-sizing allocation it will not perform. A run that executes
   // nothing is priced as exactly nothing: footprint 0, no probe, no
   // pre-sizing allocation charge — admitted immediately without reserving
-  // any budget (its all-unrouted plan makes the gather assemble every
-  // document empty).
+  // any budget (its all-null plan list makes the gather assemble every
+  // document empty). An unprobed side's estimate is 0: the documented
+  // losing_estimate_seconds contract for forced dispatch.
   RunBackend backend = run_options.backend == RunBackend::kCpu
                            ? RunBackend::kCpu
                            : RunBackend::kGpu;
+  PlanList gpu_plans;
+  PlanList cpu_plans;
   if (to_execute > 0) {
     const bool probe_gpu = run_options.backend != RunBackend::kCpu;
     const bool probe_cpu =
         run_options.backend == RunBackend::kCpu ||
         (run_options.backend == RunBackend::kAuto && lanes_enabled);
-    if (probe_gpu) {
-      Status st = ProbeGpuPlans(&run);
-      if (!st.ok()) return st;
-    }
-    if (probe_cpu) {
-      Status st = ProbeCpuEstimate(&run);
-      if (!st.ok()) return st;
-    }
+    if (probe_gpu) GTADOC_RETURN_IF_ERROR(ProbeGpuPlans(&run, &gpu_plans));
+    if (probe_cpu) GTADOC_RETURN_IF_ERROR(ProbeCpuPlans(&run, &cpu_plans));
     // A tie dispatches to the CPU: a lane run reserves zero device slots,
     // so at equal estimated cost it is strictly cheaper to admit.
     if (probe_gpu && probe_cpu &&
-        run.cpu_estimate_seconds <= run.gpu_estimate_seconds) {
+        EstimateSeconds(cpu_plans) <= EstimateSeconds(gpu_plans)) {
       backend = RunBackend::kCpu;
     }
   }
-  if (backend == RunBackend::kGpu) ShardFootprint(&run);
+  const bool cpu_chosen = backend == RunBackend::kCpu;
   run.admission.backend = backend;
-  // The unprobed side's sum stays 0, which is exactly the documented
-  // losing_estimate_seconds contract for forced dispatch.
-  run.admission.backend_estimate_seconds = backend == RunBackend::kCpu
-                                               ? run.cpu_estimate_seconds
-                                               : run.gpu_estimate_seconds;
-  run.admission.losing_estimate_seconds = backend == RunBackend::kCpu
-                                              ? run.gpu_estimate_seconds
-                                              : run.cpu_estimate_seconds;
+  run.admission.backend_estimate_seconds =
+      EstimateSeconds(cpu_chosen ? cpu_plans : gpu_plans);
+  run.admission.losing_estimate_seconds =
+      EstimateSeconds(cpu_chosen ? gpu_plans : cpu_plans);
+  // Execution runs the chosen side's plans and nothing else.
+  run.plans = std::move(cpu_chosen ? cpu_plans : gpu_plans);
+  run.plans.resize(corpus_->partitions.size());
+  if (!cpu_chosen) ShardFootprint(&run);
 
   // Over-budget refusal: every device's share must fit that device's
   // budget.
@@ -479,7 +476,7 @@ Result<BatchEngine::BatchRun> CorpusServer::Execute(const PendingRun& run) {
   };
   auto engine = BatchEngine::Create(corpus_, bopt, index_.get());
   if (!engine.ok()) return engine.status();
-  return (*engine)->Run(run.task, run.execute_mask);
+  return (*engine)->Run(run.task, run.plans);
 }
 
 Result<DeviceGroup::RunResult> CorpusServer::ExecuteOnDevices(
@@ -488,7 +485,7 @@ Result<DeviceGroup::RunResult> CorpusServer::ExecuteOnDevices(
   spec.task = run.task;
   spec.engine = run.engine;
   spec.route = &run.route;
-  spec.device_presize = run.device_presize;
+  spec.plans = run.plans;
   spec.host_workers = options_.host_workers;
   // Live progress: executed documents tick from the shard workers; skipped
   // ones are counted once at gather (per-device callbacks would double

@@ -34,12 +34,11 @@ std::vector<uint64_t> DocumentBlooms(const PartitionedCorpus& corpus);
 /// conjunctive semantics override it (phraseSearch rejects a document
 /// unless every word of some query phrase may be present).
 ///
-/// Returns the empty vector — BatchEngine::Run's "no mask" convention —
-/// when nothing is skippable (non-selective kernels, or every document
-/// passing). Bloom false positives only cost work — a passed document that
-/// holds no real match executes and contributes an empty result — never
-/// correctness: a rejected word is *provably* absent from the whole
-/// document, so the skipped document's result is empty by construction.
+/// Returns one entry per document, 1 = execute. Bloom false positives only
+/// cost work — a passed document that holds no real match executes and
+/// contributes an empty result — never correctness: a rejected word is
+/// *provably* absent from the whole document, so the skipped document's
+/// result is empty by construction.
 std::vector<uint8_t> BloomExecuteMask(
     const std::vector<uint64_t>& document_blooms, const TaskKernel& kernel,
     const TaskInput& input);
@@ -52,17 +51,16 @@ std::vector<uint8_t> BloomExecuteMask(
 /// server multiplexing many queries over one device has levers the
 /// execution layers below cannot pull:
 ///
-///   1. **Plan-metadata admission.** A run's full pool footprint is known
-///      before execution (`RunPlan::total_slots`, resolved by
-///      `GTadocEngine::PlanOnly` at Submit time, with the plans cached so
-///      execution pays zero planning). The server packs concurrent runs
-///      onto the device up to a configurable slot budget — the admitted set
-///      never oversubscribes device memory, every admitted run's pool is
-///      pre-sized to its footprint before its first document executes
-///      (`BatchEngine::Options::presize_pool_slots`), and therefore NO
-///      admitted run ever triggers a mid-run EnsureCapacity growth charge.
-///      A run whose footprint exceeds the whole budget (or its tenant's
-///      quota) is refused at Submit with a structured Rejection.
+///   1. **Plan-metadata admission.** Submit resolves one plan per executed
+///      document, so a run's full pool footprint (`RunPlan::total_slots`)
+///      is known before execution, and the run keeps those plans: it
+///      executes exactly what it was admitted on and never plans again.
+///      The server packs concurrent runs onto the device up to a slot
+///      budget — the admitted set never oversubscribes device memory, and
+///      `BatchEngine::Run(task, plans)` pre-sizes each executing context's
+///      pool to the handed footprint, so NO admitted run ever triggers a
+///      mid-run EnsureCapacity growth. A run whose footprint exceeds the
+///      whole budget (or its tenant's quota) is refused at Submit.
 ///   2. **Rolling admission (RunScheduler).** Admitted runs are co-resident
 ///      tenants overlapping in SIMULATED time; each releases its
 ///      reservation at its OWN completion, and the next eligible queued run
@@ -102,9 +100,9 @@ class CorpusServer {
     /// Per-run base engine configuration. Per-run query fields
     /// (query_words/query_sets/top_k/ngram_len) are overridden by each
     /// RunRequest; shared_device/shared_pool must be left null and
-    /// plan_cache is managed by the server (one cache shared by the Submit
-    /// probes and every execution worker, so execution is always a plan
-    /// hit).
+    /// plan_cache is managed by the server (the Submit probes' memo across
+    /// requests; execution runs the plans each run was admitted on and
+    /// never consults it).
     GTadocEngine::Options engine;
     /// Device pool-slot budget concurrent admitted runs must fit in (the
     /// device-memory model of admission). 0 = unmetered: everything admits
@@ -205,8 +203,8 @@ class CorpusServer {
     uint32_t documents_skipped = 0;  ///< root-Bloom rejected at Submit
     /// Simulated seconds the probe charged (plan builds for every executed
     /// document, plus the pre-sizing allocation the execution contexts will
-    /// pay). Execution itself then reports plan_seconds == 0 — planning
-    /// moved to admission, it did not disappear.
+    /// pay). Execution runs the probe's plans and reports plan_seconds == 0
+    /// — planning moved to admission, it did not disappear.
     double admission_seconds = 0;
     uint64_t tenant = 0;   ///< owning tenant id
     int32_t priority = 0;  ///< resolved priority
@@ -304,8 +302,8 @@ class CorpusServer {
     const std::string& name() const;
     /// Probes and enqueues one run under this tenant: resolves the Bloom
     /// execute mask and plans every executed document through the shared
-    /// PlanCache (the footprint probe — also pre-warming execution);
-    /// reserves nothing yet. Policy refusals come back as
+    /// PlanCache (the footprint probe; the run keeps the plans and executes
+    /// them); reserves nothing yet. Policy refusals come back as
     /// Submitted::rejection; genuine failures (unknown task, probe error)
     /// as a non-OK Result.
     Result<Submitted> Submit(const RunRequest& request,
@@ -372,7 +370,7 @@ class CorpusServer {
     };
 
     /// The shared plan cache's counters (one cache fronts the Submit
-    /// probes of BOTH backends and every execution worker; dispatch
+    /// probes of BOTH backends; execution never touches it; dispatch
     /// decisions amortize here — a repeat shape is a free probe).
     struct PlanCacheStats {
       uint64_t hits = 0;
@@ -435,7 +433,7 @@ class CorpusServer {
 
   size_t queued() const { return scheduler_.queued(); }
   const Stats& stats() const { return stats_; }
-  /// The cache shared by Submit probes and execution (serving diagnostics).
+  /// The cache behind the Submit probes (serving diagnostics).
   PlanCache* plan_cache() const { return plan_cache_.get(); }
   const Options& options() const { return options_; }
   size_t num_devices() const { return sharded_->num_devices(); }
@@ -455,17 +453,14 @@ class CorpusServer {
   struct PendingRun {
     Admission admission;
     GTadocEngine::Options engine;       ///< fully-resolved per-run options
-    std::vector<uint8_t> execute_mask;  ///< empty = all documents
+    std::vector<uint8_t> execute_mask;  ///< BloomExecuteMask's verdict
     Task task = Task::kWordCount;
-    /// Per-backend plan-derived estimates, summed over executed documents
-    /// (0 for a side that was not probed) — the dispatch comparison inputs.
-    double gpu_estimate_seconds = 0;
-    double cpu_estimate_seconds = 0;
-    /// GPU runs: per-document planned slots (executed docs only), the
-    /// scatter decision, and its per-device admission metadata.
-    std::vector<uint64_t> doc_slots;
+    /// The dispatched backend's plan per document, as the Submit probe
+    /// resolved it (null = not executed): execution's only plan input, so
+    /// a queued run cannot lose its plans to cache eviction.
+    PlanList plans;
+    /// GPU runs: the scatter decision and its per-device footprint.
     ShardedCorpus::RoutePlan route;
-    std::vector<uint64_t> device_presize;
     std::vector<uint64_t> device_footprint;
     /// Slot-weighted load each device gains if this run admits (feeds
     /// least-loaded replica selection for later Submits).
@@ -479,27 +474,28 @@ class CorpusServer {
   Result<Submitted> SubmitForTenant(uint64_t tenant_id,
                                     const RunRequest& request,
                                     const RunOptions& run_options);
-  /// Resolves every executed document's GPU plan against the shared cache,
-  /// filling doc_slots, the GPU-side cost estimate, and the probe's
-  /// admission_seconds. A hit needs only the document's index fingerprint;
-  /// a miss binds the probe engine to the document and builds the plan
-  /// there. Reserves nothing; the footprint is priced by ShardFootprint
-  /// only if the run dispatches to the GPU.
-  Status ProbeGpuPlans(PendingRun* run);
+  /// Resolves every executed document's GPU plan against the shared cache
+  /// into `*plans` (one entry per document, null where skipped), adding the
+  /// probe's cost to admission_seconds. A hit needs only the document's
+  /// index fingerprint; a miss binds the probe engine to the document and
+  /// builds the plan there. Reserves nothing; the footprint is priced by
+  /// ShardFootprint only if the run dispatches to the GPU.
+  Status ProbeGpuPlans(PendingRun* run, PlanList* plans);
   /// The CPU twin of ProbeGpuPlans: plans every executed document through
   /// CpuTadocEngine::PlanOnly against the same shared (backend-keyed)
-  /// cache, summing the CPU-side estimate and the metered probe seconds.
-  Status ProbeCpuEstimate(PendingRun* run);
-  /// Prices a GPU-dispatched run: routes it (least-loaded replica selection
-  /// over the standing per-device load), then prices each device as its
-  /// executing contexts times the maximum plan footprint routed there, plus
-  /// the pre-sizing allocation charge.
+  /// cache, adding the metered probe seconds.
+  Status ProbeCpuPlans(PendingRun* run, PlanList* plans);
+  /// Prices a GPU-dispatched run from its plans: routes it (least-loaded
+  /// replica selection over the standing per-device load), then prices
+  /// each device as its executing contexts times the maximum total_slots
+  /// routed there, plus the pre-sizing allocation charge.
   void ShardFootprint(PendingRun* run);
-  /// CPU-lane execution: one masked host BatchEngine over the whole corpus
-  /// (a lane holds no device, so there is nothing to scatter to).
+  /// CPU-lane execution: one host BatchEngine over the whole corpus running
+  /// the run's plans (a lane holds no device, so there is nothing to
+  /// scatter to).
   Result<BatchEngine::BatchRun> Execute(const PendingRun& run);
-  /// GPU execution: scatters the run over the device group along its
-  /// RoutePlan and gathers the global batch.
+  /// GPU execution: scatters the run's plans over the device group along
+  /// its RoutePlan and gathers the global batch.
   Result<DeviceGroup::RunResult> ExecuteOnDevices(const PendingRun& run);
   /// The serving loop: starts runs through the scheduler, executes each
   /// serially, reports durations back. Stops early after `until_ticket`

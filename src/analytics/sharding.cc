@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "common/timer.h"
@@ -56,15 +57,10 @@ Result<std::unique_ptr<ShardedCorpus>> ShardedCorpus::Create(
 }
 
 ShardedCorpus::RoutePlan ShardedCorpus::Route(
-    const std::vector<uint8_t>& execute_mask,
-    const std::vector<uint64_t>& doc_slots,
+    const std::vector<uint8_t>& execute_mask, const PlanList& plans,
     const std::vector<double>& device_load) const {
   const size_t n = corpus_->partitions.size();
   RoutePlan plan;
-  plan.device_masks.resize(num_devices());
-  for (size_t d = 0; d < num_devices(); ++d) {
-    plan.device_masks[d].assign(device_docs_[d].size(), 0);
-  }
   plan.doc_device.assign(n, kUnrouted);
   plan.doc_local.assign(n, kUnrouted);
   plan.device_documents.assign(num_devices(), 0);
@@ -83,30 +79,40 @@ ShardedCorpus::RoutePlan ShardedCorpus::Route(
     for (uint32_t d : homes) {
       if (load[d] < load[best]) best = d;
     }
-    load[best] += g < doc_slots.size() && doc_slots[g] > 0
-                      ? static_cast<double>(doc_slots[g])
-                      : 1.0;
+    const uint64_t slots =
+        g < plans.size() && plans[g] != nullptr ? plans[g]->total_slots : 0;
+    load[best] += slots > 0 ? static_cast<double>(slots) : 1.0;
     plan.doc_device[g] = best;
     plan.doc_local[g] = global_to_local_[best].at(g);
-    plan.device_masks[best][plan.doc_local[g]] = 1;
     ++plan.device_documents[best];
   }
   return plan;
 }
 
 Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
-  if (spec.route == nullptr) {
-    return Status::InvalidArgument("sharded execution needs a route plan");
-  }
-  if (spec.backend != kGpuPlanBackend) {
-    return Status::InvalidArgument(
-        "a device group only executes GPU work; CPU-lane runs never scatter");
-  }
   Timer wall;
   const PartitionedCorpus* global = corpus_->global_corpus();
   const size_t n = global->partitions.size();
   const size_t num_devices = corpus_->num_devices();
+  if (spec.route == nullptr || spec.plans.size() != n) {
+    return Status::InvalidArgument("needs a route and one plan per document");
+  }
   const ShardedCorpus::RoutePlan& route = *spec.route;
+  // Slice the plans along the route before any device executes: a routed
+  // document without a plan fails the whole run with no device touched.
+  std::vector<PlanList> device_plans(num_devices);
+  for (size_t d = 0; d < num_devices; ++d) {
+    device_plans[d].resize(corpus_->device_docs(d).size());
+  }
+  for (uint32_t g = 0; g < n; ++g) {
+    if (route.doc_device[g] == ShardedCorpus::kUnrouted) continue;
+    const std::shared_ptr<const RunPlan>& plan = spec.plans[g];
+    if (plan == nullptr) {
+      return Status::InvalidArgument(
+          "routed document " + std::to_string(g) + " has no plan");
+    }
+    device_plans[route.doc_device[g]][route.doc_local[g]] = plan;
+  }
 
   RunResult out;
   out.device_durations.assign(num_devices, 0.0);
@@ -121,8 +127,6 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     BatchEngine::Options bopt;
     bopt.engine = spec.engine;
     bopt.host_workers = spec.host_workers;
-    bopt.presize_pool_slots =
-        d < spec.device_presize.size() ? spec.device_presize[d] : 0;
     // The gather below performs the one corpus-order merge; shard-local
     // merges would charge duplicate reduce work the real run never does.
     bopt.merge_results = false;
@@ -137,7 +141,7 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     auto engine = BatchEngine::Create(&corpus_->device_corpus(d), bopt, index_,
                                       &corpus_->device_docs(d));
     if (!engine.ok()) return engine.status();
-    auto run = (*engine)->Run(spec.task, route.device_masks[d]);
+    auto run = (*engine)->Run(spec.task, device_plans[d]);
     if (!run.ok()) return run.status();
 
     out.device_durations[d] = run->timing.total_seconds();
@@ -149,13 +153,14 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     counters.upload_seconds += run->timing.upload_seconds;
     counters.busy_seconds += run->timing.total_seconds();
     counters.mid_run_pool_growths += run->mid_run_pool_growths;
+    out.batch.mid_run_pool_growths += run->mid_run_pool_growths;
     device_runs[d] = std::move(*run);
   }
 
   // Gather: global documents in corpus order. Executed documents come from
   // their executing replica (their results are device-independent); skipped
-  // documents are assembled empty through the same kernel path a masked
-  // single-device batch uses.
+  // documents are assembled empty through the same kernel path a
+  // single-device batch uses for documents handed no plan.
   BatchEngine::BatchRun& batch = out.batch;
   batch.documents.resize(n);
   for (uint32_t g = 0; g < n; ++g) {
@@ -174,10 +179,6 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
       doc = std::move(source.documents[route.doc_local[g]]);
       doc.doc = g;  // local shard index -> global (file_base already global)
     }
-  }
-  for (const std::optional<BatchEngine::BatchRun>& run : device_runs) {
-    if (!run.has_value()) continue;
-    batch.mid_run_pool_growths += run->mid_run_pool_growths;
   }
 
   // The one corpus-order merge — identical inputs and order to a

@@ -45,10 +45,9 @@ class ShardedCorpus {
 
   /// One run's scatter decision: which device executes each document.
   struct RoutePlan {
-    /// Per device, the execute mask over its LOCAL documents (replicas not
-    /// chosen for this run stay 0, exactly like Bloom-skipped documents).
-    std::vector<std::vector<uint8_t>> device_masks;
-    /// Global document -> executing device, or kUnrouted when skipped.
+    /// Global document -> executing device, or kUnrouted when skipped
+    /// (replicas not chosen for this run execute nothing, exactly like
+    /// Bloom-skipped documents).
     std::vector<uint32_t> doc_device;
     /// Global document -> its local index on doc_device (kUnrouted rows
     /// are meaningless).
@@ -87,11 +86,11 @@ class ShardedCorpus {
   /// `device_load` (the caller's standing per-device load, e.g. slots
   /// routed by previously admitted runs) plus the slots this plan has
   /// already placed — ties keep the primary, so an idle group degenerates
-  /// to pure round-robin. `doc_slots` weighs documents by their planned
-  /// pool footprint (empty = unit weights). Deterministic: a pure function
-  /// of its arguments.
+  /// to pure round-robin. `plans` weighs documents by their planned pool
+  /// footprint, RunPlan::total_slots (empty or null entries = unit
+  /// weights). Deterministic: a pure function of its arguments.
   RoutePlan Route(const std::vector<uint8_t>& execute_mask,
-                  const std::vector<uint64_t>& doc_slots,
+                  const PlanList& plans,
                   const std::vector<double>& device_load) const;
 
  private:
@@ -129,17 +128,15 @@ class DeviceGroup {
     Task task = Task::kWordCount;
     /// Fully-resolved per-run engine options (query fields included).
     GTadocEngine::Options engine;
-    /// Backend guard: a DeviceGroup only scatters GPU work. CPU-lane runs
-    /// (analytics/server.h hybrid dispatch) execute the whole corpus on one
-    /// host BatchEngine and never reach here; passing kCpuPlanBackend is
-    /// InvalidArgument, so a dispatch bug cannot silently charge CPU work
-    /// to device counters.
-    PlanBackend backend = kGpuPlanBackend;
     /// The scatter decision; must outlive the call.
     const ShardedCorpus::RoutePlan* route = nullptr;
-    /// Per-device pool pre-size in slots (admission's per-device footprint
-    /// metadata); missing or zero entries mean no pre-sizing there.
-    std::vector<uint64_t> device_presize;
+    /// The run's GPU plan per global document (null where nothing runs);
+    /// must hold one for every routed document. Each device executes its
+    /// routed slice of them and pre-sizes its pools to the slice's largest
+    /// total_slots — the footprint admission reserved there. BatchEngine's
+    /// backend check refuses CPU plans before its device executes, so a
+    /// dispatch bug cannot charge CPU work to device counters.
+    PlanList plans;
     /// Forwarded to each device's BatchEngine.
     size_t host_workers = 1;
     /// Invoked once per EXECUTED document (never for masked replicas or

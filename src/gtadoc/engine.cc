@@ -307,21 +307,39 @@ Result<EngineRun> GTadocEngine::Run(Task task,
                                     TraversalStrategy strategy_override) {
   auto kernel_lookup = TaskRegistry::Get(task);
   if (!kernel_lookup.ok()) return kernel_lookup.status();
-  const TaskKernel& kernel = **kernel_lookup;
-
-  EngineRun run;
-  run.result.task = task;
   Timer wall;
   device_->ResetClock();
-  const uint64_t ops_before = device_->stats().total_ops;
-  const uint64_t allocs_before = device_->stats().device_allocs;
-
+  const gpu::DeviceStats before = device_->stats();
   // Plan resolution: a cache hit costs nothing; a miss runs the charged
   // planning passes (relevance probe, bounds/expansion traversals).
   bool cache_hit = false;
-  auto plan_lookup = ResolvePlan(kernel, strategy_override, &cache_hit);
-  if (!plan_lookup.ok()) return plan_lookup.status();
-  const RunPlan& plan = **plan_lookup;
+  auto plan = ResolvePlan(**kernel_lookup, strategy_override, &cache_hit);
+  if (!plan.ok()) return plan.status();
+  return Execute(**kernel_lookup, **plan, before, cache_hit, wall);
+}
+
+Result<EngineRun> GTadocEngine::Run(const RunPlan& plan) {
+  if (plan.key.backend != kGpuPlanBackend) {
+    return Status::InvalidArgument("plan was built for the CPU backend");
+  }
+  if (plan.key.grammar_fp != index_->fingerprint) {
+    return Status::InvalidArgument("plan was built for another grammar");
+  }
+  auto kernel_lookup = TaskRegistry::Get(plan.task);
+  if (!kernel_lookup.ok()) return kernel_lookup.status();
+  Timer wall;
+  device_->ResetClock();
+  return Execute(**kernel_lookup, plan, device_->stats(), true, wall);
+}
+
+Result<EngineRun> GTadocEngine::Execute(const TaskKernel& kernel,
+                                        const RunPlan& plan,
+                                        const gpu::DeviceStats& before,
+                                        bool cache_hit, const Timer& wall) {
+  EngineRun run;
+  run.result.task = plan.task;
+  const uint64_t ops_before = before.total_ops;
+  const uint64_t allocs_before = before.device_allocs;
   const double plan_seconds = device_->SimSeconds();
   const uint64_t plan_ops = device_->stats().total_ops - ops_before;
 

@@ -10,6 +10,7 @@
 #include "analytics/run_plan.h"
 #include "analytics/task_kernel.h"
 #include "common/result.h"
+#include "common/timer.h"
 #include "format/dag.h"
 #include "format/grammar.h"
 #include "gpu/device.h"
@@ -42,12 +43,13 @@ namespace gtadoc {
 ///     window counting into the exact-key n-gram table (Figure 8)
 ///     (sequenceCount, rankedInvertedIndex, phraseSearch).
 ///
-/// Plan/execute split: every Run first resolves a RunPlan — the strategy
+/// Plan/execute split: Run(task) first resolves a RunPlan — the strategy
 /// decision, relevance mask, full region layout and table geometry — through
 /// a PlanCache keyed by (grammar fingerprint, kernel, shape options). The
 /// shape pipelines are pure executors of that plan, so a same-shape rebind
-/// run (the serving hot path) skips planning entirely: plan_seconds == 0 and
-/// no relevance probe or bounds traversal is launched.
+/// run skips planning entirely: plan_seconds == 0 and no relevance probe or
+/// bounds traversal is launched. Run(plan) executes a plan resolved earlier
+/// (the serving path: admission's probe plans, execution runs them).
 ///
 /// Timing: phase 1 (initialization) covers device-grammar construction, the
 /// PCIe transfer, root scanning, memory-bound computation, planning (or a
@@ -100,10 +102,17 @@ class GTadocEngine {
       const Options& options);
 
   /// Executes one task; `strategy_override` forces a traversal direction for
-  /// the Section VI-C experiment.
+  /// the Section VI-C experiment. Resolves the plan through the cache, then
+  /// executes it exactly as Run(plan) would.
   Result<EngineRun> Run(Task task,
                         TraversalStrategy strategy_override =
                             TraversalStrategy::kAuto);
+
+  /// Executes a plan resolved earlier (a serving probe's), touching neither
+  /// the planner nor the cache: plan_seconds == 0 and the run counts as one
+  /// plan hit. InvalidArgument unless the plan was built by the GPU planner
+  /// for this engine's grammar (key.backend, key.grammar_fp).
+  Result<EngineRun> Run(const RunPlan& plan);
 
   /// Resolves (and caches) the plan a Run of (task, strategy_override) would
   /// consume, WITHOUT executing anything — the serving front-end's footprint
@@ -199,6 +208,12 @@ class GTadocEngine {
   Result<std::shared_ptr<const RunPlan>> BuildAndCachePlan(
       const TaskKernel& kernel, TraversalStrategy strategy_override,
       const PlanShape& shape, const PlanKey& key);
+  /// The one executor body behind both Runs. The device clock was reset at
+  /// the run's start and read `before` then; anything charged since is the
+  /// run's planning (none when `plan` was a hit or handed in).
+  Result<EngineRun> Execute(const TaskKernel& kernel, const RunPlan& plan,
+                            const gpu::DeviceStats& before, bool cache_hit,
+                            const Timer& wall);
   /// Sizes the global reduce table from the tighter of the plan's
   /// ExpectedDistinctKeys hint and the driver's structural bound.
   gpu::GpuHashTable::Options WordTableOptions(const RunPlan& plan,

@@ -185,12 +185,38 @@ Result<EngineRun> CpuTadocEngine::Run(
     Task task, TraversalStrategy strategy_override) const {
   auto kernel_lookup = TaskRegistry::Get(task);
   if (!kernel_lookup.ok()) return kernel_lookup.status();
-  const TaskKernel& kernel = **kernel_lookup;
-
-  EngineRun run;
   Timer wall;
-  CpuCostMeter init_meter(options_.cpu);
+  // Plan resolution: a cache hit costs nothing; a miss runs the metered
+  // relevance probe and bounds pass.
   CpuCostMeter plan_meter(options_.cpu);
+  bool cache_hit = false;
+  auto plan = ResolvePlan(**kernel_lookup, strategy_override, &plan_meter,
+                          &cache_hit);
+  if (!plan.ok()) return plan.status();
+  return Execute(**kernel_lookup, **plan, plan_meter, cache_hit, wall);
+}
+
+Result<EngineRun> CpuTadocEngine::Run(const RunPlan& plan) const {
+  if (plan.key.backend != kCpuPlanBackend) {
+    return Status::InvalidArgument("plan was built for the GPU backend");
+  }
+  if (plan.key.grammar_fp != index_->fingerprint) {
+    return Status::InvalidArgument("plan was built for another grammar");
+  }
+  auto kernel_lookup = TaskRegistry::Get(plan.task);
+  if (!kernel_lookup.ok()) return kernel_lookup.status();
+  Timer wall;
+  const CpuCostMeter no_planning(options_.cpu);
+  return Execute(**kernel_lookup, plan, no_planning, true, wall);
+}
+
+Result<EngineRun> CpuTadocEngine::Execute(const TaskKernel& kernel,
+                                          const RunPlan& plan,
+                                          const CpuCostMeter& plan_meter,
+                                          bool cache_hit,
+                                          const Timer& wall) const {
+  EngineRun run;
+  CpuCostMeter init_meter(options_.cpu);
   CpuCostMeter traverse_meter(options_.cpu);
 
   // Phase 1: data-structure preparation. Building the DAG view costs one
@@ -201,14 +227,6 @@ Result<EngineRun> CpuTadocEngine::Run(
     init_ops += dag().children(r).size() + dag().words(r).size();
   }
   init_meter.Charge(init_ops);
-
-  // Plan resolution: a cache hit costs nothing; a miss runs the metered
-  // relevance probe and bounds pass.
-  bool cache_hit = false;
-  auto plan_lookup =
-      ResolvePlan(kernel, strategy_override, &plan_meter, &cache_hit);
-  if (!plan_lookup.ok()) return plan_lookup.status();
-  const RunPlan& plan = **plan_lookup;
 
   switch (kernel.shape()) {
     case TraversalShape::kGlobalWeight:

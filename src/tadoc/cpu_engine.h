@@ -10,6 +10,7 @@
 #include "analytics/run_plan.h"
 #include "analytics/task_kernel.h"
 #include "common/result.h"
+#include "common/timer.h"
 #include "format/dag.h"
 #include "format/grammar.h"
 #include "gpu/platform.h"
@@ -35,10 +36,11 @@ struct CpuTadocOptions : QuerySpec {
 /// Task-agnostic like the GPU engine: Run dispatches on the task kernel's
 /// traversal shape, and the kernel assembles each shape's canonical
 /// accumulator into its result type, so CPU and GPU outputs agree by
-/// construction. Like the GPU engine, every Run first resolves a RunPlan
-/// (strategy decision, relevance mask, region layout) through a PlanCache;
-/// the drivers are pure executors, so repeat same-shape runs skip planning
-/// (plan_seconds == 0). The run is split into the paper's two phases:
+/// construction. Like the GPU engine, Run(task) first resolves a RunPlan
+/// (strategy decision, relevance mask, region layout) through a PlanCache
+/// and Run(plan) takes one resolved earlier; the drivers are pure
+/// executors, so repeat same-shape runs skip planning (plan_seconds == 0).
+/// The run is split into the paper's two phases:
 ///   - initialization: building the DAG view, the root's file segmentation,
 ///     planning (or a free cache hit) and the per-task data structures;
 ///   - graph traversal: weight propagation (top-down) or local-table merging
@@ -65,10 +67,17 @@ class CpuTadocEngine {
       const CpuTadocOptions& options);
 
   /// Runs one task; `strategy_override` replaces options.strategy when not
-  /// kAuto (used by the Section VI-C experiment).
+  /// kAuto (used by the Section VI-C experiment). Resolves the plan through
+  /// the cache, then executes it exactly as Run(plan) would.
   Result<EngineRun> Run(Task task,
                         TraversalStrategy strategy_override =
                             TraversalStrategy::kAuto) const;
+
+  /// Executes a plan resolved earlier (a serving probe's), touching neither
+  /// the planner nor the cache: plan_seconds == 0 and the run counts as one
+  /// plan hit. InvalidArgument unless the plan was built by the CPU planner
+  /// for this engine's grammar (key.backend, key.grammar_fp).
+  Result<EngineRun> Run(const RunPlan& plan) const;
 
   /// Resolves (and caches) the plan a Run of (task, strategy_override) would
   /// consume without executing anything — the CPU twin of
@@ -113,6 +122,13 @@ class CpuTadocEngine {
   Result<std::shared_ptr<const RunPlan>> ResolvePlan(
       const TaskKernel& kernel, TraversalStrategy strategy_override,
       CpuCostMeter* plan_meter, bool* cache_hit) const;
+
+  /// The one executor body behind both Runs: phase-1 preparation, then the
+  /// plan's shape driver. `plan_meter` holds whatever resolving the plan
+  /// charged (nothing on a hit or a handed plan).
+  Result<EngineRun> Execute(const TaskKernel& kernel, const RunPlan& plan,
+                            const CpuCostMeter& plan_meter, bool cache_hit,
+                            const Timer& wall) const;
 
   // Phase-2 shape drivers; each executes the plan, returns the
   // kernel-assembled result and charges `meter`.

@@ -11,6 +11,7 @@
 #include "datagen/datagen.h"
 #include "gpu/platform.h"
 #include "gtadoc/engine.h"
+#include "serve_util.h"
 #include "tadoc/cpu_engine.h"
 
 namespace gtadoc {
@@ -542,15 +543,24 @@ TEST(DispatchTest, DeviceGroupRefusesCpuWork) {
   CorpusIndex index(&mc.corpus.partitions);
   DeviceGroup group(sharded->get(), &index);
 
+  // CPU plans handed to a device group are refused before any device
+  // executes, so a dispatch bug cannot charge CPU work to device counters.
+  auto cpu_plans = PlanDocuments(mc.corpus, GpuOptions(), Task::kWordCount,
+                                 {}, kCpuPlanBackend);
+  ASSERT_TRUE(cpu_plans.ok()) << cpu_plans.status().ToString();
   const std::vector<uint8_t> all(mc.corpus.partitions.size(), 1);
   ShardedCorpus::RoutePlan route = (*sharded)->Route(all, {}, {});
   DeviceGroup::RunSpec spec;
   spec.engine = GpuOptions();
   spec.route = &route;
-  spec.backend = kCpuPlanBackend;
+  spec.plans = *cpu_plans;
   auto result = group.Execute(spec);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
+  for (const DeviceGroup::DeviceCounters& counters : group.counters()) {
+    EXPECT_EQ(counters.runs_routed, 0u);
+    EXPECT_EQ(counters.documents_executed, 0u);
+  }
 }
 
 }  // namespace

@@ -544,7 +544,10 @@ TEST(BatchCallbackTest, OnDocumentCompleteFiresOncePerDocument) {
   input.query_words = bopt.engine.query_words;
   std::vector<uint8_t> mask =
       BloomExecuteMask(DocumentBlooms(mc.corpus), kernel, input);
-  auto run = (*engine)->Run(Task::kKeywordSearch, mask);
+  auto plans =
+      PlanDocuments(mc.corpus, bopt.engine, Task::kKeywordSearch, mask);
+  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  auto run = (*engine)->Run(Task::kKeywordSearch, *plans);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(executed + skipped,
             static_cast<uint32_t>(mc.corpus.partitions.size()));

@@ -1,12 +1,18 @@
 #ifndef GTADOC_TESTS_SERVE_UTIL_H_
 #define GTADOC_TESTS_SERVE_UTIL_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analytics/document_index.h"
+#include "analytics/run_plan.h"
 #include "analytics/server.h"
 #include "common/result.h"
+#include "gpu/platform.h"
+#include "gtadoc/engine.h"
+#include "tadoc/cpu_engine.h"
 
 namespace gtadoc {
 
@@ -52,6 +58,46 @@ inline Result<std::vector<CorpusServer::ServedRun>> SubmitAndServe(
     tickets.push_back(*submitted->ticket);
   }
   return ServeAll(server, std::move(tickets));
+}
+
+/// Each document's plan for `task` under `options` — what a Submit probe
+/// hands execution — or null where `execute` (empty = all) is 0. CPU plans
+/// are priced on the Pascal platform's host CPU. Engines borrow document
+/// indexes from `index` (null: a private index over `corpus`).
+inline Result<PlanList> PlanDocuments(
+    const PartitionedCorpus& corpus, const GTadocEngine::Options& options,
+    Task task, const std::vector<uint8_t>& execute = {},
+    PlanBackend backend = kGpuPlanBackend,
+    const CorpusIndex* index = nullptr) {
+  std::unique_ptr<CorpusIndex> owned_index;
+  if (index == nullptr) {
+    owned_index = std::make_unique<CorpusIndex>(&corpus.partitions);
+    index = owned_index.get();
+  }
+  CpuTadocOptions cpu_options;
+  static_cast<QuerySpec&>(cpu_options) = options;
+  cpu_options.cpu = gpu::PascalPlatform().cpu;
+  cpu_options.strategy = options.strategy;
+  PlanList plans(corpus.partitions.size());
+  for (size_t d = 0; d < plans.size(); ++d) {
+    if (!execute.empty() && execute[d] == 0) continue;
+    auto doc_index = index->Get(static_cast<uint32_t>(d));
+    if (!doc_index.ok()) return doc_index.status();
+    const Grammar* doc = &corpus.partitions[d];
+    auto plan = [&]() -> Result<std::shared_ptr<const RunPlan>> {
+      if (backend == kCpuPlanBackend) {
+        auto engine = CpuTadocEngine::Create(doc, *doc_index, cpu_options);
+        if (!engine.ok()) return engine.status();
+        return engine->PlanOnly(task);
+      }
+      auto engine = GTadocEngine::Create(doc, *doc_index, options);
+      if (!engine.ok()) return engine.status();
+      return (*engine)->PlanOnly(task);
+    }();
+    if (!plan.ok()) return plan.status();
+    plans[d] = std::move(*plan);
+  }
+  return plans;
 }
 
 }  // namespace gtadoc

@@ -277,6 +277,87 @@ TEST(CorpusServerTest, AdmissionPreSizingLeavesZeroMidRunGrowth) {
   EXPECT_GT(run->mid_run_pool_growths, 0u);
 }
 
+// Admission hands its plans to execution: a queued run whose plans later
+// probes evicted from the bounded cache still executes the plans it was
+// admitted on. Nothing plans, and nothing touches the cache, after Submit.
+TEST(CorpusServerTest, QueuedRunKeepsItsPlansPastCacheEviction) {
+  PartitionedCorpus corpus = MakeCorpus(16, 8);
+  const size_t n = corpus.partitions.size();
+  for (uint32_t cpu_lanes : {0u, 2u}) {
+    SCOPED_TRACE(cpu_lanes);
+    CorpusServer::Options opt;
+    opt.engine = GpuOptions();
+    opt.scheduler.cpu_lanes = cpu_lanes;
+    opt.cpu = gpu::PascalPlatform().cpu;
+    auto server = CorpusServer::Create(&corpus, opt);
+    ASSERT_TRUE(server.ok());
+    auto tenant = (*server)->OpenTenant({});
+    ASSERT_TRUE(tenant.ok());
+    // With lanes, every run is forced onto them: the CPU probe's plans.
+    CorpusServer::RunOptions run_options;
+    if (cpu_lanes > 0) run_options.backend = CorpusServer::RunBackend::kCpu;
+
+    CorpusServer::RunRequest word_count;
+    word_count.task = Task::kWordCount;
+    auto first = tenant->Submit(word_count, run_options);
+    ASSERT_TRUE(first.ok() && first->admitted());
+    std::vector<CorpusServer::RunTicket> tickets = {*first->ticket};
+    // Distinct queries key distinct plans. The word-count plans went in
+    // first, so the FIFO bound evicts them once n plans have been dropped.
+    PlanCache* cache = (*server)->plan_cache();
+    for (uint32_t w = 0; w < 300 && cache->evictions() < n; ++w) {
+      CorpusServer::RunRequest keyword;
+      keyword.task = Task::kKeywordSearch;
+      keyword.query_words = {w};
+      auto submitted = tenant->Submit(keyword, run_options);
+      ASSERT_TRUE(submitted.ok() && submitted->admitted());
+      tickets.push_back(*submitted->ticket);
+    }
+    ASSERT_GE(cache->evictions(), n) << "the probes never filled the cache";
+    ASSERT_GT(cache->misses(), 256u);
+
+    const uint64_t lookups = cache->hits() + cache->misses();
+    ASSERT_TRUE((*server)->ServeUntilIdle().ok());
+    const CorpusServer::Stats& stats = (*server)->stats();
+    EXPECT_EQ(stats.plan_cache.hits + stats.plan_cache.misses, lookups)
+        << "execution consulted the plan cache";
+    EXPECT_EQ(stats.mid_run_pool_growths, 0u);
+
+    std::vector<CorpusServer::ServedRun> served;
+    for (CorpusServer::RunTicket& ticket : tickets) {
+      auto run = ticket.Await();
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->batch.timing.plan_seconds, 0.0)
+          << "ticket " << ticket.id() << " planned at execution";
+      // A planning pass can be free (top-down wordCount charges none), so
+      // also check every executed document ran a pre-resolved plan.
+      const uint64_t executed =
+          run->batch.documents.size() - run->batch.documents_skipped;
+      EXPECT_EQ(run->batch.timing.plan_cache_hits, executed)
+          << "ticket " << ticket.id() << " resolved plans at execution";
+      served.push_back(std::move(*run));
+    }
+
+    // The evicted run is bit-identical to a serial BatchEngine run.
+    BatchEngine::Options bopt;
+    bopt.engine = GpuOptions();
+    if (cpu_lanes > 0) {
+      bopt.backend = kCpuPlanBackend;
+      bopt.cpu = opt.cpu;
+    }
+    auto batch = BatchEngine::Create(&corpus, bopt);
+    ASSERT_TRUE(batch.ok());
+    auto serial = (*batch)->Run(Task::kWordCount);
+    ASSERT_TRUE(serial.ok());
+    EXPECT_TRUE(served[0].batch.merged.SameAs(serial->merged));
+    for (size_t d = 0; d < n; ++d) {
+      EXPECT_TRUE(served[0].batch.documents[d].result.SameAs(
+          serial->documents[d].result))
+          << "doc " << d;
+    }
+  }
+}
+
 // --------------------------------------------------------------------------
 // Root-Bloom corpus skip.
 // --------------------------------------------------------------------------
@@ -597,7 +678,7 @@ TEST(CorpusServerTest, NonSelectiveTasksNeverSkip) {
 }
 
 // --------------------------------------------------------------------------
-// Masked BatchEngine runs (the server's execution seam).
+// Plan-list BatchEngine runs (the server's execution seam).
 // --------------------------------------------------------------------------
 
 TEST(BatchMaskTest, MaskSizeMismatchIsInvalidArgument) {
@@ -606,8 +687,72 @@ TEST(BatchMaskTest, MaskSizeMismatchIsInvalidArgument) {
   bopt.engine = GpuOptions();
   auto batch = BatchEngine::Create(&corpus, bopt);
   ASSERT_TRUE(batch.ok());
-  auto run = (*batch)->Run(Task::kWordCount, std::vector<uint8_t>{1, 0});
-  EXPECT_FALSE(run.ok());
+  for (size_t size : {0, 2, 5}) {
+    auto run = (*batch)->Run(Task::kWordCount, PlanList(size));
+    EXPECT_FALSE(run.ok()) << size;
+    EXPECT_TRUE(run.status().IsInvalidArgument()) << size;
+  }
+}
+
+TEST(BatchMaskTest, ForeignPlansAreInvalidArgument) {
+  PartitionedCorpus corpus = MakeCorpus(8, 4);
+  const GTadocEngine::Options eopt = GpuOptions();
+  auto gpu_plans = PlanDocuments(corpus, eopt, Task::kWordCount);
+  ASSERT_TRUE(gpu_plans.ok()) << gpu_plans.status().ToString();
+  auto cpu_plans =
+      PlanDocuments(corpus, eopt, Task::kWordCount, {}, kCpuPlanBackend);
+  ASSERT_TRUE(cpu_plans.ok()) << cpu_plans.status().ToString();
+  auto invalid = [](const auto& result) {
+    return result.status().IsInvalidArgument();
+  };
+
+  // Both engines: another backend's plan, or another grammar's.
+  auto gpu_engine = GTadocEngine::Create(&corpus.partitions[0], eopt);
+  ASSERT_TRUE(gpu_engine.ok());
+  EXPECT_TRUE(invalid((*gpu_engine)->Run(*(*cpu_plans)[0])));
+  EXPECT_TRUE(invalid((*gpu_engine)->Run(*(*gpu_plans)[1])));
+  CpuTadocOptions copt;
+  copt.cpu = gpu::PascalPlatform().cpu;
+  auto cpu_engine = CpuTadocEngine::Create(&corpus.partitions[0], copt);
+  ASSERT_TRUE(cpu_engine.ok());
+  EXPECT_TRUE(invalid(cpu_engine->Run(*(*gpu_plans)[0])));
+  EXPECT_TRUE(invalid(cpu_engine->Run(*(*cpu_plans)[1])));
+
+  // The matching plan runs with zero planning and the planning run's
+  // result.
+  auto handed = (*gpu_engine)->Run(*(*gpu_plans)[0]);
+  ASSERT_TRUE(handed.ok()) << handed.status().ToString();
+  EXPECT_EQ(handed->timing.plan_seconds, 0.0);
+  EXPECT_EQ(handed->timing.plan_cache_hits, 1u);
+  auto resolved = (*gpu_engine)->Run(Task::kWordCount);
+  ASSERT_TRUE(resolved.ok());
+  EXPECT_TRUE(handed->result.SameAs(resolved->result));
+
+  // The batch engine: another backend, another grammar (two documents'
+  // plans swapped), another task.
+  BatchEngine::Options bopt;
+  bopt.engine = eopt;
+  auto batch = BatchEngine::Create(&corpus, bopt);
+  ASSERT_TRUE(batch.ok());
+  PlanList swapped = *gpu_plans;
+  std::swap(swapped[0], swapped[1]);
+  EXPECT_TRUE(invalid((*batch)->Run(Task::kWordCount, *cpu_plans)));
+  EXPECT_TRUE(invalid((*batch)->Run(Task::kWordCount, swapped)));
+  EXPECT_TRUE(invalid((*batch)->Run(Task::kSort, *gpu_plans)));
+  bopt.backend = kCpuPlanBackend;
+  bopt.cpu = gpu::PascalPlatform().cpu;
+  auto cpu_batch = BatchEngine::Create(&corpus, bopt);
+  ASSERT_TRUE(cpu_batch.ok());
+  EXPECT_TRUE(invalid((*cpu_batch)->Run(Task::kWordCount, *gpu_plans)));
+
+  // The right plans: bit-identical to a planning run, zero planning.
+  auto run = (*batch)->Run(Task::kWordCount, *gpu_plans);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  auto planned = (*batch)->Run(Task::kWordCount);
+  ASSERT_TRUE(planned.ok());
+  EXPECT_TRUE(run->merged.SameAs(planned->merged));
+  EXPECT_EQ(run->timing.plan_seconds, 0.0);
+  EXPECT_EQ(run->mid_run_pool_growths, 0u);
 }
 
 }  // namespace

@@ -168,7 +168,7 @@ TEST(ShardedCorpusTest, RouteKeepsPrimaryOnTiesAndFollowsLoad) {
     EXPECT_EQ(drained.doc_device[g], 1u) << "doc " << g;
   }
 
-  // Masked documents route nowhere, and their devices get no mask bit.
+  // Masked documents route nowhere.
   ShardedCorpus::RoutePlan masked =
       (*sharded)->Route({1, 0, 0, 0}, {}, {});
   EXPECT_EQ(masked.doc_device[0], 0u);
@@ -202,10 +202,12 @@ TEST(ShardedServerTest, BitIdenticalToSingleDeviceAcrossShardsAndReplication) {
     auto batch = BatchEngine::Create(&mc.corpus, bopt);
     ASSERT_TRUE(batch.ok());
     const TaskKernel& kernel = **TaskRegistry::Get(request.task);
-    auto run = (*batch)->Run(
-        request.task,
+    const std::vector<uint8_t> mask =
         BloomExecuteMask(DocumentBlooms(mc.corpus), kernel,
-                         GTadocEngine::InputFromOptions(bopt.engine)));
+                         GTadocEngine::InputFromOptions(bopt.engine));
+    auto plans = PlanDocuments(mc.corpus, bopt.engine, request.task, mask);
+    ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+    auto run = (*batch)->Run(request.task, *plans);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     expected_skipped += run->documents_skipped;
     expected_executed += run->documents.size() - run->documents_skipped;
