@@ -14,7 +14,8 @@ namespace gtadoc {
 
 Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
     const PartitionedCorpus* corpus, const Options& options,
-    const CorpusIndex* index, const std::vector<uint32_t>* index_ids) {
+    const CorpusIndex* index, const std::vector<uint32_t>* index_ids,
+    const std::vector<uint8_t>* resident) {
   if (corpus == nullptr || corpus->partitions.empty()) {
     return Status::InvalidArgument("batch needs at least one document");
   }
@@ -26,6 +27,9 @@ Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
     return Status::InvalidArgument(
         "batch engine manages device sharing; leave "
         "engine.shared_device/shared_pool null");
+  }
+  if (resident != nullptr && resident->size() != corpus->partitions.size()) {
+    return Status::InvalidArgument("residency flags/partitions mismatch");
   }
   if (options.backend == kCpuPlanBackend &&
       options.cpu.thread_ops_per_sec() <= 0.0) {
@@ -47,6 +51,7 @@ Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
   }
   engine->index_ = index;
   engine->index_ids_ = index_ids;
+  engine->resident_ = resident;
   return engine;
 }
 
@@ -105,7 +110,7 @@ Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
   uint64_t growth_baseline = 0;
   if (options_.reuse_device_state && shard_executes && !cpu_backend) {
     // One context for the whole shard: the pool grows to the shard's
-    // high-water mark once, the grammar arena is rebound per document.
+    // high-water mark once, the grammar arena is reloaded per document.
     device = std::make_unique<gpu::Device>(eopt.gpu, eopt.host_workers);
     pool = std::make_unique<gpu::MemoryPool>(device.get());
     // Handed plans carry the run's footprint, so the one growth happens
@@ -171,12 +176,19 @@ Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
       if (options_.on_document_complete) options_.on_document_complete(out);
       continue;
     }
+    // A device that keeps documents resident loads each one once; without
+    // residency flags every document loads into the context's arena.
+    GTadocEngine::GrammarLoad load = GTadocEngine::GrammarLoad::kArena;
+    if (resident_ != nullptr) {
+      load = (*resident_)[i] ? GTadocEngine::GrammarLoad::kResident
+                             : GTadocEngine::GrammarLoad::kFirst;
+    }
     if (engine != nullptr && options_.reuse_device_state) {
-      engine->Rebind(doc, *index);
+      engine->Rebind(doc, *index, load);
     } else {
       // First document of the context, or the cold path: a fresh engine
       // (and device) per document — the baseline reuse is measured against.
-      auto created = GTadocEngine::Create(doc, *index, eopt);
+      auto created = GTadocEngine::Create(doc, *index, eopt, load);
       if (!created.ok()) return created.status();
       engine = std::move(*created);
     }
@@ -220,9 +232,10 @@ RunTiming BatchEngine::ComposeTiming(const std::vector<DocumentRun>& runs,
   // Two-engine pipeline over the documents in corpus order: uploads
   // serialize on the PCIe copy engine, everything else serializes on the
   // compute engine, and document i's compute cannot start before its upload
-  // lands. With uploads uncharged (GPU-resident corpora) the schedule
-  // degenerates to the serial sum.
-  if (options_.overlap_uploads) {
+  // lands. With nothing uploaded (uncharged PCIe, or every document already
+  // resident) the schedule is the serial sum and nothing is saved: exactly
+  // 0, not the rounding residue of two differently ordered sums.
+  if (options_.overlap_uploads && agg.upload_seconds > 0) {
     double copy_done = 0;
     double compute_done = 0;
     for (const DocumentRun& r : runs) {

@@ -25,16 +25,19 @@ namespace gtadoc {
 /// single-document engine cannot:
 ///
 ///   1. **Device-state reuse.** Each worker context keeps one gpu::MemoryPool
-///      and one DeviceGrammar arena, recycled across its documents
-///      (MemoryPool::EnsureCapacity + ResetForReuse, DeviceGrammar::Rebind).
-///      Only the context's first document pays the cudaMalloc-style
-///      allocation calls that a cold GTadocEngine::Create + Run charges for
-///      every document.
+///      and one device-grammar arena, recycled across its documents
+///      (MemoryPool::EnsureCapacity + ResetForReuse, GrammarArena): every
+///      document is still loaded — uploaded and root-scanned — but only an
+///      allocation the context has not made yet is charged, where a cold
+///      GTadocEngine::Create + Run charges them for every document. Handed
+///      residency flags (Create's `resident`, the serving path) go further:
+///      a document the device already holds loads nothing at all.
 ///   2. **Upload/traversal pipelining.** In the cost model, document i+1's
 ///      H2D grammar upload (the copy engine) runs under document i's
 ///      traversal rounds (the compute engine); uploads serialize on PCIe,
-///      compute serializes on the GPU. Visible only when uploads are charged
-///      at all (Options::engine.charge_pcie).
+///      compute serializes on the GPU. Visible only when a run uploads
+///      anything (Options::engine.charge_pcie, and a document not already
+///      resident).
 ///
 /// Host execution shards documents across `host_workers` ThreadPool workers
 /// (contiguous, deterministic shards), each with a private device context;
@@ -76,11 +79,12 @@ class BatchEngine {
     /// capped at hardware concurrency). Affects wall clock only.
     size_t host_workers = 1;
     /// Recycle each worker's memory pool + device-grammar arena across its
-    /// documents instead of rebuilding per document (the cold path, which is
-    /// exactly N independent GTadocEngine lifecycles).
+    /// documents instead of allocating them per document (the cold path,
+    /// which is exactly N independent GTadocEngine lifecycles).
     bool reuse_device_state = true;
     /// Pipeline document i+1's grammar upload under document i's traversal
-    /// in the simulated schedule.
+    /// in the simulated schedule. A run that uploads nothing saves exactly
+    /// 0 (overlap_saved_seconds == 0.0).
     bool overlap_uploads = true;
     /// Merge per-document results into BatchRun::merged (and charge the
     /// merge reduce pass). Sharded serving turns this off for shard-local
@@ -137,11 +141,18 @@ class BatchEngine {
   /// device slice of a sharded corpus borrows the global index this way, so
   /// replicas share one entry. Both must outlive the engine. Null `index`:
   /// the engine owns a lazy index over `corpus`, kept across its Runs.
-  /// Fails on an empty corpus or on pre-set shared_device/shared_pool.
+  /// `resident` (one flag per document of `corpus`; must outlive the engine)
+  /// says which documents the simulated device already holds: those execute
+  /// without any load charge, the others pay a load (allocation, upload,
+  /// root scan) — the caller decides when a load has landed. Null:
+  /// every executed document loads into its context's arena (standalone).
+  /// Fails on an empty corpus, a flag list of the wrong size, or on pre-set
+  /// shared_device/shared_pool.
   static Result<std::unique_ptr<BatchEngine>> Create(
       const PartitionedCorpus* corpus, const Options& options,
       const CorpusIndex* index = nullptr,
-      const std::vector<uint32_t>* index_ids = nullptr);
+      const std::vector<uint32_t>* index_ids = nullptr,
+      const std::vector<uint8_t>* resident = nullptr);
 
   /// Runs one task over every document and merges; each document's engine
   /// resolves its own plan through the shared cache.
@@ -211,6 +222,8 @@ class BatchEngine {
   const CorpusIndex* index_ = nullptr;
   const std::vector<uint32_t>* index_ids_ = nullptr;
   std::unique_ptr<CorpusIndex> owned_index_;
+  /// Borrowed device residency flags (null: none; every document loads).
+  const std::vector<uint8_t>* resident_ = nullptr;
 };
 
 }  // namespace gtadoc

@@ -23,6 +23,7 @@ Result<std::shared_ptr<const DocumentIndex>> DocumentIndex::Build(
     for (const RuleChildEntry& e : v.children(r)) bloom |= blooms[e.child];
     blooms[r] = bloom;
   }
+  index->device_grammar = DeviceGrammar::Build(g, v);
   index->fingerprint = GrammarFingerprint(g);
   return std::shared_ptr<const DocumentIndex>(std::move(index));
 }

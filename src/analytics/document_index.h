@@ -10,18 +10,24 @@
 #include "common/result.h"
 #include "format/dag.h"
 #include "format/grammar.h"
+#include "gtadoc/device_grammar.h"
 
 namespace gtadoc {
 
 /// \brief Everything the engines derive from a document's grammar alone:
-/// the validated DAG view (Figure 1(e)), the per-rule subtree Bloom filters
-/// and the grammar fingerprint plans are keyed by.
+/// the validated DAG view (Figure 1(e)), the device grammar's CSR arrays,
+/// the per-rule subtree Bloom filters and the grammar fingerprint plans are
+/// keyed by.
 ///
 /// Immutable once built. TADOC and G-TADOC prepare the rule DAG once when a
 /// document is loaded and then run many analytics over it; engines borrow a
-/// shared DocumentIndex instead of rebuilding it per run.
+/// shared DocumentIndex instead of rebuilding it per run, and GPU engines
+/// bind to its device grammar by reference.
 struct DocumentIndex {
   DagView dag;
+  /// The arrays a GPU engine traverses, root file ids included. Putting
+  /// them on a device is DeviceGrammar::Load's charged step.
+  DeviceGrammar device_grammar;
   /// Per-rule 64-bit Bloom filters over each rule's *subtree* vocabulary
   /// (children before parents). A word absent from rule r's filter is
   /// provably absent from its whole expansion, so selective relevance is one

@@ -111,6 +111,34 @@ Result<std::unique_ptr<CorpusServer>> CorpusServer::Create(
   sopt.replication = normalized.replication;
   auto sharded = ShardedCorpus::Create(corpus, sopt);
   if (!sharded.ok()) return sharded.status();
+  // Every device keeps the documents it executes resident next to its pools,
+  // so its whole slice plus its slot budget must fit its memory.
+  const uint64_t memory_bytes = normalized.engine.gpu.memory_bytes;
+  if (memory_bytes != 0) {
+    // Compared before multiplying: a huge budget must not wrap to a small
+    // byte count.
+    if (normalized.device_slot_budget > memory_bytes / sizeof(uint64_t)) {
+      return Status::ResourceExhausted(
+          "a device slot budget of " +
+          std::to_string(normalized.device_slot_budget) +
+          " slots exceeds device memory of " + std::to_string(memory_bytes) +
+          " bytes");
+    }
+    std::vector<uint64_t> document_bytes(corpus->partitions.size());
+    for (size_t g = 0; g < corpus->partitions.size(); ++g) {
+      document_bytes[g] = DeviceGrammar::BytesFor(corpus->partitions[g]);
+    }
+    for (size_t d = 0; d < normalized.num_devices; ++d) {
+      uint64_t need = normalized.device_slot_budget * sizeof(uint64_t);
+      for (uint32_t g : (*sharded)->device_docs(d)) need += document_bytes[g];
+      if (need > memory_bytes) {
+        return Status::ResourceExhausted(
+            "device " + std::to_string(d) + " needs " + std::to_string(need) +
+            " bytes for its documents and slot budget, more than its " +
+            std::to_string(memory_bytes));
+      }
+    }
+  }
 
   std::vector<std::unique_ptr<gpu::SlotBudget>> budgets;
   std::vector<gpu::SlotBudget*> scheduler_budgets;
@@ -172,9 +200,9 @@ Status CorpusServer::ProbeGpuPlans(PendingRun* run, PlanList* plans) {
   // Resolve every executed document's plan once — the ONLY time planning is
   // charged: a GPU-dispatched run executes exactly these plans. The key
   // differs per document only in the grammar fingerprint, so a hit needs no
-  // device work at all; a miss binds the probe engine to the document
-  // (uncharged, as the probe's clock is reset after the bind) and builds the
-  // plan there.
+  // device work at all; a miss binds the probe engine to the document and
+  // builds the plan there. The probe never executes, so it binds without
+  // loading anything: its clock holds the planning passes alone.
   plans->assign(n, nullptr);
   PlanKey key = GTadocEngine::PlanKeyFor(run->engine, 0, run->task);
   std::unique_ptr<GTadocEngine> probe;
@@ -186,15 +214,15 @@ Status CorpusServer::ProbeGpuPlans(PendingRun* run, PlanList* plans) {
     std::shared_ptr<const RunPlan> plan = plan_cache_->Get(key);
     if (plan == nullptr) {
       const Grammar* doc = &corpus_->partitions[d];
+      constexpr auto kNoLoad = GTadocEngine::GrammarLoad::kResident;
       if (probe == nullptr) {
-        auto created = GTadocEngine::Create(doc, *index, run->engine);
+        auto created = GTadocEngine::Create(doc, *index, run->engine, kNoLoad);
         if (!created.ok()) return created.status();
         probe = std::move(*created);
       } else {
-        probe->Rebind(doc, *index);
+        probe->Rebind(doc, *index, kNoLoad);
       }
       ++stats_.gpu_probe_binds;
-      probe->device()->ResetClock();
       auto built = probe->BuildPlan(run->task);
       if (!built.ok()) return built.status();
       run->admission.admission_seconds += probe->device()->SimSeconds();
@@ -480,11 +508,12 @@ Result<BatchEngine::BatchRun> CorpusServer::Execute(const PendingRun& run) {
 }
 
 Result<DeviceGroup::RunResult> CorpusServer::ExecuteOnDevices(
-    const PendingRun& run) {
+    const PendingRun& run, double start_time) {
   DeviceGroup::RunSpec spec;
   spec.task = run.task;
   spec.engine = run.engine;
   spec.route = &run.route;
+  spec.start_time = start_time;
   spec.plans = run.plans;
   spec.host_workers = options_.host_workers;
   // Live progress: executed documents tick from the shard workers; skipped
@@ -518,7 +547,7 @@ Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
     double gather_seconds = 0.0;
     auto batch = [&]() -> Result<BatchEngine::BatchRun> {
       if (cpu_run) return Execute(run);
-      auto gpu_run = ExecuteOnDevices(run);
+      auto gpu_run = ExecuteOnDevices(run, decision->start_time);
       if (!gpu_run.ok()) return gpu_run.status();
       device_durations = std::move(gpu_run->device_durations);
       gather_seconds = gpu_run->gather_seconds;
@@ -646,6 +675,8 @@ void CorpusServer::SyncSchedulerStats() {
     device.upload_seconds = counters[d].upload_seconds;
     device.busy_seconds = counters[d].busy_seconds;
     device.mid_run_pool_growths = counters[d].mid_run_pool_growths;
+    device.resident_documents = counters[d].resident_documents;
+    device.resident_bytes = counters[d].resident_bytes;
     device.peak_admitted_slots = device_budgets_[d]->peak_in_use();
   }
   for (const auto& [tenant, per_device] :

@@ -73,10 +73,10 @@ std::vector<uint8_t> BloomExecuteMask(
 ///      order; the scheduler governs simulated queue-wait and occupancy.
 ///   3. **Root-Bloom corpus skip.** For selective runs (keyword / phrase /
 ///      multi-query) a document whose root Bloom filter rejects the query
-///      (BloomExecuteMask) is skipped before Rebind: no upload, no plan, no
-///      traversal. Skipped documents contribute the kernel's assembly of
-///      zero entries, so the merged corpus result stays bit-identical to
-///      the unskipped run.
+///      (BloomExecuteMask) is skipped before any engine binds it: no load,
+///      no plan, no traversal. Skipped documents contribute the kernel's
+///      assembly of zero entries, so the merged corpus result stays
+///      bit-identical to the unskipped run.
 ///
 /// The API is session-oriented: `OpenTenant` returns a TenantHandle; its
 /// `Submit` returns a RunTicket (or a structured Rejection);
@@ -360,7 +360,14 @@ class CorpusServer {
       uint64_t peak_admitted_slots = 0;
       uint64_t init_ops = 0;       ///< simulated phase-1 ops charged here
       uint64_t traversal_ops = 0;  ///< simulated phase-2 ops charged here
-      double upload_seconds = 0;   ///< simulated H2D time charged here
+      /// Simulated H2D time charged here: a document uploads only in runs
+      /// that start before a load of it has landed on this device, so this
+      /// stops growing once every document routed here is resident.
+      double upload_seconds = 0;
+      /// Documents resident on this device (counted at their first load,
+      /// never evicted), and their summed DeviceGrammar::DeviceBytes.
+      uint64_t resident_documents = 0;
+      uint64_t resident_bytes = 0;
       /// Summed simulated shard durations (the gather merge tail is not
       /// device-local work and is not included).
       double busy_seconds = 0;
@@ -406,9 +413,9 @@ class CorpusServer {
     uint32_t peak_cpu_lanes_in_use = 0;
     /// Shared plan-cache counters; refreshed on every serve.
     PlanCacheStats plan_cache;
-    /// Documents the GPU Submit probes bound a device grammar for. A probe
-    /// binds only on a plan-cache miss; a hit needs just the document's
-    /// index fingerprint.
+    /// Documents the GPU Submit probes bound an engine to (without loading
+    /// them onto any device). A probe binds only on a plan-cache miss; a hit
+    /// needs just the document's index fingerprint.
     uint64_t gpu_probe_binds = 0;
     std::map<uint64_t, TenantStats> tenants;  ///< by tenant id
     /// One entry per device (see DeviceStats); refreshed on every serve.
@@ -416,7 +423,11 @@ class CorpusServer {
   };
 
   /// The corpus must outlive the server. Fails on an empty corpus or
-  /// pre-set shared_device/shared_pool/plan_cache.
+  /// pre-set shared_device/shared_pool/plan_cache, and with
+  /// ResourceExhausted when some device cannot hold its documents resident
+  /// next to its pools: its documents' device-grammar bytes
+  /// (DeviceGrammar::BytesFor) plus 8 bytes per slot of device_slot_budget
+  /// exceed a non-zero engine.gpu.memory_bytes.
   static Result<std::unique_ptr<CorpusServer>> Create(
       const PartitionedCorpus* corpus, const Options& options);
 
@@ -495,8 +506,11 @@ class CorpusServer {
   /// scatter to).
   Result<BatchEngine::BatchRun> Execute(const PendingRun& run);
   /// GPU execution: scatters the run's plans over the device group along
-  /// its RoutePlan and gathers the global batch.
-  Result<DeviceGroup::RunResult> ExecuteOnDevices(const PendingRun& run);
+  /// its RoutePlan and gathers the global batch. `start_time` is the run's
+  /// simulated admission time, which decides the documents it finds
+  /// resident.
+  Result<DeviceGroup::RunResult> ExecuteOnDevices(const PendingRun& run,
+                                                  double start_time);
   /// The serving loop: starts runs through the scheduler, executes each
   /// serially, reports durations back. Stops early after `until_ticket`
   /// completes (leaving the rest queued). On failure the queue is

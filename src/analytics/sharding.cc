@@ -1,6 +1,8 @@
 #include "analytics/sharding.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -89,6 +91,17 @@ ShardedCorpus::RoutePlan ShardedCorpus::Route(
   return plan;
 }
 
+DeviceGroup::DeviceGroup(const ShardedCorpus* corpus, const CorpusIndex* index)
+    : corpus_(corpus),
+      index_(index),
+      counters_(corpus->num_devices()),
+      resident_since_(corpus->num_devices()) {
+  for (size_t d = 0; d < corpus->num_devices(); ++d) {
+    resident_since_[d].assign(corpus->device_docs(d).size(),
+                              std::numeric_limits<double>::infinity());
+  }
+}
+
 Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
   Timer wall;
   const PartitionedCorpus* global = corpus_->global_corpus();
@@ -138,8 +151,14 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
         if (!r.skipped) notify(r);
       };
     }
+    // A document is resident for this run only if a load of it finished
+    // on this device by the run's start.
+    std::vector<uint8_t> resident(resident_since_[d].size());
+    for (size_t i = 0; i < resident.size(); ++i) {
+      resident[i] = resident_since_[d][i] <= spec.start_time ? 1 : 0;
+    }
     auto engine = BatchEngine::Create(&corpus_->device_corpus(d), bopt, index_,
-                                      &corpus_->device_docs(d));
+                                      &corpus_->device_docs(d), &resident);
     if (!engine.ok()) return engine.status();
     auto run = (*engine)->Run(spec.task, device_plans[d]);
     if (!run.ok()) return run.status();
@@ -154,6 +173,24 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     counters.busy_seconds += run->timing.total_seconds();
     counters.mid_run_pool_growths += run->mid_run_pool_growths;
     out.batch.mid_run_pool_growths += run->mid_run_pool_growths;
+    // Every document this run loaded here is resident once the run has
+    // finished it: by its place in the serial document order, which never
+    // lands later than the pipelined schedule, capped at the shard's end.
+    double executed_by = 0.0;
+    for (size_t i = 0; i < device_plans[d].size(); ++i) {
+      executed_by += run->documents[i].timing.serial_seconds();
+      if (device_plans[d][i] == nullptr || resident[i] != 0) continue;
+      double& since = resident_since_[d][i];
+      if (std::isinf(since)) {
+        auto index = index_->Get(corpus_->device_docs(d)[i]);
+        if (!index.ok()) return index.status();
+        ++counters.resident_documents;
+        counters.resident_bytes += (*index)->device_grammar.DeviceBytes();
+      }
+      const double landed =
+          spec.start_time + std::min(executed_by, out.device_durations[d]);
+      since = std::min(since, landed);
+    }
     device_runs[d] = std::move(*run);
   }
 

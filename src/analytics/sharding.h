@@ -121,6 +121,17 @@ class ShardedCorpus {
 /// GPUs): the run's duration is the slowest device's shard plus the gather
 /// merge, and each device is individually releasable at its own shard
 /// completion (RunScheduler::FinishSharded).
+///
+/// Devices keep the documents they execute resident across Execute calls,
+/// on the simulated timeline: a run that loads a document (the grammar
+/// arena allocation, the H2D upload and the root scan) makes it resident on
+/// that device from the moment the run has finished executing it there.
+/// Runs starting at or after that moment pay none of the load; a run that
+/// starts earlier — co-resident with the loading run — cannot use a copy
+/// still in flight and loads the document itself. So once every document
+/// routed to a device is resident and later runs start after the loads
+/// land, the device's upload_seconds stops growing. Each replica is its own
+/// copy: a document's first route to another replica loads it there.
 class DeviceGroup {
  public:
   /// One sharded run.
@@ -130,6 +141,9 @@ class DeviceGroup {
     GTadocEngine::Options engine;
     /// The scatter decision; must outlive the call.
     const ShardedCorpus::RoutePlan* route = nullptr;
+    /// Simulated time the run starts (the scheduler's admission time): it
+    /// finds resident exactly the documents whose loads landed by then.
+    double start_time = 0.0;
     /// The run's GPU plan per global document (null where nothing runs);
     /// must hold one for every routed document. Each device executes its
     /// routed slice of them and pre-sizes its pools to the slice's largest
@@ -164,17 +178,18 @@ class DeviceGroup {
     uint64_t documents_executed = 0;  ///< over all routed runs
     uint64_t init_ops = 0;            ///< simulated phase-1 ops charged
     uint64_t traversal_ops = 0;       ///< simulated phase-2 ops charged
-    double upload_seconds = 0;        ///< simulated H2D time charged
+    double upload_seconds = 0;        ///< simulated H2D time (loads)
     double busy_seconds = 0;          ///< summed shard durations
     uint64_t mid_run_pool_growths = 0;
+    uint64_t resident_documents = 0;  ///< documents loaded, never evicted
+    uint64_t resident_bytes = 0;      ///< their DeviceGrammar::DeviceBytes
   };
 
   /// The sharded corpus and `index` — the lazily built DocumentIndexes of
   /// the GLOBAL corpus — must outlive the group. Every device borrows its
   /// documents' indexes by global id, so a document's replicas share one
   /// entry.
-  DeviceGroup(const ShardedCorpus* corpus, const CorpusIndex* index)
-      : corpus_(corpus), index_(index), counters_(corpus->num_devices()) {}
+  DeviceGroup(const ShardedCorpus* corpus, const CorpusIndex* index);
 
   Result<RunResult> Execute(const RunSpec& spec);
 
@@ -184,6 +199,9 @@ class DeviceGroup {
   const ShardedCorpus* corpus_;
   const CorpusIndex* index_;
   std::vector<DeviceCounters> counters_;
+  /// Per device, per document of its slice (local index): the simulated
+  /// time its earliest load there finished; infinity until it loads.
+  std::vector<std::vector<double>> resident_since_;
 };
 
 }  // namespace gtadoc

@@ -23,6 +23,8 @@ const char* CodeName(StatusCode code) {
       return "Unimplemented";
     case StatusCode::kAborted:
       return "Aborted";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
   }
   return "Unknown";
 }

@@ -18,6 +18,7 @@ enum class StatusCode : int {
   kInternal = 6,
   kUnimplemented = 7,
   kAborted = 8,
+  kResourceExhausted = 9,
 };
 
 /// \brief Outcome of an operation: a code plus, for errors, a message.
@@ -53,6 +54,9 @@ class Status {
   static Status Aborted(std::string msg) {
     return Status(StatusCode::kAborted, std::move(msg));
   }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   bool IsInvalidArgument() const { return code_ == StatusCode::kInvalidArgument; }
@@ -63,6 +67,9 @@ class Status {
   bool IsInternal() const { return code_ == StatusCode::kInternal; }
   bool IsUnimplemented() const { return code_ == StatusCode::kUnimplemented; }
   bool IsAborted() const { return code_ == StatusCode::kAborted; }
+  bool IsResourceExhausted() const {
+    return code_ == StatusCode::kResourceExhausted;
+  }
 
   StatusCode code() const { return code_; }
   const std::string& message() const { return msg_; }

@@ -5,23 +5,6 @@
 
 namespace gtadoc {
 
-namespace {
-
-/// Sorts `ids` and appends one (id, multiplicity) entry per distinct id to
-/// `out` — the id-ordered aggregation of one rule body.
-template <typename Entry>
-void AppendAggregated(std::vector<uint32_t>* ids, std::vector<Entry>* out) {
-  std::sort(ids->begin(), ids->end());
-  for (size_t i = 0; i < ids->size();) {
-    size_t j = i + 1;
-    while (j < ids->size() && (*ids)[j] == (*ids)[i]) ++j;
-    out->push_back(Entry{(*ids)[i], static_cast<uint32_t>(j - i)});
-    i = j;
-  }
-}
-
-}  // namespace
-
 Result<DagView> DagView::Build(const Grammar& g) {
   if (g.rules.empty()) return Status::Corruption("grammar has no rules");
   if (g.rules[0].empty()) return Status::Corruption("root rule is empty");
@@ -59,8 +42,12 @@ Result<DagView> DagView::Build(const Grammar& g) {
         }
       }
     }
-    AppendAggregated(&child_ids, &v.children_);
-    AppendAggregated(&word_ids, &v.words_);
+    ForEachAggregated(&child_ids, [&v](uint32_t child, uint32_t freq) {
+      v.children_.push_back(RuleChildEntry{child, freq});
+    });
+    ForEachAggregated(&word_ids, [&v](uint32_t word, uint32_t freq) {
+      v.words_.push_back(RuleWordEntry{word, freq});
+    });
     v.child_off_[r + 1] = static_cast<uint32_t>(v.children_.size());
     v.word_off_[r + 1] = static_cast<uint32_t>(v.words_.size());
   }

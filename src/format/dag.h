@@ -1,6 +1,7 @@
 #ifndef GTADOC_FORMAT_DAG_H_
 #define GTADOC_FORMAT_DAG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +24,19 @@ struct RuleWordEntry {
   uint32_t word;
   uint32_t freq;
 };
+
+/// Sorts `ids` and calls `emit(id, multiplicity)` once per distinct id, in
+/// ascending id order: the aggregation DagView applies to each rule body.
+template <typename Emit>
+void ForEachAggregated(std::vector<uint32_t>* ids, Emit&& emit) {
+  std::sort(ids->begin(), ids->end());
+  for (size_t i = 0; i < ids->size();) {
+    size_t j = i + 1;
+    while (j < ids->size() && (*ids)[j] == (*ids)[i]) ++j;
+    emit((*ids)[i], static_cast<uint32_t>(j - i));
+    i = j;
+  }
+}
 
 /// \brief DAG interpretation of a grammar (Figure 1(e)).
 ///

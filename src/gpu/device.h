@@ -123,7 +123,7 @@ class Device {
 
   /// Charges `count` device allocation calls (cudaMalloc-style latency).
   /// Structures that rebuild per run pay this; the batch reuse paths
-  /// (MemoryPool::EnsureCapacity, DeviceGrammar::Rebind) skip it when the
+  /// (MemoryPool::EnsureCapacity, GrammarArena) skip it when the
   /// existing capacity already fits.
   void ChargeDeviceAlloc(uint64_t count = 1);
   /// Seconds `count` allocation calls cost under this spec.

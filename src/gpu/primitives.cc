@@ -6,8 +6,14 @@ namespace gtadoc {
 namespace gpu {
 
 namespace {
+
 constexpr uint32_t kScanBlock = 256;
+
+uint32_t ScanBlocks(size_t n) {
+  return static_cast<uint32_t>((n + kScanBlock - 1) / kScanBlock);
 }
+
+}  // namespace
 
 uint64_t DeviceExclusiveScan(Device* device, const std::vector<uint64_t>& in,
                              std::vector<uint64_t>* out) {
@@ -15,8 +21,7 @@ uint64_t DeviceExclusiveScan(Device* device, const std::vector<uint64_t>& in,
   out->assign(n, 0);
   if (n == 0) return 0;
 
-  const uint32_t num_blocks =
-      static_cast<uint32_t>((n + kScanBlock - 1) / kScanBlock);
+  const uint32_t num_blocks = ScanBlocks(n);
   std::vector<uint64_t> block_sums(num_blocks, 0);
 
   // Round 1: per-block totals.
@@ -51,6 +56,16 @@ uint64_t DeviceExclusiveScan(Device* device, const std::vector<uint64_t>& in,
     ctx.Charge(hi - lo);
   });
   return running;
+}
+
+void ChargeExclusiveScan(Device* device, size_t n) {
+  if (n == 0) return;
+  const auto per_block = [n](ThreadCtx& ctx) {
+    const size_t lo = static_cast<size_t>(ctx.tid()) * kScanBlock;
+    ctx.Charge(std::min(n, lo + kScanBlock) - lo);
+  };
+  device->Launch("scanReduce", ScanBlocks(n), per_block);
+  device->Launch("scanRescan", ScanBlocks(n), per_block);
 }
 
 namespace {

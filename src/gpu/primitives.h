@@ -19,6 +19,11 @@ namespace gpu {
 uint64_t DeviceExclusiveScan(Device* device, const std::vector<uint64_t>& in,
                              std::vector<uint64_t>* out);
 
+/// Charges exactly what DeviceExclusiveScan charges over `n` elements (the
+/// same launches, threads and per-thread ops) without scanning anything:
+/// for callers that already hold the scan's output.
+void ChargeExclusiveScan(Device* device, size_t n);
+
 /// \brief Parallel bottom-up merge sort of (key, value) pairs by key (stable,
 /// ascending). log2(n) kernel rounds; round k merges runs of width 2^k, one
 /// logical thread per output run. Used by the `sort` analytics task and the

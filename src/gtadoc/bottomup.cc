@@ -39,18 +39,18 @@ Status GTadocEngine::BuildRuleStates(const TaskKernel& kernel,
   // selective kernel carry only accepted words, so the merge is already
   // pruned. The root needs no state.
   *rounds = internal::BottomUpRounds(
-      device_, dev_, "genLocTbl", [&](uint32_t r, gpu::ThreadCtx& ctx) {
+      device_, *dev_, "genLocTbl", [&](uint32_t r, gpu::ThreadCtx& ctx) {
         if (r == 0) return;  // root is handled by the reduce kernel
         GpuStateOps ops(&ctx);
         const StateView state = lease.state_at(r);
         layout.Init(state, ops);
-        for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
-          if (!filter.Accepts(dev_.word_id[e])) continue;
-          layout.Absorb(state, dev_.word_id[e], dev_.word_freq[e], ops);
+        for (uint32_t e = dev_->word_off[r]; e < dev_->word_off[r + 1]; ++e) {
+          if (!filter.Accepts(dev_->word_id[e])) continue;
+          layout.Absorb(state, dev_->word_id[e], dev_->word_freq[e], ops);
         }
-        for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
-          layout.Merge(state, lease.state_at(dev_.child_id[e]),
-                       dev_.child_freq[e], ops);
+        for (uint32_t e = dev_->child_off[r]; e < dev_->child_off[r + 1]; ++e) {
+          layout.Merge(state, lease.state_at(dev_->child_id[e]),
+                       dev_->child_freq[e], ops);
         }
       });
   return Status::OK();
@@ -68,7 +68,7 @@ Status GTadocEngine::GlobalBottomUp(const TaskKernel& kernel,
   const TaskInput input = MakeInput();
   const WordFilter& filter = plan.filter;
   const StateLayout& layout = kernel.Layout(TraversalStrategy::kBottomUp);
-  const uint32_t n = dev_.num_rules;
+  const uint32_t n = dev_->num_rules;
 
   const PlannedLease lease = AcquirePlanned(plan);
   Status st = BuildRuleStates(kernel, plan, lease, &last_rounds_);
@@ -78,7 +78,7 @@ Status GTadocEngine::GlobalBottomUp(const TaskKernel& kernel,
   // into the global table; one logical thread per level-2 node plus chunked
   // threads for the root's own words.
   gpu::GpuHashTable global(device_,
-                           WordTableOptions(plan, dev_.word_off[n]));
+                           WordTableOptions(plan, dev_->word_off[n]));
 
   // Level-2 merges. Retry items must be idempotent, so the unit of work is a
   // single readable state slot (at most one global insert each), not a whole
@@ -90,14 +90,14 @@ Status GTadocEngine::GlobalBottomUp(const TaskKernel& kernel,
     uint32_t slot;
   };
   std::vector<SlotItem> slot_items;
-  for (uint32_t e = dev_.child_off[0]; e < dev_.child_off[1]; ++e) {
-    const uint32_t c = dev_.child_id[e];
+  for (uint32_t e = dev_->child_off[0]; e < dev_->child_off[1]; ++e) {
+    const uint32_t c = dev_->child_id[e];
     if (filter.selective() && layout.EntryCount(lease.state_at(c)) == 0) {
       continue;
     }
     const uint64_t slots = layout.ReadableSlots(lease.state_at(c));
     for (uint64_t s = 0; s < slots; ++s) {
-      slot_items.push_back(SlotItem{c, dev_.child_freq[e],
+      slot_items.push_back(SlotItem{c, dev_->child_freq[e],
                                     static_cast<uint32_t>(s)});
     }
   }
@@ -117,12 +117,12 @@ Status GTadocEngine::GlobalBottomUp(const TaskKernel& kernel,
   if (!ok) return Status::Internal("global table undersized (level-2)");
   ok = gpu::RoundLoop(
       device_, "reduceRootWords",
-      dev_.word_off[1] - dev_.word_off[0], 64,
+      dev_->word_off[1] - dev_->word_off[0], 64,
       [&](size_t i, gpu::ThreadCtx& ctx) {
-        const uint32_t e = dev_.word_off[0] + static_cast<uint32_t>(i);
+        const uint32_t e = dev_->word_off[0] + static_cast<uint32_t>(i);
         ctx.Charge(1);
-        if (!filter.Accepts(dev_.word_id[e])) return gpu::InsertOutcome::kDone;
-        return global.AddOrInsert(ctx, dev_.word_id[e], dev_.word_freq[e]);
+        if (!filter.Accepts(dev_->word_id[e])) return gpu::InsertOutcome::kDone;
+        return global.AddOrInsert(ctx, dev_->word_id[e], dev_->word_freq[e]);
       });
   if (!ok) return Status::Internal("global table undersized (root words)");
 
@@ -144,7 +144,7 @@ Status GTadocEngine::FileTaskBottomUp(const TaskKernel& kernel,
   const TaskInput input = MakeInput();
   const WordFilter& filter = plan.filter;
   const StateLayout& layout = kernel.Layout(TraversalStrategy::kBottomUp);
-  const uint32_t num_files = dev_.num_files;
+  const uint32_t num_files = dev_->num_files;
 
   const PlannedLease lease = AcquirePlanned(plan);
   Status st = BuildRuleStates(kernel, plan, lease, &last_rounds_);
@@ -152,10 +152,10 @@ Status GTadocEngine::FileTaskBottomUp(const TaskKernel& kernel,
 
   // Reduce: the root scan walks every root position; a level-2 occurrence
   // merges its state into the occurrence's file, root words insert directly.
-  uint64_t estimate = dev_.body_off[1];
-  for (uint32_t e = dev_.child_off[0]; e < dev_.child_off[0 + 1]; ++e) {
-    estimate += static_cast<uint64_t>(dev_.child_freq[e]) *
-                std::max<uint64_t>(1, plan.bound[dev_.child_id[e]]);
+  uint64_t estimate = dev_->body_off[1];
+  for (uint32_t e = dev_->child_off[0]; e < dev_->child_off[0 + 1]; ++e) {
+    estimate += static_cast<uint64_t>(dev_->child_freq[e]) *
+                std::max<uint64_t>(1, plan.bound[dev_->child_id[e]]);
   }
   gpu::GpuHashTable global(device_, WordTableOptions(plan, estimate));
 
@@ -169,14 +169,14 @@ Status GTadocEngine::FileTaskBottomUp(const TaskKernel& kernel,
     uint32_t slot;
   };
   std::vector<ScanItem> scan_items;
-  const uint64_t root_len = dev_.body_off[1];
+  const uint64_t root_len = dev_->body_off[1];
   for (uint64_t p = 0; p < root_len; ++p) {
-    const uint32_t sym = dev_.body_sym[p];
-    if (sym < dev_.num_words) {
+    const uint32_t sym = dev_->body_sym[p];
+    if (sym < dev_->num_words) {
       if (!filter.Accepts(sym)) continue;
       scan_items.push_back(ScanItem{p, UINT32_MAX, 0});
-    } else if (sym >= dev_.num_words + (dev_.num_files - 1)) {
-      const uint32_t c = sym - (dev_.num_words + dev_.num_files - 1);
+    } else if (sym >= dev_->num_words + (dev_->num_files - 1)) {
+      const uint32_t c = sym - (dev_->num_words + dev_->num_files - 1);
       if (filter.selective() && layout.EntryCount(lease.state_at(c)) == 0) {
         continue;
       }
@@ -190,10 +190,10 @@ Status GTadocEngine::FileTaskBottomUp(const TaskKernel& kernel,
       device_, "fileReduceRootScan", scan_items.size(), 64,
       [&](size_t i, gpu::ThreadCtx& ctx) {
         const ScanItem& it = scan_items[i];
-        const uint32_t file = dev_.root_file_of_pos[it.pos];
+        const uint32_t file = dev_->root_file_of_pos[it.pos];
         ctx.Charge(1);
         if (it.child == UINT32_MAX) {
-          return global.AddOrInsert(ctx, PackPair(file, dev_.body_sym[it.pos]),
+          return global.AddOrInsert(ctx, PackPair(file, dev_->body_sym[it.pos]),
                                     1);
         }
         uint32_t word;

@@ -9,10 +9,7 @@
 
 namespace gtadoc {
 
-GTadocEngine::GTadocEngine(const Grammar* g,
-                           std::shared_ptr<const DocumentIndex> index,
-                           const Options& options)
-    : g_(g), index_(std::move(index)), options_(options) {}
+GTadocEngine::GTadocEngine(const Options& options) : options_(options) {}
 
 Result<std::unique_ptr<GTadocEngine>> GTadocEngine::Create(
     const Grammar* g, const Options& options) {
@@ -23,15 +20,14 @@ Result<std::unique_ptr<GTadocEngine>> GTadocEngine::Create(
 
 Result<std::unique_ptr<GTadocEngine>> GTadocEngine::Create(
     const Grammar* g, std::shared_ptr<const DocumentIndex> index,
-    const Options& options) {
+    const Options& options, GrammarLoad load) {
   if (options.ngram_len < 2) {
     return Status::InvalidArgument("ngram_len must be >= 2");
   }
   if (options.shared_pool != nullptr && options.shared_device == nullptr) {
     return Status::InvalidArgument("shared_pool requires shared_device");
   }
-  std::unique_ptr<GTadocEngine> engine(
-      new GTadocEngine(g, std::move(index), options));
+  std::unique_ptr<GTadocEngine> engine(new GTadocEngine(options));
   if (options.shared_device != nullptr) {
     engine->device_ = options.shared_device;
   } else {
@@ -48,11 +44,7 @@ Result<std::unique_ptr<GTadocEngine>> GTadocEngine::Create(
     engine->owned_plan_cache_ = std::make_shared<PlanCache>();
     engine->plan_cache_ = engine->owned_plan_cache_.get();
   }
-  engine->device_->ResetClock();
-  const gpu::DeviceStats before = engine->device_->stats();
-  engine->dev_ = DeviceGrammar::Build(*g, engine->dag(), engine->device_,
-                                      options.charge_pcie);
-  engine->MeasureCreate(before.total_ops, before.h2d_bytes);
+  engine->Rebind(g, std::move(index), load);
   return engine;
 }
 
@@ -64,20 +56,21 @@ Status GTadocEngine::Rebind(const Grammar* g) {
 }
 
 void GTadocEngine::Rebind(const Grammar* g,
-                          std::shared_ptr<const DocumentIndex> index) {
+                          std::shared_ptr<const DocumentIndex> index,
+                          GrammarLoad load) {
   g_ = g;
   index_ = std::move(index);
+  dev_ = &index_->device_grammar;
   device_->ResetClock();
   const gpu::DeviceStats before = device_->stats();
-  dev_.Rebind(*g, dag(), device_, options_.charge_pcie);
-  MeasureCreate(before.total_ops, before.h2d_bytes);
-}
-
-void GTadocEngine::MeasureCreate(uint64_t ops_before, uint64_t h2d_before) {
-  create_seconds_ = device_->SimSeconds();
-  create_ops_ = device_->stats().total_ops - ops_before;
-  upload_seconds_ = device_->TransferSeconds(
-      device_->stats().h2d_bytes - h2d_before);
+  if (load != GrammarLoad::kResident) {
+    dev_->Load(device_, options_.charge_pcie,
+               load == GrammarLoad::kArena ? &arena_ : nullptr);
+  }
+  load_seconds_ = device_->SimSeconds();
+  load_ops_ = device_->stats().total_ops - before.total_ops;
+  upload_seconds_ =
+      device_->TransferSeconds(device_->stats().h2d_bytes - before.h2d_bytes);
 }
 
 TraversalStrategy GTadocEngine::ChosenStrategy(Task task) const {
@@ -228,22 +221,22 @@ std::vector<uint64_t> GTadocEngine::BoundsPass(const WordFilter& filter,
   // children's bounds, clamped by the accepted vocabulary (Algorithm 2
   // lines 5-9) — the init-traversal memory-requirement transmission the
   // plan turns into resolved region offsets.
-  const uint32_t n = dev_.num_rules;
+  const uint32_t n = dev_->num_rules;
   std::vector<uint64_t> bound(n, 0);
   internal::BottomUpRounds(
-      device_, dev_, "genLocTblBound", [&](uint32_t r, gpu::ThreadCtx& ctx) {
+      device_, *dev_, "genLocTblBound", [&](uint32_t r, gpu::ThreadCtx& ctx) {
         uint64_t b;
         if (filter.selective()) {
           b = 0;
-          for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
+          for (uint32_t e = dev_->word_off[r]; e < dev_->word_off[r + 1]; ++e) {
             ctx.Charge(1);
-            if (filter.Accepts(dev_.word_id[e])) ++b;
+            if (filter.Accepts(dev_->word_id[e])) ++b;
           }
         } else {
-          b = dev_.word_off[r + 1] - dev_.word_off[r];
+          b = dev_->word_off[r + 1] - dev_->word_off[r];
         }
-        for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
-          b += bound[dev_.child_id[e]];
+        for (uint32_t e = dev_->child_off[r]; e < dev_->child_off[r + 1]; ++e) {
+          b += bound[dev_->child_id[e]];
           ctx.Charge(1);
         }
         bound[r] = std::min<uint64_t>(std::max<uint64_t>(vocab_clamp, 1), b);
@@ -255,17 +248,17 @@ std::vector<uint64_t> GTadocEngine::ExpansionLengths() {
   // expLenKernel: per-rule expansion lengths, leaves to root — the sequence
   // pipeline's sizing pass, cached with the plan so same-shape rebind runs
   // skip it.
-  const uint32_t n = dev_.num_rules;
+  const uint32_t n = dev_->num_rules;
   std::vector<uint64_t> exp_len(n, 0);
   internal::BottomUpRounds(
-      device_, dev_, "expLen", [&](uint32_t r, gpu::ThreadCtx& ctx) {
+      device_, *dev_, "expLen", [&](uint32_t r, gpu::ThreadCtx& ctx) {
         uint64_t total = 0;
-        for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
-          total += dev_.word_freq[e];
+        for (uint32_t e = dev_->word_off[r]; e < dev_->word_off[r + 1]; ++e) {
+          total += dev_->word_freq[e];
           ctx.Charge(1);
         }
-        for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
-          total += exp_len[dev_.child_id[e]] * dev_.child_freq[e];
+        for (uint32_t e = dev_->child_off[r]; e < dev_->child_off[r + 1]; ++e) {
+          total += exp_len[dev_->child_id[e]] * dev_->child_freq[e];
           ctx.Charge(1);
         }
         exp_len[r] = std::min<uint64_t>(total, 1ull << 62);
@@ -373,14 +366,14 @@ Result<EngineRun> GTadocEngine::Execute(const TaskKernel& kernel,
   const double alloc_seconds =
       device_->AllocSeconds(device_->stats().device_allocs - allocs_before);
   run.timing.init_seconds =
-      create_seconds_ + plan_seconds + phase1_extra + alloc_seconds;
+      load_seconds_ + plan_seconds + phase1_extra + alloc_seconds;
   run.timing.traversal_seconds =
       sim - plan_seconds - phase1_extra - alloc_seconds;
   run.timing.plan_seconds = plan_seconds;
   run.timing.plan_cache_hits = cache_hit ? 1 : 0;
   run.timing.upload_seconds = upload_seconds_;
   run.timing.wall_seconds = wall.ElapsedSeconds();
-  run.timing.init_ops = create_ops_ + plan_ops;
+  run.timing.init_ops = load_ops_ + plan_ops;
   run.timing.traversal_ops =
       device_->stats().total_ops - ops_before - plan_ops;
   return run;
@@ -389,7 +382,7 @@ Result<EngineRun> GTadocEngine::Execute(const TaskKernel& kernel,
 uint32_t GTadocEngine::ComputeGlobalWeights(const TaskKernel& kernel,
                                             const PlannedLease& lease,
                                             std::vector<uint64_t>* weights) {
-  const uint32_t n = dev_.num_rules;
+  const uint32_t n = dev_->num_rules;
   weights->assign(n, 0);
   std::vector<uint64_t>& weight = *weights;
 
@@ -410,10 +403,10 @@ uint32_t GTadocEngine::ComputeGlobalWeights(const TaskKernel& kernel,
     if (r == 0) return;
     GpuStateOps ops(&ctx);
     layout.Init(lease.state_at(r), ops);
-    if (dev_.root_freq[r] != 0) {
-      layout.Absorb(lease.state_at(r), 0, dev_.root_freq[r], ops);
+    if (dev_->root_freq[r] != 0) {
+      layout.Absorb(lease.state_at(r), 0, dev_->root_freq[r], ops);
     }
-    if (dev_.in_edges_nonroot[r] == 0) mask[r] = 1;
+    if (dev_->in_edges_nonroot[r] == 0) mask[r] = 1;
   });
 
   // topDownKernel rounds (Algorithm 1 lines 3-7): a ready rule folds its
@@ -428,14 +421,14 @@ uint32_t GTadocEngine::ComputeGlobalWeights(const TaskKernel& kernel,
       ctx.Charge(1);
       if (r == 0 || !mask[r]) return;
       GpuStateOps ops(&ctx);
-      for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
-        const uint32_t c = dev_.child_id[e];
-        layout.Merge(lease.state_at(c), lease.state_at(r), dev_.child_freq[e],
+      for (uint32_t e = dev_->child_off[r]; e < dev_->child_off[r + 1]; ++e) {
+        const uint32_t c = dev_->child_id[e];
+        layout.Merge(lease.state_at(c), lease.state_at(r), dev_->child_freq[e],
                      ops);
         const uint32_t got =
             cur_in[c].fetch_add(1, std::memory_order_relaxed) + 1;
         ctx.ChargeAtomic(1);
-        if (got == dev_.in_edges_nonroot[c]) {
+        if (got == dev_->in_edges_nonroot[c]) {
           mask_next[c].store(1, std::memory_order_relaxed);
           stop.store(false, std::memory_order_relaxed);
         }

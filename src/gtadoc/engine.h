@@ -25,8 +25,9 @@ namespace gtadoc {
 /// \brief G-TADOC: GPU text analytics directly on TADOC-compressed data —
 /// the paper's contribution.
 ///
-/// The engine owns a virtual GPU device, the device-resident grammar, and a
-/// self-maintained memory pool. It is task-agnostic: Run looks the task's
+/// The engine owns (or borrows) a virtual GPU device and a self-maintained
+/// memory pool, and binds by reference to the device grammar of its
+/// document's shared DocumentIndex. It is task-agnostic: Run looks the task's
 /// kernel up in the TaskRegistry and dispatches on the kernel's traversal
 /// shape, so any registered kernel — including out-of-tree ones — executes
 /// without engine changes. The three shape pipelines are:
@@ -51,11 +52,14 @@ namespace gtadoc {
 /// bounds traversal is launched. Run(plan) executes a plan resolved earlier
 /// (the serving path: admission's probe plans, execution runs them).
 ///
-/// Timing: phase 1 (initialization) covers device-grammar construction, the
-/// PCIe transfer, root scanning, memory-bound computation, planning (or a
-/// free cache hit), pool allocation charges and head/tail initialization;
-/// phase 2 (graph traversal) covers the mask-driven traversal rounds, result
-/// reduction and the D2H copy of the final tables.
+/// Timing: phase 1 (initialization) covers loading the document onto the
+/// device (the grammar arena allocation, the PCIe transfer and the root
+/// scan — see GrammarLoad), memory-bound computation, planning (or a free
+/// cache hit), pool allocation charges and head/tail initialization; phase 2
+/// (graph traversal) covers the mask-driven traversal rounds, result
+/// reduction and the D2H copy of the final tables. A standalone engine
+/// loads its document at Create/Rebind and reports that load in every Run;
+/// an engine bound to a document its device already holds reports none.
 class GTadocEngine {
  public:
   /// The per-run query fields (query_words/query_sets/top_k/ngram_len) are
@@ -70,14 +74,15 @@ class GTadocEngine {
     uint32_t split_threshold = 16;
     SchedulingMode scheduling = SchedulingMode::kFineGrained;
     gpu::LockMode lock_mode = gpu::LockMode::kPerEntryTryLock;
-    /// Charge PCIe transfers for the compressed data and the drained results.
-    /// Default false: the paper assumes small datasets are GPU-resident; the
-    /// dataset-C experiments enable it.
+    /// Charge PCIe transfers for the compressed data (each time a document
+    /// is loaded onto a device; never for a resident one) and the drained
+    /// results. Default false: the paper assumes small datasets are
+    /// GPU-resident; the dataset-C experiments enable it.
     bool charge_pcie = false;
     /// Externally owned device to run on instead of creating one per engine.
     /// Batch execution points every document engine of a worker at one device
-    /// so their pool and grammar storage can be recycled. Must outlive the
-    /// engine. Null: the engine owns a private device.
+    /// so their pool storage can be recycled. Must outlive the engine. Null:
+    /// the engine owns a private device.
     gpu::Device* shared_device = nullptr;
     /// Externally owned memory pool recycled across runs/documents
     /// (EnsureCapacity + ResetForReuse) instead of a cold per-run pool.
@@ -90,16 +95,31 @@ class GTadocEngine {
     PlanCache* plan_cache = nullptr;
   };
 
+  /// How binding a document charges putting its device grammar on the
+  /// engine's device (DeviceGrammar::Load). The measured load is reported
+  /// in the init phase of every subsequent Run.
+  enum class GrammarLoad {
+    /// Load into the engine's recycled grammar arena: the allocation call
+    /// is charged only when the document outgrows it (always on Create).
+    /// The standalone and batch path.
+    kArena,
+    /// The document's first load onto a device that keeps it resident: its
+    /// own arena allocation, the upload and the root scan.
+    kFirst,
+    /// The device already holds the document: nothing is charged.
+    kResident,
+  };
+
   /// Builds the grammar's DocumentIndex (validating it) and creates the
   /// engine over it.
   static Result<std::unique_ptr<GTadocEngine>> Create(const Grammar* g,
                                                       const Options& options);
   /// Creates the engine over `g`'s prebuilt index (shared: the engine keeps
-  /// a reference) and builds the device grammar and the memory pool, charged
-  /// to the init phase of every subsequent Run.
+  /// a reference and traverses its device grammar in place), creates the
+  /// memory pool, and loads the document onto the device as `load` says.
   static Result<std::unique_ptr<GTadocEngine>> Create(
       const Grammar* g, std::shared_ptr<const DocumentIndex> index,
-      const Options& options);
+      const Options& options, GrammarLoad load = GrammarLoad::kArena);
 
   /// Executes one task; `strategy_override` forces a traversal direction for
   /// the Section VI-C experiment. Resolves the plan through the cache, then
@@ -151,14 +171,16 @@ class GTadocEngine {
   static TaskInput InputFromOptions(const Options& options);
 
   /// Re-targets the engine at another document without rebuilding the device
-  /// context: the device grammar is rebound in place (allocation calls are
-  /// charged only for arrays the new document outgrows) and subsequent Runs
-  /// charge the new document's init cost. The grammar must outlive the
-  /// engine. This is the batch warm path; a fresh Create is the cold path.
-  /// Builds the grammar's DocumentIndex first.
+  /// context: the engine binds to the new document's device grammar and
+  /// loads it as `load` says (by default into the recycled arena, whose
+  /// allocation call is charged only when the document outgrows it), and
+  /// subsequent Runs charge the new document's init cost. The grammar must
+  /// outlive the engine. This is the batch warm path; a fresh Create is the
+  /// cold path. Builds the grammar's DocumentIndex first.
   Status Rebind(const Grammar* g);
   /// Rebind onto `g`'s prebuilt (shared) index.
-  void Rebind(const Grammar* g, std::shared_ptr<const DocumentIndex> index);
+  void Rebind(const Grammar* g, std::shared_ptr<const DocumentIndex> index,
+              GrammarLoad load = GrammarLoad::kArena);
 
   const DagView& dag() const { return index_->dag; }
   gpu::Device* device() { return device_; }
@@ -177,8 +199,7 @@ class GTadocEngine {
   uint32_t last_traversal_rounds() const { return last_rounds_; }
 
  private:
-  GTadocEngine(const Grammar* g, std::shared_ptr<const DocumentIndex> index,
-               const Options& options);
+  explicit GTadocEngine(const Options& options);
 
   /// The engine's charged planning passes (engine.cc): bounds run as the
   /// genLocTblBound mask-protocol device kernel, expansion lengths as the
@@ -269,9 +290,6 @@ class GTadocEngine {
   Status BuildRuleStates(const TaskKernel& kernel, const RunPlan& plan,
                          const PlannedLease& lease, uint32_t* rounds);
 
-  /// (Re)measures init-phase cost: device-grammar build/rebind + root scan.
-  void MeasureCreate(uint64_t ops_before, uint64_t h2d_before);
-
   // --- shape drivers: pure executors of a RunPlan ---
   // top-down (topdown.cc)
   Status GlobalTopDown(const TaskKernel& kernel, const RunPlan& plan,
@@ -292,7 +310,7 @@ class GTadocEngine {
   Status SequenceTask(const TaskKernel& kernel, const RunPlan& plan,
                       AnalyticsResult* out, double* phase1_seconds);
 
-  const Grammar* g_;
+  const Grammar* g_ = nullptr;
   std::shared_ptr<const DocumentIndex> index_;
   Options options_;
   std::unique_ptr<gpu::Device> owned_device_;
@@ -303,13 +321,16 @@ class GTadocEngine {
   /// The engine's plan cache when options_.plan_cache is null.
   std::shared_ptr<PlanCache> owned_plan_cache_;
   PlanCache* plan_cache_ = nullptr;
-  DeviceGrammar dev_;
-  /// Simulated seconds consumed by Create/Rebind (charged into every Run's
+  /// The bound document's device grammar (index_->device_grammar).
+  const DeviceGrammar* dev_ = nullptr;
+  /// Extents of the engine's recycled grammar arena (GrammarLoad::kArena).
+  GrammarArena arena_;
+  /// Simulated seconds the last load consumed (charged into every Run's
   /// phase 1), and the H2D share of them that a batch can overlap with a
   /// previous document's traversal.
-  double create_seconds_ = 0;
+  double load_seconds_ = 0;
   double upload_seconds_ = 0;
-  uint64_t create_ops_ = 0;
+  uint64_t load_ops_ = 0;
   uint32_t last_rounds_ = 0;
 };
 

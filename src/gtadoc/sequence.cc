@@ -121,8 +121,8 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
   const TaskInput input = MakeInput();
   const uint32_t l = plan.window;
   const uint32_t hl = l - 1;
-  const uint32_t n = dev_.num_rules;
-  const uint32_t rule_base = dev_.num_words + (dev_.num_files - 1);
+  const uint32_t n = dev_->num_rules;
+  const uint32_t rule_base = dev_->num_words + (dev_->num_files - 1);
   const double sim_at_entry = device_->SimSeconds();
   const uint64_t allocs_at_entry = device_->stats().device_allocs;
 
@@ -153,15 +153,15 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
       const uint32_t r = ctx.tid();
       ctx.Charge(1);
       if (ht_mask[r].load(std::memory_order_relaxed)) return;
-      const uint64_t b0 = dev_.body_off[r], b1 = dev_.body_off[r + 1];
+      const uint64_t b0 = dev_->body_off[r], b1 = dev_->body_off[r + 1];
       const uint32_t want_h =
           static_cast<uint32_t>(std::min<uint64_t>(hl, exp_len[r]));
       // Head: walk forward.
       uint32_t got = 0;
       for (uint64_t p = b0; p < b1 && got < want_h; ++p) {
-        const uint32_t sym = dev_.body_sym[p];
+        const uint32_t sym = dev_->body_sym[p];
         ctx.Charge(1);
-        if (sym < dev_.num_words) {
+        if (sym < dev_->num_words) {
           ht(r).set_head(got++, sym);
         } else {
           const uint32_t c = sym - rule_base;
@@ -182,9 +182,9 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
       std::vector<uint32_t> rev;
       rev.reserve(want_t);
       for (uint64_t p = b1; p > b0 && got_t < want_t; --p) {
-        const uint32_t sym = dev_.body_sym[p - 1];
+        const uint32_t sym = dev_->body_sym[p - 1];
         ctx.Charge(1);
-        if (sym < dev_.num_words) {
+        if (sym < dev_->num_words) {
           rev.push_back(sym);
           ++got_t;
         } else {
@@ -229,13 +229,13 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
     // through the layout hooks; the charging kernels below account the
     // equivalent per-layer waves at the GPU tariff tallied per rule.
     std::vector<uint64_t> per_rule_work(n, 0);
-    const uint64_t root_len = dev_.body_off[1];
+    const uint64_t root_len = dev_->body_off[1];
     TallyStateOps seed_tally;
     for (uint64_t p = 0; p < root_len; ++p) {
-      const uint32_t sym = dev_.body_sym[p];
+      const uint32_t sym = dev_->body_sym[p];
       if (sym >= rule_base) {
         fw_layout.Absorb(lease.aux_at(sym - rule_base),
-                         dev_.root_file_of_pos[p], 1, seed_tally);
+                         dev_->root_file_of_pos[p], 1, seed_tally);
       }
     }
     // The root scan is a chunked kernel in its own right; its seeds' state
@@ -252,9 +252,9 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
     for (uint32_t r : dag().topo_order()) {
       if (r == 0) continue;
       TallyStateOps tally;
-      for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
-        fw_layout.Merge(lease.aux_at(dev_.child_id[e]), lease.aux_at(r),
-                        dev_.child_freq[e], tally);
+      for (uint32_t e = dev_->child_off[r]; e < dev_->child_off[r + 1]; ++e) {
+        fw_layout.Merge(lease.aux_at(dev_->child_id[e]), lease.aux_at(r),
+                        dev_->child_freq[e], tally);
       }
       per_rule_work[r] += tally.ops;
     }
@@ -289,18 +289,18 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
   // bounds, giving each slice a private, exactly-sized output region.
   std::vector<uint64_t> rule_loads(n);
   for (uint32_t r = 0; r < n; ++r) {
-    rule_loads[r] = dev_.body_off[r + 1] - dev_.body_off[r];
+    rule_loads[r] = dev_->body_off[r + 1] - dev_->body_off[r];
   }
   const ThreadAssignment assign = BuildAssignment(
       rule_loads, options_.scheduling, options_.split_threshold);
 
-  std::vector<uint64_t> ep(dev_.body_off[n] + 1, 0);
+  std::vector<uint64_t> ep(dev_->body_off[n] + 1, 0);
   for (uint32_t r = 0; r < n; ++r) {
     const uint64_t fanout = r == 0 ? 1 : fweight[r].size();
-    for (uint64_t p = dev_.body_off[r]; p < dev_.body_off[r + 1]; ++p) {
-      const uint32_t sym = dev_.body_sym[p];
+    for (uint64_t p = dev_->body_off[r]; p < dev_->body_off[r + 1]; ++p) {
+      const uint32_t sym = dev_->body_sym[p];
       uint64_t tokens = 0;
-      if (sym < dev_.num_words) {
+      if (sym < dev_->num_words) {
         tokens = 1;
       } else if (sym >= rule_base) {
         tokens = 2ull * hl;
@@ -308,7 +308,7 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
       ep[p + 1] = ep[p] + tokens * fanout;
     }
   }
-  const uint64_t max_pairs = ep[dev_.body_off[n]];
+  const uint64_t max_pairs = ep[dev_->body_off[n]];
   std::vector<SeqPair> pairs(max_pairs);
   std::vector<uint32_t> gram_words(max_pairs * l);
   std::vector<uint64_t> slice_start(assign.total_threads, 0);
@@ -320,7 +320,7 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
     ctx.Charge(1);
     if (r != 0 && fweight[r].empty()) return;
     if (r != 0 && exp_len[r] < l) return;  // no window can end inside
-    const uint64_t b0 = dev_.body_off[r], b1 = dev_.body_off[r + 1];
+    const uint64_t b0 = dev_->body_off[r], b1 = dev_->body_off[r + 1];
     uint64_t sl_begin, sl_end;  // element slice, relative to the body
     assign.Slice(r, slot, b1 - b0, &sl_begin, &sl_end);
     if (sl_begin >= sl_end) return;
@@ -332,7 +332,7 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
     const uint64_t walk_begin = sl_begin > (l - 1) ? sl_begin - (l - 1) : 0;
     // The root's current file must be reconstructed even across the lookback.
     if (r == 0 && walk_begin > 0) {
-      cur_file = dev_.root_file_of_pos[b0 + walk_begin - 1];
+      cur_file = dev_->root_file_of_pos[b0 + walk_begin - 1];
     }
 
     WindowRing ring(l);
@@ -364,15 +364,15 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
     for (uint64_t rel = walk_begin; rel < sl_end; ++rel) {
       counting = rel >= sl_begin;
       const uint64_t p = b0 + rel;
-      const uint32_t sym = dev_.body_sym[p];
+      const uint32_t sym = dev_->body_sym[p];
       ctx.Charge(1);
-      if (sym < dev_.num_words) {
+      if (sym < dev_->num_words) {
         ring.Push(sym, static_cast<uint32_t>(rel));
         emit_window();
       } else if (sym < rule_base) {
         // Splitter: windows never span files.
         ring.Reset();
-        cur_file = dev_.root_file_of_pos[p];
+        cur_file = dev_->root_file_of_pos[p];
       } else {
         const uint32_t c = sym - rule_base;
         const HeadTailRef cht = ht(c);

@@ -35,10 +35,10 @@ Status GTadocEngine::GlobalTopDown(const TaskKernel& kernel,
   // reduceResultKernel: every rule merges its (accepted) local words, scaled
   // by its weight, into the global Figure-5 hash table. Oversized word lists
   // are split across threads by the fine-grained scheduler.
-  std::vector<uint64_t> loads(dev_.num_rules);
+  std::vector<uint64_t> loads(dev_->num_rules);
   uint64_t total_entries = 0;
-  for (uint32_t r = 0; r < dev_.num_rules; ++r) {
-    loads[r] = dev_.word_off[r + 1] - dev_.word_off[r];
+  for (uint32_t r = 0; r < dev_->num_rules; ++r) {
+    loads[r] = dev_->word_off[r + 1] - dev_->word_off[r];
     total_entries += loads[r];
   }
   ThreadAssignment assign =
@@ -55,24 +55,24 @@ Status GTadocEngine::GlobalTopDown(const TaskKernel& kernel,
     // fine-grained splitting removes. A per-rule resume cursor keeps the
     // retry protocol idempotent.
     std::vector<uint32_t> rule_items;
-    for (uint32_t r = 0; r < dev_.num_rules; ++r) {
-      if (weight[r] != 0 && dev_.word_off[r + 1] > dev_.word_off[r]) {
+    for (uint32_t r = 0; r < dev_->num_rules; ++r) {
+      if (weight[r] != 0 && dev_->word_off[r + 1] > dev_->word_off[r]) {
         rule_items.push_back(r);
       }
     }
-    std::vector<uint32_t> progress(dev_.num_rules, 0);
+    std::vector<uint32_t> progress(dev_->num_rules, 0);
     ok = gpu::RoundLoop(
         device_, "reduceResultPerRule", rule_items.size(), 1,
         [&](size_t i, gpu::ThreadCtx& ctx) {
           const uint32_t r = rule_items[i];
-          for (uint32_t e = dev_.word_off[r] + progress[r];
-               e < dev_.word_off[r + 1]; ++e) {
+          for (uint32_t e = dev_->word_off[r] + progress[r];
+               e < dev_->word_off[r + 1]; ++e) {
             ctx.Charge(2);
-            if (!filter.Accepts(dev_.word_id[e])) continue;
+            if (!filter.Accepts(dev_->word_id[e])) continue;
             const gpu::InsertOutcome oc = table.AddOrInsert(
-                ctx, dev_.word_id[e], weight[r] * dev_.word_freq[e]);
+                ctx, dev_->word_id[e], weight[r] * dev_->word_freq[e]);
             if (oc != gpu::InsertOutcome::kDone) {
-              progress[r] = e - dev_.word_off[r];
+              progress[r] = e - dev_->word_off[r];
               return oc;
             }
           }
@@ -84,14 +84,14 @@ Status GTadocEngine::GlobalTopDown(const TaskKernel& kernel,
     // the failing entry.
     struct PendingEntry {
       uint32_t rule;
-      uint32_t entry;  // index into dev_.word_id
+      uint32_t entry;  // index into dev_->word_id
     };
     std::vector<PendingEntry> items;
     items.reserve(total_entries);
-    for (uint32_t r = 0; r < dev_.num_rules; ++r) {
+    for (uint32_t r = 0; r < dev_->num_rules; ++r) {
       if (weight[r] == 0) continue;
-      for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
-        if (!filter.Accepts(dev_.word_id[e])) continue;
+      for (uint32_t e = dev_->word_off[r]; e < dev_->word_off[r + 1]; ++e) {
+        if (!filter.Accepts(dev_->word_id[e])) continue;
         items.push_back(PendingEntry{r, e});
       }
     }
@@ -101,8 +101,8 @@ Status GTadocEngine::GlobalTopDown(const TaskKernel& kernel,
           const PendingEntry& pe = items[i];
           ctx.Charge(2);
           return table.AddOrInsert(
-              ctx, dev_.word_id[pe.entry],
-              weight[pe.rule] * dev_.word_freq[pe.entry]);
+              ctx, dev_->word_id[pe.entry],
+              weight[pe.rule] * dev_->word_freq[pe.entry]);
         });
   }
   if (!ok) return Status::Internal("global word table undersized");
@@ -126,7 +126,7 @@ Status GTadocEngine::GlobalVerticalPartition(const TaskKernel& kernel,
                                              AnalyticsResult* out) {
   const TaskInput input = MakeInput();
   const WordFilter& filter = plan.filter;
-  const uint64_t root_len = dev_.body_off[1] - dev_.body_off[0];
+  const uint64_t root_len = dev_->body_off[1] - dev_->body_off[0];
   const uint32_t num_threads = std::min<uint64_t>(
       1024, std::max<uint64_t>(1, root_len / 64));
   const uint64_t per = (root_len + num_threads - 1) / num_threads;
@@ -139,27 +139,27 @@ Status GTadocEngine::GlobalVerticalPartition(const TaskKernel& kernel,
     // Each occurrence expands its full subtree: repeated rules re-scanned.
     std::vector<std::pair<uint32_t, uint64_t>> stack;  // (rule, multiplier)
     for (uint64_t p = lo; p < hi; ++p) {
-      const uint32_t sym = dev_.body_sym[p];
+      const uint32_t sym = dev_->body_sym[p];
       ctx.Charge(1);
-      if (sym < dev_.num_words) {
+      if (sym < dev_->num_words) {
         if (filter.Accepts(sym)) {
           ++counts[sym];
           ctx.Charge(1);
         }
-      } else if (sym >= dev_.num_words + (dev_.num_files - 1)) {
-        stack.emplace_back(sym - (dev_.num_words + dev_.num_files - 1), 1);
+      } else if (sym >= dev_->num_words + (dev_->num_files - 1)) {
+        stack.emplace_back(sym - (dev_->num_words + dev_->num_files - 1), 1);
         while (!stack.empty()) {
           auto [r, mult] = stack.back();
           stack.pop_back();
-          for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
-            if (filter.Accepts(dev_.word_id[e])) {
-              counts[dev_.word_id[e]] += mult * dev_.word_freq[e];
+          for (uint32_t e = dev_->word_off[r]; e < dev_->word_off[r + 1]; ++e) {
+            if (filter.Accepts(dev_->word_id[e])) {
+              counts[dev_->word_id[e]] += mult * dev_->word_freq[e];
             }
             ctx.Charge(2);
           }
-          for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1];
+          for (uint32_t e = dev_->child_off[r]; e < dev_->child_off[r + 1];
                ++e) {
-            stack.emplace_back(dev_.child_id[e], mult * dev_.child_freq[e]);
+            stack.emplace_back(dev_->child_id[e], mult * dev_->child_freq[e]);
             ctx.Charge(1);
           }
         }
@@ -203,8 +203,8 @@ Status GTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
   const TaskInput input = MakeInput();
   const WordFilter& filter = plan.filter;
   const std::vector<uint8_t>& relevant = plan.relevant;
-  const uint32_t n = dev_.num_rules;
-  const uint32_t num_files = dev_.num_files;
+  const uint32_t n = dev_->num_rules;
+  const uint32_t num_files = dev_->num_files;
   const StateLayout& layout = kernel.Layout(TraversalStrategy::kTopDown);
   const PlannedLease lease = AcquirePlanned(plan);
 
@@ -221,7 +221,7 @@ Status GTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
 
   // Root scan: every root occurrence seeds its rule's state with its file.
   // Fine-grained: the root body is chunked across threads.
-  const uint64_t root_len = dev_.body_off[1];
+  const uint64_t root_len = dev_->body_off[1];
   device_->Launch(
       "rootSeedFiles",
       static_cast<uint32_t>(std::max<uint64_t>(1, (root_len + 255) / 256)),
@@ -230,12 +230,12 @@ Status GTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
         const uint64_t lo = static_cast<uint64_t>(ctx.tid()) * 256;
         const uint64_t hi = std::min(root_len, lo + 256);
         for (uint64_t p = lo; p < hi; ++p) {
-          const uint32_t sym = dev_.body_sym[p];
+          const uint32_t sym = dev_->body_sym[p];
           ctx.Charge(1);
-          if (sym >= dev_.num_words + (dev_.num_files - 1)) {
-            const uint32_t r = sym - (dev_.num_words + dev_.num_files - 1);
+          if (sym >= dev_->num_words + (dev_->num_files - 1)) {
+            const uint32_t r = sym - (dev_->num_words + dev_->num_files - 1);
             if (relevant[r] != 0) {
-              layout.Absorb(lease.state_at(r), dev_.root_file_of_pos[p], 1,
+              layout.Absorb(lease.state_at(r), dev_->root_file_of_pos[p], 1,
                             ops);
             }
           }
@@ -252,7 +252,7 @@ Status GTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
   device_->Launch("initFileMask", n, [&](gpu::ThreadCtx& ctx) {
     const uint32_t r = ctx.tid();
     ctx.Charge(1);
-    if (r != 0 && dev_.in_edges_nonroot[r] == 0) mask[r] = 1;
+    if (r != 0 && dev_->in_edges_nonroot[r] == 0) mask[r] = 1;
   });
 
   std::atomic<bool> stop{false};
@@ -265,16 +265,16 @@ Status GTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
       ctx.Charge(1);
       if (r == 0 || !mask[r]) return;
       GpuStateOps ops(&ctx);
-      for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
-        const uint32_t c = dev_.child_id[e];
+      for (uint32_t e = dev_->child_off[r]; e < dev_->child_off[r + 1]; ++e) {
+        const uint32_t c = dev_->child_id[e];
         if (lease.state_at(r).valid() && lease.state_at(c).valid()) {
           layout.Merge(lease.state_at(c), lease.state_at(r),
-                       dev_.child_freq[e], ops);
+                       dev_->child_freq[e], ops);
         }
         const uint32_t got =
             cur_in[c].fetch_add(1, std::memory_order_relaxed) + 1;
         ctx.ChargeAtomic(1);
-        if (got == dev_.in_edges_nonroot[c]) {
+        if (got == dev_->in_edges_nonroot[c]) {
           mask_next[c].store(1, std::memory_order_relaxed);
           stop.store(false, std::memory_order_relaxed);
         }
@@ -292,7 +292,7 @@ Status GTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
   // protocol stays idempotent. Only relevant rules and accepted words emit.
   struct ReduceItem {
     uint32_t rule;
-    uint32_t entry;  // index into dev_.word_id
+    uint32_t entry;  // index into dev_->word_id
     uint32_t slot;   // index into the rule's readable state slots
   };
   std::vector<ReduceItem> items;
@@ -300,15 +300,15 @@ Status GTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
     if (!lease.state_at(r).valid()) continue;
     const uint64_t slots = layout.ReadableSlots(lease.state_at(r));
     if (slots == 0) continue;
-    for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
-      if (!filter.Accepts(dev_.word_id[e])) continue;
+    for (uint32_t e = dev_->word_off[r]; e < dev_->word_off[r + 1]; ++e) {
+      if (!filter.Accepts(dev_->word_id[e])) continue;
       for (uint64_t t = 0; t < slots; ++t) {
         items.push_back(ReduceItem{r, e, static_cast<uint32_t>(t)});
       }
     }
   }
   gpu::GpuHashTable table(
-      device_, WordTableOptions(plan, items.size() + dev_.body_off[1]));
+      device_, WordTableOptions(plan, items.size() + dev_->body_off[1]));
 
   bool ok = gpu::RoundLoop(
       device_, "fileReduce", items.size(), 16,
@@ -321,22 +321,22 @@ Status GTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
           return gpu::InsertOutcome::kDone;
         }
         return table.AddOrInsert(
-            ctx, PackPair(file, dev_.word_id[it.entry]),
-            w * dev_.word_freq[it.entry]);
+            ctx, PackPair(file, dev_->word_id[it.entry]),
+            w * dev_->word_freq[it.entry]);
       });
   if (!ok) return Status::Internal("file-task table undersized");
 
   // Root-owned words: directly (file, word) with weight 1.
   ok = gpu::RoundLoop(
-      device_, "rootWordsReduce", dev_.body_off[1], 256,
+      device_, "rootWordsReduce", dev_->body_off[1], 256,
       [&](size_t p, gpu::ThreadCtx& ctx) {
-        const uint32_t sym = dev_.body_sym[p];
+        const uint32_t sym = dev_->body_sym[p];
         ctx.Charge(1);
-        if (sym >= dev_.num_words || !filter.Accepts(sym)) {
+        if (sym >= dev_->num_words || !filter.Accepts(sym)) {
           return gpu::InsertOutcome::kDone;
         }
         return table.AddOrInsert(
-            ctx, PackPair(dev_.root_file_of_pos[p], sym), 1);
+            ctx, PackPair(dev_->root_file_of_pos[p], sym), 1);
       });
   if (!ok) return Status::Internal("file-task table undersized (root)");
 

@@ -227,6 +227,24 @@ TEST(BatchEngineTest, UploadOverlapShortensMakespan) {
                    serial_run->timing.serial_seconds());
 }
 
+// A run that uploads nothing hides nothing: the pipeline saves exactly 0,
+// not the rounding residue of the serial sum minus the schedule.
+TEST(BatchEngineTest, OverlapIsExactlyZeroWhenNothingUploads) {
+  PartitionedCorpus corpus = MakeCorpus(16, 8, /*tokens=*/12000);
+  BatchEngine::Options opt;
+  opt.engine = GpuOptions();
+  ASSERT_FALSE(opt.engine.charge_pcie);
+  ASSERT_TRUE(opt.overlap_uploads);
+  auto engine = BatchEngine::Create(&corpus, opt);
+  ASSERT_TRUE(engine.ok());
+  for (Task task : AllTasks()) {
+    auto run = (*engine)->Run(task);
+    ASSERT_TRUE(run.ok()) << TaskName(task);
+    EXPECT_EQ(run->timing.upload_seconds, 0.0) << TaskName(task);
+    EXPECT_EQ(run->timing.overlap_saved_seconds, 0.0) << TaskName(task);
+  }
+}
+
 TEST(BatchEngineTest, AggregateTimingAccounting) {
   PartitionedCorpus corpus = MakeCorpus(8, 4);
   BatchEngine::Options opt;

@@ -43,6 +43,7 @@ TEST(StatusTest, AllConstructorsMatchPredicates) {
   EXPECT_TRUE(Status::Internal("x").IsInternal());
   EXPECT_TRUE(Status::Unimplemented("x").IsUnimplemented());
   EXPECT_TRUE(Status::Aborted("x").IsAborted());
+  EXPECT_TRUE(Status::ResourceExhausted("x").IsResourceExhausted());
 }
 
 Status FailsThrough() {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "analytics/document_index.h"
 #include "analytics/uncompressed.h"
 #include "datagen/datagen.h"
 #include "gpu/platform.h"
+#include "gpu/primitives.h"
 #include "gtadoc/engine.h"
 #include "gtadoc/scheduler.h"
 #include "sequitur/compressor.h"
@@ -256,6 +258,145 @@ TEST(GTadocEngineTest, PcieChargeIncreasesInitTime) {
   auto r2 = (*transferred)->Run(Task::kWordCount);
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_GT(r2->timing.init_seconds, r1->timing.init_seconds);
+}
+
+// ------------------------------------------------------- DeviceGrammar -----
+
+/// A generated multi-file document large enough for a multi-block root scan.
+Grammar ScanFixture(uint64_t tokens) {
+  DatasetSpec spec = DatasetA();
+  spec.num_files = 6;
+  spec.total_tokens = tokens;
+  spec.vocabulary = 200;
+  spec.seed = 11;
+  auto g = CompressTokens(GenerateTokens(spec));
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  return std::move(*g);
+}
+
+/// Loads `g` the way engines did when every binding copied the grammar and
+/// scanned the root live: one allocation, the optional H2D copy of
+/// `upload_bytes`, then the splitter-indicator kernel, the device exclusive
+/// scan and the assignment kernel. Returns the file id of every root
+/// position.
+std::vector<uint32_t> LiveRootScan(const Grammar& g, size_t upload_bytes,
+                                   bool charge_pcie, gpu::Device* device) {
+  device->ChargeDeviceAlloc(1);
+  if (charge_pcie) device->CopyHostToDevice(upload_bytes);
+  const std::vector<uint32_t>& root = g.rules[0];
+  const uint32_t blocks = static_cast<uint32_t>((root.size() + 255) / 256);
+  std::vector<uint64_t> indicator(root.size());
+  device->Launch("rootSplitterIndicator", blocks, [&](gpu::ThreadCtx& ctx) {
+    const size_t lo = static_cast<size_t>(ctx.tid()) * 256;
+    const size_t hi = std::min(root.size(), lo + 256);
+    for (size_t i = lo; i < hi; ++i) indicator[i] = g.IsSplitter(root[i]);
+    ctx.Charge(hi - lo);
+  });
+  std::vector<uint64_t> scanned;
+  gpu::DeviceExclusiveScan(device, indicator, &scanned);
+  std::vector<uint32_t> file_of_pos(root.size());
+  device->Launch("rootFileAssign", blocks, [&](gpu::ThreadCtx& ctx) {
+    const size_t lo = static_cast<size_t>(ctx.tid()) * 256;
+    const size_t hi = std::min(root.size(), lo + 256);
+    for (size_t i = lo; i < hi; ++i) {
+      file_of_pos[i] = static_cast<uint32_t>(scanned[i] + indicator[i]);
+    }
+    ctx.Charge(hi - lo);
+  });
+  return file_of_pos;
+}
+
+// Build computes the root file ids on the host once; Load charges exactly
+// what the live root scan charged, launch for launch.
+TEST(DeviceGrammarTest, LoadChargesExactlyTheLiveRootScan) {
+  for (const Grammar& g : {Figure1Grammar(), ScanFixture(4000)}) {
+    auto index = DocumentIndex::Build(g);
+    ASSERT_TRUE(index.ok());
+    const DeviceGrammar& dg = (*index)->device_grammar;
+    EXPECT_EQ(dg.DeviceBytes(), DeviceGrammar::BytesFor(g));
+    for (bool charge_pcie : {false, true}) {
+      gpu::Device live(TestOptions().gpu, 1);
+      gpu::Device loaded(TestOptions().gpu, 1);
+      EXPECT_EQ(LiveRootScan(g, dg.UploadBytes(), charge_pcie, &live),
+                dg.root_file_of_pos);
+      dg.Load(&loaded, charge_pcie, nullptr);
+      EXPECT_EQ(loaded.SimSeconds(), live.SimSeconds());
+      EXPECT_EQ(loaded.stats().kernels_launched, live.stats().kernels_launched);
+      EXPECT_EQ(loaded.stats().total_ops, live.stats().total_ops);
+      EXPECT_EQ(loaded.stats().h2d_bytes, live.stats().h2d_bytes);
+      EXPECT_EQ(loaded.stats().device_allocs, live.stats().device_allocs);
+    }
+  }
+}
+
+// BytesFor sizes a grammar without its DAG view, on dense and sparse id
+// spaces alike.
+TEST(DeviceGrammarTest, BytesForMatchesTheBuiltArena) {
+  Grammar sparse = Figure1Grammar();
+  const uint32_t shift = (1u << 20) - sparse.num_words;
+  sparse.num_words += shift;
+  for (auto& rule : sparse.rules) {
+    for (uint32_t& sym : rule) {
+      if (sym >= Figure1Grammar().num_words) sym += shift;
+    }
+  }
+  for (const Grammar& g : {Figure1Grammar(), ScanFixture(4000), sparse}) {
+    auto index = DocumentIndex::Build(g);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    EXPECT_EQ(DeviceGrammar::BytesFor(g),
+              (*index)->device_grammar.DeviceBytes());
+  }
+}
+
+// A recycled arena charges its allocation only when a document outgrows it.
+TEST(DeviceGrammarTest, ArenaChargesAllocationOnlyOnGrowth) {
+  const Grammar small = Figure1Grammar();
+  const Grammar large = ScanFixture(4000);
+  auto small_index = DocumentIndex::Build(small);
+  auto large_index = DocumentIndex::Build(large);
+  ASSERT_TRUE(small_index.ok() && large_index.ok());
+  gpu::Device device(TestOptions().gpu, 1);
+  GrammarArena arena;
+  (*small_index)->device_grammar.Load(&device, false, &arena);
+  EXPECT_EQ(device.stats().device_allocs, 1u);
+  (*small_index)->device_grammar.Load(&device, false, &arena);
+  EXPECT_EQ(device.stats().device_allocs, 1u);
+  (*large_index)->device_grammar.Load(&device, false, &arena);
+  EXPECT_EQ(device.stats().device_allocs, 2u);
+  (*small_index)->device_grammar.Load(&device, false, &arena);
+  EXPECT_EQ(device.stats().device_allocs, 2u);
+  // Without an arena every load is a fresh allocation.
+  (*small_index)->device_grammar.Load(&device, false, nullptr);
+  EXPECT_EQ(device.stats().device_allocs, 3u);
+}
+
+// An engine bound to a document its device already holds charges no load:
+// zero upload, no load ops, and the same results and traversal as a loading
+// engine.
+TEST(GTadocEngineTest, ResidentBindChargesNoLoad) {
+  const Grammar g = ScanFixture(4000);
+  auto index = DocumentIndex::Build(g);
+  ASSERT_TRUE(index.ok());
+  GTadocEngine::Options opt = TestOptions();
+  opt.charge_pcie = true;
+  auto loading = GTadocEngine::Create(&g, *index, opt);
+  auto resident = GTadocEngine::Create(&g, *index, opt,
+                                       GTadocEngine::GrammarLoad::kResident);
+  ASSERT_TRUE(loading.ok() && resident.ok());
+  for (Task task : {Task::kWordCount, Task::kInvertedIndex,
+                    Task::kSequenceCount}) {
+    auto loaded_run = (*loading)->Run(task);
+    auto resident_run = (*resident)->Run(task);
+    ASSERT_TRUE(loaded_run.ok() && resident_run.ok()) << TaskName(task);
+    EXPECT_TRUE(resident_run->result.SameAs(loaded_run->result));
+    EXPECT_GT(loaded_run->timing.upload_seconds, 0.0);
+    EXPECT_EQ(resident_run->timing.upload_seconds, 0.0);
+    EXPECT_LT(resident_run->timing.init_ops, loaded_run->timing.init_ops);
+    EXPECT_LT(resident_run->timing.init_seconds,
+              loaded_run->timing.init_seconds);
+    EXPECT_EQ(resident_run->timing.traversal_ops,
+              loaded_run->timing.traversal_ops);
+  }
 }
 
 // ----------------------------------------------------------- Scheduler -----

@@ -9,9 +9,11 @@
 #include "analytics/document_index.h"
 #include "analytics/run_plan.h"
 #include "analytics/server.h"
+#include "analytics/uncompressed.h"
 #include "common/result.h"
 #include "gpu/platform.h"
 #include "gtadoc/engine.h"
+#include "sequitur/compressor.h"
 #include "tadoc/cpu_engine.h"
 
 namespace gtadoc {
@@ -98,6 +100,22 @@ inline Result<PlanList> PlanDocuments(
     plans[d] = std::move(*plan);
   }
   return plans;
+}
+
+/// The uncompressed reference result of `request` over `corpus` (global
+/// file ids), with the request's query resolved against `defaults` as the
+/// server resolves it.
+inline Result<AnalyticsResult> UncompressedTruth(
+    const PartitionedCorpus& corpus, const CorpusServer::RunRequest& request,
+    const GTadocEngine::Options& defaults) {
+  std::vector<std::vector<uint32_t>> files;
+  for (const Grammar& doc : corpus.partitions) {
+    auto expanded = ExpandFiles(doc);
+    if (!expanded.ok()) return expanded.status();
+    for (auto& file : *expanded) files.push_back(std::move(file));
+  }
+  return UncompressedAnalytics(files, ResolveQueryDefaults(request, defaults))
+      .RunSequential(request.task);
 }
 
 }  // namespace gtadoc

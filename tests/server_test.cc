@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -675,6 +676,177 @@ TEST(CorpusServerTest, NonSelectiveTasksNeverSkip) {
   ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
   EXPECT_EQ(submitted->admission->documents_skipped, 0u);
   EXPECT_EQ(submitted->admission->documents_to_execute, 6u);
+}
+
+// --------------------------------------------------------------------------
+// Device residency: a document loads once per device, then stays.
+// --------------------------------------------------------------------------
+
+TEST(CorpusServerTest, SecondRunOfATaskFindsEveryDocumentResident) {
+  PartitionedCorpus corpus = MakeCorpus(12, 4);
+  CorpusServer::Options opt;
+  opt.engine = GpuOptions();
+  opt.engine.charge_pcie = true;
+  auto server = CorpusServer::Create(&corpus, opt);
+  ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
+  uint64_t corpus_bytes = 0;
+  for (uint32_t d = 0; d < corpus.partitions.size(); ++d) {
+    auto index = (*server)->document_index().Get(d);
+    ASSERT_TRUE(index.ok());
+    corpus_bytes += (*index)->device_grammar.DeviceBytes();
+  }
+
+  double uploaded = 0;
+  bool first_run = true;
+  for (Task task : {Task::kWordCount, Task::kInvertedIndex,
+                    Task::kSequenceCount, Task::kTopKWords}) {
+    CorpusServer::RunRequest req;
+    req.task = task;
+    BatchEngine::Options bopt;
+    bopt.engine = opt.engine;
+    auto batch = BatchEngine::Create(&corpus, bopt);
+    ASSERT_TRUE(batch.ok());
+    auto standalone = (*batch)->Run(task);
+    ASSERT_TRUE(standalone.ok());
+    auto truth = UncompressedTruth(corpus, req, opt.engine);
+    ASSERT_TRUE(truth.ok());
+
+    std::vector<CorpusServer::ServedRun> runs;
+    for (int i = 0; i < 2; ++i) {
+      auto submitted = Admit(*tenant, req);
+      ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+      auto served = submitted->ticket->Await();
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      runs.push_back(std::move(*served));
+      // Retire the run on the simulated timeline, so the next one starts
+      // after its loads have landed.
+      ASSERT_TRUE((*server)->ServeUntilIdle().ok());
+      // Every executed document is resident now, and stays so.
+      const CorpusServer::Stats::DeviceStats& device =
+          (*server)->stats().devices[0];
+      EXPECT_EQ(device.resident_documents, corpus.partitions.size());
+      EXPECT_EQ(device.resident_bytes, corpus_bytes);
+      if (first_run) {
+        uploaded = device.upload_seconds;
+        first_run = false;
+      }
+      EXPECT_EQ(device.upload_seconds, uploaded) << TaskName(task);
+    }
+    for (const CorpusServer::ServedRun& run : runs) {
+      EXPECT_TRUE(run.batch.merged.SameAs(standalone->merged))
+          << TaskName(task);
+      EXPECT_TRUE(run.batch.merged.SameAs(*truth)) << TaskName(task);
+      for (size_t d = 0; d < corpus.partitions.size(); ++d) {
+        EXPECT_TRUE(run.batch.documents[d].result.SameAs(
+            standalone->documents[d].result))
+            << TaskName(task) << " doc " << d;
+      }
+    }
+    const RunTiming& first = runs[0].batch.timing;
+    const RunTiming& second = runs[1].batch.timing;
+    if (task == Task::kWordCount) {
+      // The server's first run loads every document, exactly as a
+      // standalone batch does; its repeat loads none.
+      EXPECT_GT(first.upload_seconds, 0.0);
+      EXPECT_DOUBLE_EQ(first.upload_seconds, standalone->timing.upload_seconds);
+      EXPECT_LT(second.init_ops, first.init_ops);
+      EXPECT_LT(second.total_seconds(), first.total_seconds());
+    } else {
+      EXPECT_EQ(first.upload_seconds, 0.0) << TaskName(task);
+      EXPECT_LT(first.init_ops, standalone->timing.init_ops);
+    }
+    EXPECT_EQ(second.upload_seconds, 0.0) << TaskName(task);
+    EXPECT_EQ(second.init_ops, 0u) << TaskName(task);
+    // Nothing uploaded, nothing overlapped: exactly 0.
+    EXPECT_EQ(second.overlap_saved_seconds, 0.0) << TaskName(task);
+  }
+  EXPECT_GT(uploaded, 0.0);
+  EXPECT_EQ((*server)->stats().mid_run_pool_growths, 0u);
+}
+
+TEST(CorpusServerTest, CoResidentRunsCannotUseALoadStillInFlight) {
+  PartitionedCorpus corpus = MakeCorpus(12, 4);
+  CorpusServer::Options opt;
+  opt.engine = GpuOptions();
+  opt.engine.charge_pcie = true;
+  auto server = CorpusServer::Create(&corpus, opt);
+  ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
+  CorpusServer::RunRequest req;
+  req.task = Task::kWordCount;
+
+  // Two runs admitted together start together: neither can find the
+  // other's uploads landed, so both load every document.
+  auto first = Admit(*tenant, req);
+  auto second = Admit(*tenant, req);
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_TRUE((*server)->ServeUntilIdle().ok());
+  auto a = first->ticket->Await();
+  auto b = second->ticket->Await();
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->start_seconds, b->start_seconds);
+  EXPECT_GT(a->batch.timing.upload_seconds, 0.0);
+  EXPECT_EQ(b->batch.timing.upload_seconds, a->batch.timing.upload_seconds);
+  EXPECT_TRUE(b->batch.merged.SameAs(a->batch.merged));
+  const CorpusServer::Stats::DeviceStats& device =
+      (*server)->stats().devices[0];
+  EXPECT_EQ(device.resident_documents, corpus.partitions.size());
+  EXPECT_DOUBLE_EQ(device.upload_seconds, 2 * a->batch.timing.upload_seconds);
+
+  // A run admitted after both completed finds every document resident.
+  auto third = Admit(*tenant, req);
+  ASSERT_TRUE(third.ok());
+  auto c = third->ticket->Await();
+  ASSERT_TRUE(c.ok());
+  EXPECT_GE(c->start_seconds, b->completion_seconds);
+  EXPECT_EQ(c->batch.timing.upload_seconds, 0.0);
+  EXPECT_TRUE(c->batch.merged.SameAs(a->batch.merged));
+}
+
+TEST(CorpusServerTest, CreateRefusesDevicesThatCannotHoldTheirDocuments) {
+  PartitionedCorpus corpus = MakeCorpus(12, 4);
+  uint64_t corpus_bytes = 0;
+  for (const Grammar& doc : corpus.partitions) {
+    auto index = DocumentIndex::Build(doc);
+    ASSERT_TRUE(index.ok());
+    EXPECT_EQ(DeviceGrammar::BytesFor(doc),
+              (*index)->device_grammar.DeviceBytes());
+    corpus_bytes += DeviceGrammar::BytesFor(doc);
+  }
+  CorpusServer::Options opt;
+  opt.engine = GpuOptions();
+  opt.device_slot_budget = 1000;
+  // One device, or two devices that each replicate the whole corpus: every
+  // device must hold all documents plus its budget at 8 bytes a slot.
+  for (size_t devices : {1, 2}) {
+    opt.num_devices = devices;
+    opt.replication = devices;
+    const uint64_t need = corpus_bytes + opt.device_slot_budget * 8;
+    opt.engine.gpu.memory_bytes = need;
+    EXPECT_TRUE(CorpusServer::Create(&corpus, opt).ok()) << devices;
+    opt.engine.gpu.memory_bytes = need - 1;
+    EXPECT_TRUE(
+        CorpusServer::Create(&corpus, opt).status().IsResourceExhausted())
+        << devices;
+  }
+  // A budget whose byte count would wrap around 64 bits is refused, not
+  // waved through.
+  opt.num_devices = 1;
+  opt.replication = 1;
+  opt.engine.gpu.memory_bytes = corpus_bytes + 1000 * 8;
+  for (uint64_t budget : {(UINT64_MAX >> 3) + 1, UINT64_MAX}) {
+    opt.device_slot_budget = budget;
+    EXPECT_TRUE(
+        CorpusServer::Create(&corpus, opt).status().IsResourceExhausted())
+        << budget;
+  }
+  // Zero memory is unchecked.
+  opt.device_slot_budget = 1000;
+  opt.engine.gpu.memory_bytes = 0;
+  EXPECT_TRUE(CorpusServer::Create(&corpus, opt).ok());
 }
 
 // --------------------------------------------------------------------------

@@ -488,6 +488,185 @@ TEST(ShardedServerTest, TenantQuotaSpansShards) {
   EXPECT_TRUE((*server)->OpenTenant(group_wide).ok());
 }
 
+// --------------------------------------------------------------------------
+// Residency: each device loads a document once; replicas load their own copy.
+// --------------------------------------------------------------------------
+
+TEST(DeviceGroupTest, ReplicaPaysItsFirstLoadOnceOnItsOwnDevice) {
+  MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/4, /*relevant=*/1,
+                                     /*num_markers=*/1);
+  ShardedCorpus::Options sopt;
+  sopt.num_devices = 2;
+  sopt.replication = 2;
+  auto sharded = ShardedCorpus::Create(&mc.corpus, sopt);
+  ASSERT_TRUE(sharded.ok());
+  CorpusIndex index(&mc.corpus.partitions);
+  DeviceGroup group(sharded->get(), &index);
+
+  GTadocEngine::Options engine = GpuOptions();
+  engine.charge_pcie = true;
+  auto plans = PlanDocuments(mc.corpus, engine, Task::kWordCount, {},
+                             kGpuPlanBackend, &index);
+  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  BatchEngine::Options bopt;
+  bopt.engine = engine;
+  auto batch = BatchEngine::Create(&mc.corpus, bopt);
+  ASSERT_TRUE(batch.ok());
+  auto standalone = (*batch)->Run(Task::kWordCount);
+  ASSERT_TRUE(standalone.ok());
+  CorpusServer::RunRequest request;
+  request.task = Task::kWordCount;
+  auto truth = UncompressedTruth(mc.corpus, request, engine);
+  ASSERT_TRUE(truth.ok());
+  uint64_t corpus_bytes = 0;
+  for (uint32_t g = 0; g < 4; ++g) {
+    corpus_bytes += (*index.Get(g))->device_grammar.DeviceBytes();
+  }
+
+  // Every document replicates to both devices; the load pushes the whole
+  // run to one of them: 0, 0 again, then 1, then 1 again.
+  const std::vector<std::vector<double>> loads = {
+      {0.0, 1e9}, {0.0, 1e9}, {1e9, 0.0}, {1e9, 0.0}};
+  std::vector<double> uploads;
+  for (size_t r = 0; r < loads.size(); ++r) {
+    const size_t target = r < 2 ? 0 : 1;
+    ShardedCorpus::RoutePlan route = (*sharded)->Route({}, *plans, loads[r]);
+    ASSERT_EQ(route.device_documents[target], 4u) << "run " << r;
+    DeviceGroup::RunSpec spec;
+    spec.task = Task::kWordCount;
+    spec.engine = engine;
+    spec.route = &route;
+    spec.plans = *plans;
+    // A simulated second apart: every earlier run's loads have landed.
+    spec.start_time = static_cast<double>(r);
+    auto run = group.Execute(spec);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_TRUE(run->batch.merged.SameAs(standalone->merged)) << "run " << r;
+    EXPECT_TRUE(run->batch.merged.SameAs(*truth)) << "run " << r;
+    uploads.push_back(run->batch.timing.upload_seconds);
+    const DeviceGroup::DeviceCounters& c = group.counters()[target];
+    EXPECT_EQ(c.resident_documents, 4u) << "run " << r;
+    EXPECT_EQ(c.resident_bytes, corpus_bytes) << "run " << r;
+  }
+  // Each device's first run pays every upload once — the standalone
+  // batch's upload — and its repeat pays none.
+  EXPECT_GT(uploads[0], 0.0);
+  EXPECT_DOUBLE_EQ(uploads[0], standalone->timing.upload_seconds);
+  EXPECT_EQ(uploads[1], 0.0);
+  EXPECT_DOUBLE_EQ(uploads[2], uploads[0]);
+  EXPECT_EQ(uploads[3], 0.0);
+  EXPECT_DOUBLE_EQ(group.counters()[0].upload_seconds, uploads[0]);
+  EXPECT_DOUBLE_EQ(group.counters()[1].upload_seconds, uploads[2]);
+}
+
+TEST(DeviceGroupTest, DocumentIsResidentOnlyOnceItsLoadHasLanded) {
+  MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/4, /*relevant=*/1,
+                                     /*num_markers=*/1);
+  auto sharded = ShardedCorpus::Create(&mc.corpus, {});
+  ASSERT_TRUE(sharded.ok());
+  CorpusIndex index(&mc.corpus.partitions);
+  DeviceGroup group(sharded->get(), &index);
+  GTadocEngine::Options engine = GpuOptions();
+  engine.charge_pcie = true;
+  auto plans = PlanDocuments(mc.corpus, engine, Task::kWordCount, {},
+                             kGpuPlanBackend, &index);
+  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  ShardedCorpus::RoutePlan route = (*sharded)->Route({}, *plans, {});
+  auto execute = [&](double start_time) {
+    DeviceGroup::RunSpec spec;
+    spec.task = Task::kWordCount;
+    spec.engine = engine;
+    spec.route = &route;
+    spec.plans = *plans;
+    spec.start_time = start_time;
+    return group.Execute(spec);
+  };
+
+  // Two cold runs overlapping on the one device: the second starts before
+  // any of the first's uploads has landed, so it loads every document too.
+  auto first = execute(0.0);
+  auto second = execute(0.0);
+  ASSERT_TRUE(first.ok() && second.ok());
+  const double upload = first->batch.timing.upload_seconds;
+  EXPECT_GT(upload, 0.0);
+  EXPECT_EQ(second->batch.timing.upload_seconds, upload);
+  EXPECT_TRUE(second->batch.merged.SameAs(first->batch.merged));
+  EXPECT_EQ(group.counters()[0].resident_documents, 4u);
+  EXPECT_DOUBLE_EQ(group.counters()[0].upload_seconds, 2 * upload);
+
+  // Just before the first run's shard ends, its last document has not
+  // landed yet but its first has: a partial reload.
+  const double landed = first->device_durations[0];
+  auto partial = execute(0.999 * landed);
+  ASSERT_TRUE(partial.ok());
+  EXPECT_GT(partial->batch.timing.upload_seconds, 0.0);
+  EXPECT_LT(partial->batch.timing.upload_seconds, upload);
+  // From the shard's end on, every document is resident.
+  auto warm = execute(landed);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm->batch.timing.upload_seconds, 0.0);
+  EXPECT_EQ(warm->batch.timing.init_ops, 0u);
+  EXPECT_TRUE(warm->batch.merged.SameAs(first->batch.merged));
+  EXPECT_EQ(group.counters()[0].resident_documents, 4u);
+}
+
+TEST(ShardedServerTest, DeviceUploadsGrowOnlyWithResidentDocuments) {
+  MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/12, /*relevant=*/4,
+                                     /*num_markers=*/2);
+  CorpusServer::Options opt = ServerOptions(4, 2);
+  opt.engine.charge_pcie = true;
+  auto server = CorpusServer::Create(&mc.corpus, opt);
+  ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
+
+  std::vector<CorpusServer::RunRequest> requests;
+  for (int round = 0; round < 4; ++round) {
+    for (const CorpusServer::RunRequest& request : MixedRequests(mc)) {
+      requests.push_back(request);
+    }
+  }
+  std::vector<CorpusServer::Stats::DeviceStats> before(4);
+  for (const CorpusServer::RunRequest& request : requests) {
+    auto submitted = Admit(*tenant, request);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    auto served = submitted->ticket->Await();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    // Retire the run on the simulated timeline, so the next one starts
+    // after its loads have landed.
+    ASSERT_TRUE((*server)->ServeUntilIdle().ok());
+    auto truth = UncompressedTruth(mc.corpus, request, opt.engine);
+    ASSERT_TRUE(truth.ok());
+    EXPECT_TRUE(served->batch.merged.SameAs(*truth));
+
+    const std::vector<CorpusServer::Stats::DeviceStats>& now =
+        (*server)->stats().devices;
+    uint64_t newly_resident = 0;
+    for (size_t d = 0; d < now.size(); ++d) {
+      // A device uploads exactly when it takes on new documents.
+      const bool loaded =
+          now[d].resident_documents > before[d].resident_documents;
+      EXPECT_EQ(now[d].upload_seconds > before[d].upload_seconds, loaded)
+          << "device " << d;
+      EXPECT_EQ(now[d].resident_bytes > before[d].resident_bytes, loaded)
+          << "device " << d;
+      newly_resident +=
+          now[d].resident_documents - before[d].resident_documents;
+    }
+    EXPECT_EQ(served->batch.timing.upload_seconds > 0.0, newly_resident > 0);
+    if (newly_resident == 0) {
+      EXPECT_EQ(served->batch.timing.upload_seconds, 0.0);
+    }
+    before = now;
+  }
+  // No document is resident on a device that does not replicate it.
+  for (size_t d = 0; d < before.size(); ++d) {
+    EXPECT_LE(before[d].resident_documents,
+              (*server)->sharded_corpus()->device_docs(d).size());
+  }
+  EXPECT_EQ((*server)->stats().mid_run_pool_growths, 0u);
+}
+
 TEST(ShardedServerTest, SingleDeviceStatsMirrorAggregates) {
   MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/6, /*relevant=*/2,
                                      /*num_markers=*/1);
