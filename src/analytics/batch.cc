@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <numeric>
+#include <string>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -14,7 +16,7 @@ namespace gtadoc {
 
 Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
     const PartitionedCorpus* corpus, const Options& options,
-    const CorpusIndex* index, const std::vector<uint32_t>* index_ids,
+    const CorpusIndex* index, const std::vector<uint32_t>* docs,
     const std::vector<uint8_t>* resident) {
   if (corpus == nullptr || corpus->partitions.empty()) {
     return Status::InvalidArgument("batch needs at least one document");
@@ -28,8 +30,21 @@ Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
         "batch engine manages device sharing; leave "
         "engine.shared_device/shared_pool null");
   }
-  if (resident != nullptr && resident->size() != corpus->partitions.size()) {
-    return Status::InvalidArgument("residency flags/partitions mismatch");
+  const size_t n = corpus->partitions.size();
+  if (docs != nullptr) {
+    if (docs->empty()) {
+      return Status::InvalidArgument("batch needs at least one document id");
+    }
+    for (uint32_t g : *docs) {
+      if (g >= n) {
+        return Status::InvalidArgument("document id " + std::to_string(g) +
+                                       " is outside the corpus");
+      }
+    }
+  }
+  const size_t num_docs = docs != nullptr ? docs->size() : n;
+  if (resident != nullptr && resident->size() != num_docs) {
+    return Status::InvalidArgument("residency flags/documents mismatch");
   }
   if (options.backend == kCpuPlanBackend &&
       options.cpu.thread_ops_per_sec() <= 0.0) {
@@ -37,20 +52,24 @@ Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
         "CPU backend needs cost-model parameters (Options::cpu.ghz > 0)");
   }
   std::unique_ptr<BatchEngine> engine(new BatchEngine(corpus, options));
+  if (docs != nullptr) {
+    engine->docs_ = *docs;
+  } else {
+    engine->docs_.resize(n);
+    std::iota(engine->docs_.begin(), engine->docs_.end(), 0u);
+  }
   if (engine->options_.engine.plan_cache == nullptr) {
     // One plan cache for every worker context and every Run: same-shape
     // repeat documents skip planning entirely (the serving warm path).
-    engine->owned_plan_cache_ = std::make_shared<PlanCache>(
-        std::max<size_t>(256, 4 * corpus->partitions.size()));
+    engine->owned_plan_cache_ =
+        std::make_shared<PlanCache>(std::max<size_t>(256, 4 * n));
     engine->options_.engine.plan_cache = engine->owned_plan_cache_.get();
   }
   if (index == nullptr) {
     engine->owned_index_ = std::make_unique<CorpusIndex>(&corpus->partitions);
     index = engine->owned_index_.get();
-    index_ids = nullptr;
   }
   engine->index_ = index;
-  engine->index_ids_ = index_ids;
   engine->resident_ = resident;
   return engine;
 }
@@ -108,7 +127,7 @@ Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
   std::unique_ptr<gpu::Device> device;
   std::unique_ptr<gpu::MemoryPool> pool;
   uint64_t growth_baseline = 0;
-  if (options_.reuse_device_state && shard_executes && !cpu_backend) {
+  if (shard_executes && !cpu_backend) {
     // One context for the whole shard: the pool grows to the shard's
     // high-water mark once, the grammar arena is reloaded per document.
     device = std::make_unique<gpu::Device>(eopt.gpu, eopt.host_workers);
@@ -143,10 +162,11 @@ Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
 
   std::unique_ptr<GTadocEngine> engine;
   for (size_t i = lo; i < hi; ++i) {
-    const Grammar* doc = &corpus_->partitions[i];
+    const uint32_t g = docs_[i];
+    const Grammar* doc = &corpus_->partitions[g];
     DocumentRun& out = (*runs)[i];
-    out.doc = static_cast<uint32_t>(i);
-    out.file_base = corpus_->file_base[i];
+    out.doc = g;
+    out.file_base = corpus_->file_base[g];
     const RunPlan* plan = plans != nullptr ? (*plans)[i].get() : nullptr;
     if (plans != nullptr && plan == nullptr) {
       // Corpus-level pushdown: provably irrelevant document — no upload,
@@ -162,9 +182,7 @@ Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
     }
     // The document's lazily built index, shared with every other run and
     // replica of it.
-    const uint32_t index_doc =
-        index_ids_ != nullptr ? (*index_ids_)[i] : static_cast<uint32_t>(i);
-    auto index = index_->Get(index_doc);
+    auto index = index_->Get(g);
     if (!index.ok()) return index.status();
     if (cpu_backend) {
       auto created = CpuTadocEngine::Create(doc, *index, cpu_options);
@@ -183,11 +201,9 @@ Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
       load = (*resident_)[i] ? GTadocEngine::GrammarLoad::kResident
                              : GTadocEngine::GrammarLoad::kFirst;
     }
-    if (engine != nullptr && options_.reuse_device_state) {
+    if (engine != nullptr) {
       engine->Rebind(doc, *index, load);
     } else {
-      // First document of the context, or the cold path: a fresh engine
-      // (and device) per document — the baseline reuse is measured against.
       auto created = GTadocEngine::Create(doc, *index, eopt, load);
       if (!created.ok()) return created.status();
       engine = std::move(*created);
@@ -235,7 +251,7 @@ RunTiming BatchEngine::ComposeTiming(const std::vector<DocumentRun>& runs,
   // lands. With nothing uploaded (uncharged PCIe, or every document already
   // resident) the schedule is the serial sum and nothing is saved: exactly
   // 0, not the rounding residue of two differently ordered sums.
-  if (options_.overlap_uploads && agg.upload_seconds > 0) {
+  if (agg.upload_seconds > 0) {
     double copy_done = 0;
     double compute_done = 0;
     for (const DocumentRun& r : runs) {
@@ -267,7 +283,7 @@ Result<BatchEngine::BatchRun> BatchEngine::Run(Task task) {
 
 Result<BatchEngine::BatchRun> BatchEngine::Run(Task task,
                                                const PlanList& plans) {
-  if (plans.size() != corpus_->partitions.size()) {
+  if (plans.size() != docs_.size()) {
     return Status::InvalidArgument("plan list size mismatch");
   }
   // Every executing context is pre-sized to the largest handed footprint —
@@ -288,7 +304,7 @@ Result<BatchEngine::BatchRun> BatchEngine::Execute(Task task,
                                                    const PlanList* plans,
                                                    uint64_t presize) {
   Timer wall;
-  const size_t n = corpus_->partitions.size();
+  const size_t n = docs_.size();
   BatchRun batch;
   batch.documents.resize(n);
 

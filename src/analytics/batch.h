@@ -20,18 +20,19 @@ namespace gtadoc {
 ///
 /// The paper evaluates one compressed input at a time; a serving system
 /// amortizes the per-document fixed costs across a corpus. BatchEngine runs
-/// the six analytics tasks over a PartitionedCorpus (each partition = one
-/// document, all sharing one dictionary) and exploits two batch effects the
-/// single-document engine cannot:
+/// one task over documents of a PartitionedCorpus (each partition = one
+/// document, all sharing one dictionary) — all of them, or the global
+/// document ids it was created with (a device's share of a sharded corpus)
+/// — and exploits two batch effects the single-document engine cannot:
 ///
 ///   1. **Device-state reuse.** Each worker context keeps one gpu::MemoryPool
 ///      and one device-grammar arena, recycled across its documents
 ///      (MemoryPool::EnsureCapacity + ResetForReuse, GrammarArena): every
 ///      document is still loaded — uploaded and root-scanned — but only an
 ///      allocation the context has not made yet is charged, where a cold
-///      GTadocEngine::Create + Run charges them for every document. Handed
-///      residency flags (Create's `resident`, the serving path) go further:
-///      a document the device already holds loads nothing at all.
+///      GTadocEngine::Create + Run per document charges them every time.
+///      Handed residency flags (Create's `resident`, the serving path) go
+///      further: a document the device already holds loads nothing at all.
 ///   2. **Upload/traversal pipelining.** In the cost model, document i+1's
 ///      H2D grammar upload (the copy engine) runs under document i's
 ///      traversal rounds (the compute engine); uploads serialize on PCIe,
@@ -46,10 +47,11 @@ namespace gtadoc {
 /// simulated totals are reproducible for a fixed option set regardless of
 /// thread scheduling.
 ///
-/// Per-document results use document-local file ids; the merged corpus view
-/// offsets them by the document's file base (MergeResult), identically to
-/// the coarse-grained CPU baseline (ParallelTadocEngine), so GPU-vs-CPU
-/// batch speedups compare like for like.
+/// Every DocumentRun carries its global document id and file base. Its
+/// result uses document-local file ids; the merged corpus view offsets them
+/// by the file base (MergeResult), identically to the coarse-grained CPU
+/// baseline (ParallelTadocEngine), so GPU-vs-CPU batch speedups compare
+/// like for like.
 class BatchEngine {
  public:
   struct DocumentRun;
@@ -78,14 +80,6 @@ class BatchEngine {
     /// Worker threads documents are sharded across (0 = one per document,
     /// capped at hardware concurrency). Affects wall clock only.
     size_t host_workers = 1;
-    /// Recycle each worker's memory pool + device-grammar arena across its
-    /// documents instead of allocating them per document (the cold path,
-    /// which is exactly N independent GTadocEngine lifecycles).
-    bool reuse_device_state = true;
-    /// Pipeline document i+1's grammar upload under document i's traversal
-    /// in the simulated schedule. A run that uploads nothing saves exactly
-    /// 0 (overlap_saved_seconds == 0.0).
-    bool overlap_uploads = true;
     /// Merge per-document results into BatchRun::merged (and charge the
     /// merge reduce pass). Sharded serving turns this off for shard-local
     /// runs: the device group gathers per-document results and performs
@@ -104,7 +98,7 @@ class BatchEngine {
 
   /// One document's run inside the batch.
   struct DocumentRun {
-    uint32_t doc = 0;        ///< document index in the corpus
+    uint32_t doc = 0;        ///< global document id in the corpus
     uint32_t file_base = 0;  ///< global file id of the document's file 0
     AnalyticsResult result;  ///< document-local file ids
     RunTiming timing;
@@ -122,40 +116,42 @@ class BatchEngine {
     /// tables keyed by global file id, sequence tables merged).
     AnalyticsResult merged;
     /// Aggregate timing: phase sums over documents, pipeline overlap in
-    /// overlap_saved_seconds, merge reduce included in traversal_seconds.
-    /// total_seconds() is the batch makespan on one simulated GPU.
+    /// overlap_saved_seconds (exactly 0 when nothing uploads), merge reduce
+    /// included in traversal_seconds. total_seconds() is the batch makespan
+    /// on one simulated GPU.
     RunTiming timing;
     /// Documents handed no plan (0 for Run(task)).
     uint32_t documents_skipped = 0;
     /// Shared-context pool growths charged AFTER the pre-size to the handed
     /// plans' footprint, i.e. while documents were executing. A serving
     /// layer proves its admission contract by this staying 0 on Runs it
-    /// hands plans to. Only reuse contexts are counted (the cold path's
-    /// engine-owned pools are per-document by construction).
+    /// hands plans to. GPU contexts only (the CPU backend has no pool).
     uint64_t mid_run_pool_growths = 0;
   };
 
-  /// The corpus must outlive the engine. Every executed document's engine
-  /// borrows its DocumentIndex from `index`, where document i of `corpus` is
-  /// document `(*index_ids)[i]` of the index (null ids: document i) — a
-  /// device slice of a sharded corpus borrows the global index this way, so
-  /// replicas share one entry. Both must outlive the engine. Null `index`:
-  /// the engine owns a lazy index over `corpus`, kept across its Runs.
-  /// `resident` (one flag per document of `corpus`; must outlive the engine)
-  /// says which documents the simulated device already holds: those execute
-  /// without any load charge, the others pay a load (allocation, upload,
-  /// root scan) — the caller decides when a load has landed. Null:
-  /// every executed document loads into its context's arena (standalone).
-  /// Fails on an empty corpus, a flag list of the wrong size, or on pre-set
+  /// Runs over the documents of `corpus` whose global ids `docs` lists, in
+  /// that order (null: every document in corpus order); DocumentRuns,
+  /// plan lists and residency flags are positional over that list. Every
+  /// executed document's engine borrows its DocumentIndex from `index`,
+  /// keyed by global id, so the engines of several devices holding the same
+  /// document share one entry. Null `index`: the engine owns a lazy index
+  /// over `corpus`, kept across its Runs. `resident` (one flag per listed
+  /// document) says which documents the simulated device already holds:
+  /// those execute without any load charge, the others pay a load
+  /// (allocation, upload, root scan) — the caller decides when a load has
+  /// landed. Null: every executed document loads into its context's arena
+  /// (standalone). `corpus`, `index` and `resident` must outlive the engine;
+  /// `docs` is copied. InvalidArgument on an empty corpus or id list, an id
+  /// outside the corpus, a flag list of the wrong size, or pre-set
   /// shared_device/shared_pool.
   static Result<std::unique_ptr<BatchEngine>> Create(
       const PartitionedCorpus* corpus, const Options& options,
       const CorpusIndex* index = nullptr,
-      const std::vector<uint32_t>* index_ids = nullptr,
+      const std::vector<uint32_t>* docs = nullptr,
       const std::vector<uint8_t>* resident = nullptr);
 
-  /// Runs one task over every document and merges; each document's engine
-  /// resolves its own plan through the shared cache.
+  /// Runs one task over the engine's documents and merges; each document's
+  /// engine resolves its own plan through the shared cache.
   Result<BatchRun> Run(Task task);
 
   /// Like Run, but each document executes its entry of `plans` (a serving
@@ -164,12 +160,13 @@ class BatchEngine {
   /// zero cost, so the merge matches Run(task) whenever only documents that
   /// could not have produced output are skipped (the root-Bloom guarantee).
   /// Executing contexts' pools are pre-sized to the largest handed
-  /// total_slots first, so none grows mid-run. InvalidArgument on a list of
-  /// the wrong size, or a plan for another task, backend or grammar.
+  /// total_slots first, so none grows mid-run. `plans` is positional over
+  /// the engine's documents. InvalidArgument on a list of the wrong size,
+  /// or a plan for another task, backend or grammar.
   Result<BatchRun> Run(Task task, const PlanList& plans);
 
   /// The deterministic contiguous shard split Run uses over `n` documents:
-  /// worker w owns documents [w*chunk, min(n, (w+1)*chunk)). A pure
+  /// worker w owns list positions [w*chunk, min(n, (w+1)*chunk)). A pure
   /// function of (n, workers), shared with the serving layer so admission
   /// (CorpusServer::ShardFootprint) reasons about exactly the device
   /// contexts execution will create. `workers` == 0 selects hardware
@@ -187,7 +184,7 @@ class BatchEngine {
                                         uint32_t num_files,
                                         AnalyticsResult* out);
 
-  size_t num_documents() const { return corpus_->partitions.size(); }
+  size_t num_documents() const { return docs_.size(); }
   uint32_t total_files() const { return corpus_->total_files; }
   const Options& options() const { return options_; }
 
@@ -198,9 +195,10 @@ class BatchEngine {
   /// Both Runs: `plans` null resolves every document's plan, otherwise it
   /// is a validated plan list whose largest total_slots is `presize`.
   Result<BatchRun> Execute(Task task, const PlanList* plans, uint64_t presize);
-  /// Runs documents [lo, hi) on one worker's device context, writing into
-  /// (*runs)[lo..hi); documents with a null plan (`plans` null = resolve
-  /// every plan) get empty assembled results without touching the device.
+  /// Runs list positions [lo, hi) on one worker's device context, writing
+  /// into (*runs)[lo..hi); documents with a null plan (`plans` null =
+  /// resolve every plan) get empty assembled results without touching the
+  /// device.
   /// An executing context's pool is pre-sized to `presize` slots;
   /// `*mid_run_growths` receives its growths after that. Returns the first
   /// failure.
@@ -215,12 +213,12 @@ class BatchEngine {
 
   const PartitionedCorpus* corpus_;
   Options options_;
+  /// The global ids this engine runs, in execution order.
+  std::vector<uint32_t> docs_;
   /// Backing storage when the caller preset no options.engine.plan_cache.
   std::shared_ptr<PlanCache> owned_plan_cache_;
-  /// Document indexes (borrowed, or owned_index_), and the corpus-to-index
-  /// document map (null: identity).
+  /// Document indexes by global id (borrowed, or owned_index_).
   const CorpusIndex* index_ = nullptr;
-  const std::vector<uint32_t>* index_ids_ = nullptr;
   std::unique_ptr<CorpusIndex> owned_index_;
   /// Borrowed device residency flags (null: none; every document loads).
   const std::vector<uint8_t>* resident_ = nullptr;

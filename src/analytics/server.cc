@@ -102,17 +102,17 @@ Result<std::unique_ptr<CorpusServer>> CorpusServer::Create(
     return Status::InvalidArgument(
         "CPU lanes need cost-model parameters (Options::cpu.ghz > 0)");
   }
-  Options normalized = options;
-  normalized.num_devices = std::max<size_t>(1, normalized.num_devices);
-  normalized.replication = std::min(
-      normalized.num_devices, std::max<size_t>(1, normalized.replication));
   ShardedCorpus::Options sopt;
-  sopt.num_devices = normalized.num_devices;
-  sopt.replication = normalized.replication;
+  sopt.num_devices = options.num_devices;
+  sopt.replication = options.replication;
   auto sharded = ShardedCorpus::Create(corpus, sopt);
   if (!sharded.ok()) return sharded.status();
+  // The topology clamps both; the server reports the values in effect.
+  Options normalized = options;
+  normalized.num_devices = (*sharded)->num_devices();
+  normalized.replication = (*sharded)->replication();
   // Every device keeps the documents it executes resident next to its pools,
-  // so its whole slice plus its slot budget must fit its memory.
+  // so all its documents plus its slot budget must fit its memory.
   const uint64_t memory_bytes = normalized.engine.gpu.memory_bytes;
   if (memory_bytes != 0) {
     // Compared before multiplying: a huge budget must not wrap to a small
@@ -664,19 +664,10 @@ void CorpusServer::SyncSchedulerStats() {
   stats_.peak_admitted_slots = scheduler_.group()->peak_in_use();
   const size_t num_devices = sharded_->num_devices();
   stats_.devices.assign(num_devices, Stats::DeviceStats{});
-  const std::vector<DeviceGroup::DeviceCounters>& counters =
-      device_group_->counters();
   for (size_t d = 0; d < num_devices; ++d) {
     Stats::DeviceStats& device = stats_.devices[d];
-    device.runs_routed = counters[d].runs_routed;
-    device.documents_executed = counters[d].documents_executed;
-    device.init_ops = counters[d].init_ops;
-    device.traversal_ops = counters[d].traversal_ops;
-    device.upload_seconds = counters[d].upload_seconds;
-    device.busy_seconds = counters[d].busy_seconds;
-    device.mid_run_pool_growths = counters[d].mid_run_pool_growths;
-    device.resident_documents = counters[d].resident_documents;
-    device.resident_bytes = counters[d].resident_bytes;
+    static_cast<DeviceGroup::DeviceCounters&>(device) =
+        device_group_->counters()[d];
     device.peak_admitted_slots = device_budgets_[d]->peak_in_use();
   }
   for (const auto& [tenant, per_device] :

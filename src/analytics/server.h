@@ -117,11 +117,13 @@ class CorpusServer {
     /// simulated timeline, and gathers through one corpus-order merge —
     /// merged and per-document results are bit-identical to a serial
     /// BatchEngine run under every device count. One device is the same
-    /// path with a topology of one, aliasing the corpus (no grammar copy).
+    /// path with a topology of one. Every device runs its documents out of
+    /// the one corpus by global id; no grammar is copied on the host.
     size_t num_devices = 1;
     /// Grammar copies per document across the device group, clamped to
     /// [1, num_devices]. R > 1 lets hot documents execute on whichever
     /// replica is least loaded (slot-weighted, admission-time routing).
+    /// options() reports both fields as the ShardedCorpus clamped them.
     size_t replication = 1;
     /// Host worker threads per run's BatchEngine (wall clock only). Each
     /// worker context holds its own pool, so a run's admission footprint is
@@ -349,31 +351,17 @@ class CorpusServer {
 
   /// Aggregate serving counters (monotonic over the server's lifetime).
   struct Stats {
-    /// Per-device serving counters, one per simulated GPU — the witness
-    /// that a device the router never selected did no work (all-zero ops)
-    /// and that no device's budget was ever exceeded (peak_admitted_slots).
-    struct DeviceStats {
-      uint64_t runs_routed = 0;  ///< runs that executed >= 1 document here
-      uint64_t documents_executed = 0;
+    /// Per-device serving counters, one per simulated GPU: the device
+    /// group's own counters (runs, documents, ops, uploads, residency,
+    /// busy time) plus the device's admission side — the witness that a
+    /// device the router never selected did no work (all-zero ops) and
+    /// that no device's budget was ever exceeded (peak_admitted_slots).
+    struct DeviceStats : DeviceGroup::DeviceCounters {
       /// High-water mark of this device's reserved slots; never exceeds
       /// the per-device budget.
       uint64_t peak_admitted_slots = 0;
-      uint64_t init_ops = 0;       ///< simulated phase-1 ops charged here
-      uint64_t traversal_ops = 0;  ///< simulated phase-2 ops charged here
-      /// Simulated H2D time charged here: a document uploads only in runs
-      /// that start before a load of it has landed on this device, so this
-      /// stops growing once every document routed here is resident.
-      double upload_seconds = 0;
-      /// Documents resident on this device (counted at their first load,
-      /// never evicted), and their summed DeviceGrammar::DeviceBytes.
-      uint64_t resident_documents = 0;
-      uint64_t resident_bytes = 0;
-      /// Summed simulated shard durations (the gather merge tail is not
-      /// device-local work and is not included).
-      double busy_seconds = 0;
       /// Slot-seconds held on this device, summed over tenants.
       double slot_seconds_held = 0;
-      uint64_t mid_run_pool_growths = 0;
     };
 
     /// The shared plan cache's counters (one cache fronts the Submit

@@ -28,31 +28,13 @@ Result<std::unique_ptr<ShardedCorpus>> ShardedCorpus::Create(
   sharded->corpus_ = corpus;
   sharded->replication_ = replication;
   sharded->device_docs_.resize(num_devices);
-  sharded->global_to_local_.resize(num_devices);
   sharded->doc_replicas_.resize(corpus->partitions.size());
-  if (num_devices > 1) {
-    sharded->owned_slices_.resize(num_devices);
-    for (PartitionedCorpus& slice : sharded->owned_slices_) {
-      // Every slice keeps the GLOBAL file count: per-device DocumentRuns
-      // then carry global file bases and gather needs no re-indexing.
-      slice.total_files = corpus->total_files;
-    }
-  }
-
   for (uint32_t g = 0; g < corpus->partitions.size(); ++g) {
     const size_t primary = g % num_devices;
     for (size_t r = 0; r < replication; ++r) {
       const size_t d = (primary + r) % num_devices;
-      const uint32_t local =
-          static_cast<uint32_t>(sharded->device_docs_[d].size());
       sharded->device_docs_[d].push_back(g);
-      sharded->global_to_local_[d][g] = local;
       sharded->doc_replicas_[g].push_back(static_cast<uint32_t>(d));
-      if (num_devices > 1) {
-        PartitionedCorpus& slice = sharded->owned_slices_[d];
-        slice.partitions.push_back(corpus->partitions[g]);
-        slice.file_base.push_back(corpus->file_base[g]);
-      }
     }
   }
   return sharded;
@@ -64,7 +46,6 @@ ShardedCorpus::RoutePlan ShardedCorpus::Route(
   const size_t n = corpus_->partitions.size();
   RoutePlan plan;
   plan.doc_device.assign(n, kUnrouted);
-  plan.doc_local.assign(n, kUnrouted);
   plan.device_documents.assign(num_devices(), 0);
 
   std::vector<double> load(num_devices(), 0.0);
@@ -85,7 +66,6 @@ ShardedCorpus::RoutePlan ShardedCorpus::Route(
         g < plans.size() && plans[g] != nullptr ? plans[g]->total_slots : 0;
     load[best] += slots > 0 ? static_cast<double>(slots) : 1.0;
     plan.doc_device[g] = best;
-    plan.doc_local[g] = global_to_local_[best].at(g);
     ++plan.device_documents[best];
   }
   return plan;
@@ -111,20 +91,22 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     return Status::InvalidArgument("needs a route and one plan per document");
   }
   const ShardedCorpus::RoutePlan& route = *spec.route;
-  // Slice the plans along the route before any device executes: a routed
-  // document without a plan fails the whole run with no device touched.
+  // Slice the plans along the route before any device executes: device d
+  // gets a plan for each of its documents the route sent there, and a
+  // routed document without a plan fails the whole run with no device
+  // touched.
   std::vector<PlanList> device_plans(num_devices);
   for (size_t d = 0; d < num_devices; ++d) {
-    device_plans[d].resize(corpus_->device_docs(d).size());
-  }
-  for (uint32_t g = 0; g < n; ++g) {
-    if (route.doc_device[g] == ShardedCorpus::kUnrouted) continue;
-    const std::shared_ptr<const RunPlan>& plan = spec.plans[g];
-    if (plan == nullptr) {
-      return Status::InvalidArgument(
-          "routed document " + std::to_string(g) + " has no plan");
+    const std::vector<uint32_t>& docs = corpus_->device_docs(d);
+    device_plans[d].resize(docs.size());
+    for (size_t i = 0; i < docs.size(); ++i) {
+      if (route.doc_device[docs[i]] != d) continue;
+      if (spec.plans[docs[i]] == nullptr) {
+        return Status::InvalidArgument(
+            "routed document " + std::to_string(docs[i]) + " has no plan");
+      }
+      device_plans[d][i] = spec.plans[docs[i]];
     }
-    device_plans[route.doc_device[g]][route.doc_local[g]] = plan;
   }
 
   RunResult out;
@@ -157,7 +139,7 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     for (size_t i = 0; i < resident.size(); ++i) {
       resident[i] = resident_since_[d][i] <= spec.start_time ? 1 : 0;
     }
-    auto engine = BatchEngine::Create(&corpus_->device_corpus(d), bopt, index_,
+    auto engine = BatchEngine::Create(global, bopt, index_,
                                       &corpus_->device_docs(d), &resident);
     if (!engine.ok()) return engine.status();
     auto run = (*engine)->Run(spec.task, device_plans[d]);
@@ -195,27 +177,30 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
   }
 
   // Gather: global documents in corpus order. Executed documents come from
-  // their executing replica (their results are device-independent); skipped
-  // documents are assembled empty through the same kernel path a
-  // single-device batch uses for documents handed no plan.
+  // the device the route chose (their runs already carry global ids and
+  // file bases); skipped documents are assembled empty through the same
+  // kernel path a single-device batch uses for documents handed no plan.
   BatchEngine::BatchRun& batch = out.batch;
   batch.documents.resize(n);
-  for (uint32_t g = 0; g < n; ++g) {
-    BatchEngine::DocumentRun& doc = batch.documents[g];
-    if (route.doc_device[g] == ShardedCorpus::kUnrouted) {
-      doc.doc = g;
-      doc.file_base = global->file_base[g];
-      Status st = BatchEngine::AssembleSkippedDocument(
-          spec.task, spec.engine, global->partitions[g].num_files(),
-          &doc.result);
-      if (!st.ok()) return st;
-      doc.skipped = true;
-      ++batch.documents_skipped;
-    } else {
-      BatchEngine::BatchRun& source = *device_runs[route.doc_device[g]];
-      doc = std::move(source.documents[route.doc_local[g]]);
-      doc.doc = g;  // local shard index -> global (file_base already global)
+  for (size_t d = 0; d < num_devices; ++d) {
+    if (!device_runs[d].has_value()) continue;
+    const std::vector<uint32_t>& docs = corpus_->device_docs(d);
+    for (size_t i = 0; i < docs.size(); ++i) {
+      if (route.doc_device[docs[i]] != d) continue;
+      batch.documents[docs[i]] = std::move(device_runs[d]->documents[i]);
     }
+  }
+  for (uint32_t g = 0; g < n; ++g) {
+    if (route.doc_device[g] != ShardedCorpus::kUnrouted) continue;
+    BatchEngine::DocumentRun& doc = batch.documents[g];
+    doc.doc = g;
+    doc.file_base = global->file_base[g];
+    Status st = BatchEngine::AssembleSkippedDocument(
+        spec.task, spec.engine, global->partitions[g].num_files(),
+        &doc.result);
+    if (!st.ok()) return st;
+    doc.skipped = true;
+    ++batch.documents_skipped;
   }
 
   // The one corpus-order merge — identical inputs and order to a

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -20,24 +19,26 @@ namespace gtadoc {
 /// corpus still spread across devices. With `replication` R > 1 each
 /// document additionally lives on the R-1 devices following its primary
 /// (mod N) — hot documents can then be served by whichever replica is least
-/// loaded, at the cost of R grammar copies of device memory.
+/// loaded, at the cost of R grammar copies of (simulated) device memory.
 ///
-/// Each device owns a self-contained PartitionedCorpus slice whose file_base
-/// entries stay GLOBAL file ids, so a per-device BatchEngine's DocumentRuns
-/// come back gather-ready: the cross-device merge is the same
+/// The topology is placement metadata only: each device's documents are a
+/// list of global document ids (device_docs), and its BatchEngine runs them
+/// straight out of the global corpus — no grammar is copied on the host. A
+/// per-device DocumentRun therefore carries its global id and file base and
+/// comes back gather-ready: the cross-device merge is the same
 /// MergeResult-in-corpus-order pass a single-device batch performs, which is
 /// what keeps sharded results bit-identical to a one-device serial run under
-/// every shard count and replication factor. A one-device topology's slice
-/// would be the whole corpus in order, so it aliases the global corpus
-/// instead of copying every grammar.
+/// every shard count and replication factor.
 class ShardedCorpus {
  public:
   /// Route() verdict for a document no device executes (root-Bloom skipped
   /// or masked out): assembled empty at gather time, routed nowhere.
   static constexpr uint32_t kUnrouted = ~0u;
 
+  /// Create clamps both fields; num_devices() and replication() report the
+  /// values in effect.
   struct Options {
-    size_t num_devices = 1;  ///< simulated GPUs (>= 1)
+    size_t num_devices = 1;  ///< simulated GPUs; 0 counts as 1
     /// Grammar copies per document, clamped to [1, num_devices]. R > 1
     /// enables least-loaded replica selection per run.
     size_t replication = 1;
@@ -49,30 +50,21 @@ class ShardedCorpus {
     /// (replicas not chosen for this run execute nothing, exactly like
     /// Bloom-skipped documents).
     std::vector<uint32_t> doc_device;
-    /// Global document -> its local index on doc_device (kUnrouted rows
-    /// are meaningless).
-    std::vector<uint32_t> doc_local;
     /// Documents executed per device; a device at 0 receives NO work at
     /// all — no engine, no upload, no plan, no traversal.
     std::vector<uint32_t> device_documents;
   };
 
-  /// The corpus must outlive the sharded view (device slices copy the
-  /// grammars — or, on one device, ARE the corpus — and global gather
-  /// metadata points back into it). Fails on an empty corpus.
+  /// The corpus must outlive the sharded view (every device runs its
+  /// documents out of it). Fails on an empty corpus.
   static Result<std::unique_ptr<ShardedCorpus>> Create(
       const PartitionedCorpus* corpus, const Options& options);
 
   size_t num_devices() const { return device_docs_.size(); }
   size_t replication() const { return replication_; }
   const PartitionedCorpus* global_corpus() const { return corpus_; }
-  /// Device d's slice; may hold zero documents when the corpus is smaller
-  /// than the device count. On one device this is *global_corpus().
-  const PartitionedCorpus& device_corpus(size_t d) const {
-    return owned_slices_.empty() ? *corpus_ : owned_slices_[d];
-  }
-  /// Device d's documents as global corpus indices (ascending; the local
-  /// index of device_docs(d)[i] is i).
+  /// Device d's documents as global document ids, ascending; empty when the
+  /// corpus is smaller than the device count.
   const std::vector<uint32_t>& device_docs(size_t d) const {
     return device_docs_[d];
   }
@@ -98,21 +90,18 @@ class ShardedCorpus {
 
   const PartitionedCorpus* corpus_ = nullptr;
   size_t replication_ = 1;
-  /// Per-device grammar copies; empty on one device (the alias).
-  std::vector<PartitionedCorpus> owned_slices_;
   std::vector<std::vector<uint32_t>> device_docs_;
   std::vector<std::vector<uint32_t>> doc_replicas_;
-  /// Per device: global doc index -> local index.
-  std::vector<std::map<uint32_t, uint32_t>> global_to_local_;
 };
 
 /// \brief Scatter/gather executor over a ShardedCorpus — the N-GPU
 /// counterpart of one BatchEngine run.
 ///
-/// Execute() runs a shard-local BatchEngine on every device the RoutePlan
-/// sends work to (devices routed zero documents are never touched — the
-/// per-device counters witness it), then gathers: per-document results are
-/// collected from their executing replicas, skipped documents are assembled
+/// Execute() runs a BatchEngine over device_docs(d) on every device d the
+/// RoutePlan sends work to (devices routed zero documents are never touched
+/// — the per-device counters witness it), with a plan for exactly the
+/// documents routed there. It then gathers: each executed document's run is
+/// taken from the device the route chose, skipped documents are assembled
 /// empty, and ONE corpus-order merge produces the global result — the same
 /// merge a single-device batch performs, on identical inputs, so the merged
 /// view is bit-identical to the unsharded run.
@@ -170,19 +159,26 @@ class DeviceGroup {
     double gather_seconds = 0;
   };
 
-  /// Cumulative per-device accounting across Execute() calls — the serving
-  /// layer's per-device stats, and the routing tests' "this device did no
-  /// work" witness.
+  /// Cumulative per-device accounting across Execute() calls — the base of
+  /// the serving layer's per-device stats (CorpusServer::Stats::DeviceStats),
+  /// and the routing tests' "this device did no work" witness.
   struct DeviceCounters {
     uint64_t runs_routed = 0;         ///< runs that executed >= 1 doc here
     uint64_t documents_executed = 0;  ///< over all routed runs
     uint64_t init_ops = 0;            ///< simulated phase-1 ops charged
     uint64_t traversal_ops = 0;       ///< simulated phase-2 ops charged
-    double upload_seconds = 0;        ///< simulated H2D time (loads)
-    double busy_seconds = 0;          ///< summed shard durations
+    /// Simulated H2D time charged here: a document uploads only in runs
+    /// that start before a load of it has landed on this device, so this
+    /// stops growing once every document routed here is resident.
+    double upload_seconds = 0;
+    /// Summed simulated shard durations (the gather merge tail is not
+    /// device-local work and is not included).
+    double busy_seconds = 0;
     uint64_t mid_run_pool_growths = 0;
-    uint64_t resident_documents = 0;  ///< documents loaded, never evicted
-    uint64_t resident_bytes = 0;      ///< their DeviceGrammar::DeviceBytes
+    /// Documents resident on this device (counted at their first load,
+    /// never evicted), and their summed DeviceGrammar::DeviceBytes.
+    uint64_t resident_documents = 0;
+    uint64_t resident_bytes = 0;
   };
 
   /// The sharded corpus and `index` — the lazily built DocumentIndexes of
@@ -199,8 +195,8 @@ class DeviceGroup {
   const ShardedCorpus* corpus_;
   const CorpusIndex* index_;
   std::vector<DeviceCounters> counters_;
-  /// Per device, per document of its slice (local index): the simulated
-  /// time its earliest load there finished; infinity until it loads.
+  /// Per device, per position in its device_docs: the simulated time the
+  /// document's earliest load there finished; infinity until it loads.
   std::vector<std::vector<double>> resident_since_;
 };
 

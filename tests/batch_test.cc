@@ -163,35 +163,47 @@ TEST(BatchEngineTest, DeterministicUnderHostSharding) {
   }
 }
 
-// Device-state reuse must charge less init time than N cold lifecycles: only
-// the first document of a context pays the allocation calls.
+// Device-state reuse must charge less init time than N cold lifecycles (a
+// fresh GTadocEngine per document plus the same corpus merge): only the
+// first document of a context pays the allocation calls.
 TEST(BatchEngineTest, PoolReuseChargesLessInitThanColdRuns) {
   PartitionedCorpus corpus = MakeCorpus(16, 8);
 
   BatchEngine::Options warm;
   warm.engine = GpuOptions();
-  warm.reuse_device_state = true;
-  BatchEngine::Options cold = warm;
-  cold.reuse_device_state = false;
-
   auto warm_engine = BatchEngine::Create(&corpus, warm);
-  auto cold_engine = BatchEngine::Create(&corpus, cold);
   ASSERT_TRUE(warm_engine.ok());
-  ASSERT_TRUE(cold_engine.ok());
   auto warm_run = (*warm_engine)->Run(Task::kWordCount);
-  auto cold_run = (*cold_engine)->Run(Task::kWordCount);
   ASSERT_TRUE(warm_run.ok());
-  ASSERT_TRUE(cold_run.ok());
 
-  EXPECT_TRUE(warm_run->merged.SameAs(cold_run->merged));
-  EXPECT_LT(warm_run->timing.init_seconds, cold_run->timing.init_seconds);
-  EXPECT_LT(warm_run->timing.total_seconds(), cold_run->timing.total_seconds());
+  RunTiming cold;
+  cold.documents = 0;
+  AnalyticsResult cold_merged;
+  cold_merged.task = Task::kWordCount;
+  uint64_t merge_ops = 0;
+  std::vector<RunTiming> cold_docs;
+  for (size_t d = 0; d < corpus.partitions.size(); ++d) {
+    auto engine = GTadocEngine::Create(&corpus.partitions[d], warm.engine);
+    ASSERT_TRUE(engine.ok());
+    auto run = (*engine)->Run(Task::kWordCount);
+    ASSERT_TRUE(run.ok());
+    cold.Accumulate(run->timing);
+    cold_docs.push_back(run->timing);
+    MergeResult(run->result, corpus.file_base[d], &cold_merged, &merge_ops);
+  }
+  FinalizeMergedResult(&cold_merged, &merge_ops);
+  cold.traversal_seconds +=
+      static_cast<double>(merge_ops) / warm.engine.gpu.device_ops_per_sec();
+
+  EXPECT_TRUE(warm_run->merged.SameAs(cold_merged));
+  EXPECT_LT(warm_run->timing.init_seconds, cold.init_seconds);
+  EXPECT_LT(warm_run->timing.total_seconds(), cold.total_seconds());
 
   // Documents after the first charge strictly less init than their cold
   // counterparts (no allocation calls on the warm path).
   for (size_t d = 1; d < warm_run->documents.size(); ++d) {
     EXPECT_LE(warm_run->documents[d].timing.init_seconds,
-              cold_run->documents[d].timing.init_seconds)
+              cold_docs[d].init_seconds)
         << d;
   }
 }
@@ -214,17 +226,6 @@ TEST(BatchEngineTest, UploadOverlapShortensMakespan) {
   EXPECT_LT(run->timing.total_seconds(), run->timing.serial_seconds());
   EXPECT_LE(run->timing.overlap_saved_seconds,
             run->timing.upload_seconds + 1e-12);
-
-  // Turning the pipeline off recovers the serial sum.
-  BatchEngine::Options no_overlap = opt;
-  no_overlap.overlap_uploads = false;
-  auto serial_engine = BatchEngine::Create(&corpus, no_overlap);
-  ASSERT_TRUE(serial_engine.ok());
-  auto serial_run = (*serial_engine)->Run(Task::kWordCount);
-  ASSERT_TRUE(serial_run.ok());
-  EXPECT_EQ(serial_run->timing.overlap_saved_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(serial_run->timing.total_seconds(),
-                   serial_run->timing.serial_seconds());
 }
 
 // A run that uploads nothing hides nothing: the pipeline saves exactly 0,
@@ -234,7 +235,6 @@ TEST(BatchEngineTest, OverlapIsExactlyZeroWhenNothingUploads) {
   BatchEngine::Options opt;
   opt.engine = GpuOptions();
   ASSERT_FALSE(opt.engine.charge_pcie);
-  ASSERT_TRUE(opt.overlap_uploads);
   auto engine = BatchEngine::Create(&corpus, opt);
   ASSERT_TRUE(engine.ok());
   for (Task task : AllTasks()) {
@@ -279,6 +279,65 @@ TEST(BatchEngineTest, RejectsDegenerateInputs) {
   preset.engine.shared_device = &device;
   EXPECT_TRUE(
       BatchEngine::Create(&corpus, preset).status().IsInvalidArgument());
+}
+
+// A batch created with global document ids runs exactly those documents, in
+// list order: each DocumentRun carries its global id and file base and is
+// bit-identical to that document's run inside a full-corpus batch.
+TEST(BatchEngineTest, RunsTheDocumentIdsItWasGiven) {
+  PartitionedCorpus corpus = MakeCorpus(16, 8);
+  BatchEngine::Options opt;
+  opt.engine = GpuOptions();
+  opt.engine.charge_pcie = true;
+  auto full_engine = BatchEngine::Create(&corpus, opt);
+  ASSERT_TRUE(full_engine.ok());
+  const std::vector<uint32_t> ids = {1, 3, 6};
+  auto subset_engine = BatchEngine::Create(&corpus, opt, nullptr, &ids);
+  ASSERT_TRUE(subset_engine.ok()) << subset_engine.status().ToString();
+  EXPECT_EQ((*subset_engine)->num_documents(), ids.size());
+
+  for (Task task : AllTasks()) {
+    auto full = (*full_engine)->Run(task);
+    auto subset = (*subset_engine)->Run(task);
+    ASSERT_TRUE(full.ok()) << TaskName(task);
+    ASSERT_TRUE(subset.ok()) << TaskName(task);
+    ASSERT_EQ(subset->documents.size(), ids.size());
+    EXPECT_EQ(subset->timing.documents, ids.size());
+    AnalyticsResult merged;
+    merged.task = task;
+    uint64_t merge_ops = 0;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const BatchEngine::DocumentRun& run = subset->documents[i];
+      EXPECT_EQ(run.doc, ids[i]) << TaskName(task);
+      EXPECT_EQ(run.file_base, corpus.file_base[ids[i]]) << TaskName(task);
+      EXPECT_FALSE(run.skipped);
+      EXPECT_TRUE(run.result.SameAs(full->documents[ids[i]].result))
+          << TaskName(task) << " doc " << ids[i];
+      MergeResult(run.result, run.file_base, &merged, &merge_ops);
+    }
+    FinalizeMergedResult(&merged, &merge_ops);
+    EXPECT_TRUE(subset->merged.SameAs(merged)) << TaskName(task);
+  }
+
+  // Plan lists are positional over the ids.
+  PlanList too_long(corpus.partitions.size());
+  EXPECT_TRUE((*subset_engine)
+                  ->Run(Task::kWordCount, too_long)
+                  .status()
+                  .IsInvalidArgument());
+
+  const std::vector<uint32_t> none;
+  EXPECT_TRUE(BatchEngine::Create(&corpus, opt, nullptr, &none)
+                  .status()
+                  .IsInvalidArgument());
+  const std::vector<uint32_t> outside = {2, 8};
+  EXPECT_TRUE(BatchEngine::Create(&corpus, opt, nullptr, &outside)
+                  .status()
+                  .IsInvalidArgument());
+  const std::vector<uint8_t> flags(corpus.partitions.size(), 0);
+  EXPECT_TRUE(BatchEngine::Create(&corpus, opt, nullptr, &ids, &flags)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(BatchEngineTest, SingleDocumentBatchMatchesSingleEngine) {

@@ -102,46 +102,58 @@ TEST(ShardedCorpusTest, RoundRobinPlacementWithReplication) {
     EXPECT_EQ(homes[1], (g + 1) % 3) << "doc " << g;     // next replica
   }
   for (size_t d = 0; d < 3; ++d) {
-    const PartitionedCorpus& slice = (*sharded)->device_corpus(d);
     const std::vector<uint32_t>& docs = (*sharded)->device_docs(d);
-    ASSERT_EQ(slice.partitions.size(), docs.size());
     placements += docs.size();
-    // File bases stay GLOBAL so per-device results are gather-ready.
-    for (size_t i = 0; i < docs.size(); ++i) {
-      EXPECT_EQ(slice.file_base[i], mc.corpus.file_base[docs[i]]);
+    // A device holds exactly the documents that list it as a replica, as
+    // ascending global ids.
+    EXPECT_TRUE(std::is_sorted(docs.begin(), docs.end())) << "device " << d;
+    for (uint32_t g = 0; g < 7; ++g) {
+      const std::vector<uint32_t>& homes = (*sharded)->replicas(g);
+      const bool listed =
+          std::find(homes.begin(), homes.end(), d) != homes.end();
+      const bool held = std::find(docs.begin(), docs.end(), g) != docs.end();
+      EXPECT_EQ(listed, held) << "device " << d << " doc " << g;
     }
-    EXPECT_EQ(slice.total_files, mc.corpus.total_files);
   }
   EXPECT_EQ(placements, 7u * 2u);
+  // Every device runs its documents out of the one global corpus.
+  EXPECT_EQ((*sharded)->global_corpus(), &mc.corpus);
 }
 
 TEST(ShardedCorpusTest, OneDeviceTopologyAliasesTheCorpus) {
   MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/5, /*relevant=*/2,
                                      /*num_markers=*/1);
-  // One device is the ordinary serving case: its slice would be the whole
-  // corpus in order, so it must BE the corpus — no grammar copies.
+  // One device is the ordinary serving case: it holds the whole corpus in
+  // order and runs it out of the corpus itself — no grammar copies.
   ShardedCorpus::Options opt;
   opt.num_devices = 1;
   opt.replication = 3;  // clamps to 1
   auto sharded = ShardedCorpus::Create(&mc.corpus, opt);
   ASSERT_TRUE(sharded.ok());
-  EXPECT_EQ(&(*sharded)->device_corpus(0), (*sharded)->global_corpus());
+  EXPECT_EQ((*sharded)->global_corpus(), &mc.corpus);
   EXPECT_EQ((*sharded)->replication(), 1u);
   ASSERT_EQ((*sharded)->device_docs(0).size(), 5u);
   for (uint32_t g = 0; g < 5; ++g) {
     EXPECT_EQ((*sharded)->device_docs(0)[g], g);
   }
 
-  // The server serves its single device through that alias.
-  auto server = CorpusServer::Create(&mc.corpus, ServerOptions(1, 1));
+  // The server serves its single device out of the caller's corpus, and
+  // reports the topology's clamped values (0 devices count as 1).
+  CorpusServer::Options server_opt = ServerOptions(0, 3);
+  auto server = CorpusServer::Create(&mc.corpus, server_opt);
   ASSERT_TRUE(server.ok());
-  EXPECT_EQ(&(*server)->sharded_corpus()->device_corpus(0), &mc.corpus);
+  EXPECT_EQ((*server)->sharded_corpus()->global_corpus(), &mc.corpus);
+  EXPECT_EQ((*server)->num_devices(), 1u);
+  EXPECT_EQ((*server)->options().num_devices, 1u);
+  EXPECT_EQ((*server)->options().replication, 1u);
 
-  // Two devices own real slices.
+  // Two devices split the documents round-robin over the same corpus.
   opt.num_devices = 2;
   auto split = ShardedCorpus::Create(&mc.corpus, opt);
   ASSERT_TRUE(split.ok());
-  EXPECT_NE(&(*split)->device_corpus(0), &mc.corpus);
+  EXPECT_EQ((*split)->global_corpus(), &mc.corpus);
+  EXPECT_EQ((*split)->replication(), 2u);
+  EXPECT_EQ((*split)->device_docs(0).size(), 5u);
 }
 
 TEST(ShardedCorpusTest, RouteKeepsPrimaryOnTiesAndFollowsLoad) {
