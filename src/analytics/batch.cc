@@ -243,25 +243,34 @@ RunTiming BatchEngine::ComposeTiming(const std::vector<DocumentRun>& runs,
                                      uint64_t merge_ops) const {
   RunTiming agg;
   agg.documents = 0;  // empty accumulator; Accumulate sums per-run counts
-  for (const DocumentRun& r : runs) agg.Accumulate(r.timing);
+  size_t executed = 0;
+  for (const DocumentRun& r : runs) {
+    agg.Accumulate(r.timing);
+    if (!r.skipped) ++executed;
+  }
 
-  // Two-engine pipeline over the documents in corpus order: uploads
-  // serialize on the PCIe copy engine, everything else serializes on the
-  // compute engine, and document i's compute cannot start before its upload
-  // lands. With nothing uploaded (uncharged PCIe, or every document already
-  // resident) the schedule is the serial sum and nothing is saved: exactly
-  // 0, not the rounding residue of two differently ordered sums.
-  if (agg.upload_seconds > 0) {
-    double copy_done = 0;
+  // Three-engine pipeline over the documents in list order: uploads
+  // serialize on the H2D copy engine, compute (everything but the two
+  // transfers) on the GPU, downloads on the D2H copy engine. Document i
+  // computes once its upload has landed and downloads once its compute has
+  // ended, so document i+1's upload and document i's download both run
+  // under compute. With nothing transferred (uncharged PCIe, the CPU
+  // backend) or fewer than two executing documents there is nothing to
+  // overlap: the saving is exactly 0, not the rounding residue of two
+  // differently ordered sums.
+  if (executed > 1 && agg.upload_seconds + agg.download_seconds > 0) {
+    double h2d_done = 0;
     double compute_done = 0;
+    double d2h_done = 0;
     for (const DocumentRun& r : runs) {
-      copy_done += r.timing.upload_seconds;
-      const double compute_cost = r.timing.init_seconds -
-                                  r.timing.upload_seconds +
-                                  r.timing.traversal_seconds;
-      compute_done = std::max(compute_done, copy_done) + compute_cost;
+      const RunTiming& t = r.timing;
+      h2d_done += t.upload_seconds;
+      const double compute_cost =
+          t.serial_seconds() - t.upload_seconds - t.download_seconds;
+      compute_done = std::max(compute_done, h2d_done) + compute_cost;
+      d2h_done = std::max(d2h_done, compute_done) + t.download_seconds;
     }
-    agg.overlap_saved_seconds = agg.serial_seconds() - compute_done;
+    agg.overlap_saved_seconds = agg.serial_seconds() - d2h_done;
   }
 
   // Corpus merge: per-document tables reduce into the corpus view. Modeled

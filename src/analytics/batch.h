@@ -33,12 +33,15 @@ namespace gtadoc {
 ///      GTadocEngine::Create + Run per document charges them every time.
 ///      Handed residency flags (Create's `resident`, the serving path) go
 ///      further: a document the device already holds loads nothing at all.
-///   2. **Upload/traversal pipelining.** In the cost model, document i+1's
-///      H2D grammar upload (the copy engine) runs under document i's
-///      traversal rounds (the compute engine); uploads serialize on PCIe,
-///      compute serializes on the GPU. Visible only when a run uploads
-///      anything (Options::engine.charge_pcie, and a document not already
-///      resident).
+///   2. **Transfer/compute pipelining.** In the cost model the GPU has two
+///      async copy engines beside its compute engine: document i+1's H2D
+///      grammar upload and document i's D2H result download both run under
+///      compute. Uploads serialize on the H2D engine, compute on the GPU,
+///      downloads on the D2H engine; a document computes after its upload
+///      lands and downloads after its compute ends. Each document drains
+///      its own result tables, so the next document never overwrites one
+///      mid-download. Visible only when a run transfers anything
+///      (Options::engine.charge_pcie) and at least two documents execute.
 ///
 /// Host execution shards documents across `host_workers` ThreadPool workers
 /// (contiguous, deterministic shards), each with a private device context;
@@ -115,10 +118,11 @@ class BatchEngine {
     /// Corpus-level result in global file ids (word counts summed, file
     /// tables keyed by global file id, sequence tables merged).
     AnalyticsResult merged;
-    /// Aggregate timing: phase sums over documents, pipeline overlap in
-    /// overlap_saved_seconds (exactly 0 when nothing uploads), merge reduce
-    /// included in traversal_seconds. total_seconds() is the batch makespan
-    /// on one simulated GPU.
+    /// Aggregate timing: phase sums over documents, transfer time hidden by
+    /// the pipeline in overlap_saved_seconds (exactly 0 when nothing
+    /// transfers or one document executes), merge reduce included in
+    /// traversal_seconds. total_seconds() is the batch makespan on one
+    /// simulated GPU.
     RunTiming timing;
     /// Documents handed no plan (0 for Run(task)).
     uint32_t documents_skipped = 0;
@@ -207,7 +211,8 @@ class BatchEngine {
                   uint64_t* mid_run_growths) const;
 
   /// Composes per-document timings (document order) into the single-GPU
-  /// pipeline schedule and charges the corpus merge.
+  /// three-engine (H2D, compute, D2H) schedule and charges the corpus
+  /// merge.
   RunTiming ComposeTiming(const std::vector<DocumentRun>& runs,
                           uint64_t merge_ops) const;
 

@@ -15,9 +15,10 @@ namespace gtadoc {
 ///
 /// A RunTiming can also describe an aggregate over a batch of documents
 /// (`documents` > 1): the phase fields then hold per-document sums, and
-/// `overlap_saved_seconds` holds the time the batch pipeline hides by
-/// running document i+1's H2D grammar upload under document i's traversal
-/// rounds, so `total_seconds()` is the pipeline makespan rather than the
+/// `overlap_saved_seconds` holds the transfer time the batch pipeline hides
+/// under other documents' compute — document i+1's H2D grammar upload and
+/// document i's D2H result download both run on copy engines while the GPU
+/// computes — so `total_seconds()` is the pipeline makespan rather than the
 /// serial sum.
 struct RunTiming {
   double init_seconds = 0;       ///< phase 1 (simulated)
@@ -37,11 +38,16 @@ struct RunTiming {
   uint64_t plan_cache_hits = 0;
 
   /// H2D share of init_seconds (the grammar upload). This is the part of
-  /// phase 1 a batch can overlap with the previous document's traversal;
+  /// phase 1 a batch can overlap with the previous document's compute;
   /// zero when the dataset is modeled as GPU-resident (charge_pcie off).
   double upload_seconds = 0;
-  /// Init time hidden under earlier documents' traversal by the batch
-  /// pipeline. Zero for single runs.
+  /// D2H share of traversal_seconds (draining the result tables to the
+  /// host). The part of phase 2 a batch can overlap with the next
+  /// document's compute; zero when transfers are not charged (charge_pcie
+  /// off).
+  double download_seconds = 0;
+  /// Transfer time (uploads and downloads) hidden under other documents'
+  /// compute by the batch pipeline. Zero for single runs.
   double overlap_saved_seconds = 0;
   /// Number of documents this timing aggregates (1 for a single run).
   uint32_t documents = 1;
@@ -64,6 +70,7 @@ struct RunTiming {
     plan_seconds += doc.plan_seconds;
     plan_cache_hits += doc.plan_cache_hits;
     upload_seconds += doc.upload_seconds;
+    download_seconds += doc.download_seconds;
     overlap_saved_seconds += doc.overlap_saved_seconds;
     init_ops += doc.init_ops;
     traversal_ops += doc.traversal_ops;

@@ -157,7 +157,8 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     out.batch.mid_run_pool_growths += run->mid_run_pool_growths;
     // Every document this run loaded here is resident once the run has
     // finished it: by its place in the serial document order, which never
-    // lands later than the pipelined schedule, capped at the shard's end.
+    // lands earlier than the pipelined schedule finishes the document,
+    // capped at the shard's end.
     double executed_by = 0.0;
     for (size_t i = 0; i < device_plans[d].size(); ++i) {
       executed_by += run->documents[i].timing.serial_seconds();

@@ -327,7 +327,7 @@ Result<EngineRun> GTadocEngine::Run(const RunPlan& plan) {
 
 Result<EngineRun> GTadocEngine::Execute(const TaskKernel& kernel,
                                         const RunPlan& plan,
-                                        const gpu::DeviceStats& before,
+                                        gpu::DeviceStats before,
                                         bool cache_hit, const Timer& wall) {
   EngineRun run;
   run.result.task = plan.task;
@@ -372,6 +372,8 @@ Result<EngineRun> GTadocEngine::Execute(const TaskKernel& kernel,
   run.timing.plan_seconds = plan_seconds;
   run.timing.plan_cache_hits = cache_hit ? 1 : 0;
   run.timing.upload_seconds = upload_seconds_;
+  run.timing.download_seconds =
+      device_->TransferSeconds(device_->stats().d2h_bytes - before.d2h_bytes);
   run.timing.wall_seconds = wall.ElapsedSeconds();
   run.timing.init_ops = load_ops_ + plan_ops;
   run.timing.traversal_ops =

@@ -57,9 +57,10 @@ namespace gtadoc {
 /// scan — see GrammarLoad), memory-bound computation, planning (or a free
 /// cache hit), pool allocation charges and head/tail initialization; phase 2
 /// (graph traversal) covers the mask-driven traversal rounds, result
-/// reduction and the D2H copy of the final tables. A standalone engine
-/// loads its document at Create/Rebind and reports that load in every Run;
-/// an engine bound to a document its device already holds reports none.
+/// reduction and the D2H copy of the final tables (reported again, alone, as
+/// download_seconds). A standalone engine loads its document at
+/// Create/Rebind and reports that load in every Run; an engine bound to a
+/// document its device already holds reports none.
 class GTadocEngine {
  public:
   /// The per-run query fields (query_words/query_sets/top_k/ngram_len) are
@@ -230,10 +231,11 @@ class GTadocEngine {
       const TaskKernel& kernel, TraversalStrategy strategy_override,
       const PlanShape& shape, const PlanKey& key);
   /// The one executor body behind both Runs. The device clock was reset at
-  /// the run's start and read `before` then; anything charged since is the
-  /// run's planning (none when `plan` was a hit or handed in).
+  /// the run's start and `before` is a snapshot of the device stats then
+  /// (by value: the live stats move as the run charges); anything charged
+  /// since is the run's planning (none when `plan` was a hit or handed in).
   Result<EngineRun> Execute(const TaskKernel& kernel, const RunPlan& plan,
-                            const gpu::DeviceStats& before, bool cache_hit,
+                            gpu::DeviceStats before, bool cache_hit,
                             const Timer& wall);
   /// Sizes the global reduce table from the tighter of the plan's
   /// ExpectedDistinctKeys hint and the driver's structural bound.

@@ -14,7 +14,9 @@ Result<CpuTadocEngine> CpuTadocEngine::Create(const Grammar* g,
                                               const CpuTadocOptions& options) {
   auto index = DocumentIndex::Build(*g);
   if (!index.ok()) return index.status();
-  return Create(g, std::move(*index), options);
+  auto engine = Create(g, std::move(*index), options);
+  if (engine.ok()) engine->charge_dag_walk_ = true;
+  return engine;
 }
 
 Result<CpuTadocEngine> CpuTadocEngine::Create(
@@ -40,18 +42,6 @@ TaskInput CpuTadocEngine::MakeInput() const {
   // CpuTadocOptions IS-A QuerySpec; the flattening rule lives in
   // query_spec.h.
   return MakeTaskInput(options_);
-}
-
-std::vector<uint32_t> CpuTadocEngine::RootFileIds(CpuCostMeter* meter) const {
-  const std::vector<uint32_t>& root = g_->root();
-  std::vector<uint32_t> file_of(root.size(), 0);
-  uint32_t cur = 0;
-  for (size_t i = 0; i < root.size(); ++i) {
-    if (g_->IsSplitter(root[i])) cur = g_->SplitterIndex(root[i]) + 1;
-    file_of[i] = cur;
-  }
-  meter->Charge(root.size());
-  return file_of;
 }
 
 // ---------------------------------------------------------------------------
@@ -220,13 +210,16 @@ Result<EngineRun> CpuTadocEngine::Execute(const TaskKernel& kernel,
   CpuCostMeter traverse_meter(options_.cpu);
 
   // Phase 1: data-structure preparation. Building the DAG view costs one
-  // pass over every rule body plus the aggregation maps.
-  uint64_t init_ops = 0;
-  for (uint32_t r = 0; r < dag().num_rules(); ++r) {
-    init_ops += 2ull * dag().body_size(r);
-    init_ops += dag().children(r).size() + dag().words(r).size();
+  // pass over every rule body plus the aggregation maps — paid by an engine
+  // that built its own index, never by one bound to a prebuilt index.
+  if (charge_dag_walk_) {
+    uint64_t init_ops = 0;
+    for (uint32_t r = 0; r < dag().num_rules(); ++r) {
+      init_ops += 2ull * dag().body_size(r);
+      init_ops += dag().children(r).size() + dag().words(r).size();
+    }
+    init_meter.Charge(init_ops);
   }
-  init_meter.Charge(init_ops);
 
   switch (kernel.shape()) {
     case TraversalShape::kGlobalWeight:

@@ -41,8 +41,9 @@ struct CpuTadocOptions : QuerySpec {
 /// and Run(plan) takes one resolved earlier; the drivers are pure
 /// executors, so repeat same-shape runs skip planning (plan_seconds == 0).
 /// The run is split into the paper's two phases:
-///   - initialization: building the DAG view, the root's file segmentation,
-///     planning (or a free cache hit) and the per-task data structures;
+///   - initialization: building the DAG view (charged only by an engine that
+///     built its own index), planning (or a free cache hit) and the
+///     per-task data structures;
 ///   - graph traversal: weight propagation (top-down) or local-table merging
 ///     (bottom-up) plus final result reduction.
 ///
@@ -57,11 +58,14 @@ struct CpuTadocOptions : QuerySpec {
 class CpuTadocEngine {
  public:
   /// Builds the grammar's DocumentIndex (validating it) and creates the
-  /// engine over it. The DAG walk is counted as phase 1 on every Run.
+  /// engine over it. The DAG walk that built the index is counted as phase 1
+  /// on every Run.
   static Result<CpuTadocEngine> Create(const Grammar* g,
                                        const CpuTadocOptions& options);
   /// Creates the engine over `g`'s prebuilt index (shared: the engine keeps
-  /// a reference, so serving layers build each document's index once).
+  /// a reference, so serving layers build each document's index once). The
+  /// index is already built, so no Run charges the DAG walk — the same rule
+  /// as a GPU engine bound to a resident device grammar.
   static Result<CpuTadocEngine> Create(
       const Grammar* g, std::shared_ptr<const DocumentIndex> index,
       const CpuTadocOptions& options);
@@ -145,9 +149,6 @@ class CpuTadocEngine {
   AnalyticsResult SequenceTask(const TaskKernel& kernel, const RunPlan& plan,
                                CpuCostMeter* meter) const;
 
-  /// Root-body file segmentation: file id of each root position (phase 1).
-  std::vector<uint32_t> RootFileIds(CpuCostMeter* meter) const;
-
   const Grammar* g_;
   std::shared_ptr<const DocumentIndex> index_;
   CpuTadocOptions options_;
@@ -155,6 +156,9 @@ class CpuTadocEngine {
   /// value-type engine stays copyable).
   std::shared_ptr<PlanCache> owned_plan_cache_;
   PlanCache* plan_cache_ = nullptr;
+  /// Whether Runs charge the DAG walk that builds index_ (true only when
+  /// the engine built the index itself).
+  bool charge_dag_walk_ = false;
 };
 
 }  // namespace gtadoc

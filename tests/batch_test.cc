@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "gtadoc/engine.h"
 #include "sequitur/compressor.h"
 #include "sequitur/tokenizer.h"
+#include "serve_util.h"
 #include "tadoc/cpu_engine.h"
 #include "tadoc/parallel_engine.h"
 
@@ -208,8 +210,9 @@ TEST(BatchEngineTest, PoolReuseChargesLessInitThanColdRuns) {
   }
 }
 
-// With PCIe charging on, the pipeline hides upload time under traversal:
-// total < serial sum, and the saving is bounded by the uploads it can hide.
+// With PCIe charging on, the pipeline hides transfer time under compute:
+// total < serial sum, and the saving is bounded by the uploads and
+// downloads it can hide.
 TEST(BatchEngineTest, UploadOverlapShortensMakespan) {
   PartitionedCorpus corpus = MakeCorpus(16, 8, /*tokens=*/12000);
 
@@ -222,13 +225,14 @@ TEST(BatchEngineTest, UploadOverlapShortensMakespan) {
   ASSERT_TRUE(run.ok());
 
   EXPECT_GT(run->timing.upload_seconds, 0.0);
+  EXPECT_GT(run->timing.download_seconds, 0.0);
   EXPECT_GT(run->timing.overlap_saved_seconds, 0.0);
   EXPECT_LT(run->timing.total_seconds(), run->timing.serial_seconds());
   EXPECT_LE(run->timing.overlap_saved_seconds,
-            run->timing.upload_seconds + 1e-12);
+            run->timing.upload_seconds + run->timing.download_seconds + 1e-12);
 }
 
-// A run that uploads nothing hides nothing: the pipeline saves exactly 0,
+// A run that transfers nothing hides nothing: the pipeline saves exactly 0,
 // not the rounding residue of the serial sum minus the schedule.
 TEST(BatchEngineTest, OverlapIsExactlyZeroWhenNothingUploads) {
   PartitionedCorpus corpus = MakeCorpus(16, 8, /*tokens=*/12000);
@@ -241,7 +245,87 @@ TEST(BatchEngineTest, OverlapIsExactlyZeroWhenNothingUploads) {
     auto run = (*engine)->Run(task);
     ASSERT_TRUE(run.ok()) << TaskName(task);
     EXPECT_EQ(run->timing.upload_seconds, 0.0) << TaskName(task);
+    EXPECT_EQ(run->timing.download_seconds, 0.0) << TaskName(task);
     EXPECT_EQ(run->timing.overlap_saved_seconds, 0.0) << TaskName(task);
+  }
+}
+
+// A single executing document has no neighbour to overlap with: with PCIe
+// charged it still transfers, yet saves exactly 0 — whether the batch holds
+// one document or its other documents were handed no plan.
+TEST(BatchEngineTest, OneDocumentBatchSavesExactlyZero) {
+  PartitionedCorpus corpus = MakeCorpus(16, 8, /*tokens=*/12000);
+  BatchEngine::Options opt;
+  opt.engine = GpuOptions();
+  opt.engine.charge_pcie = true;
+  const std::vector<uint32_t> one = {3};
+  auto single = BatchEngine::Create(&corpus, opt, nullptr, &one);
+  ASSERT_TRUE(single.ok());
+  auto full = BatchEngine::Create(&corpus, opt);
+  ASSERT_TRUE(full.ok());
+  for (Task task : AllTasks()) {
+    auto run = (*single)->Run(task);
+    ASSERT_TRUE(run.ok()) << TaskName(task);
+    EXPECT_GT(run->timing.upload_seconds, 0.0) << TaskName(task);
+    EXPECT_GT(run->timing.download_seconds, 0.0) << TaskName(task);
+    EXPECT_EQ(run->timing.overlap_saved_seconds, 0.0) << TaskName(task);
+
+    auto plans = PlanDocuments(corpus, opt.engine, task);
+    ASSERT_TRUE(plans.ok()) << TaskName(task);
+    for (size_t d = 0; d < plans->size(); ++d) {
+      if (d != one[0]) (*plans)[d] = nullptr;
+    }
+    auto masked = (*full)->Run(task, *plans);
+    ASSERT_TRUE(masked.ok()) << TaskName(task);
+    EXPECT_EQ(masked->documents_skipped, corpus.partitions.size() - 1);
+    EXPECT_GT(masked->timing.download_seconds, 0.0) << TaskName(task);
+    EXPECT_EQ(masked->timing.overlap_saved_seconds, 0.0) << TaskName(task);
+  }
+}
+
+// A batch over documents the device already holds uploads nothing, so only
+// downloads overlap: each document's D2H drain runs on the second copy
+// engine under the next document's compute. The makespan is exactly the
+// three-engine schedule recomputed here from the per-document timings, plus
+// the corpus merge.
+TEST(BatchEngineTest, ResidentBatchMakespanIsTheThreeEngineSchedule) {
+  PartitionedCorpus corpus = MakeCorpus(16, 8, /*tokens=*/12000);
+  BatchEngine::Options opt;
+  opt.engine = GpuOptions();
+  opt.engine.charge_pcie = true;
+  const std::vector<uint8_t> resident(corpus.partitions.size(), 1);
+  auto engine = BatchEngine::Create(&corpus, opt, nullptr, nullptr, &resident);
+  ASSERT_TRUE(engine.ok());
+  for (Task task : {Task::kWordCount, Task::kInvertedIndex,
+                    Task::kSequenceCount, Task::kRankedInvertedIndex}) {
+    auto run = (*engine)->Run(task);
+    ASSERT_TRUE(run.ok()) << TaskName(task);
+    EXPECT_EQ(run->timing.upload_seconds, 0.0) << TaskName(task);
+
+    double compute_done = 0;
+    double d2h_done = 0;
+    double documents_serial = 0;
+    for (const BatchEngine::DocumentRun& doc : run->documents) {
+      const RunTiming& t = doc.timing;
+      EXPECT_EQ(t.upload_seconds, 0.0);
+      EXPECT_GT(t.download_seconds, 0.0);
+      EXPECT_LT(t.download_seconds, t.traversal_seconds);
+      compute_done += t.init_seconds + t.traversal_seconds - t.download_seconds;
+      d2h_done = std::max(d2h_done, compute_done) + t.download_seconds;
+      documents_serial += t.init_seconds + t.traversal_seconds;
+    }
+    const double merge_seconds =
+        run->timing.serial_seconds() - documents_serial;
+    EXPECT_GT(merge_seconds, 0.0) << TaskName(task);
+    EXPECT_NEAR(run->timing.total_seconds(), d2h_done + merge_seconds,
+                1e-12 * d2h_done)
+        << TaskName(task);
+    // The last download never hides, so the saving lies strictly between 0
+    // and the downloads.
+    EXPECT_GT(run->timing.overlap_saved_seconds, 0.0) << TaskName(task);
+    EXPECT_LT(run->timing.overlap_saved_seconds,
+              run->timing.download_seconds)
+        << TaskName(task);
   }
 }
 
@@ -393,6 +477,7 @@ TEST(RunTimingTest, AccumulateFoldsAllFields) {
   a.init_seconds = 1.0;
   a.traversal_seconds = 2.0;
   a.upload_seconds = 0.25;
+  a.download_seconds = 0.375;
   a.overlap_saved_seconds = 0.125;
   a.init_ops = 10;
   a.traversal_ops = 20;
@@ -407,6 +492,7 @@ TEST(RunTimingTest, AccumulateFoldsAllFields) {
   EXPECT_DOUBLE_EQ(agg.init_seconds, 2.0);
   EXPECT_DOUBLE_EQ(agg.traversal_seconds, 4.0);
   EXPECT_DOUBLE_EQ(agg.upload_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(agg.download_seconds, 0.75);
   EXPECT_DOUBLE_EQ(agg.overlap_saved_seconds, 0.25);
   EXPECT_EQ(agg.init_ops, 20u);
   EXPECT_EQ(agg.traversal_ops, 40u);

@@ -534,6 +534,40 @@ TEST(DispatchTest, CpuRunsOnShardedServersSkipTheDeviceGroup) {
   EXPECT_TRUE(served->batch.merged.SameAs(gpu_served->batch.merged));
 }
 
+// A CPU lane runs over the server's prebuilt document index, so it charges
+// no phase-1 DAG walk — unlike an engine that builds its own index from the
+// grammar — and does the same traversal work for the same result.
+TEST(DispatchTest, CpuLaneRunsChargeNoDagWalk) {
+  MarkerCorpus mc = MakeDispatchCorpus(4000);
+  auto server = CorpusServer::Create(&mc.corpus, HybridOptions(2));
+  ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
+  CorpusServer::RunOptions force_cpu;
+  force_cpu.backend = CorpusServer::RunBackend::kCpu;
+  CorpusServer::RunRequest request;
+  request.task = Task::kWordCount;
+  auto submitted = tenant->Submit(request, force_cpu);
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_TRUE(submitted->admitted());
+  auto served = submitted->ticket->Await();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->batch.timing.init_ops, 0u);
+
+  const BatchEngine::DocumentRun& doc = served->batch.documents[0];
+  ASSERT_FALSE(doc.skipped);
+  EXPECT_EQ(doc.timing.init_ops, 0u);
+  CpuTadocOptions copt;
+  copt.cpu = gpu::PascalPlatform().cpu;
+  auto engine = CpuTadocEngine::Create(&mc.corpus.partitions[0], copt);
+  ASSERT_TRUE(engine.ok());
+  auto standalone = engine->Run(Task::kWordCount);
+  ASSERT_TRUE(standalone.ok());
+  EXPECT_GT(standalone->timing.init_ops, 0u);
+  EXPECT_EQ(standalone->timing.traversal_ops, doc.timing.traversal_ops);
+  EXPECT_TRUE(standalone->result.SameAs(doc.result));
+}
+
 TEST(DispatchTest, DeviceGroupRefusesCpuWork) {
   MarkerCorpus mc = MakeDispatchCorpus(2000);
   ShardedCorpus::Options sopt;

@@ -759,8 +759,12 @@ TEST(CorpusServerTest, SecondRunOfATaskFindsEveryDocumentResident) {
     }
     EXPECT_EQ(second.upload_seconds, 0.0) << TaskName(task);
     EXPECT_EQ(second.init_ops, 0u) << TaskName(task);
-    // Nothing uploaded, nothing overlapped: exactly 0.
-    EXPECT_EQ(second.overlap_saved_seconds, 0.0) << TaskName(task);
+    // Nothing uploaded: only result downloads hide, each under the next
+    // document's compute, so the saving is bounded by them.
+    EXPECT_GT(second.download_seconds, 0.0) << TaskName(task);
+    EXPECT_GT(second.overlap_saved_seconds, 0.0) << TaskName(task);
+    EXPECT_LE(second.overlap_saved_seconds, second.download_seconds)
+        << TaskName(task);
   }
   EXPECT_GT(uploaded, 0.0);
   EXPECT_EQ((*server)->stats().mid_run_pool_growths, 0u);
