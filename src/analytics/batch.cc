@@ -80,8 +80,8 @@ namespace {
 /// zero drained entries, which is bit-identical to what executing a document
 /// with no matching content would have produced (same code path, empty
 /// input). Costs nothing — skipping is the point.
-Status EmptyDocumentResult(const TaskKernel& kernel, const TaskInput& input,
-                           uint32_t num_files, AnalyticsResult* out) {
+void EmptyDocumentResult(const TaskKernel& kernel, const TaskInput& input,
+                         uint32_t num_files, AnalyticsResult* out) {
   out->task = kernel.task();
   CpuAssembly ops(nullptr);  // uncharged: no device work happened
   switch (kernel.shape()) {
@@ -96,19 +96,64 @@ Status EmptyDocumentResult(const TaskKernel& kernel, const TaskInput& input,
       break;
   }
   kernel.Canonicalize(out);
-  return Status::OK();
+}
+
+/// The corpus merge: folds the batch's documents, in their order, into
+/// `batch->merged` and charges one reduce pass at `ops_per_sec` — a
+/// device-wide pass at sustained throughput, or one CPU thread at its
+/// sustained rate — into its timing. Returns the pass's simulated seconds.
+double MergeDocuments(Task task, double ops_per_sec,
+                      BatchEngine::BatchRun* batch) {
+  batch->merged = AnalyticsResult();
+  batch->merged.task = task;
+  uint64_t merge_ops = 0;
+  for (const BatchEngine::DocumentRun& r : batch->documents) {
+    MergeResult(r.result, r.file_base, &batch->merged, &merge_ops);
+  }
+  FinalizeMergedResult(&batch->merged, &merge_ops);
+  const double merge_seconds = static_cast<double>(merge_ops) / ops_per_sec;
+  batch->timing.traversal_seconds += merge_seconds;
+  batch->timing.traversal_ops += merge_ops;
+  return merge_seconds;
 }
 
 }  // namespace
 
-Status BatchEngine::AssembleSkippedDocument(Task task,
-                                            const GTadocEngine::Options& engine,
-                                            uint32_t num_files,
-                                            AnalyticsResult* out) {
+Result<double> BatchEngine::Gather(Task task,
+                                   const GTadocEngine::Options& engine,
+                                   const PartitionedCorpus& corpus,
+                                   double merge_ops_per_sec, BatchRun* batch) {
   auto kernel_lookup = TaskRegistry::Get(task);
   if (!kernel_lookup.ok()) return kernel_lookup.status();
+  const size_t n = corpus.partitions.size();
+  DocumentRun unexecuted;
+  unexecuted.skipped = true;
+  std::vector<DocumentRun> documents(n, unexecuted);
+  for (DocumentRun& run : batch->documents) {
+    if (run.doc >= n || !documents[run.doc].skipped) {
+      return Status::InvalidArgument("gathered document " +
+                                     std::to_string(run.doc) +
+                                     " is outside the corpus or repeated");
+    }
+    documents[run.doc] = std::move(run);
+  }
+  // Every document no engine ran is assembled here and nowhere else, so the
+  // merge below sees the same inputs, in the same order, as a run that
+  // executed the whole corpus.
   const TaskInput input = GTadocEngine::InputFromOptions(engine);
-  return EmptyDocumentResult(**kernel_lookup, input, num_files, out);
+  batch->documents_skipped = 0;
+  for (uint32_t g = 0; g < n; ++g) {
+    DocumentRun& doc = documents[g];
+    if (!doc.skipped) continue;
+    doc.doc = g;
+    doc.file_base = corpus.file_base[g];
+    EmptyDocumentResult(**kernel_lookup, input,
+                        corpus.partitions[g].num_files(), &doc.result);
+    ++batch->documents_skipped;
+  }
+  batch->documents = std::move(documents);
+  batch->timing.documents = static_cast<uint32_t>(n);
+  return MergeDocuments(task, merge_ops_per_sec, batch);
 }
 
 Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
@@ -116,18 +161,11 @@ Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
                              std::vector<DocumentRun>* runs,
                              uint64_t* mid_run_growths) const {
   GTadocEngine::Options eopt = options_.engine;
-  // A shard without plans to execute must hold NO device state: admission
-  // only reserves budget for contexts that execute something, so allocating
-  // a pre-sized pool here would put more on the device than was reserved.
-  bool shard_executes = false;
-  for (size_t i = lo; i < hi && !shard_executes; ++i) {
-    shard_executes = plans == nullptr || (*plans)[i] != nullptr;
-  }
   const bool cpu_backend = options_.backend == kCpuPlanBackend;
   std::unique_ptr<gpu::Device> device;
   std::unique_ptr<gpu::MemoryPool> pool;
   uint64_t growth_baseline = 0;
-  if (shard_executes && !cpu_backend) {
+  if (!cpu_backend) {
     // One context for the whole shard: the pool grows to the shard's
     // high-water mark once, the grammar arena is reloaded per document.
     device = std::make_unique<gpu::Device>(eopt.gpu, eopt.host_workers);
@@ -139,15 +177,6 @@ Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
     growth_baseline = pool->growth_count();
     eopt.shared_device = device.get();
     eopt.shared_pool = pool.get();
-  }
-
-  const TaskKernel* kernel = nullptr;
-  TaskInput input;
-  if (plans != nullptr) {
-    auto kernel_lookup = TaskRegistry::Get(task);
-    if (!kernel_lookup.ok()) return kernel_lookup.status();
-    kernel = *kernel_lookup;
-    input = GTadocEngine::InputFromOptions(options_.engine);
   }
 
   // CPU backend: the engine options slice down to the shared QuerySpec plus
@@ -168,18 +197,6 @@ Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
     out.doc = g;
     out.file_base = corpus_->file_base[g];
     const RunPlan* plan = plans != nullptr ? (*plans)[i].get() : nullptr;
-    if (plans != nullptr && plan == nullptr) {
-      // Corpus-level pushdown: provably irrelevant document — no upload,
-      // no plan, no traversal. It still contributes a (trivially empty)
-      // per-document result so the merge path is unchanged.
-      Status st = EmptyDocumentResult(*kernel, input, doc->num_files(),
-                                      &out.result);
-      if (!st.ok()) return st;
-      out.timing = RunTiming();
-      out.skipped = true;
-      if (options_.on_document_complete) options_.on_document_complete(out);
-      continue;
-    }
     // The document's lazily built index, shared with every other run and
     // replica of it.
     auto index = index_->Get(g);
@@ -239,15 +256,10 @@ std::vector<std::pair<size_t, size_t>> BatchEngine::ShardSplit(
   return shards;
 }
 
-RunTiming BatchEngine::ComposeTiming(const std::vector<DocumentRun>& runs,
-                                     uint64_t merge_ops) const {
+RunTiming BatchEngine::ComposeTiming(const std::vector<DocumentRun>& runs) {
   RunTiming agg;
   agg.documents = 0;  // empty accumulator; Accumulate sums per-run counts
-  size_t executed = 0;
-  for (const DocumentRun& r : runs) {
-    agg.Accumulate(r.timing);
-    if (!r.skipped) ++executed;
-  }
+  for (const DocumentRun& r : runs) agg.Accumulate(r.timing);
 
   // Three-engine pipeline over the documents in list order: uploads
   // serialize on the H2D copy engine, compute (everything but the two
@@ -255,10 +267,10 @@ RunTiming BatchEngine::ComposeTiming(const std::vector<DocumentRun>& runs,
   // computes once its upload has landed and downloads once its compute has
   // ended, so document i+1's upload and document i's download both run
   // under compute. With nothing transferred (uncharged PCIe, the CPU
-  // backend) or fewer than two executing documents there is nothing to
-  // overlap: the saving is exactly 0, not the rounding residue of two
-  // differently ordered sums.
-  if (executed > 1 && agg.upload_seconds + agg.download_seconds > 0) {
+  // backend) or fewer than two documents there is nothing to overlap: the
+  // saving is exactly 0, not the rounding residue of two differently
+  // ordered sums.
+  if (runs.size() > 1 && agg.upload_seconds + agg.download_seconds > 0) {
     double h2d_done = 0;
     double compute_done = 0;
     double d2h_done = 0;
@@ -272,17 +284,6 @@ RunTiming BatchEngine::ComposeTiming(const std::vector<DocumentRun>& runs,
     }
     agg.overlap_saved_seconds = agg.serial_seconds() - d2h_done;
   }
-
-  // Corpus merge: per-document tables reduce into the corpus view. Modeled
-  // as one device-wide reduce pass at sustained throughput — or, on the CPU
-  // backend, one thread at its sustained rate (no device exists to spread
-  // the reduce across).
-  const double merge_rate = options_.backend == kCpuPlanBackend
-                                ? options_.cpu.thread_ops_per_sec()
-                                : options_.engine.gpu.device_ops_per_sec();
-  const double merge_seconds = static_cast<double>(merge_ops) / merge_rate;
-  agg.traversal_seconds += merge_seconds;
-  agg.traversal_ops += merge_ops;
   return agg;
 }
 
@@ -299,7 +300,10 @@ Result<BatchEngine::BatchRun> BatchEngine::Run(Task task,
   // the per-context value admission reserved.
   uint64_t presize = 0;
   for (const std::shared_ptr<const RunPlan>& plan : plans) {
-    if (plan == nullptr) continue;
+    if (plan == nullptr) {
+      return Status::InvalidArgument(
+          "plan list has a null entry; list only the documents to execute");
+    }
     if (plan->task != task || plan->key.backend != options_.backend) {
       return Status::InvalidArgument(
           "plan was built for another task or backend");
@@ -343,22 +347,18 @@ Result<BatchEngine::BatchRun> BatchEngine::Execute(Task task,
     }
   }
   for (uint64_t g : shard_growths) batch.mid_run_pool_growths += g;
-  for (const DocumentRun& r : batch.documents) {
-    if (r.skipped) ++batch.documents_skipped;
-  }
 
-  // Merge in corpus order (scheduling-independent). Sharded serving defers
-  // this to its cross-device gather and charges nothing here.
+  // Merge in list order (scheduling-independent). Serving defers this to
+  // Gather and charges nothing here.
   batch.merged.task = task;
-  uint64_t merge_ops = 0;
+  batch.timing = ComposeTiming(batch.documents);
   if (options_.merge_results) {
-    for (const DocumentRun& r : batch.documents) {
-      MergeResult(r.result, r.file_base, &batch.merged, &merge_ops);
-    }
-    FinalizeMergedResult(&batch.merged, &merge_ops);
+    MergeDocuments(task,
+                   options_.backend == kCpuPlanBackend
+                       ? options_.cpu.thread_ops_per_sec()
+                       : options_.engine.gpu.device_ops_per_sec(),
+                   &batch);
   }
-
-  batch.timing = ComposeTiming(batch.documents, merge_ops);
   batch.timing.wall_seconds = wall.ElapsedSeconds();
   return batch;
 }

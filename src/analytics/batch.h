@@ -22,8 +22,9 @@ namespace gtadoc {
 /// amortizes the per-document fixed costs across a corpus. BatchEngine runs
 /// one task over documents of a PartitionedCorpus (each partition = one
 /// document, all sharing one dictionary) — all of them, or the global
-/// document ids it was created with (a device's share of a sharded corpus)
-/// — and exploits two batch effects the single-document engine cannot:
+/// document ids it was created with (the documents a run routed to one
+/// device, or a CPU lane's executed ones) — and executes every document it
+/// lists. It exploits two batch effects the single-document engine cannot:
 ///
 ///   1. **Device-state reuse.** Each worker context keeps one gpu::MemoryPool
 ///      and one device-grammar arena, recycled across its documents
@@ -84,18 +85,17 @@ class BatchEngine {
     /// capped at hardware concurrency). Affects wall clock only.
     size_t host_workers = 1;
     /// Merge per-document results into BatchRun::merged (and charge the
-    /// merge reduce pass). Sharded serving turns this off for shard-local
-    /// runs: the device group gathers per-document results and performs
-    /// the ONE corpus-order merge itself, so a shard-local merge would be
-    /// duplicate work the timing must not charge. When false, `merged`
-    /// carries only the task tag.
+    /// merge reduce pass). Serving turns this off: device shards and CPU
+    /// lanes hand their runs to Gather, which performs the ONE corpus-order
+    /// merge over executed and skipped documents alike, so a batch-local
+    /// merge would be duplicate work the timing must not charge. When
+    /// false, `merged` carries only the task tag.
     bool merge_results = true;
-    /// Invoked once per finished document — skipped ones included
-    /// (DocumentRun::skipped distinguishes) — as soon as its DocumentRun is
-    /// final, before the batch completes. Serving layers use it for live
-    /// progress counters. Called from shard worker threads concurrently, so
-    /// the callback must be thread-safe; the reference is only valid for
-    /// the duration of the call. Null: no notifications.
+    /// Invoked once per document as soon as its DocumentRun is final,
+    /// before the batch completes. Serving layers use it for live progress
+    /// counters. Called from shard worker threads concurrently, so the
+    /// callback must be thread-safe; the reference is only valid for the
+    /// duration of the call. Null: no notifications.
     std::function<void(const DocumentRun&)> on_document_complete;
   };
 
@@ -105,10 +105,10 @@ class BatchEngine {
     uint32_t file_base = 0;  ///< global file id of the document's file 0
     AnalyticsResult result;  ///< document-local file ids
     RunTiming timing;
-    /// True when the caller's plan list held no plan for the document (e.g.
-    /// the CorpusServer's root-Bloom pushdown): no upload, no plan, no
-    /// traversal — `result` is the kernel's assembly of zero drained
-    /// entries and `timing` is all zeros.
+    /// True when no engine ran the document (the CorpusServer's root-Bloom
+    /// pushdown): Gather assembled it — `result` is the kernel's assembly of
+    /// zero drained entries and `timing` is all zeros. Never set on a
+    /// BatchEngine run, which executes every document it lists.
     bool skipped = false;
   };
 
@@ -124,7 +124,7 @@ class BatchEngine {
     /// traversal_seconds. total_seconds() is the batch makespan on one
     /// simulated GPU.
     RunTiming timing;
-    /// Documents handed no plan (0 for Run(task)).
+    /// Documents Gather assembled empty (0 for BatchEngine runs).
     uint32_t documents_skipped = 0;
     /// Shared-context pool growths charged AFTER the pre-size to the handed
     /// plans' footprint, i.e. while documents were executing. A serving
@@ -159,14 +159,12 @@ class BatchEngine {
   Result<BatchRun> Run(Task task);
 
   /// Like Run, but each document executes its entry of `plans` (a serving
-  /// probe's) with no planner or cache call. A null entry skips the
-  /// document: its DocumentRun is the kernel's assembly of zero entries at
-  /// zero cost, so the merge matches Run(task) whenever only documents that
-  /// could not have produced output are skipped (the root-Bloom guarantee).
-  /// Executing contexts' pools are pre-sized to the largest handed
-  /// total_slots first, so none grows mid-run. `plans` is positional over
-  /// the engine's documents. InvalidArgument on a list of the wrong size,
-  /// or a plan for another task, backend or grammar.
+  /// probe's) with no planner or cache call. Every context's pool is
+  /// pre-sized to the largest handed total_slots first, so none grows
+  /// mid-run. `plans` is positional over the engine's documents; a caller
+  /// that skips documents lists only the executed ones (and leaves the
+  /// rest to Gather). InvalidArgument on a list of the wrong size, a null
+  /// entry, or a plan for another task, backend or grammar.
   Result<BatchRun> Run(Task task, const PlanList& plans);
 
   /// The deterministic contiguous shard split Run uses over `n` documents:
@@ -178,15 +176,19 @@ class BatchEngine {
   static std::vector<std::pair<size_t, size_t>> ShardSplit(size_t n,
                                                            size_t workers);
 
-  /// Assembles the result a skipped document contributes — the kernel's own
-  /// assembly of zero drained entries, bit-identical to executing a document
-  /// with no matching content, at zero simulated cost. Exposed for gather
-  /// paths (sharded serving) that must fill in documents no device
-  /// executed; plan-list Runs use the same assembly internally.
-  static Status AssembleSkippedDocument(Task task,
-                                        const GTadocEngine::Options& engine,
-                                        uint32_t num_files,
-                                        AnalyticsResult* out);
+  /// The corpus-order gather every served run ends in, on either backend.
+  /// On entry `batch` holds the executed documents' runs (each at most
+  /// once, any order) and their composed timing. Gather assembles every
+  /// other document of `corpus` empty — the kernel's own assembly of zero
+  /// drained entries, bit-identical to executing a document with no
+  /// matching content, at zero simulated cost — and marks it skipped. It
+  /// then lays all documents out in corpus order, counts documents_skipped,
+  /// sets timing.documents to the corpus size, and performs the ONE merge,
+  /// charged at `merge_ops_per_sec` into timing. Returns the merge's
+  /// simulated seconds (the gather tail).
+  static Result<double> Gather(Task task, const GTadocEngine::Options& engine,
+                               const PartitionedCorpus& corpus,
+                               double merge_ops_per_sec, BatchRun* batch);
 
   size_t num_documents() const { return docs_.size(); }
   uint32_t total_files() const { return corpus_->total_files; }
@@ -200,21 +202,16 @@ class BatchEngine {
   /// is a validated plan list whose largest total_slots is `presize`.
   Result<BatchRun> Execute(Task task, const PlanList* plans, uint64_t presize);
   /// Runs list positions [lo, hi) on one worker's device context, writing
-  /// into (*runs)[lo..hi); documents with a null plan (`plans` null =
-  /// resolve every plan) get empty assembled results without touching the
-  /// device.
-  /// An executing context's pool is pre-sized to `presize` slots;
-  /// `*mid_run_growths` receives its growths after that. Returns the first
-  /// failure.
+  /// into (*runs)[lo..hi) (`plans` null = resolve every plan). The
+  /// context's pool is pre-sized to `presize` slots; `*mid_run_growths`
+  /// receives its growths after that. Returns the first failure.
   Status RunShard(Task task, const PlanList* plans, uint64_t presize, size_t lo,
                   size_t hi, std::vector<DocumentRun>* runs,
                   uint64_t* mid_run_growths) const;
 
   /// Composes per-document timings (document order) into the single-GPU
-  /// three-engine (H2D, compute, D2H) schedule and charges the corpus
-  /// merge.
-  RunTiming ComposeTiming(const std::vector<DocumentRun>& runs,
-                          uint64_t merge_ops) const;
+  /// three-engine (H2D, compute, D2H) schedule.
+  static RunTiming ComposeTiming(const std::vector<DocumentRun>& runs);
 
   const PartitionedCorpus* corpus_;
   Options options_;

@@ -206,8 +206,10 @@ struct RunPlan {
   CostEstimate estimate;
 };
 
-/// One plan per document of a corpus, in corpus order; a null entry marks a
-/// document that does not execute (BatchEngine::Run, DeviceGroup::RunSpec).
+/// A run's plans. In a corpus-wide list (DeviceGroup::RunSpec, a served
+/// run's probe) one per document in corpus order, null where the document
+/// does not execute; handed to BatchEngine::Run, one non-null plan per
+/// listed document.
 using PlanList = std::vector<std::shared_ptr<const RunPlan>>;
 
 /// Structural equality of two plans (the cache-determinism contract: a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/timer.h"
 #include "gtadoc/engine.h"
 #include "tadoc/cpu_engine.h"
 
@@ -270,44 +271,32 @@ void CorpusServer::ShardFootprint(PendingRun* run) {
 
   uint64_t total = 0;
   for (size_t d = 0; d < num_devices; ++d) {
-    if (run->route.device_documents[d] == 0) continue;
-    const std::vector<uint32_t>& docs = sharded_->device_docs(d);
-    auto routed_here = [&](size_t i) {
-      return run->route.doc_device[docs[i]] == d;
-    };
+    const std::vector<uint32_t>& docs = run->route.device_docs[d];
+    if (docs.empty()) continue;
     // Per-device pre-size: the maximum plan footprint over the documents
     // routed HERE — the value this device's BatchEngine pre-sizes its pools
     // to from the same plans, not the corpus-wide maximum.
     uint64_t presize = 0;
-    for (size_t i = 0; i < docs.size(); ++i) {
-      if (!routed_here(i)) continue;
-      const uint64_t slots = run->plans[docs[i]]->total_slots;
+    for (uint32_t g : docs) {
+      const uint64_t slots = run->plans[g]->total_slots;
       presize = std::max(presize, slots);
       run->device_weight[d] += slots > 0 ? static_cast<double>(slots) : 1.0;
     }
-    // One pool per worker context that executes anything (BatchEngine
-    // creates no device state for a context without plans), each pre-sized
-    // to the same value; the split is BatchEngine's own, so admission
-    // prices exactly the contexts execution creates.
-    size_t executing_shards = 0;
-    for (const auto& [lo, hi] :
-         BatchEngine::ShardSplit(docs.size(), options_.host_workers)) {
-      for (size_t i = lo; i < hi; ++i) {
-        if (routed_here(i)) {
-          ++executing_shards;
-          break;
-        }
-      }
-    }
-    run->device_footprint[d] = executing_shards * presize;
+    // One pool per worker context, each pre-sized to the same value; the
+    // device's BatchEngine splits exactly its routed documents with
+    // BatchEngine's own split, so admission prices the contexts execution
+    // creates.
+    const size_t contexts =
+        BatchEngine::ShardSplit(docs.size(), options_.host_workers).size();
+    run->device_footprint[d] = contexts * presize;
     total += run->device_footprint[d];
-    // The pre-sizing allocation call each executing context will pay at
-    // setup, charged to admission so moving the growth out of the run does
-    // not make it free.
+    // The pre-sizing allocation call each context will pay at setup,
+    // charged to admission so moving the growth out of the run does not
+    // make it free.
     if (presize > 0) {
-      run->admission.admission_seconds +=
-          static_cast<double>(executing_shards) *
-          options_.engine.gpu.device_alloc_us * 1e-6;
+      run->admission.admission_seconds += static_cast<double>(contexts) *
+                                          options_.engine.gpu.device_alloc_us *
+                                          1e-6;
     }
   }
   // footprint_slots stays the run's TOTAL reservation (what tenant quotas
@@ -485,26 +474,43 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
 }
 
 Result<BatchEngine::BatchRun> CorpusServer::Execute(const PendingRun& run) {
-  // The sequential CPU TADOC baseline per document — no device, no pool, no
-  // pre-sizing; bit-identical results through the same merge path.
-  BatchEngine::Options bopt;
-  bopt.engine = run.engine;
-  bopt.backend = kCpuPlanBackend;
-  bopt.cpu = options_.cpu;
-  bopt.host_workers = options_.host_workers;
-  // Live progress: document counters tick as shard workers finish each
-  // document, not when the whole batch returns.
-  bopt.on_document_complete = [this](const BatchEngine::DocumentRun& doc) {
-    std::lock_guard<std::mutex> lock(progress_mu_);
-    if (doc.skipped) {
-      ++stats_.documents_skipped;
-    } else {
+  Timer wall;
+  // The sequential CPU TADOC baseline over the executed documents only — no
+  // device, no pool, no pre-sizing; bit-identical results through the same
+  // gather.
+  std::vector<uint32_t> ids;
+  PlanList plans;
+  for (uint32_t g = 0; g < run.plans.size(); ++g) {
+    if (run.plans[g] == nullptr) continue;
+    ids.push_back(g);
+    plans.push_back(run.plans[g]);
+  }
+  BatchEngine::BatchRun batch;
+  batch.timing.documents = 0;  // nothing executed yet
+  if (!ids.empty()) {
+    BatchEngine::Options bopt;
+    bopt.engine = run.engine;
+    bopt.backend = kCpuPlanBackend;
+    bopt.cpu = options_.cpu;
+    bopt.host_workers = options_.host_workers;
+    bopt.merge_results = false;  // Gather merges
+    // Live progress: executed documents tick as shard workers finish them.
+    bopt.on_document_complete = [this](const BatchEngine::DocumentRun&) {
+      std::lock_guard<std::mutex> lock(progress_mu_);
       ++stats_.documents_executed;
-    }
-  };
-  auto engine = BatchEngine::Create(corpus_, bopt, index_.get());
-  if (!engine.ok()) return engine.status();
-  return (*engine)->Run(run.task, run.plans);
+    };
+    auto engine = BatchEngine::Create(corpus_, bopt, index_.get(), &ids);
+    if (!engine.ok()) return engine.status();
+    auto executed = (*engine)->Run(run.task, plans);
+    if (!executed.ok()) return executed.status();
+    batch = std::move(*executed);
+  }
+  // A lane holds no device: the merge runs on one CPU thread.
+  auto gather = BatchEngine::Gather(run.task, run.engine, *corpus_,
+                                    options_.cpu.thread_ops_per_sec(), &batch);
+  if (!gather.ok()) return gather.status();
+  batch.timing.wall_seconds = wall.ElapsedSeconds();
+  return batch;
 }
 
 Result<DeviceGroup::RunResult> CorpusServer::ExecuteOnDevices(
@@ -516,20 +522,12 @@ Result<DeviceGroup::RunResult> CorpusServer::ExecuteOnDevices(
   spec.start_time = start_time;
   spec.plans = run.plans;
   spec.host_workers = options_.host_workers;
-  // Live progress: executed documents tick from the shard workers; skipped
-  // ones are counted once at gather (per-device callbacks would double
-  // count replicas).
+  // Live progress: executed documents tick from the shard workers.
   spec.on_document_executed = [this](const BatchEngine::DocumentRun&) {
     std::lock_guard<std::mutex> lock(progress_mu_);
     ++stats_.documents_executed;
   };
-  auto result = device_group_->Execute(spec);
-  if (!result.ok()) return result;
-  {
-    std::lock_guard<std::mutex> lock(progress_mu_);
-    stats_.documents_skipped += result->batch.documents_skipped;
-  }
-  return result;
+  return device_group_->Execute(spec);
 }
 
 Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
@@ -588,6 +586,7 @@ Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
         served.batch.documents_skipped;
 
     ++stats_.served;
+    stats_.documents_skipped += served.batch.documents_skipped;
     stats_.mid_run_pool_growths += served.batch.mid_run_pool_growths;
     stats_.queue_wait_seconds += decision->queue_wait;
     TenantStats& tstats = stats_.tenants[run.admission.tenant];

@@ -83,7 +83,8 @@ std::vector<uint8_t> BloomExecuteMask(
 /// `ServeUntilIdle` (or `RunTicket::Await`) executes under rolling
 /// admission. Every GPU run goes through the one sharded path — a
 /// ShardedCorpus plus DeviceGroup, one device being the ordinary case — and
-/// every CPU-lane run through one host BatchEngine over the whole corpus.
+/// every CPU-lane run through one host BatchEngine over its executed
+/// documents; both end in the one corpus-order gather (BatchEngine::Gather).
 class CorpusServer {
  public:
   /// Which backend a run executes on. kAuto lets the dispatcher compare the
@@ -126,8 +127,11 @@ class CorpusServer {
     /// options() reports both fields as the ShardedCorpus clamped them.
     size_t replication = 1;
     /// Host worker threads per run's BatchEngine (wall clock only). Each
-    /// worker context holds its own pool, so a run's admission footprint is
-    /// its context count times the per-context maximum plan footprint.
+    /// device splits the documents routed to it (a CPU lane, its executed
+    /// documents) over up to this many worker contexts; each GPU context
+    /// holds its own pool, so a device's admission footprint is its context
+    /// count, BatchEngine::ShardSplit(routed, host_workers).size(), times
+    /// the maximum plan footprint routed there.
     size_t host_workers = 1;
     /// Rolling-admission QoS knobs: aging limit for starvation-free
     /// backfill, and `scheduler.cpu_lanes` — the hybrid-dispatch switch.
@@ -192,10 +196,11 @@ class CorpusServer {
   struct Admission {
     uint64_t ticket = 0;  ///< unique, ascending in submission order
     /// The run's full device pool footprint in slots, summed over devices:
-    /// each device's executing worker contexts times the maximum
-    /// RunPlan::total_slots over the documents routed there. Each device's
-    /// share is what admission reserves against that device's budget, and
-    /// the per-device maximum is what its context pools are pre-sized to.
+    /// each device's worker contexts (its routed documents split over
+    /// host_workers) times the maximum RunPlan::total_slots over the
+    /// documents routed there. Each device's share is what admission
+    /// reserves against that device's budget, and the per-device maximum
+    /// is what its context pools are pre-sized to.
     /// A run that executes zero documents (fully Bloom-masked, or an empty
     /// query on a selective task) has footprint 0 and is served without
     /// reserving any budget — and without charging any pre-sizing
@@ -381,7 +386,10 @@ class CorpusServer {
     /// device group; per-device peaks live in devices[d].peak_admitted_slots,
     /// each bounded by the per-device budget (the admission invariant).
     uint64_t peak_admitted_slots = 0;
+    /// Documents served runs skipped, counted once per run from its
+    /// gathered batch (either backend).
     uint64_t documents_skipped = 0;
+    /// Documents served runs executed, ticking live as each finishes.
     uint64_t documents_executed = 0;
     /// Pool growths charged while served documents were executing, summed
     /// over every served run. Stays 0: admission pre-sizes every context.
@@ -486,12 +494,14 @@ class CorpusServer {
   Status ProbeCpuPlans(PendingRun* run, PlanList* plans);
   /// Prices a GPU-dispatched run from its plans: routes it (least-loaded
   /// replica selection over the standing per-device load), then prices
-  /// each device as its executing contexts times the maximum total_slots
-  /// routed there, plus the pre-sizing allocation charge.
+  /// each device as the worker contexts its routed documents split into
+  /// times the maximum total_slots routed there, plus the pre-sizing
+  /// allocation charge.
   void ShardFootprint(PendingRun* run);
-  /// CPU-lane execution: one host BatchEngine over the whole corpus running
-  /// the run's plans (a lane holds no device, so there is nothing to
-  /// scatter to).
+  /// CPU-lane execution: one host BatchEngine over the run's executed
+  /// documents (none: no engine at all), then the shared gather, its merge
+  /// charged at the lane's CPU rate (a lane holds no device, so there is
+  /// nothing to scatter to).
   Result<BatchEngine::BatchRun> Execute(const PendingRun& run);
   /// GPU execution: scatters the run's plans over the device group along
   /// its RoutePlan and gathers the global batch. `start_time` is the run's

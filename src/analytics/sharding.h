@@ -22,19 +22,15 @@ namespace gtadoc {
 /// loaded, at the cost of R grammar copies of (simulated) device memory.
 ///
 /// The topology is placement metadata only: each device's documents are a
-/// list of global document ids (device_docs), and its BatchEngine runs them
-/// straight out of the global corpus — no grammar is copied on the host. A
-/// per-device DocumentRun therefore carries its global id and file base and
-/// comes back gather-ready: the cross-device merge is the same
-/// MergeResult-in-corpus-order pass a single-device batch performs, which is
-/// what keeps sharded results bit-identical to a one-device serial run under
-/// every shard count and replication factor.
+/// list of global document ids (device_docs), and its BatchEngine runs the
+/// ones a route sends it straight out of the global corpus — no grammar is
+/// copied on the host. A per-device DocumentRun therefore carries its global
+/// id and file base and comes back gather-ready: the cross-device merge is
+/// the same MergeResult-in-corpus-order pass a single-device batch performs,
+/// which is what keeps sharded results bit-identical to a one-device serial
+/// run under every shard count and replication factor.
 class ShardedCorpus {
  public:
-  /// Route() verdict for a document no device executes (root-Bloom skipped
-  /// or masked out): assembled empty at gather time, routed nowhere.
-  static constexpr uint32_t kUnrouted = ~0u;
-
   /// Create clamps both fields; num_devices() and replication() report the
   /// values in effect.
   struct Options {
@@ -44,15 +40,14 @@ class ShardedCorpus {
     size_t replication = 1;
   };
 
-  /// One run's scatter decision: which device executes each document.
+  /// One run's scatter decision: which documents each device executes.
   struct RoutePlan {
-    /// Global document -> executing device, or kUnrouted when skipped
-    /// (replicas not chosen for this run execute nothing, exactly like
-    /// Bloom-skipped documents).
-    std::vector<uint32_t> doc_device;
-    /// Documents executed per device; a device at 0 receives NO work at
-    /// all — no engine, no upload, no plan, no traversal.
-    std::vector<uint32_t> device_documents;
+    /// Per device, the global ids of the documents routed there, ascending.
+    /// A device with an empty list receives NO work at all — no engine, no
+    /// upload, no plan, no traversal. A document in no list (root-Bloom
+    /// skipped or masked out) reaches no engine and is assembled empty at
+    /// the gather; replicas the route did not choose never see the run.
+    std::vector<std::vector<uint32_t>> device_docs;
   };
 
   /// The corpus must outlive the sharded view (every device runs its
@@ -97,14 +92,14 @@ class ShardedCorpus {
 /// \brief Scatter/gather executor over a ShardedCorpus — the N-GPU
 /// counterpart of one BatchEngine run.
 ///
-/// Execute() runs a BatchEngine over device_docs(d) on every device d the
-/// RoutePlan sends work to (devices routed zero documents are never touched
-/// — the per-device counters witness it), with a plan for exactly the
-/// documents routed there. It then gathers: each executed document's run is
-/// taken from the device the route chose, skipped documents are assembled
-/// empty, and ONE corpus-order merge produces the global result — the same
-/// merge a single-device batch performs, on identical inputs, so the merged
-/// view is bit-identical to the unsharded run.
+/// Execute() runs a BatchEngine over exactly the documents the RoutePlan
+/// sends to each device (devices routed zero documents are never touched —
+/// the per-device counters witness it), one plan per routed document. It
+/// then gathers through BatchEngine::Gather: each executed document's run
+/// comes from the one device that ran it, Gather assembles the skipped
+/// documents empty, and ONE corpus-order merge produces the global result —
+/// the same merge a single-device batch performs, on identical inputs, so
+/// the merged view is bit-identical to the unsharded run.
 ///
 /// On the simulated timeline the device pipelines overlap (they are separate
 /// GPUs): the run's duration is the slowest device's shard plus the gather
@@ -140,11 +135,13 @@ class DeviceGroup {
     /// backend check refuses CPU plans before its device executes, so a
     /// dispatch bug cannot charge CPU work to device counters.
     PlanList plans;
-    /// Forwarded to each device's BatchEngine.
+    /// Forwarded to each device's BatchEngine, which splits the device's
+    /// routed documents over that many worker contexts.
     size_t host_workers = 1;
-    /// Invoked once per EXECUTED document (never for masked replicas or
-    /// skipped documents — those would double-count across devices). Must
-    /// be thread-safe; may be null.
+    /// Forwarded to each device's BatchEngine: invoked once per executed
+    /// document, on the device that ran it (devices run only their routed
+    /// documents, so no document is reported twice). Must be thread-safe;
+    /// may be null.
     std::function<void(const BatchEngine::DocumentRun&)> on_document_executed;
   };
 
@@ -195,8 +192,8 @@ class DeviceGroup {
   const ShardedCorpus* corpus_;
   const CorpusIndex* index_;
   std::vector<DeviceCounters> counters_;
-  /// Per device, per position in its device_docs: the simulated time the
-  /// document's earliest load there finished; infinity until it loads.
+  /// Per device, per global document id: the simulated time the document's
+  /// earliest load there finished; infinity until it loads.
   std::vector<std::vector<double>> resident_since_;
 };
 

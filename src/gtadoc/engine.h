@@ -166,9 +166,9 @@ class GTadocEngine {
 
   /// The per-run TaskInput `options` describe (query_sets flattened into the
   /// effective accept set) — the exact input every kernel hook of a Run built
-  /// from `options` receives. Exposed so serving layers (batch skip paths,
-  /// the CorpusServer's Bloom pushdown) evaluate kernels against precisely
-  /// the input the engines would use, with no risk of drift.
+  /// from `options` receives. Exposed so serving layers (the gather's empty
+  /// assembly, the CorpusServer's Bloom pushdown) evaluate kernels against
+  /// precisely the input the engines would use, with no risk of drift.
   static TaskInput InputFromOptions(const Options& options);
 
   /// Re-targets the engine at another document without rebuilding the device

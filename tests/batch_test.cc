@@ -252,7 +252,7 @@ TEST(BatchEngineTest, OverlapIsExactlyZeroWhenNothingUploads) {
 
 // A single executing document has no neighbour to overlap with: with PCIe
 // charged it still transfers, yet saves exactly 0 — whether the batch holds
-// one document or its other documents were handed no plan.
+// one document or its other documents were skipped and gathered empty.
 TEST(BatchEngineTest, OneDocumentBatchSavesExactlyZero) {
   PartitionedCorpus corpus = MakeCorpus(16, 8, /*tokens=*/12000);
   BatchEngine::Options opt;
@@ -261,8 +261,8 @@ TEST(BatchEngineTest, OneDocumentBatchSavesExactlyZero) {
   const std::vector<uint32_t> one = {3};
   auto single = BatchEngine::Create(&corpus, opt, nullptr, &one);
   ASSERT_TRUE(single.ok());
-  auto full = BatchEngine::Create(&corpus, opt);
-  ASSERT_TRUE(full.ok());
+  std::vector<uint8_t> mask(corpus.partitions.size(), 0);
+  mask[one[0]] = 1;
   for (Task task : AllTasks()) {
     auto run = (*single)->Run(task);
     ASSERT_TRUE(run.ok()) << TaskName(task);
@@ -270,12 +270,7 @@ TEST(BatchEngineTest, OneDocumentBatchSavesExactlyZero) {
     EXPECT_GT(run->timing.download_seconds, 0.0) << TaskName(task);
     EXPECT_EQ(run->timing.overlap_saved_seconds, 0.0) << TaskName(task);
 
-    auto plans = PlanDocuments(corpus, opt.engine, task);
-    ASSERT_TRUE(plans.ok()) << TaskName(task);
-    for (size_t d = 0; d < plans->size(); ++d) {
-      if (d != one[0]) (*plans)[d] = nullptr;
-    }
-    auto masked = (*full)->Run(task, *plans);
+    auto masked = SerialGatheredRun(corpus, opt.engine, task, mask);
     ASSERT_TRUE(masked.ok()) << TaskName(task);
     EXPECT_EQ(masked->documents_skipped, corpus.partitions.size() - 1);
     EXPECT_GT(masked->timing.download_seconds, 0.0) << TaskName(task);
@@ -420,6 +415,23 @@ TEST(BatchEngineTest, RunsTheDocumentIdsItWasGiven) {
                   .IsInvalidArgument());
   const std::vector<uint8_t> flags(corpus.partitions.size(), 0);
   EXPECT_TRUE(BatchEngine::Create(&corpus, opt, nullptr, &ids, &flags)
+                  .status()
+                  .IsInvalidArgument());
+
+  // The gather places each run by its global id: a repeated document or one
+  // outside the corpus is refused.
+  auto subset = (*subset_engine)->Run(Task::kWordCount);
+  ASSERT_TRUE(subset.ok());
+  BatchEngine::BatchRun repeated = *subset;
+  repeated.documents.push_back(repeated.documents[0]);
+  EXPECT_TRUE(BatchEngine::Gather(Task::kWordCount, opt.engine, corpus, 1.0,
+                                  &repeated)
+                  .status()
+                  .IsInvalidArgument());
+  BatchEngine::BatchRun outside_run = *subset;
+  outside_run.documents[0].doc = static_cast<uint32_t>(corpus.partitions.size());
+  EXPECT_TRUE(BatchEngine::Gather(Task::kWordCount, opt.engine, corpus, 1.0,
+                                  &outside_run)
                   .status()
                   .IsInvalidArgument());
 }

@@ -568,6 +568,91 @@ TEST(DispatchTest, CpuLaneRunsChargeNoDagWalk) {
   EXPECT_TRUE(standalone->result.SameAs(doc.result));
 }
 
+// A CPU lane runs only its executed documents and ends in the shared
+// gather: the served timing is exactly those documents' CPU timings plus
+// one merge over the whole corpus at the lane's thread rate. A run that
+// executes nothing is the merge alone. Skips are counted once per run on
+// both backends.
+TEST(DispatchTest, CpuLaneGatherChargesTheMergeAtTheThreadRate) {
+  MarkerCorpus mc = MakeDispatchCorpus(4000);
+  const size_t n = mc.corpus.partitions.size();
+  const CorpusServer::Options options = HybridOptions(2);
+  auto server = CorpusServer::Create(&mc.corpus, options);
+  ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
+
+  CorpusServer::RunRequest keyword;
+  keyword.task = Task::kKeywordSearch;
+  keyword.query_words = {mc.markers[0]};
+  CorpusServer::RunRequest nothing;  // empty query: every document skips
+  nothing.task = Task::kKeywordSearch;
+  uint64_t admitted_skips = 0;
+  for (const CorpusServer::RunRequest& request : {keyword, nothing}) {
+    CorpusServer::RunOptions force_cpu;
+    force_cpu.backend = CorpusServer::RunBackend::kCpu;
+    auto submitted = tenant->Submit(request, force_cpu);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    ASSERT_TRUE(submitted->admitted());
+    admitted_skips += submitted->admission->documents_skipped;
+    auto served = submitted->ticket->Await();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served->admission.backend, CorpusServer::RunBackend::kCpu);
+    const BatchEngine::BatchRun& batch = served->batch;
+
+    RunTiming expected;
+    expected.documents = 0;
+    AnalyticsResult merged;
+    merged.task = request.task;
+    uint64_t merge_ops = 0;
+    uint32_t executed = 0;
+    for (const BatchEngine::DocumentRun& doc : batch.documents) {
+      if (!doc.skipped) {
+        expected.Accumulate(doc.timing);
+        ++executed;
+      }
+      MergeResult(doc.result, doc.file_base, &merged, &merge_ops);
+    }
+    FinalizeMergedResult(&merged, &merge_ops);
+    EXPECT_EQ(executed, served->admission.documents_to_execute);
+    EXPECT_EQ(batch.documents_skipped, served->admission.documents_skipped);
+    expected.traversal_seconds +=
+        static_cast<double>(merge_ops) / options.cpu.thread_ops_per_sec();
+    expected.traversal_ops += merge_ops;
+    expected.documents = static_cast<uint32_t>(n);
+
+    const RunTiming& t = batch.timing;
+    EXPECT_EQ(t.init_seconds, expected.init_seconds);
+    EXPECT_EQ(t.traversal_seconds, expected.traversal_seconds);
+    EXPECT_EQ(t.init_ops, expected.init_ops);
+    EXPECT_EQ(t.traversal_ops, expected.traversal_ops);
+    EXPECT_EQ(t.plan_seconds, expected.plan_seconds);
+    EXPECT_EQ(t.plan_cache_hits, expected.plan_cache_hits);
+    EXPECT_EQ(t.upload_seconds, expected.upload_seconds);
+    EXPECT_EQ(t.download_seconds, expected.download_seconds);
+    EXPECT_EQ(t.overlap_saved_seconds, expected.overlap_saved_seconds);
+    EXPECT_EQ(t.documents, expected.documents);
+    EXPECT_TRUE(batch.merged.SameAs(merged));
+    EXPECT_EQ(merge_ops > 0, executed > 0);
+    EXPECT_EQ(served->gather_seconds, 0.0);
+    EXPECT_TRUE(served->device_durations.empty());
+  }
+  EXPECT_GT(admitted_skips, 0u);
+
+  // GPU runs count their skips the same way: once per run.
+  for (const CorpusServer::RunRequest& request : {keyword, nothing}) {
+    CorpusServer::RunOptions force_gpu;
+    force_gpu.backend = CorpusServer::RunBackend::kGpu;
+    auto submitted = tenant->Submit(request, force_gpu);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    ASSERT_TRUE(submitted->admitted());
+    admitted_skips += submitted->admission->documents_skipped;
+  }
+  ASSERT_TRUE((*server)->ServeUntilIdle().ok());
+  EXPECT_EQ((*server)->stats().documents_skipped, admitted_skips);
+  EXPECT_EQ((*server)->stats().documents_executed + admitted_skips, 4 * n);
+}
+
 TEST(DispatchTest, DeviceGroupRefusesCpuWork) {
   MarkerCorpus mc = MakeDispatchCorpus(2000);
   ShardedCorpus::Options sopt;

@@ -373,7 +373,9 @@ TEST(DocumentIndexServingTest, ReplicasShareOneEntryPerGlobalDocument) {
   std::vector<BatchEngine::BatchRun> runs;
   for (const std::vector<double>& load : loads) {
     const ShardedCorpus::RoutePlan route = (*sharded)->Route(all, {}, load);
-    for (uint32_t g = 0; g < n; ++g) ran_on[g][route.doc_device[g]] = 1;
+    for (uint32_t d = 0; d < route.device_docs.size(); ++d) {
+      for (uint32_t g : route.device_docs[d]) ran_on[g][d] = 1;
+    }
     DeviceGroup::RunSpec spec;
     spec.task = Task::kInvertedIndex;
     spec.engine = GpuOptions();

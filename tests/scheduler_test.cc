@@ -520,39 +520,48 @@ TEST(TenantServingTest, ZeroDocumentRunIsServedWithoutReservingBudget) {
 // BatchEngine completion callbacks (the serving layer's live progress).
 // --------------------------------------------------------------------------
 
+// The engine lists only the documents the Bloom mask executes, so the
+// callback fires once for each of them and never for a skipped document;
+// the gather accounts for the rest.
 TEST(BatchCallbackTest, OnDocumentCompleteFiresOncePerDocument) {
   MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/8, /*relevant=*/3,
                                      /*num_markers=*/2);
   BatchEngine::Options bopt;
   bopt.engine = GpuOptions();
   bopt.engine.query_words = {mc.markers[0], mc.markers[1]};
+  bopt.merge_results = false;
   std::mutex mu;
-  uint32_t executed = 0;
+  std::vector<uint32_t> calls(mc.corpus.partitions.size(), 0);
   uint32_t skipped = 0;
   bopt.on_document_complete = [&](const BatchEngine::DocumentRun& doc) {
     std::lock_guard<std::mutex> lock(mu);
-    if (doc.skipped) {
-      ++skipped;
-    } else {
-      ++executed;
-    }
+    ++calls[doc.doc];
+    if (doc.skipped) ++skipped;
   };
-  auto engine = BatchEngine::Create(&mc.corpus, bopt);
-  ASSERT_TRUE(engine.ok());
   const TaskKernel& kernel = **TaskRegistry::Get(Task::kKeywordSearch);
   TaskInput input;
   input.query_words = bopt.engine.query_words;
   std::vector<uint8_t> mask =
       BloomExecuteMask(DocumentBlooms(mc.corpus), kernel, input);
-  auto plans =
-      PlanDocuments(mc.corpus, bopt.engine, Task::kKeywordSearch, mask);
-  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
-  auto run = (*engine)->Run(Task::kKeywordSearch, *plans);
+  auto executed =
+      PlanExecuted(mc.corpus, bopt.engine, Task::kKeywordSearch, mask);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  auto engine = BatchEngine::Create(&mc.corpus, bopt, nullptr, &executed->ids);
+  ASSERT_TRUE(engine.ok());
+  auto run = (*engine)->Run(Task::kKeywordSearch, executed->plans);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(executed + skipped,
-            static_cast<uint32_t>(mc.corpus.partitions.size()));
-  EXPECT_EQ(skipped, run->documents_skipped);
-  EXPECT_GT(skipped, 0u);
+  EXPECT_EQ(skipped, 0u);
+  for (uint32_t d = 0; d < calls.size(); ++d) {
+    EXPECT_EQ(calls[d], mask[d]) << "doc " << d;
+  }
+  auto gather = BatchEngine::Gather(Task::kKeywordSearch, bopt.engine,
+                                    mc.corpus,
+                                    bopt.engine.gpu.device_ops_per_sec(),
+                                    &*run);
+  ASSERT_TRUE(gather.ok()) << gather.status().ToString();
+  EXPECT_EQ(executed->ids.size() + run->documents_skipped,
+            mc.corpus.partitions.size());
+  EXPECT_GT(run->documents_skipped, 0u);
 }
 
 }  // namespace

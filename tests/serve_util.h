@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "analytics/batch.h"
 #include "analytics/document_index.h"
 #include "analytics/run_plan.h"
 #include "analytics/server.h"
@@ -100,6 +101,56 @@ inline Result<PlanList> PlanDocuments(
     plans[d] = std::move(*plan);
   }
   return plans;
+}
+
+/// The documents a run executes, as a caller that skips documents hands
+/// them to BatchEngine: the ids `execute` (empty = all) keeps, ascending,
+/// and each one's plan (PlanDocuments' arguments).
+struct ExecutedPlans {
+  std::vector<uint32_t> ids;
+  PlanList plans;
+};
+
+inline Result<ExecutedPlans> PlanExecuted(
+    const PartitionedCorpus& corpus, const GTadocEngine::Options& options,
+    Task task, const std::vector<uint8_t>& execute = {},
+    PlanBackend backend = kGpuPlanBackend,
+    const CorpusIndex* index = nullptr) {
+  auto all = PlanDocuments(corpus, options, task, execute, backend, index);
+  if (!all.ok()) return all.status();
+  ExecutedPlans out;
+  for (uint32_t d = 0; d < all->size(); ++d) {
+    if ((*all)[d] == nullptr) continue;
+    out.ids.push_back(d);
+    out.plans.push_back(std::move((*all)[d]));
+  }
+  return out;
+}
+
+/// The serial one-device reference of a GPU run that executes the
+/// documents `execute` (empty = all) keeps: one BatchEngine over them, then
+/// the shared corpus-order gather at the device's reduce rate.
+inline Result<BatchEngine::BatchRun> SerialGatheredRun(
+    const PartitionedCorpus& corpus, const GTadocEngine::Options& options,
+    Task task, const std::vector<uint8_t>& execute = {}) {
+  auto executed = PlanExecuted(corpus, options, task, execute);
+  if (!executed.ok()) return executed.status();
+  BatchEngine::BatchRun batch;
+  batch.timing.documents = 0;
+  if (!executed->ids.empty()) {
+    BatchEngine::Options bopt;
+    bopt.engine = options;
+    bopt.merge_results = false;
+    auto engine = BatchEngine::Create(&corpus, bopt, nullptr, &executed->ids);
+    if (!engine.ok()) return engine.status();
+    auto run = (*engine)->Run(task, executed->plans);
+    if (!run.ok()) return run.status();
+    batch = std::move(*run);
+  }
+  auto gather = BatchEngine::Gather(task, options, corpus,
+                                    options.gpu.device_ops_per_sec(), &batch);
+  if (!gather.ok()) return gather.status();
+  return batch;
 }
 
 /// The uncompressed reference result of `request` over `corpus` (global

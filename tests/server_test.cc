@@ -552,11 +552,12 @@ TEST(CorpusServerTest, EmptyQuerySkipsEveryDocumentAndStaysCorrect) {
 }
 
 TEST(CorpusServerTest, FullyMaskedShardHoldsNoDeviceState) {
-  // With two worker contexts over 8 documents and a query whose markers
-  // live only in documents 0-3, the second shard [4, 8) is fully masked:
-  // admission must price ONE context (the reservation) and execution must
-  // hold no pool for the masked shard — the two must agree, which is
-  // observable as the multi-shard footprint equalling the single-shard one.
+  // With two host workers over 8 documents and a query whose markers live
+  // only in documents 0-3, the device runs only those 4 routed documents,
+  // split into two worker contexts: admission prices exactly the contexts
+  // execution creates — ShardSplit(routed, 2) of them, each pre-sized to
+  // the one-context footprint — and no masked document is priced or holds
+  // a pool. No context grows mid-run.
   MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/8, /*relevant=*/4,
                                      /*num_markers=*/2);
   CorpusServer::RunRequest req;
@@ -581,13 +582,19 @@ TEST(CorpusServerTest, FullyMaskedShardHoldsNoDeviceState) {
   ASSERT_TRUE(tenant_two.ok());
   auto admitted_two = Admit(*tenant_two, req);
   ASSERT_TRUE(admitted_two.ok()) << admitted_two.status().ToString();
+  const uint32_t routed = admitted_two->admission->documents_to_execute;
+  ASSERT_EQ(routed, 4u);
+  const uint64_t presize = admitted_one->admission->footprint_slots;
+  ASSERT_GT(presize, 0u);
   EXPECT_EQ(admitted_two->admission->footprint_slots,
-            admitted_one->admission->footprint_slots)
-      << "a fully-masked shard must not be priced (or allocated)";
+            BatchEngine::ShardSplit(routed, 2).size() * presize)
+      << "contexts are split over the routed documents only";
 
   auto served = admitted_two->ticket->Await();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_EQ((*server_two)->stats().mid_run_pool_growths, 0u);
+  EXPECT_EQ((*server_two)->stats().peak_admitted_slots,
+            admitted_two->admission->footprint_slots);
 
   BatchEngine::Options bopt;
   bopt.engine = one.engine;
@@ -867,6 +874,28 @@ TEST(BatchMaskTest, MaskSizeMismatchIsInvalidArgument) {
     auto run = (*batch)->Run(Task::kWordCount, PlanList(size));
     EXPECT_FALSE(run.ok()) << size;
     EXPECT_TRUE(run.status().IsInvalidArgument()) << size;
+  }
+}
+
+// A BatchEngine executes every document it lists: a caller that skips
+// documents lists only the executed ones, so a null plan entry is refused
+// on both backends rather than assembled empty.
+TEST(BatchMaskTest, NullPlanEntryIsInvalidArgument) {
+  PartitionedCorpus corpus = MakeCorpus(8, 4);
+  for (PlanBackend backend : {kGpuPlanBackend, kCpuPlanBackend}) {
+    BatchEngine::Options bopt;
+    bopt.engine = GpuOptions();
+    bopt.backend = backend;
+    bopt.cpu = gpu::PascalPlatform().cpu;
+    auto plans =
+        PlanDocuments(corpus, bopt.engine, Task::kWordCount, {}, backend);
+    ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+    (*plans)[2] = nullptr;
+    auto batch = BatchEngine::Create(&corpus, bopt);
+    ASSERT_TRUE(batch.ok());
+    auto run = (*batch)->Run(Task::kWordCount, *plans);
+    EXPECT_TRUE(run.status().IsInvalidArgument())
+        << "backend " << static_cast<int>(backend);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -166,29 +167,22 @@ TEST(ShardedCorpusTest, RouteKeepsPrimaryOnTiesAndFollowsLoad) {
   ASSERT_TRUE(sharded.ok());
 
   // Idle group, unit weights: pure round-robin (ties keep the primary).
+  using Ids = std::vector<uint32_t>;
   ShardedCorpus::RoutePlan balanced = (*sharded)->Route({}, {}, {});
-  EXPECT_EQ(balanced.doc_device[0], 0u);
-  EXPECT_EQ(balanced.doc_device[1], 1u);
-  EXPECT_EQ(balanced.doc_device[2], 0u);
-  EXPECT_EQ(balanced.doc_device[3], 1u);
-  EXPECT_EQ(balanced.device_documents[0], 2u);
-  EXPECT_EQ(balanced.device_documents[1], 2u);
+  ASSERT_EQ(balanced.device_docs.size(), 2u);
+  EXPECT_EQ(balanced.device_docs[0], (Ids{0, 2}));
+  EXPECT_EQ(balanced.device_docs[1], (Ids{1, 3}));
 
   // A heavily loaded device 0 pushes every replicated document to 1.
   ShardedCorpus::RoutePlan drained = (*sharded)->Route({}, {}, {100.0, 0.0});
-  for (uint32_t g = 0; g < 4; ++g) {
-    EXPECT_EQ(drained.doc_device[g], 1u) << "doc " << g;
-  }
+  EXPECT_TRUE(drained.device_docs[0].empty());
+  EXPECT_EQ(drained.device_docs[1], (Ids{0, 1, 2, 3}));
 
   // Masked documents route nowhere.
   ShardedCorpus::RoutePlan masked =
       (*sharded)->Route({1, 0, 0, 0}, {}, {});
-  EXPECT_EQ(masked.doc_device[0], 0u);
-  for (uint32_t g = 1; g < 4; ++g) {
-    EXPECT_EQ(masked.doc_device[g], ShardedCorpus::kUnrouted);
-  }
-  EXPECT_EQ(masked.device_documents[0], 1u);
-  EXPECT_EQ(masked.device_documents[1], 0u);
+  EXPECT_EQ(masked.device_docs[0], (Ids{0}));
+  EXPECT_TRUE(masked.device_docs[1].empty());
 }
 
 // --------------------------------------------------------------------------
@@ -202,24 +196,18 @@ TEST(ShardedServerTest, BitIdenticalToSingleDeviceAcrossShardsAndReplication) {
   const std::vector<CorpusServer::RunRequest> requests = MixedRequests(mc);
 
   // The reference: each request as one serial BatchEngine run over the
-  // same root-Bloom execute mask the server derives.
+  // documents the server's root-Bloom execute mask keeps, gathered.
   std::vector<BatchEngine::BatchRun> baseline;
   uint64_t expected_skipped = 0;
   uint64_t expected_executed = 0;
   for (const auto& request : requests) {
-    BatchEngine::Options bopt;
-    bopt.engine = GpuOptions();
-    static_cast<QuerySpec&>(bopt.engine) =
-        ResolveQueryDefaults(request, bopt.engine);
-    auto batch = BatchEngine::Create(&mc.corpus, bopt);
-    ASSERT_TRUE(batch.ok());
+    GTadocEngine::Options engine = GpuOptions();
+    static_cast<QuerySpec&>(engine) = ResolveQueryDefaults(request, engine);
     const TaskKernel& kernel = **TaskRegistry::Get(request.task);
     const std::vector<uint8_t> mask =
         BloomExecuteMask(DocumentBlooms(mc.corpus), kernel,
-                         GTadocEngine::InputFromOptions(bopt.engine));
-    auto plans = PlanDocuments(mc.corpus, bopt.engine, request.task, mask);
-    ASSERT_TRUE(plans.ok()) << plans.status().ToString();
-    auto run = (*batch)->Run(request.task, *plans);
+                         GTadocEngine::InputFromOptions(engine));
+    auto run = SerialGatheredRun(mc.corpus, engine, request.task, mask);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     expected_skipped += run->documents_skipped;
     expected_executed += run->documents.size() - run->documents_skipped;
@@ -543,7 +531,7 @@ TEST(DeviceGroupTest, ReplicaPaysItsFirstLoadOnceOnItsOwnDevice) {
   for (size_t r = 0; r < loads.size(); ++r) {
     const size_t target = r < 2 ? 0 : 1;
     ShardedCorpus::RoutePlan route = (*sharded)->Route({}, *plans, loads[r]);
-    ASSERT_EQ(route.device_documents[target], 4u) << "run " << r;
+    ASSERT_EQ(route.device_docs[target].size(), 4u) << "run " << r;
     DeviceGroup::RunSpec spec;
     spec.task = Task::kWordCount;
     spec.engine = engine;
@@ -569,6 +557,112 @@ TEST(DeviceGroupTest, ReplicaPaysItsFirstLoadOnceOnItsOwnDevice) {
   EXPECT_EQ(uploads[3], 0.0);
   EXPECT_DOUBLE_EQ(group.counters()[0].upload_seconds, uploads[0]);
   EXPECT_DOUBLE_EQ(group.counters()[1].upload_seconds, uploads[2]);
+}
+
+// Each device runs exactly the documents a route sends it: replicas the
+// route did not choose and Bloom-skipped documents never reach an engine,
+// and the gather assembles each skipped document once.
+TEST(DeviceGroupTest, DevicesRunOnlyTheirRoutedDocuments) {
+  MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/8, /*relevant=*/3,
+                                     /*num_markers=*/2);
+  const size_t n = mc.corpus.partitions.size();
+  ShardedCorpus::Options sopt;
+  sopt.num_devices = 4;
+  sopt.replication = 2;
+  auto sharded = ShardedCorpus::Create(&mc.corpus, sopt);
+  ASSERT_TRUE(sharded.ok());
+  CorpusIndex index(&mc.corpus.partitions);
+  DeviceGroup group(sharded->get(), &index);
+
+  CorpusServer::RunRequest keyword;
+  keyword.task = Task::kKeywordSearch;
+  for (uint32_t m : mc.markers) keyword.query_sets.push_back({m});
+  CorpusServer::RunRequest corpus_wide;
+  corpus_wide.task = Task::kInvertedIndex;
+  uint64_t expected_skipped = 0;
+  for (const CorpusServer::RunRequest& request : {keyword, corpus_wide}) {
+    SCOPED_TRACE(TaskName(request.task));
+    GTadocEngine::Options engine = GpuOptions();
+    static_cast<QuerySpec&>(engine) = ResolveQueryDefaults(request, engine);
+    const TaskKernel& kernel = **TaskRegistry::Get(request.task);
+    const std::vector<uint8_t> mask =
+        BloomExecuteMask(DocumentBlooms(mc.corpus), kernel,
+                         GTadocEngine::InputFromOptions(engine));
+    auto plans = PlanDocuments(mc.corpus, engine, request.task, mask,
+                               kGpuPlanBackend, &index);
+    ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+    // Load on device 0 steers its documents onto their second replica.
+    const ShardedCorpus::RoutePlan route =
+        (*sharded)->Route(mask, *plans, {1e9, 0, 0, 0});
+
+    std::mutex mu;
+    std::vector<uint32_t> calls;
+    DeviceGroup::RunSpec spec;
+    spec.task = request.task;
+    spec.engine = engine;
+    spec.route = &route;
+    spec.plans = *plans;
+    spec.on_document_executed = [&](const BatchEngine::DocumentRun& doc) {
+      std::lock_guard<std::mutex> lock(mu);
+      calls.push_back(doc.doc);
+    };
+    const std::vector<DeviceGroup::DeviceCounters> before = group.counters();
+    auto result = group.Execute(spec);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+    // Devices run serially on the host with one worker each, so the calls
+    // are the routed lists, device by device, and nothing else.
+    std::vector<uint32_t> routed;
+    for (size_t d = 0; d < 4; ++d) {
+      const std::vector<uint32_t>& docs = route.device_docs[d];
+      routed.insert(routed.end(), docs.begin(), docs.end());
+      EXPECT_EQ(group.counters()[d].documents_executed -
+                    before[d].documents_executed,
+                docs.size())
+          << "device " << d;
+    }
+    EXPECT_EQ(calls, routed);
+    uint32_t executes = 0;
+    for (uint8_t e : mask) executes += e;
+    EXPECT_EQ(routed.size(), executes);
+
+    const BatchEngine::BatchRun& batch = result->batch;
+    EXPECT_EQ(batch.documents_skipped, n - executes);
+    EXPECT_EQ(batch.timing.documents, n);
+    ASSERT_EQ(batch.documents.size(), n);
+    for (uint32_t g = 0; g < n; ++g) {
+      EXPECT_EQ(batch.documents[g].doc, g);
+      EXPECT_EQ(batch.documents[g].skipped, mask[g] == 0) << "doc " << g;
+    }
+    expected_skipped += n - executes;
+
+    // Bit-identical to the uncompressed truth and to a serial BatchEngine
+    // run over every document.
+    auto truth = UncompressedTruth(mc.corpus, request, GpuOptions());
+    ASSERT_TRUE(truth.ok());
+    EXPECT_TRUE(batch.merged.SameAs(*truth));
+    BatchEngine::Options bopt;
+    bopt.engine = engine;
+    auto serial_engine = BatchEngine::Create(&mc.corpus, bopt);
+    ASSERT_TRUE(serial_engine.ok());
+    auto serial = (*serial_engine)->Run(request.task);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    EXPECT_TRUE(batch.merged.SameAs(serial->merged));
+    for (uint32_t g = 0; g < n; ++g) {
+      EXPECT_TRUE(batch.documents[g].result.SameAs(serial->documents[g].result))
+          << "doc " << g;
+    }
+  }
+  EXPECT_GT(expected_skipped, 0u);
+
+  // The server counts each skipped document once, from the gathered batch,
+  // however many replicas hold it.
+  auto server = CorpusServer::Create(&mc.corpus, ServerOptions(4, 2));
+  ASSERT_TRUE(server.ok());
+  auto served = SubmitAndServe(server->get(), {keyword, corpus_wide});
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ((*server)->stats().documents_skipped, expected_skipped);
+  EXPECT_EQ((*server)->stats().documents_executed, 2 * n - expected_skipped);
 }
 
 TEST(DeviceGroupTest, DocumentIsResidentOnlyOnceItsLoadHasLanded) {
