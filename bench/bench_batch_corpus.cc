@@ -50,6 +50,7 @@
 #include "analytics/server.h"
 #include "bench_util.h"
 #include "sequitur/compressor.h"
+#include "tadoc/parallel_engine.h"
 
 using namespace gtadoc;
 

@@ -11,6 +11,7 @@
 #include <map>
 
 #include "bench_util.h"
+#include "tadoc/parallel_engine.h"
 
 using namespace gtadoc;
 

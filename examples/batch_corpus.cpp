@@ -11,7 +11,7 @@
 #include "datagen/datagen.h"
 #include "gpu/platform.h"
 #include "gtadoc/engine.h"
-#include "tadoc/parallel_engine.h"
+#include "sequitur/compressor.h"
 
 using namespace gtadoc;
 

@@ -11,7 +11,7 @@
 #include "analytics/results.h"
 #include "common/result.h"
 #include "gtadoc/engine.h"
-#include "tadoc/parallel_engine.h"
+#include "sequitur/compressor.h"
 
 namespace gtadoc {
 
@@ -53,9 +53,9 @@ namespace gtadoc {
 ///
 /// Every DocumentRun carries its global document id and file base. Its
 /// result uses document-local file ids; the merged corpus view offsets them
-/// by the file base (MergeResult), identically to the coarse-grained CPU
-/// baseline (ParallelTadocEngine), so GPU-vs-CPU batch speedups compare
-/// like for like.
+/// by the file base (MergeResult). The coarse-grained CPU baseline
+/// (ParallelTadocEngine) times one CPU-backend batch run, so GPU-vs-CPU
+/// batch speedups compare like for like.
 class BatchEngine {
  public:
   struct DocumentRun;
@@ -72,7 +72,7 @@ class BatchEngine {
     GTadocEngine::Options engine;
     /// Which backend executes each document. kGpuPlanBackend (default) runs
     /// GTadocEngine on the simulated device. kCpuPlanBackend runs the
-    /// sequential CPU TADOC baseline per document instead — no device, no
+    /// sequential CpuTadocEngine per document instead — no device, no
     /// pool, no uploads, `cpu` as the cost model — with bit-identical
     /// results (the ten-task agreement matrix): `engine` still supplies the
     /// query shape and the shared plan cache, whose PlanBackend key keeps

@@ -100,33 +100,19 @@ inline constexpr uint64_t kCpuSeqMapDescentOps = 24;
 ///
 /// CPU engines charge abstract ops through the same discipline as GPU kernels
 /// (roughly one op per memory access / hash step), so the simulated CPU and
-/// GPU times are mutually comparable. Sequential time divides by one core's
-/// throughput; coarse-grained parallel time divides total work across cores
-/// and adds the slowest partition as critical path.
+/// GPU times are mutually comparable. A meter's time is single-threaded: its
+/// ops over one core's throughput. Coarse-grained parallel time is composed
+/// from per-partition ops by ParallelTadocEngine.
 class CpuCostMeter {
  public:
   explicit CpuCostMeter(const gpu::CpuSpec& spec) : spec_(spec) {}
 
   void Charge(uint64_t ops) { ops_ += ops; }
   uint64_t ops() const { return ops_; }
-  void Reset() { ops_ = 0; }
 
   /// Seconds for a single-threaded execution of the charged work.
   double SequentialSeconds() const {
     return static_cast<double>(ops_) / spec_.thread_ops_per_sec();
-  }
-
-  /// Seconds for a coarse-grained parallel execution: `partition_max_ops` is
-  /// the heaviest partition (critical path), `merge_ops` the sequential merge
-  /// tail.
-  double ParallelSeconds(uint64_t partition_max_ops, uint64_t merge_ops) const {
-    const double spread =
-        static_cast<double>(ops_) / spec_.socket_ops_per_sec();
-    const double critical =
-        static_cast<double>(partition_max_ops) / spec_.thread_ops_per_sec();
-    const double merge =
-        static_cast<double>(merge_ops) / spec_.thread_ops_per_sec();
-    return (spread > critical ? spread : critical) + merge;
   }
 
   const gpu::CpuSpec& spec() const { return spec_; }

@@ -18,7 +18,7 @@
 #include "analytics/task_kernel.h"
 #include "common/result.h"
 #include "gpu/memory_pool.h"
-#include "tadoc/parallel_engine.h"
+#include "sequitur/compressor.h"
 
 namespace gtadoc {
 

@@ -8,7 +8,7 @@
 
 #include "analytics/batch.h"
 #include "common/result.h"
-#include "tadoc/parallel_engine.h"
+#include "sequitur/compressor.h"
 
 namespace gtadoc {
 

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "common/result.h"
+#include "sequitur/compressor.h"
 #include "sequitur/tokenizer.h"
-#include "tadoc/parallel_engine.h"
 
 namespace gtadoc {
 

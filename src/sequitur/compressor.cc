@@ -41,6 +41,56 @@ Result<Grammar> CompressCorpus(const Corpus& corpus) {
   return CompressTokens(Tokenize(corpus));
 }
 
+Result<PartitionedCorpus> CorpusFromDocuments(std::vector<Grammar> documents) {
+  if (documents.empty()) return Status::InvalidArgument("no documents");
+  PartitionedCorpus out;
+  uint32_t base = 0;
+  for (Grammar& g : documents) {
+    out.file_base.push_back(base);
+    base += g.num_files();
+    out.partitions.push_back(std::move(g));
+  }
+  out.total_files = base;
+  return out;
+}
+
+Result<PartitionedCorpus> PartitionAndCompress(const Corpus& corpus,
+                                               uint32_t num_partitions) {
+  if (num_partitions == 0) return Status::InvalidArgument("0 partitions");
+  if (corpus.num_files() < num_partitions) {
+    return Status::InvalidArgument("fewer files than partitions");
+  }
+  TokenizedCorpus tokens = Tokenize(corpus);
+
+  // Contiguous split balanced by token count: partition p ends once the
+  // running token total crosses p's share, while leaving at least one file
+  // for every remaining partition.
+  const size_t total = tokens.total_tokens();
+  PartitionedCorpus out;
+  out.total_files = static_cast<uint32_t>(corpus.num_files());
+  size_t file = 0;
+  size_t consumed = 0;
+  for (uint32_t p = 0; p < num_partitions; ++p) {
+    const size_t target = total * (p + 1) / num_partitions;
+    const size_t remaining_parts = num_partitions - p;
+    out.file_base.push_back(static_cast<uint32_t>(file));
+    std::vector<std::vector<uint32_t>> part_files;
+    const bool last = p + 1 == num_partitions;
+    while (file < tokens.file_tokens.size() &&
+           (part_files.empty() || consumed < target || last) &&
+           tokens.file_tokens.size() - file >= remaining_parts) {
+      consumed += tokens.file_tokens[file].size();
+      part_files.push_back(tokens.file_tokens[file]);
+      ++file;
+    }
+    auto g = CompressTokenStreams(part_files,
+                                  static_cast<uint32_t>(tokens.words.size()));
+    if (!g.ok()) return g.status();
+    out.partitions.push_back(std::move(*g));
+  }
+  return out;
+}
+
 Result<std::vector<std::vector<uint32_t>>> ExpandFiles(const Grammar& g) {
   if (g.rules.empty()) return Status::InvalidArgument("grammar has no rules");
 

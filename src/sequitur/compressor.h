@@ -26,6 +26,31 @@ Result<Grammar> CompressTokens(const TokenizedCorpus& tokens);
 Result<Grammar> CompressTokenStreams(
     const std::vector<std::vector<uint32_t>>& file_tokens, uint32_t num_words);
 
+/// \brief A corpus split into independently-compressed partitions (documents)
+/// sharing one dictionary — the unit of [4]'s coarse-grained parallelism ("it
+/// only divides the original file into several sub-files, processes different
+/// files separately, and then follows a merge process"), and the input of
+/// every corpus-level engine.
+///
+/// Partition p owns global files [file_base[p], file_base[p] + nfiles_p).
+struct PartitionedCorpus {
+  std::vector<Grammar> partitions;
+  std::vector<uint32_t> file_base;
+  uint32_t total_files = 0;
+};
+
+/// Splits files into `num_partitions` contiguous groups balanced by token
+/// count and compresses each independently against the corpus's one
+/// dictionary (CompressTokenStreams).
+Result<PartitionedCorpus> PartitionAndCompress(const Corpus& corpus,
+                                               uint32_t num_partitions);
+
+/// Wraps already-compressed documents as a partitioned corpus (file_base =
+/// running file totals). The documents must share one word-id space
+/// (CompressTokenStreams against a common dictionary), so GPU and CPU runs
+/// over the corpus merge like for like.
+Result<PartitionedCorpus> CorpusFromDocuments(std::vector<Grammar> documents);
+
 /// \brief Reconstructs the word-id stream of every file from the grammar.
 ///
 /// This is full decompression — the thing TADOC avoids during analytics — and

@@ -200,6 +200,15 @@ Result<EngineRun> CpuTadocEngine::Run(const RunPlan& plan) const {
   return Execute(**kernel_lookup, plan, no_planning, true, wall);
 }
 
+uint64_t CpuTadocEngine::DagWalkOps(const DagView& dag) {
+  uint64_t ops = 0;
+  for (uint32_t r = 0; r < dag.num_rules(); ++r) {
+    ops += 2ull * dag.body_size(r);
+    ops += dag.children(r).size() + dag.words(r).size();
+  }
+  return ops;
+}
+
 Result<EngineRun> CpuTadocEngine::Execute(const TaskKernel& kernel,
                                           const RunPlan& plan,
                                           const CpuCostMeter& plan_meter,
@@ -209,17 +218,10 @@ Result<EngineRun> CpuTadocEngine::Execute(const TaskKernel& kernel,
   CpuCostMeter init_meter(options_.cpu);
   CpuCostMeter traverse_meter(options_.cpu);
 
-  // Phase 1: data-structure preparation. Building the DAG view costs one
-  // pass over every rule body plus the aggregation maps — paid by an engine
-  // that built its own index, never by one bound to a prebuilt index.
-  if (charge_dag_walk_) {
-    uint64_t init_ops = 0;
-    for (uint32_t r = 0; r < dag().num_rules(); ++r) {
-      init_ops += 2ull * dag().body_size(r);
-      init_ops += dag().children(r).size() + dag().words(r).size();
-    }
-    init_meter.Charge(init_ops);
-  }
+  // Phase 1: data-structure preparation. The DAG walk that builds the view
+  // is paid by an engine that built its own index, never by one bound to a
+  // prebuilt index.
+  if (charge_dag_walk_) init_meter.Charge(DagWalkOps(dag()));
 
   switch (kernel.shape()) {
     case TraversalShape::kGlobalWeight:

@@ -24,9 +24,9 @@ namespace gtadoc {
 struct CpuTadocOptions : QuerySpec {
   gpu::CpuSpec cpu;  ///< cost-model parameters of the host CPU
   TraversalStrategy strategy = TraversalStrategy::kAuto;
-  /// Externally owned plan cache shared across engines (e.g. by the
-  /// partitioned baseline). Must outlive the engine. Null: the engine owns
-  /// a private cache.
+  /// Externally owned plan cache shared across engines (e.g. every document
+  /// engine of a CPU-backend BatchEngine, the partitioned baseline's too).
+  /// Must outlive the engine. Null: the engine owns a private cache.
   PlanCache* plan_cache = nullptr;
 };
 
@@ -95,6 +95,10 @@ class CpuTadocEngine {
       double* probe_seconds = nullptr);
 
   const DagView& dag() const { return index_->dag; }
+  /// The ops of the phase-1 DAG walk that builds `dag`: one pass over every
+  /// rule body plus the aggregation maps. Charged by an engine that built
+  /// its own index, and by the partitioned baseline for each partition.
+  static uint64_t DagWalkOps(const DagView& dag);
   /// The strategy the selector would pick for `task`.
   TraversalStrategy ChosenStrategy(Task task) const;
   /// The engine's plan cache (owned or shared; diagnostics/serving stats).

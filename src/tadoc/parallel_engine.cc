@@ -2,60 +2,10 @@
 
 #include <algorithm>
 
+#include "analytics/batch.h"
 #include "common/timer.h"
-#include "sequitur/compressor.h"
 
 namespace gtadoc {
-
-Result<PartitionedCorpus> CorpusFromDocuments(std::vector<Grammar> documents) {
-  if (documents.empty()) return Status::InvalidArgument("no documents");
-  PartitionedCorpus out;
-  uint32_t base = 0;
-  for (Grammar& g : documents) {
-    out.file_base.push_back(base);
-    base += g.num_files();
-    out.partitions.push_back(std::move(g));
-  }
-  out.total_files = base;
-  return out;
-}
-
-Result<PartitionedCorpus> PartitionAndCompress(const Corpus& corpus,
-                                               uint32_t num_partitions) {
-  if (num_partitions == 0) return Status::InvalidArgument("0 partitions");
-  if (corpus.num_files() < num_partitions) {
-    return Status::InvalidArgument("fewer files than partitions");
-  }
-  TokenizedCorpus tokens = Tokenize(corpus);
-
-  // Contiguous split balanced by token count: partition p ends once the
-  // running token total crosses p's share, while leaving at least one file
-  // for every remaining partition.
-  const size_t total = tokens.total_tokens();
-  PartitionedCorpus out;
-  out.total_files = static_cast<uint32_t>(corpus.num_files());
-  size_t file = 0;
-  size_t consumed = 0;
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    const size_t target = total * (p + 1) / num_partitions;
-    const size_t remaining_parts = num_partitions - p;
-    out.file_base.push_back(static_cast<uint32_t>(file));
-    std::vector<std::vector<uint32_t>> part_files;
-    const bool last = p + 1 == num_partitions;
-    while (file < tokens.file_tokens.size() &&
-           (part_files.empty() || consumed < target || last) &&
-           tokens.file_tokens.size() - file >= remaining_parts) {
-      consumed += tokens.file_tokens[file].size();
-      part_files.push_back(tokens.file_tokens[file]);
-      ++file;
-    }
-    auto g = CompressTokenStreams(part_files,
-                                  static_cast<uint32_t>(tokens.words.size()));
-    if (!g.ok()) return g.status();
-    out.partitions.push_back(std::move(*g));
-  }
-  return out;
-}
 
 Result<ParallelTadocEngine> ParallelTadocEngine::Create(
     const PartitionedCorpus* corpus, const CpuTadocOptions& options) {
@@ -67,27 +17,34 @@ Result<ParallelTadocEngine> ParallelTadocEngine::Create(
 
 Result<ParallelTadocEngine::PartitionOutcome>
 ParallelTadocEngine::RunPartitions(Task task) const {
+  BatchEngine::Options batch_options;
+  static_cast<QuerySpec&>(batch_options.engine) = options_;
+  batch_options.engine.strategy = options_.strategy;
+  batch_options.engine.plan_cache = options_.plan_cache;
+  batch_options.backend = kCpuPlanBackend;
+  batch_options.cpu = options_.cpu;
+  CorpusIndex index(&corpus_->partitions);
+  auto engine = BatchEngine::Create(corpus_, batch_options, &index);
+  if (!engine.ok()) return engine.status();
+  auto batch = (*engine)->Run(task);
+  if (!batch.ok()) return batch.status();
+
   PartitionOutcome o;
-  o.merged.task = task;
-
-  for (size_t p = 0; p < corpus_->partitions.size(); ++p) {
-    auto engine = CpuTadocEngine::Create(&corpus_->partitions[p], options_);
-    if (!engine.ok()) return engine.status();
-    auto run = engine->Run(task);
-    if (!run.ok()) return run.status();
-
-    const uint64_t part_ops = run->timing.traversal_ops;
-    o.total_ops += part_ops;
-    o.max_partition_ops = std::max(o.max_partition_ops, part_ops);
-    o.init_total_ops += run->timing.init_ops;
-    o.init_max_ops = std::max(o.init_max_ops, run->timing.init_ops);
-
-    MergeResult(run->result, corpus_->file_base[p], &o.merged, &o.merge_ops);
+  for (const BatchEngine::DocumentRun& doc : batch->documents) {
+    // The batch ran over prebuilt indexes; a cold partition also walks its
+    // grammar to build one, so that walk is charged back to its phase 1.
+    auto doc_index = index.Get(doc.doc);
+    if (!doc_index.ok()) return doc_index.status();
+    const uint64_t init_ops =
+        CpuTadocEngine::DagWalkOps((*doc_index)->dag) + doc.timing.init_ops;
+    o.init_total_ops += init_ops;
+    o.init_max_ops = std::max(o.init_max_ops, init_ops);
+    o.total_ops += doc.timing.traversal_ops;
+    o.max_partition_ops =
+        std::max(o.max_partition_ops, doc.timing.traversal_ops);
   }
-  FinalizeMergedResult(&o.merged, &o.merge_ops);
-
-  // Shuffle volume estimate: serialized size of the merged result.
-  o.result_bytes = ResultBytes(o.merged, options_.ngram_len);
+  o.merge_ops = batch->timing.traversal_ops - o.total_ops;
+  o.merged = std::move(batch->merged);
   return o;
 }
 
@@ -96,20 +53,19 @@ Result<EngineRun> ParallelTadocEngine::Run(Task task) const {
   auto outcome = RunPartitions(task);
   if (!outcome.ok()) return outcome.status();
   const gpu::CpuSpec& cpu = options_.cpu;
+  // One phase: the work spread over the socket, or the heaviest partition on
+  // one core, whichever takes longer.
+  const auto spread_or_critical = [&cpu](uint64_t total, uint64_t max) {
+    return std::max(static_cast<double>(total) / cpu.socket_ops_per_sec(),
+                    static_cast<double>(max) / cpu.thread_ops_per_sec());
+  };
 
   EngineRun run;
   run.result = std::move(outcome->merged);
-  const double spread_init =
-      static_cast<double>(outcome->init_total_ops) / cpu.socket_ops_per_sec();
-  const double crit_init =
-      static_cast<double>(outcome->init_max_ops) / cpu.thread_ops_per_sec();
-  run.timing.init_seconds = std::max(spread_init, crit_init);
-  const double spread =
-      static_cast<double>(outcome->total_ops) / cpu.socket_ops_per_sec();
-  const double crit = static_cast<double>(outcome->max_partition_ops) /
-                      cpu.thread_ops_per_sec();
+  run.timing.init_seconds =
+      spread_or_critical(outcome->init_total_ops, outcome->init_max_ops);
   run.timing.traversal_seconds =
-      std::max(spread, crit) +
+      spread_or_critical(outcome->total_ops, outcome->max_partition_ops) +
       static_cast<double>(outcome->merge_ops) / cpu.thread_ops_per_sec();
   run.timing.init_ops = outcome->init_total_ops;
   run.timing.traversal_ops = outcome->total_ops + outcome->merge_ops;
@@ -138,12 +94,12 @@ Result<EngineRun> ParallelTadocEngine::RunOnCluster(
       waves * static_cast<double>(outcome->init_max_ops) / node_tput + latency;
   const double compute =
       waves * static_cast<double>(outcome->max_partition_ops) / node_tput;
-  // Shuffle volume is result-sized. Down-scaled corpora keep near-full
-  // vocabularies (results shrink far less than compute), so the shuffle term
-  // is corrected by the same workload factor to preserve the paper-regime
-  // shuffle:compute ratio.
+  // Shuffle volume is the merged result's serialized size. Down-scaled
+  // corpora keep near-full vocabularies (results shrink far less than
+  // compute), so the shuffle term is corrected by the same workload factor
+  // to preserve the paper-regime shuffle:compute ratio.
   const double shuffle =
-      static_cast<double>(outcome->result_bytes) *
+      static_cast<double>(ResultBytes(run.result, options_.ngram_len)) *
       (static_cast<double>(cluster.nodes - 1) / cluster.nodes) /
       (cluster.network_gbps * 1e9 / 8.0) / scale;
   const double merge = static_cast<double>(outcome->merge_ops) /

@@ -1,45 +1,21 @@
 #ifndef GTADOC_TADOC_PARALLEL_ENGINE_H_
 #define GTADOC_TADOC_PARALLEL_ENGINE_H_
 
-#include <vector>
-
 #include "analytics/engine.h"
 #include "common/result.h"
-#include "format/grammar.h"
-#include "sequitur/tokenizer.h"
+#include "sequitur/compressor.h"
 #include "tadoc/cpu_engine.h"
 
 namespace gtadoc {
 
-/// \brief A corpus split into independently-compressed partitions — the unit
-/// of [4]'s coarse-grained parallelism ("it only divides the original file
-/// into several sub-files, processes different files separately, and then
-/// follows a merge process").
-///
-/// Partition p owns global files [file_base[p], file_base[p] + nfiles_p).
-struct PartitionedCorpus {
-  std::vector<Grammar> partitions;
-  std::vector<uint32_t> file_base;
-  uint32_t total_files = 0;
-};
-
-/// Splits files round-robin-contiguously into `num_partitions` groups and
-/// compresses each independently. Partitions are balanced by byte size.
-Result<PartitionedCorpus> PartitionAndCompress(const Corpus& corpus,
-                                               uint32_t num_partitions);
-
-/// Wraps already-compressed documents as a partitioned corpus (file_base =
-/// running file totals). The documents must share one word-id space
-/// (CompressTokenStreams against a common dictionary); this is the input
-/// both the batch GPU engine and this CPU baseline consume, so their
-/// simulated times stay comparable.
-Result<PartitionedCorpus> CorpusFromDocuments(std::vector<Grammar> documents);
-
 /// \brief Coarse-grained parallel CPU TADOC ([4]) and its distributed
 /// extension (the paper's 10-node Spark baseline for dataset C).
 ///
-/// Every partition is processed by an independent sequential engine; results
-/// are merged at the end. Simulated time:
+/// A timing model over one CPU-backend BatchEngine run: every partition runs
+/// on the sequential engine and the batch merges the results in partition
+/// order. Each partition is charged as a cold engine would be — its phase-1
+/// DAG walk (CpuTadocEngine::DagWalkOps) on top of the batch's per-document
+/// ops. Simulated time composes those ops:
 ///   - multicore mode: charged work spread over the socket, with the heaviest
 ///     partition as the critical path, plus the sequential merge;
 ///   - cluster mode: heaviest node (socket width per node) plus a shuffle
@@ -63,13 +39,11 @@ class ParallelTadocEngine {
 
   struct PartitionOutcome {
     AnalyticsResult merged;       ///< merged result in global file ids
-    RunTiming merged_timing;      ///< filled by the caller from the meters
     uint64_t total_ops = 0;       ///< sum over partitions (traversal)
     uint64_t max_partition_ops = 0;
     uint64_t merge_ops = 0;
     uint64_t init_total_ops = 0;
     uint64_t init_max_ops = 0;
-    uint64_t result_bytes = 0;  ///< merged result size (shuffle volume)
   };
   Result<PartitionOutcome> RunPartitions(Task task) const;
 

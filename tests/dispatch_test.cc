@@ -566,6 +566,32 @@ TEST(DispatchTest, CpuLaneRunsChargeNoDagWalk) {
   EXPECT_GT(standalone->timing.init_ops, 0u);
   EXPECT_EQ(standalone->timing.traversal_ops, doc.timing.traversal_ops);
   EXPECT_TRUE(standalone->result.SameAs(doc.result));
+
+  // What a cold engine adds in phase 1 is exactly the DAG walk: an engine
+  // over a prebuilt index with a fresh plan cache charges only the plan
+  // build, task by task and in both directions.
+  const Grammar* doc0 = &mc.corpus.partitions[0];
+  auto index = DocumentIndex::Build(*doc0);
+  ASSERT_TRUE(index.ok());
+  const uint64_t dag_walk = CpuTadocEngine::DagWalkOps((*index)->dag);
+  EXPECT_GT(dag_walk, 0u);
+  uint64_t plan_ops = 0;
+  for (Task task : AllTasks()) {
+    for (TraversalStrategy strategy :
+         {TraversalStrategy::kTopDown, TraversalStrategy::kBottomUp}) {
+      auto cold = CpuTadocEngine::Create(doc0, copt);
+      auto indexed = CpuTadocEngine::Create(doc0, *index, copt);
+      ASSERT_TRUE(cold.ok() && indexed.ok());
+      auto cold_run = cold->Run(task, strategy);
+      auto indexed_run = indexed->Run(task, strategy);
+      ASSERT_TRUE(cold_run.ok() && indexed_run.ok()) << TaskName(task);
+      EXPECT_EQ(cold_run->timing.init_ops,
+                dag_walk + indexed_run->timing.init_ops)
+          << TaskName(task) << " " << StrategyName(strategy);
+      plan_ops += indexed_run->timing.init_ops;
+    }
+  }
+  EXPECT_GT(plan_ops, 0u);  // the bottom-up bounds pass charges ops
 }
 
 // A CPU lane runs only its executed documents and ends in the shared

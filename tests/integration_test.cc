@@ -10,7 +10,6 @@
 #include "gtadoc/engine.h"
 #include "sequitur/compressor.h"
 #include "tadoc/cpu_engine.h"
-#include "tadoc/parallel_engine.h"
 
 namespace gtadoc {
 namespace {

@@ -21,7 +21,6 @@
 #include "sequitur/compressor.h"
 #include "sequitur/tokenizer.h"
 #include "tadoc/cpu_engine.h"
-#include "tadoc/parallel_engine.h"
 #include "tadoc/strategy.h"
 
 namespace gtadoc {

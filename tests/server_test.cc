@@ -16,7 +16,6 @@
 #include "gtadoc/engine.h"
 #include "sequitur/compressor.h"
 #include "serve_util.h"
-#include "tadoc/parallel_engine.h"
 
 namespace gtadoc {
 namespace {

@@ -16,7 +16,7 @@
 #include "gpu/platform.h"
 #include "gtadoc/engine.h"
 #include "serve_util.h"
-#include "tadoc/parallel_engine.h"
+#include "sequitur/compressor.h"
 
 namespace gtadoc {
 namespace {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analytics/uncompressed.h"
 #include "datagen/datagen.h"
 #include "format/dag.h"
@@ -231,6 +233,80 @@ TEST(ClusterModelTest, ClusterSlowerThanIdealButCorrect) {
   UncompressedAnalytics truth_engine(retok.file_tokens);
   EXPECT_TRUE(cluster_run->result.SameAs(
       truth_engine.RunSequential(Task::kWordCount)));
+}
+
+// The baseline's simulated timing, written out from its definition: every
+// partition runs on a cold engine (its own DAG walk and plan build), the
+// results merge in partition order, and Run / RunOnCluster compose those
+// per-partition ops into the multicore and cluster cost formulas.
+TEST(ParallelTadocTest, TimingIsTheColdPartitionComposition) {
+  DatasetSpec spec = DatasetA();
+  spec.num_files = 16;
+  spec.total_tokens = 6000;
+  spec.seed = 21;
+  auto part = PartitionAndCompress(GenerateCorpus(spec), 4);
+  ASSERT_TRUE(part.ok());
+  const CpuTadocOptions options = TestOptions();
+  const gpu::CpuSpec& cpu = options.cpu;
+  const gpu::ClusterSpec cluster = gpu::TenNodeCluster();
+  auto engine = ParallelTadocEngine::Create(&*part, options);
+  ASSERT_TRUE(engine.ok());
+
+  for (Task task : AllTasks()) {
+    SCOPED_TRACE(TaskName(task));
+    uint64_t init_total = 0, init_max = 0, traversal_total = 0,
+             traversal_max = 0, merge_ops = 0;
+    AnalyticsResult merged;
+    merged.task = task;
+    for (size_t p = 0; p < part->partitions.size(); ++p) {
+      auto cold = CpuTadocEngine::Create(&part->partitions[p], options);
+      ASSERT_TRUE(cold.ok());
+      auto run = cold->Run(task);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      init_total += run->timing.init_ops;
+      init_max = std::max(init_max, run->timing.init_ops);
+      traversal_total += run->timing.traversal_ops;
+      traversal_max = std::max(traversal_max, run->timing.traversal_ops);
+      MergeResult(run->result, part->file_base[p], &merged, &merge_ops);
+    }
+    FinalizeMergedResult(&merged, &merge_ops);
+    const auto d = [](uint64_t ops) { return static_cast<double>(ops); };
+
+    auto multicore = engine->Run(task);
+    ASSERT_TRUE(multicore.ok()) << multicore.status().ToString();
+    EXPECT_TRUE(multicore->result.SameAs(merged));
+    const RunTiming& m = multicore->timing;
+    EXPECT_EQ(m.init_seconds, std::max(d(init_total) / cpu.socket_ops_per_sec(),
+                                       d(init_max) / cpu.thread_ops_per_sec()));
+    EXPECT_EQ(m.traversal_seconds,
+              std::max(d(traversal_total) / cpu.socket_ops_per_sec(),
+                       d(traversal_max) / cpu.thread_ops_per_sec()) +
+                  d(merge_ops) / cpu.thread_ops_per_sec());
+    EXPECT_EQ(m.init_ops, init_total);
+    EXPECT_EQ(m.traversal_ops, traversal_total + merge_ops);
+
+    auto clustered = engine->RunOnCluster(task, cluster);
+    ASSERT_TRUE(clustered.ok()) << clustered.status().ToString();
+    EXPECT_TRUE(clustered->result.SameAs(merged));
+    const RunTiming& c = clustered->timing;
+    const double node_tput = cluster.node_cpu.socket_ops_per_sec();
+    const size_t parts = part->partitions.size();
+    const double waves =
+        static_cast<double>((parts + cluster.nodes - 1) / cluster.nodes);
+    const double latency =
+        cluster.per_round_latency_s / cluster.workload_scale;
+    const double shuffle =
+        d(ResultBytes(merged, options.ngram_len)) *
+        (static_cast<double>(cluster.nodes - 1) / cluster.nodes) /
+        (cluster.network_gbps * 1e9 / 8.0) / cluster.workload_scale;
+    EXPECT_EQ(c.init_seconds, waves * d(init_max) / node_tput + latency);
+    EXPECT_EQ(c.traversal_seconds,
+              waves * d(traversal_max) / node_tput + shuffle +
+                  d(merge_ops) / cluster.node_cpu.thread_ops_per_sec() +
+                  latency * cluster.shuffle_rounds);
+    EXPECT_EQ(c.init_ops, init_total);
+    EXPECT_EQ(c.traversal_ops, traversal_total + merge_ops);
+  }
 }
 
 }  // namespace
