@@ -6,7 +6,8 @@
 // Expected shapes (Section VI-B): all speedups > 1 at paper scale; sequence
 // count and ranked inverted index speed up the most; dataset C's cluster
 // baseline narrows the gap dramatically (paper: 57.5x single-node average vs
-// 2.7x for C).
+// 2.7x for C). Every cell's G-TADOC result must equal its baseline's; the
+// driver prints GATE FAILED and exits 1 otherwise.
 
 #include <map>
 
@@ -24,20 +25,19 @@ int main() {
   for (const DatasetSpec& spec : AllDatasets()) {
     datasets.push_back(bench::Prepare(spec, scale));
   }
-  // Dataset C: partitioned corpus for the 10-node baseline. The cluster's
-  // fixed costs are down-scaled by the same factor as the data (paper C is
-  // ~50 GB ~ 7.5e9 tokens); see ClusterSpec::workload_scale.
-  Corpus corpus_c = GenerateCorpus(DatasetC(), scale);
-  gpu::ClusterSpec cluster = gpu::TenNodeCluster();
-  {
-    bench::PreparedDataset* c_prepared = nullptr;
-    for (auto& d : datasets) {
-      if (d.spec.name == "C") c_prepared = &d;
-    }
-    cluster.workload_scale =
-        7.5e9 / static_cast<double>(c_prepared->tokens.total_tokens());
+  // Dataset C: partitioned corpus for the 10-node baseline, split from the
+  // very tokens G-TADOC compresses, so both sides share one dictionary and
+  // their results compare cell by cell. The cluster's fixed costs are
+  // down-scaled by the same factor as the data (paper C is ~50 GB ~ 7.5e9
+  // tokens); see ClusterSpec::workload_scale.
+  const bench::PreparedDataset* c_prepared = nullptr;
+  for (const bench::PreparedDataset& d : datasets) {
+    if (d.spec.name == "C") c_prepared = &d;
   }
-  auto part_c = PartitionAndCompress(corpus_c, cluster.nodes);
+  gpu::ClusterSpec cluster = gpu::TenNodeCluster();
+  cluster.workload_scale =
+      7.5e9 / static_cast<double>(c_prepared->tokens.total_tokens());
+  auto part_c = PartitionTokens(c_prepared->tokens, cluster.nodes);
   if (!part_c.ok()) {
     std::fprintf(stderr, "partition C: %s\n",
                  part_c.status().ToString().c_str());
@@ -69,6 +69,7 @@ int main() {
       CpuTadocOptions copt;
       copt.cpu = platform.cpu;
       auto cpu_engine = CpuTadocEngine::Create(&d.grammar, copt);
+      if (!cpu_engine.ok()) return 1;
       std::unique_ptr<ParallelTadocEngine> cluster_engine;
       if (is_cluster_dataset) {
         CpuTadocOptions cluster_opt;
@@ -85,17 +86,22 @@ int main() {
                        TaskName(task), gr.status().ToString().c_str());
           return 1;
         }
-        double baseline_seconds;
-        if (is_cluster_dataset) {
-          auto cr = cluster_engine->RunOnCluster(task, cluster);
-          if (!cr.ok()) return 1;
-          baseline_seconds = cr->timing.total_seconds();
-        } else {
-          auto cr = cpu_engine->Run(task);
-          if (!cr.ok()) return 1;
-          baseline_seconds = cr->timing.total_seconds();
+        auto cr = is_cluster_dataset
+                      ? cluster_engine->RunOnCluster(task, cluster)
+                      : cpu_engine->Run(task);
+        if (!cr.ok()) return 1;
+        // A speedup over a baseline that computed something else means
+        // nothing: every cell must agree with its baseline.
+        if (!gr->result.SameAs(cr->result)) {
+          std::fprintf(stderr,
+                       "GATE FAILED: %s %s/%s: G-TADOC result differs from "
+                       "the baseline's\n",
+                       platform.label.c_str(), d.spec.name.c_str(),
+                       TaskName(task));
+          return 1;
         }
-        const double speedup = baseline_seconds / gr->timing.total_seconds();
+        const double speedup =
+            cr->timing.total_seconds() / gr->timing.total_seconds();
         std::printf(" %11.1fx", speedup);
         per_task[TaskName(task)].push_back(speedup);
         (is_cluster_dataset ? cluster_rows : single_node).push_back(speedup);

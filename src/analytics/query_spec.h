@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "analytics/task_kernel.h"
+#include "common/status.h"
 
 namespace gtadoc {
 
@@ -65,6 +66,16 @@ inline TaskInput MakeTaskInput(const QuerySpec& spec) {
     input.query_words = spec.query_words;
   }
   return input;
+}
+
+/// The one validity check of a resolved spec, applied by both engines'
+/// Create and by the serving Submit probe on either backend: an n-gram
+/// needs at least two words.
+inline Status ValidateQuerySpec(const QuerySpec& spec) {
+  if (spec.ngram_len < 2) {
+    return Status::InvalidArgument("ngram_len must be >= 2");
+  }
+  return Status::OK();
 }
 
 /// Resolves a request spec against configured defaults, applying the

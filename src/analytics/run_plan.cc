@@ -148,8 +148,7 @@ size_t PlanCache::size() const {
 
 Result<std::shared_ptr<const RunPlan>> Planner::BuildPlan(
     const TaskKernel& kernel, const Grammar& g, const DocumentIndex& index,
-    const PlanShape& shape, TraversalStrategy strategy_override,
-    const PlanKey& key) {
+    const PlanShape& shape, const PlanKey& key) {
   const DagView& dag = index.dag;
   auto plan = std::make_shared<RunPlan>();
   const TaskInput& input = shape.input;
@@ -158,6 +157,8 @@ Result<std::shared_ptr<const RunPlan>> Planner::BuildPlan(
   plan->window = kernel.SequenceWindow(input);
 
   // The strategy decision (the kernel's hint unless overridden).
+  const auto strategy_override =
+      static_cast<TraversalStrategy>(key.strategy_override);
   plan->strategy = strategy_override != TraversalStrategy::kAuto
                        ? strategy_override
                        : kernel.PreferredStrategy(g, dag, input);
@@ -329,6 +330,33 @@ Result<std::shared_ptr<const RunPlan>> Planner::BuildPlan(
   }
   plan->estimate = PriceEstimate(prof);
   return std::shared_ptr<const RunPlan>(std::move(plan));
+}
+
+PlanKey MakePlanKey(PlanBackend backend, uint64_t grammar_fp, Task task,
+                    TraversalStrategy strategy_override,
+                    TraversalStrategy configured, const PlanShape& shape) {
+  PlanKey key;
+  key.backend = backend;
+  key.grammar_fp = grammar_fp;
+  key.task = static_cast<int>(task);
+  key.strategy_override = static_cast<int>(
+      strategy_override == TraversalStrategy::kAuto ? configured
+                                                    : strategy_override);
+  key.shape_fp = shape.Fingerprint();
+  return key;
+}
+
+Result<std::shared_ptr<const RunPlan>> ResolvePlan(
+    PlanCache* cache, Planner* planner, const TaskKernel& kernel,
+    const Grammar& g, const DocumentIndex& index, const PlanShape& shape,
+    const PlanKey& key, bool* cache_hit) {
+  std::shared_ptr<const RunPlan> plan = cache->Get(key);
+  if (cache_hit != nullptr) *cache_hit = plan != nullptr;
+  if (plan != nullptr) return plan;
+  auto built = planner->BuildPlan(kernel, g, index, shape, key);
+  if (!built.ok()) return built.status();
+  cache->Put(*built);
+  return *built;
 }
 
 }  // namespace gtadoc

@@ -201,8 +201,8 @@ struct RunPlan {
   /// Backend-neutral work quantities (identical across backends for the same
   /// grammar/kernel/shape).
   PlanWorkProfile profile;
-  /// The owning backend's predicted cost for this plan — what PlanOnly-style
-  /// probes return to the dispatcher.
+  /// The owning backend's predicted cost for this plan — what the serving
+  /// Submit probe sums per backend to dispatch a run.
   CostEstimate estimate;
 };
 
@@ -220,12 +220,13 @@ bool PlanEquals(const RunPlan& a, const RunPlan& b);
 /// the plan's distinct-key hint, plus the drivers' slack margin.
 uint64_t PlannedTableNodes(uint64_t structural_bound, uint64_t expected_keys);
 
-/// \brief Thread-safe plan cache keyed by (grammar fingerprint, kernel,
-/// strategy override, shape options).
+/// \brief Thread-safe plan cache keyed by (backend, grammar fingerprint,
+/// kernel, strategy override, shape options).
 ///
-/// Engines consult it at the top of every Run; a hit skips the whole
-/// planning phase (plan_seconds == 0). Entries are evicted FIFO past
-/// `capacity` so rebind-heavy serving over a large corpus stays bounded.
+/// Every counted lookup goes through ResolvePlan below: an engine's
+/// Run(task) and PlanOnly, and the serving Submit probe. A hit skips the whole planning
+/// phase (plan_seconds == 0). Entries are evicted FIFO past `capacity` so
+/// rebind-heavy serving over a large corpus stays bounded.
 class PlanCache {
  public:
   explicit PlanCache(size_t capacity = 256) : capacity_(capacity) {}
@@ -258,29 +259,33 @@ class PlanCache {
 /// options) and produces the strategy decision, the relevance mask, the full
 /// region plan with resolved offsets and the table-sizing hint.
 ///
-/// The plan *values* are engine-independent; what differs per engine is how
-/// the planning passes are charged (the GPU prices them as mask-protocol
-/// device kernels, the CPU as metered topological loops), so each engine
-/// implements the charged passes and inherits the shared skeleton. The
-/// relevance mask needs no traversal: one flat probe pass over the index's
-/// per-rule Blooms (DocumentIndex::rule_blooms) resolves it.
+/// The plan *values* are backend-independent; what differs per backend is
+/// how the planning passes are charged (the GPU planner prices them as
+/// mask-protocol kernels on a device, the CPU planner as metered topological
+/// loops), so each backend's planner implements the charged passes and
+/// inherits the shared skeleton. Planners hold no engine: an engine and the
+/// serving probe build them over the same document index. The relevance mask
+/// needs no traversal: one flat probe pass over the index's per-rule Blooms
+/// (DocumentIndex::rule_blooms) resolves it.
 class Planner {
  public:
   virtual ~Planner() = default;
 
-  /// One full plan build (a cache miss). Charges the engine's cost model
+  /// One full plan build (a cache miss) of `key`, whose strategy override
+  /// is already resolved (MakePlanKey). Charges the backend's cost model
   /// through the virtual passes; everything else is host-side work the
   /// pre-plan drivers never charged either.
-  Result<std::shared_ptr<const RunPlan>> BuildPlan(
-      const TaskKernel& kernel, const Grammar& g, const DocumentIndex& index,
-      const PlanShape& shape, TraversalStrategy strategy_override,
-      const PlanKey& key);
+  Result<std::shared_ptr<const RunPlan>> BuildPlan(const TaskKernel& kernel,
+                                                   const Grammar& g,
+                                                   const DocumentIndex& index,
+                                                   const PlanShape& shape,
+                                                   const PlanKey& key);
 
  protected:
   /// Bottom-up content bounds (own accepted words + children, clamped).
   virtual std::vector<uint64_t> BoundsTraversal(const WordFilter& filter,
                                                 uint64_t vocab_clamp) = 0;
-  /// Per-rule expansion lengths for the sequence pipeline; engines whose
+  /// Per-rule expansion lengths for the sequence pipeline; backends whose
   /// sequence path never reads them may return an empty vector.
   virtual std::vector<uint64_t> ExpansionPass() = 0;
   /// Flat per-rule work (the Bloom relevance probes), `ops_per_item` charged
@@ -293,6 +298,21 @@ class Planner {
   /// RunPlan::estimate.
   virtual CostEstimate PriceEstimate(const PlanWorkProfile& profile) = 0;
 };
+
+/// The one place plan keys are assembled: a kAuto `strategy_override`
+/// resolves to the engine's `configured` strategy, and `backend` keeps the
+/// two planners' plans apart, so store and lookup can never disagree.
+PlanKey MakePlanKey(PlanBackend backend, uint64_t grammar_fp, Task task,
+                    TraversalStrategy strategy_override,
+                    TraversalStrategy configured, const PlanShape& shape);
+
+/// The one cache-fronted plan resolve: `key`'s cached plan (a counted hit),
+/// otherwise `planner`'s build of it, cached (a counted miss that charges
+/// the planner's cost model). `cache_hit`, when given, reports which.
+Result<std::shared_ptr<const RunPlan>> ResolvePlan(
+    PlanCache* cache, Planner* planner, const TaskKernel& kernel,
+    const Grammar& g, const DocumentIndex& index, const PlanShape& shape,
+    const PlanKey& key, bool* cache_hit = nullptr);
 
 }  // namespace gtadoc
 

@@ -156,6 +156,8 @@ Result<std::unique_ptr<CorpusServer>> CorpusServer::Create(
   server->plan_cache_ = std::make_shared<PlanCache>(
       std::max<size_t>(256, 8 * corpus->partitions.size()));
   server->options_.engine.plan_cache = server->plan_cache_.get();
+  server->probe_device_ = std::make_unique<gpu::Device>(
+      normalized.engine.gpu, normalized.engine.host_workers);
   server->index_ = std::make_unique<CorpusIndex>(&corpus->partitions);
   server->document_blooms_ = DocumentBlooms(*corpus);
   server->sharded_ = std::move(*sharded);
@@ -194,70 +196,42 @@ Result<CorpusServer::TenantHandle> CorpusServer::OpenTenant(
   return TenantHandle(this, id);
 }
 
-Status CorpusServer::ProbeGpuPlans(PendingRun* run, PlanList* plans) {
-  const size_t n = corpus_->partitions.size();
-  const std::vector<uint8_t>& mask = run->execute_mask;
-
-  // Resolve every executed document's plan once — the ONLY time planning is
-  // charged: a GPU-dispatched run executes exactly these plans. The key
-  // differs per document only in the grammar fingerprint, so a hit needs no
-  // device work at all; a miss binds the probe engine to the document and
-  // builds the plan there. The probe never executes, so it binds without
-  // loading anything: its clock holds the planning passes alone.
-  plans->assign(n, nullptr);
-  PlanKey key = GTadocEngine::PlanKeyFor(run->engine, 0, run->task);
-  std::unique_ptr<GTadocEngine> probe;
-  for (size_t d = 0; d < n; ++d) {
-    if (mask[d] == 0) continue;
-    auto index = index_->Get(static_cast<uint32_t>(d));
-    if (!index.ok()) return index.status();
-    key.grammar_fp = (*index)->fingerprint;
-    std::shared_ptr<const RunPlan> plan = plan_cache_->Get(key);
-    if (plan == nullptr) {
-      const Grammar* doc = &corpus_->partitions[d];
-      constexpr auto kNoLoad = GTadocEngine::GrammarLoad::kResident;
-      if (probe == nullptr) {
-        auto created = GTadocEngine::Create(doc, *index, run->engine, kNoLoad);
-        if (!created.ok()) return created.status();
-        probe = std::move(*created);
-      } else {
-        probe->Rebind(doc, *index, kNoLoad);
-      }
-      ++stats_.gpu_probe_binds;
-      auto built = probe->BuildPlan(run->task);
-      if (!built.ok()) return built.status();
-      run->admission.admission_seconds += probe->device()->SimSeconds();
-      plan = std::move(*built);
-    }
-    (*plans)[d] = std::move(plan);
-  }
-  return Status::OK();
-}
-
-Status CorpusServer::ProbeCpuPlans(PendingRun* run, PlanList* plans) {
-  const std::vector<uint8_t>& mask = run->execute_mask;
-  // The CPU probe resolves the same documents' plans under the CPU planner
-  // — same shared cache, kCpuPlanBackend key, so the two backends' plans
-  // can never serve each other. The metered planning cost lands in
-  // admission_seconds exactly like the GPU probe's device time (a repeat
-  // shape is a free cache hit).
-  CpuTadocOptions copt;
-  static_cast<QuerySpec&>(copt) = run->engine;
-  copt.cpu = options_.cpu;
-  copt.strategy = run->engine.strategy;
-  copt.plan_cache = plan_cache_.get();
+Status CorpusServer::ProbePlans(PendingRun* run, PlanBackend backend,
+                                PlanList* plans) {
+  // The ONLY time planning is charged: the run executes exactly the plans of
+  // the backend it is dispatched to. The key differs per document only in
+  // the grammar fingerprint, so a hit needs nothing but the document's
+  // index; a miss builds with the backend's planner.
+  GTADOC_RETURN_IF_ERROR(ValidateQuerySpec(run->engine));
+  auto kernel = TaskRegistry::Get(run->task);
+  if (!kernel.ok()) return kernel.status();
+  const bool gpu = backend == kGpuPlanBackend;
+  const PlanShape shape =
+      gpu ? GpuPlanner::Shape(run->engine) : CpuPlanner::Shape(run->engine);
+  PlanKey key = MakePlanKey(backend, 0, run->task, TraversalStrategy::kAuto,
+                            run->engine.strategy, shape);
   plans->assign(corpus_->partitions.size(), nullptr);
-  for (size_t d = 0; d < corpus_->partitions.size(); ++d) {
-    if (mask[d] == 0) continue;
+  for (size_t d = 0; d < plans->size(); ++d) {
+    if (run->execute_mask[d] == 0) continue;
     auto index = index_->Get(static_cast<uint32_t>(d));
     if (!index.ok()) return index.status();
-    auto probe = CpuTadocEngine::Create(&corpus_->partitions[d], *index, copt);
-    if (!probe.ok()) return probe.status();
-    double probe_seconds = 0.0;
-    auto plan =
-        probe->PlanOnly(run->task, TraversalStrategy::kAuto, &probe_seconds);
+    const DocumentIndex& doc = **index;
+    key.grammar_fp = doc.fingerprint;
+    // Both planners are a few references; the backend picks one. The probe
+    // device never loads or executes anything, so after the reset its clock
+    // holds this build's planning passes alone (nothing on a hit).
+    probe_device_->ResetClock();
+    CpuCostMeter meter(options_.cpu);
+    GpuPlanner gpu_planner(probe_device_.get(), doc.device_grammar,
+                           run->engine);
+    CpuPlanner cpu_planner(doc.dag, options_.cpu, &meter);
+    auto plan = ResolvePlan(
+        plan_cache_.get(),
+        gpu ? static_cast<Planner*>(&gpu_planner) : &cpu_planner, **kernel,
+        corpus_->partitions[d], doc, shape, key);
     if (!plan.ok()) return plan.status();
-    run->admission.admission_seconds += probe_seconds;
+    run->admission.admission_seconds +=
+        gpu ? probe_device_->SimSeconds() : meter.SequentialSeconds();
     (*plans)[d] = std::move(*plan);
   }
   return Status::OK();
@@ -381,8 +355,12 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
     const bool probe_cpu =
         run_options.backend == RunBackend::kCpu ||
         (run_options.backend == RunBackend::kAuto && lanes_enabled);
-    if (probe_gpu) GTADOC_RETURN_IF_ERROR(ProbeGpuPlans(&run, &gpu_plans));
-    if (probe_cpu) GTADOC_RETURN_IF_ERROR(ProbeCpuPlans(&run, &cpu_plans));
+    if (probe_gpu) {
+      GTADOC_RETURN_IF_ERROR(ProbePlans(&run, kGpuPlanBackend, &gpu_plans));
+    }
+    if (probe_cpu) {
+      GTADOC_RETURN_IF_ERROR(ProbePlans(&run, kCpuPlanBackend, &cpu_plans));
+    }
     // A tie dispatches to the CPU: a lane run reserves zero device slots,
     // so at equal estimated cost it is strictly cheaper to admit.
     if (probe_gpu && probe_cpu &&

@@ -409,10 +409,6 @@ class CorpusServer {
     uint32_t peak_cpu_lanes_in_use = 0;
     /// Shared plan-cache counters; refreshed on every serve.
     PlanCacheStats plan_cache;
-    /// Documents the GPU Submit probes bound an engine to (without loading
-    /// them onto any device). A probe binds only on a plan-cache miss; a hit
-    /// needs just the document's index fingerprint.
-    uint64_t gpu_probe_binds = 0;
     std::map<uint64_t, TenantStats> tenants;  ///< by tenant id
     /// One entry per device (see DeviceStats); refreshed on every serve.
     std::vector<DeviceStats> devices;
@@ -481,17 +477,17 @@ class CorpusServer {
   Result<Submitted> SubmitForTenant(uint64_t tenant_id,
                                     const RunRequest& request,
                                     const RunOptions& run_options);
-  /// Resolves every executed document's GPU plan against the shared cache
-  /// into `*plans` (one entry per document, null where skipped), adding the
-  /// probe's cost to admission_seconds. A hit needs only the document's
-  /// index fingerprint; a miss binds the probe engine to the document and
-  /// builds the plan there. Reserves nothing; the footprint is priced by
-  /// ShardFootprint only if the run dispatches to the GPU.
-  Status ProbeGpuPlans(PendingRun* run, PlanList* plans);
-  /// The CPU twin of ProbeGpuPlans: plans every executed document through
-  /// CpuTadocEngine::PlanOnly against the same shared (backend-keyed)
-  /// cache, adding the metered probe seconds.
-  Status ProbeCpuPlans(PendingRun* run, PlanList* plans);
+  /// Resolves every executed document's `backend` plan through the shared
+  /// (backend-keyed) cache into `*plans` (one entry per document, null
+  /// where skipped), adding the planning cost to admission_seconds. The
+  /// run's key is built once; per document only its grammar fingerprint
+  /// changes, so a hit needs just the document's index. A miss builds the
+  /// plan with that backend's planner, engine-free: the GPU planner on
+  /// probe_device_, the CPU planner on a fresh meter. InvalidArgument when
+  /// the run's query fails ValidateQuerySpec. Reserves nothing; the
+  /// footprint is priced by ShardFootprint only if the run dispatches to
+  /// the GPU.
+  Status ProbePlans(PendingRun* run, PlanBackend backend, PlanList* plans);
   /// Prices a GPU-dispatched run from its plans: routes it (least-loaded
   /// replica selection over the standing per-device load), then prices
   /// each device as the worker contexts its routed documents split into
@@ -522,6 +518,9 @@ class CorpusServer {
   const PartitionedCorpus* corpus_;
   Options options_;
   std::shared_ptr<PlanCache> plan_cache_;
+  /// The device the GPU Submit probe charges plan builds to (clock reset
+  /// before each). It never loads a document or executes a run.
+  std::unique_ptr<gpu::Device> probe_device_;
   /// Lazily built per-document indexes of corpus_, borrowed by the probes,
   /// the CPU lanes and every device.
   std::unique_ptr<CorpusIndex> index_;

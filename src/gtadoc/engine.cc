@@ -21,9 +21,7 @@ Result<std::unique_ptr<GTadocEngine>> GTadocEngine::Create(
 Result<std::unique_ptr<GTadocEngine>> GTadocEngine::Create(
     const Grammar* g, std::shared_ptr<const DocumentIndex> index,
     const Options& options, GrammarLoad load) {
-  if (options.ngram_len < 2) {
-    return Status::InvalidArgument("ngram_len must be >= 2");
-  }
+  GTADOC_RETURN_IF_ERROR(ValidateQuerySpec(options));
   if (options.shared_pool != nullptr && options.shared_device == nullptr) {
     return Status::InvalidArgument("shared_pool requires shared_device");
   }
@@ -86,9 +84,13 @@ TaskInput GTadocEngine::InputFromOptions(const Options& options) {
 
 TaskInput GTadocEngine::MakeInput() const { return InputFromOptions(options_); }
 
-PlanShape GTadocEngine::MakeShape(const Options& options) {
+// ---------------------------------------------------------------------------
+// Planning: the GPU planner's charged passes and pricing.
+// ---------------------------------------------------------------------------
+
+PlanShape GpuPlanner::Shape(const GTadocEngine::Options& options) {
   PlanShape shape;
-  shape.input = InputFromOptions(options);
+  shape.input = GTadocEngine::InputFromOptions(options);
   shape.scheduling = static_cast<int>(options.scheduling);
   shape.vertical_partition =
       options.scheduling == SchedulingMode::kVerticalPartition;
@@ -97,146 +99,28 @@ PlanShape GTadocEngine::MakeShape(const Options& options) {
   return shape;
 }
 
-PlanKey GTadocEngine::MakePlanKey(const Options& options, uint64_t grammar_fp,
-                                  Task task,
-                                  TraversalStrategy* strategy_override,
-                                  const PlanShape& shape) {
-  if (*strategy_override == TraversalStrategy::kAuto) {
-    *strategy_override = options.strategy;
-  }
-  PlanKey key;
-  key.backend = kGpuPlanBackend;
-  key.grammar_fp = grammar_fp;
-  key.task = static_cast<int>(task);
-  key.strategy_override = static_cast<int>(*strategy_override);
-  key.shape_fp = shape.Fingerprint();
-  return key;
-}
-
-// ---------------------------------------------------------------------------
-// Planning: the engine's charged passes + the cache-fronted resolution.
-// ---------------------------------------------------------------------------
-
-struct GTadocEngine::GpuPlanner : public Planner {
-  explicit GpuPlanner(GTadocEngine* e) : engine(e) {}
-  GTadocEngine* engine;
-
- protected:
-  std::vector<uint64_t> BoundsTraversal(const WordFilter& filter,
-                                        uint64_t vocab_clamp) override {
-    return engine->BoundsPass(filter, vocab_clamp);
-  }
-  std::vector<uint64_t> ExpansionPass() override {
-    return engine->ExpansionLengths();
-  }
-  void ChargeFlat(const char* what, uint64_t items,
-                  uint64_t ops_per_item) override {
-    engine->device_->Launch(
-        what, static_cast<uint32_t>(std::max<uint64_t>(1, items)),
-        [ops_per_item](gpu::ThreadCtx& ctx) { ctx.Charge(ops_per_item); });
-  }
-  CostEstimate PriceEstimate(const PlanWorkProfile& p) override {
-    // GPU pricing: a fixed dispatch floor (round-ordered launches + one pool
-    // allocation + the grammar upload when transfers are charged) plus work
-    // spread across the device's sustained throughput. Atomic table updates
-    // are an additive serialization term, as in the executors. The expanded
-    // token stream is absent: the pipeline never leaves the compressed
-    // domain.
-    const gpu::GpuSpec& gpu = engine->options_.gpu;
-    CostEstimate e;
-    e.fixed_seconds =
-        static_cast<double>(p.rounds) * gpu.kernel_launch_us * 1e-6 +
-        gpu.device_alloc_us * 1e-6;
-    if (engine->options_.charge_pcie) {
-      e.fixed_seconds += static_cast<double>(p.upload_bytes) /
-                         (gpu.pcie_bandwidth_gbps * 1e9);
-    }
-    e.work_items = p.traversal_items + p.reduce_items + p.state_slots;
-    e.seconds =
-        e.fixed_seconds +
-        static_cast<double>(p.state_slots + 8 * p.traversal_items) /
-            gpu.device_ops_per_sec() +
-        static_cast<double>(p.reduce_items) / gpu.atomic_ops_per_sec;
-    return e;
-  }
-};
-
-Result<std::shared_ptr<const RunPlan>> GTadocEngine::ResolvePlan(
-    const TaskKernel& kernel, TraversalStrategy strategy_override,
-    bool* cache_hit) {
-  const PlanShape shape = MakeShape(options_);
-  const PlanKey key = MakePlanKey(options_, index_->fingerprint, kernel.task(),
-                                  &strategy_override, shape);
-  std::shared_ptr<const RunPlan> plan = plan_cache_->Get(key);
-  *cache_hit = plan != nullptr;
-  if (plan != nullptr) return plan;
-  return BuildAndCachePlan(kernel, strategy_override, shape, key);
-}
-
-Result<std::shared_ptr<const RunPlan>> GTadocEngine::BuildAndCachePlan(
-    const TaskKernel& kernel, TraversalStrategy strategy_override,
-    const PlanShape& shape, const PlanKey& key) {
-  GpuPlanner planner(this);
-  auto built = planner.BuildPlan(kernel, *g_, *index_, shape,
-                                 strategy_override, key);
-  if (!built.ok()) return built.status();
-  plan_cache_->Put(*built);
-  return *built;
-}
-
-Result<std::shared_ptr<const RunPlan>> GTadocEngine::PlanOnly(
-    Task task, TraversalStrategy strategy_override) {
-  auto kernel_lookup = TaskRegistry::Get(task);
-  if (!kernel_lookup.ok()) return kernel_lookup.status();
-  bool cache_hit = false;
-  return ResolvePlan(**kernel_lookup, strategy_override, &cache_hit);
-}
-
-Result<std::shared_ptr<const RunPlan>> GTadocEngine::BuildPlan(
-    Task task, TraversalStrategy strategy_override) {
-  auto kernel_lookup = TaskRegistry::Get(task);
-  if (!kernel_lookup.ok()) return kernel_lookup.status();
-  const PlanShape shape = MakeShape(options_);
-  const PlanKey key = MakePlanKey(options_, index_->fingerprint, task,
-                                  &strategy_override, shape);
-  return BuildAndCachePlan(**kernel_lookup, strategy_override, shape, key);
-}
-
-PlanKey GTadocEngine::PlanKeyFor(const Options& options, uint64_t grammar_fp,
-                                 Task task,
-                                 TraversalStrategy strategy_override) {
-  return MakePlanKey(options, grammar_fp, task, &strategy_override,
-                     MakeShape(options));
-}
-
-std::shared_ptr<const RunPlan> GTadocEngine::CachedPlan(
-    Task task, TraversalStrategy strategy_override) const {
-  return plan_cache_->Peek(PlanKeyFor(options_, index_->fingerprint, task,
-                                      strategy_override));
-}
-
-std::vector<uint64_t> GTadocEngine::BoundsPass(const WordFilter& filter,
-                                               uint64_t vocab_clamp) {
+std::vector<uint64_t> GpuPlanner::BoundsTraversal(const WordFilter& filter,
+                                                  uint64_t vocab_clamp) {
   // genLocTblBoundKernel: bound[r] = own distinct (accepted) words + sum of
   // children's bounds, clamped by the accepted vocabulary (Algorithm 2
   // lines 5-9) — the init-traversal memory-requirement transmission the
   // plan turns into resolved region offsets.
-  const uint32_t n = dev_->num_rules;
+  const uint32_t n = dev_.num_rules;
   std::vector<uint64_t> bound(n, 0);
   internal::BottomUpRounds(
-      device_, *dev_, "genLocTblBound", [&](uint32_t r, gpu::ThreadCtx& ctx) {
+      device_, dev_, "genLocTblBound", [&](uint32_t r, gpu::ThreadCtx& ctx) {
         uint64_t b;
         if (filter.selective()) {
           b = 0;
-          for (uint32_t e = dev_->word_off[r]; e < dev_->word_off[r + 1]; ++e) {
+          for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
             ctx.Charge(1);
-            if (filter.Accepts(dev_->word_id[e])) ++b;
+            if (filter.Accepts(dev_.word_id[e])) ++b;
           }
         } else {
-          b = dev_->word_off[r + 1] - dev_->word_off[r];
+          b = dev_.word_off[r + 1] - dev_.word_off[r];
         }
-        for (uint32_t e = dev_->child_off[r]; e < dev_->child_off[r + 1]; ++e) {
-          b += bound[dev_->child_id[e]];
+        for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
+          b += bound[dev_.child_id[e]];
           ctx.Charge(1);
         }
         bound[r] = std::min<uint64_t>(std::max<uint64_t>(vocab_clamp, 1), b);
@@ -244,26 +128,79 @@ std::vector<uint64_t> GTadocEngine::BoundsPass(const WordFilter& filter,
   return bound;
 }
 
-std::vector<uint64_t> GTadocEngine::ExpansionLengths() {
+std::vector<uint64_t> GpuPlanner::ExpansionPass() {
   // expLenKernel: per-rule expansion lengths, leaves to root — the sequence
   // pipeline's sizing pass, cached with the plan so same-shape rebind runs
   // skip it.
-  const uint32_t n = dev_->num_rules;
+  const uint32_t n = dev_.num_rules;
   std::vector<uint64_t> exp_len(n, 0);
   internal::BottomUpRounds(
-      device_, *dev_, "expLen", [&](uint32_t r, gpu::ThreadCtx& ctx) {
+      device_, dev_, "expLen", [&](uint32_t r, gpu::ThreadCtx& ctx) {
         uint64_t total = 0;
-        for (uint32_t e = dev_->word_off[r]; e < dev_->word_off[r + 1]; ++e) {
-          total += dev_->word_freq[e];
+        for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
+          total += dev_.word_freq[e];
           ctx.Charge(1);
         }
-        for (uint32_t e = dev_->child_off[r]; e < dev_->child_off[r + 1]; ++e) {
-          total += exp_len[dev_->child_id[e]] * dev_->child_freq[e];
+        for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
+          total += exp_len[dev_.child_id[e]] * dev_.child_freq[e];
           ctx.Charge(1);
         }
         exp_len[r] = std::min<uint64_t>(total, 1ull << 62);
       });
   return exp_len;
+}
+
+void GpuPlanner::ChargeFlat(const char* what, uint64_t items,
+                            uint64_t ops_per_item) {
+  device_->Launch(what, static_cast<uint32_t>(std::max<uint64_t>(1, items)),
+                  [ops_per_item](gpu::ThreadCtx& ctx) {
+                    ctx.Charge(ops_per_item);
+                  });
+}
+
+CostEstimate GpuPlanner::PriceEstimate(const PlanWorkProfile& p) {
+  // GPU pricing: a fixed dispatch floor (round-ordered launches + one pool
+  // allocation + the grammar upload when transfers are charged) plus work
+  // spread across the device's sustained throughput. Atomic table updates
+  // are an additive serialization term, as in the executors. The expanded
+  // token stream is absent: the pipeline never leaves the compressed
+  // domain.
+  const gpu::GpuSpec& gpu = options_.gpu;
+  CostEstimate e;
+  e.fixed_seconds =
+      static_cast<double>(p.rounds) * gpu.kernel_launch_us * 1e-6 +
+      gpu.device_alloc_us * 1e-6;
+  if (options_.charge_pcie) {
+    e.fixed_seconds += static_cast<double>(p.upload_bytes) /
+                       (gpu.pcie_bandwidth_gbps * 1e9);
+  }
+  e.work_items = p.traversal_items + p.reduce_items + p.state_slots;
+  e.seconds =
+      e.fixed_seconds +
+      static_cast<double>(p.state_slots + 8 * p.traversal_items) /
+          gpu.device_ops_per_sec() +
+      static_cast<double>(p.reduce_items) / gpu.atomic_ops_per_sec;
+  return e;
+}
+
+Result<std::shared_ptr<const RunPlan>> GTadocEngine::PlanOnly(
+    Task task, TraversalStrategy strategy_override) {
+  auto kernel_lookup = TaskRegistry::Get(task);
+  if (!kernel_lookup.ok()) return kernel_lookup.status();
+  GpuPlanner planner(device_, *dev_, options_);
+  const PlanShape shape = GpuPlanner::Shape(options_);
+  return ResolvePlan(plan_cache_, &planner, **kernel_lookup, *g_, *index_,
+                     shape,
+                     MakePlanKey(kGpuPlanBackend, index_->fingerprint, task,
+                                 strategy_override, options_.strategy, shape));
+}
+
+std::shared_ptr<const RunPlan> GTadocEngine::CachedPlan(
+    Task task, TraversalStrategy strategy_override) const {
+  return plan_cache_->Peek(MakePlanKey(kGpuPlanBackend, index_->fingerprint,
+                                       task, strategy_override,
+                                       options_.strategy,
+                                       GpuPlanner::Shape(options_)));
 }
 
 // ---------------------------------------------------------------------------
@@ -305,8 +242,14 @@ Result<EngineRun> GTadocEngine::Run(Task task,
   const gpu::DeviceStats before = device_->stats();
   // Plan resolution: a cache hit costs nothing; a miss runs the charged
   // planning passes (relevance probe, bounds/expansion traversals).
+  GpuPlanner planner(device_, *dev_, options_);
+  const PlanShape shape = GpuPlanner::Shape(options_);
   bool cache_hit = false;
-  auto plan = ResolvePlan(**kernel_lookup, strategy_override, &cache_hit);
+  auto plan = ResolvePlan(
+      plan_cache_, &planner, **kernel_lookup, *g_, *index_, shape,
+      MakePlanKey(kGpuPlanBackend, index_->fingerprint, task,
+                  strategy_override, options_.strategy, shape),
+      &cache_hit);
   if (!plan.ok()) return plan.status();
   return Execute(**kernel_lookup, **plan, before, cache_hit, wall);
 }

@@ -136,32 +136,13 @@ class GTadocEngine {
   Result<EngineRun> Run(const RunPlan& plan);
 
   /// Resolves (and caches) the plan a Run of (task, strategy_override) would
-  /// consume, WITHOUT executing anything — the serving front-end's footprint
-  /// probe: `plan->total_slots` is the run's full pool footprint, known
-  /// before any traversal, upload or table build, so an admission controller
-  /// can pack concurrent runs onto one device from plan metadata alone. On a
-  /// cache miss the charged planning passes advance this engine's device
-  /// clock (callers bracket with ResetClock/SimSeconds to meter the probe);
-  /// a subsequent Run with the same shape is then a plan-cache hit and
-  /// reports plan_seconds == 0.
+  /// consume, WITHOUT executing anything: `plan->total_slots` is the run's
+  /// full pool footprint, known before any traversal, upload or table
+  /// build. On a cache miss the charged planning passes advance this
+  /// engine's device clock; a subsequent Run with the same shape is then a
+  /// plan-cache hit and reports plan_seconds == 0.
   Result<std::shared_ptr<const RunPlan>> PlanOnly(
       Task task,
-      TraversalStrategy strategy_override = TraversalStrategy::kAuto);
-
-  /// The miss half of PlanOnly: builds the plan (charging the planning
-  /// passes to the device clock) and caches it WITHOUT looking its key up
-  /// first — for a caller that already missed on PlanKeyFor's key, so each
-  /// lookup is counted once.
-  Result<std::shared_ptr<const RunPlan>> BuildPlan(
-      Task task,
-      TraversalStrategy strategy_override = TraversalStrategy::kAuto);
-
-  /// The plan-cache key a Run of `task` consumes on an engine built with
-  /// `options` over a document whose index fingerprint is `grammar_fp`. A
-  /// serving probe looks this up before deciding whether it needs to bind
-  /// the document at all: on a hit, the fingerprint is all it needs.
-  static PlanKey PlanKeyFor(
-      const Options& options, uint64_t grammar_fp, Task task,
       TraversalStrategy strategy_override = TraversalStrategy::kAuto);
 
   /// The per-run TaskInput `options` describe (query_sets flattened into the
@@ -202,34 +183,10 @@ class GTadocEngine {
  private:
   explicit GTadocEngine(const Options& options);
 
-  /// The engine's charged planning passes (engine.cc): bounds run as the
-  /// genLocTblBound mask-protocol device kernel, expansion lengths as the
-  /// sequence pipeline's expLen rounds, and the relevance probe as one flat
-  /// planBloomRelevance launch.
-  struct GpuPlanner;
-
   // --- shared helpers (engine.cc) ---
   /// The per-run task parameters handed to every kernel hook
   /// (InputFromOptions over this engine's options).
   TaskInput MakeInput() const;
-  /// The shape-relevant option slice of `options` feeding the plan key
-  /// (builds and moves its own TaskInput — no extra query copies on the hot
-  /// path).
-  static PlanShape MakeShape(const Options& options);
-  /// The one place plan keys are assembled: resolves a kAuto override
-  /// against the configured strategy (in place) and stamps the GPU backend,
-  /// so store and lookup can never drift apart.
-  static PlanKey MakePlanKey(const Options& options, uint64_t grammar_fp,
-                             Task task, TraversalStrategy* strategy_override,
-                             const PlanShape& shape);
-  /// Resolves (or fetches) the run's plan; `*cache_hit` reports which.
-  Result<std::shared_ptr<const RunPlan>> ResolvePlan(
-      const TaskKernel& kernel, TraversalStrategy strategy_override,
-      bool* cache_hit);
-  /// Builds and caches the plan for `key` (the cache-miss path).
-  Result<std::shared_ptr<const RunPlan>> BuildAndCachePlan(
-      const TaskKernel& kernel, TraversalStrategy strategy_override,
-      const PlanShape& shape, const PlanKey& key);
   /// The one executor body behind both Runs. The device clock was reset at
   /// the run's start and `before` is a snapshot of the device stats then
   /// (by value: the live stats move as the run charges); anything charged
@@ -252,11 +209,6 @@ class GTadocEngine {
   /// charging the D2H copy when PCIe is billed.
   void DrainWordTable(const gpu::GpuHashTable& table,
                       std::vector<std::pair<uint32_t, uint64_t>>* counts);
-  /// Bottom-up content bounds via the genLocTblBound pass.
-  std::vector<uint64_t> BoundsPass(const WordFilter& filter,
-                                   uint64_t vocab_clamp);
-  /// Per-rule expansion lengths via the expLen bottom-up pass.
-  std::vector<uint64_t> ExpansionLengths();
 
   /// The run's pool regions, resolved by the plan and backed by one pool
   /// acquisition: the shared pool recycled in place when the options carry
@@ -334,6 +286,38 @@ class GTadocEngine {
   double upload_seconds_ = 0;
   uint64_t load_ops_ = 0;
   uint32_t last_rounds_ = 0;
+};
+
+/// \brief The GPU planner: charges the planning passes as kernels on a
+/// device over one document's device grammar, and prices plans under the
+/// GPU options' cost model.
+///
+/// Bounds run as the genLocTblBound mask-protocol kernel, expansion lengths
+/// as the sequence pipeline's expLen rounds, and the relevance probe as one
+/// flat planBloomRelevance launch. It holds no engine: a GTadocEngine plans
+/// on its own device, and the serving Submit probe on a probe device of its
+/// own. `device`, `grammar` and `options` must outlive the planner.
+class GpuPlanner : public Planner {
+ public:
+  GpuPlanner(gpu::Device* device, const DeviceGrammar& grammar,
+             const GTadocEngine::Options& options)
+      : device_(device), dev_(grammar), options_(options) {}
+
+  /// The shape-relevant slice of `options` a GPU plan key hashes.
+  static PlanShape Shape(const GTadocEngine::Options& options);
+
+ protected:
+  std::vector<uint64_t> BoundsTraversal(const WordFilter& filter,
+                                        uint64_t vocab_clamp) override;
+  std::vector<uint64_t> ExpansionPass() override;
+  void ChargeFlat(const char* what, uint64_t items,
+                  uint64_t ops_per_item) override;
+  CostEstimate PriceEstimate(const PlanWorkProfile& p) override;
+
+ private:
+  gpu::Device* device_;
+  const DeviceGrammar& dev_;
+  const GTadocEngine::Options& options_;
 };
 
 }  // namespace gtadoc

@@ -54,20 +54,19 @@ Result<PartitionedCorpus> CorpusFromDocuments(std::vector<Grammar> documents) {
   return out;
 }
 
-Result<PartitionedCorpus> PartitionAndCompress(const Corpus& corpus,
-                                               uint32_t num_partitions) {
+Result<PartitionedCorpus> PartitionTokens(const TokenizedCorpus& tokens,
+                                          uint32_t num_partitions) {
   if (num_partitions == 0) return Status::InvalidArgument("0 partitions");
-  if (corpus.num_files() < num_partitions) {
+  if (tokens.file_tokens.size() < num_partitions) {
     return Status::InvalidArgument("fewer files than partitions");
   }
-  TokenizedCorpus tokens = Tokenize(corpus);
 
   // Contiguous split balanced by token count: partition p ends once the
   // running token total crosses p's share, while leaving at least one file
   // for every remaining partition.
   const size_t total = tokens.total_tokens();
   PartitionedCorpus out;
-  out.total_files = static_cast<uint32_t>(corpus.num_files());
+  out.total_files = static_cast<uint32_t>(tokens.file_tokens.size());
   size_t file = 0;
   size_t consumed = 0;
   for (uint32_t p = 0; p < num_partitions; ++p) {
@@ -89,6 +88,11 @@ Result<PartitionedCorpus> PartitionAndCompress(const Corpus& corpus,
     out.partitions.push_back(std::move(*g));
   }
   return out;
+}
+
+Result<PartitionedCorpus> PartitionAndCompress(const Corpus& corpus,
+                                               uint32_t num_partitions) {
+  return PartitionTokens(Tokenize(corpus), num_partitions);
 }
 
 Result<std::vector<std::vector<uint32_t>>> ExpandFiles(const Grammar& g) {

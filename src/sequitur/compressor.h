@@ -39,9 +39,15 @@ struct PartitionedCorpus {
   uint32_t total_files = 0;
 };
 
-/// Splits files into `num_partitions` contiguous groups balanced by token
-/// count and compresses each independently against the corpus's one
-/// dictionary (CompressTokenStreams).
+/// Splits an already-tokenized corpus's files into `num_partitions`
+/// contiguous groups balanced by token count and compresses each
+/// independently against its one dictionary (CompressTokenStreams), so
+/// partition results share the word ids of a grammar compressed from the
+/// same tokens.
+Result<PartitionedCorpus> PartitionTokens(const TokenizedCorpus& tokens,
+                                          uint32_t num_partitions);
+
+/// Tokenize, then PartitionTokens.
 Result<PartitionedCorpus> PartitionAndCompress(const Corpus& corpus,
                                                uint32_t num_partitions);
 

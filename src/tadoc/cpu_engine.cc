@@ -22,6 +22,7 @@ Result<CpuTadocEngine> CpuTadocEngine::Create(const Grammar* g,
 Result<CpuTadocEngine> CpuTadocEngine::Create(
     const Grammar* g, std::shared_ptr<const DocumentIndex> index,
     const CpuTadocOptions& options) {
+  GTADOC_RETURN_IF_ERROR(ValidateQuerySpec(options));
   CpuTadocEngine engine(g, std::move(index), options);
   if (options.plan_cache != nullptr) {
     engine.plan_cache_ = options.plan_cache;
@@ -48,123 +49,79 @@ TaskInput CpuTadocEngine::MakeInput() const {
 // Planning: the CPU twins of the GPU passes, charged to a plan meter.
 // ---------------------------------------------------------------------------
 
-struct CpuTadocEngine::CpuPlanner : public Planner {
-  CpuPlanner(const DagView* dag, const gpu::CpuSpec* cpu, CpuCostMeter* meter)
-      : dag(dag), cpu(cpu), meter(meter) {}
-  const DagView* dag;
-  const gpu::CpuSpec* cpu;
-  CpuCostMeter* meter;
-
- protected:
-  /// Per-rule content bounds of the bottom-up state (the CPU twin of the GPU
-  /// genLocTblBound pass): own distinct accepted words plus the children's
-  /// bounds, clamped by the accepted vocabulary.
-  std::vector<uint64_t> BoundsTraversal(const WordFilter& filter,
-                                        uint64_t vocab_clamp) override {
-    const size_t n = dag->num_rules();
-    std::vector<uint64_t> bound(n, 0);
-    const auto& order = dag->topo_order();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const uint32_t r = *it;
-      uint64_t b = 0;
-      if (filter.selective()) {
-        for (const RuleWordEntry& w : dag->words(r)) {
-          meter->Charge(1);
-          if (filter.Accepts(w.word)) ++b;
-        }
-      } else {
-        b = dag->words(r).size();
-      }
-      for (const RuleChildEntry& e : dag->children(r)) {
-        b += bound[e.child];
-        meter->Charge(1);
-      }
-      bound[r] = std::min<uint64_t>(std::max<uint64_t>(vocab_clamp, 1), b);
-    }
-    return bound;
-  }
-
-  /// The CPU sequence driver walks the full expanded stream and never reads
-  /// expansion lengths, so its plans carry none.
-  std::vector<uint64_t> ExpansionPass() override { return {}; }
-
-  void ChargeFlat(const char* what, uint64_t items,
-                  uint64_t ops_per_item) override {
-    (void)what;
-    meter->Charge(items * ops_per_item);
-  }
-
-  CostEstimate PriceEstimate(const PlanWorkProfile& p) override {
-    // CPU pricing: one sequential thread at sustained throughput, no fixed
-    // dispatch floor — which is why the CPU wins the selective tail. Table
-    // updates pay the hash discipline; the sequence shape pays the full
-    // expanded token stream ([2]'s recursive walk), which is exactly what
-    // makes heavy sequence runs GPU-bound.
-    CostEstimate e;
-    const uint64_t ops =
-        p.state_slots + 2 * p.traversal_items +
-        p.reduce_items * kCpuHashUpdateOps +
-        p.sequence_tokens * (2ull * p.window + kCpuSeqMapDescentOps);
-    e.work_items = ops;
-    e.seconds = static_cast<double>(ops) / cpu->thread_ops_per_sec();
-    return e;
-  }
-};
-
-PlanKey CpuTadocEngine::MakePlanKey(Task task,
-                                    TraversalStrategy* strategy_override,
-                                    const PlanShape& shape) const {
-  if (*strategy_override == TraversalStrategy::kAuto) {
-    *strategy_override = options_.strategy;
-  }
-  PlanKey key;
-  key.backend = kCpuPlanBackend;
-  key.grammar_fp = index_->fingerprint;
-  key.task = static_cast<int>(task);
-  key.strategy_override = static_cast<int>(*strategy_override);
-  key.shape_fp = shape.Fingerprint();
-  return key;
+PlanShape CpuPlanner::Shape(const QuerySpec& query) {
+  PlanShape shape;
+  shape.input = MakeTaskInput(query);
+  return shape;
 }
 
-Result<std::shared_ptr<const RunPlan>> CpuTadocEngine::ResolvePlan(
-    const TaskKernel& kernel, TraversalStrategy strategy_override,
-    CpuCostMeter* plan_meter, bool* cache_hit) const {
-  PlanShape shape;
-  shape.input = MakeInput();
-  const PlanKey key = MakePlanKey(kernel.task(), &strategy_override, shape);
-  std::shared_ptr<const RunPlan> plan = plan_cache_->Get(key);
-  if (plan != nullptr) {
-    *cache_hit = true;
-    return plan;
+std::vector<uint64_t> CpuPlanner::BoundsTraversal(const WordFilter& filter,
+                                                  uint64_t vocab_clamp) {
+  // Per-rule content bounds of the bottom-up state: own distinct accepted
+  // words plus the children's bounds, clamped by the accepted vocabulary.
+  std::vector<uint64_t> bound(dag_.num_rules(), 0);
+  const auto& order = dag_.topo_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const uint32_t r = *it;
+    uint64_t b = 0;
+    if (filter.selective()) {
+      for (const RuleWordEntry& w : dag_.words(r)) {
+        meter_->Charge(1);
+        if (filter.Accepts(w.word)) ++b;
+      }
+    } else {
+      b = dag_.words(r).size();
+    }
+    for (const RuleChildEntry& e : dag_.children(r)) {
+      b += bound[e.child];
+      meter_->Charge(1);
+    }
+    bound[r] = std::min<uint64_t>(std::max<uint64_t>(vocab_clamp, 1), b);
   }
-  *cache_hit = false;
-  CpuPlanner planner(&dag(), &options_.cpu, plan_meter);
-  auto built = planner.BuildPlan(kernel, *g_, *index_, shape,
-                                 strategy_override, key);
-  if (!built.ok()) return built.status();
-  plan_cache_->Put(*built);
-  return *built;
+  return bound;
+}
+
+void CpuPlanner::ChargeFlat(const char* what, uint64_t items,
+                            uint64_t ops_per_item) {
+  (void)what;
+  meter_->Charge(items * ops_per_item);
+}
+
+CostEstimate CpuPlanner::PriceEstimate(const PlanWorkProfile& p) {
+  // CPU pricing: one sequential thread at sustained throughput, no fixed
+  // dispatch floor — which is why the CPU wins the selective tail. Table
+  // updates pay the hash discipline; the sequence shape pays the full
+  // expanded token stream ([2]'s recursive walk), which is exactly what
+  // makes heavy sequence runs GPU-bound.
+  CostEstimate e;
+  const uint64_t ops =
+      p.state_slots + 2 * p.traversal_items +
+      p.reduce_items * kCpuHashUpdateOps +
+      p.sequence_tokens * (2ull * p.window + kCpuSeqMapDescentOps);
+  e.work_items = ops;
+  e.seconds = static_cast<double>(ops) / cpu_.thread_ops_per_sec();
+  return e;
 }
 
 Result<std::shared_ptr<const RunPlan>> CpuTadocEngine::PlanOnly(
-    Task task, TraversalStrategy strategy_override, double* probe_seconds) {
+    Task task, TraversalStrategy strategy_override) const {
   auto kernel_lookup = TaskRegistry::Get(task);
   if (!kernel_lookup.ok()) return kernel_lookup.status();
   CpuCostMeter plan_meter(options_.cpu);
-  bool cache_hit = false;
-  auto plan = ResolvePlan(**kernel_lookup, strategy_override, &plan_meter,
-                          &cache_hit);
-  if (probe_seconds != nullptr) {
-    *probe_seconds = cache_hit ? 0.0 : plan_meter.SequentialSeconds();
-  }
-  return plan;
+  CpuPlanner planner(dag(), options_.cpu, &plan_meter);
+  const PlanShape shape = CpuPlanner::Shape(options_);
+  return ResolvePlan(plan_cache_, &planner, **kernel_lookup, *g_, *index_,
+                     shape,
+                     MakePlanKey(kCpuPlanBackend, index_->fingerprint, task,
+                                 strategy_override, options_.strategy, shape));
 }
 
 std::shared_ptr<const RunPlan> CpuTadocEngine::CachedPlan(
     Task task, TraversalStrategy strategy_override) const {
-  PlanShape shape;
-  shape.input = MakeInput();
-  return plan_cache_->Peek(MakePlanKey(task, &strategy_override, shape));
+  return plan_cache_->Peek(MakePlanKey(kCpuPlanBackend, index_->fingerprint,
+                                       task, strategy_override,
+                                       options_.strategy,
+                                       CpuPlanner::Shape(options_)));
 }
 
 // ---------------------------------------------------------------------------
@@ -179,9 +136,14 @@ Result<EngineRun> CpuTadocEngine::Run(
   // Plan resolution: a cache hit costs nothing; a miss runs the metered
   // relevance probe and bounds pass.
   CpuCostMeter plan_meter(options_.cpu);
+  CpuPlanner planner(dag(), options_.cpu, &plan_meter);
+  const PlanShape shape = CpuPlanner::Shape(options_);
   bool cache_hit = false;
-  auto plan = ResolvePlan(**kernel_lookup, strategy_override, &plan_meter,
-                          &cache_hit);
+  auto plan = ResolvePlan(
+      plan_cache_, &planner, **kernel_lookup, *g_, *index_, shape,
+      MakePlanKey(kCpuPlanBackend, index_->fingerprint, task,
+                  strategy_override, options_.strategy, shape),
+      &cache_hit);
   if (!plan.ok()) return plan.status();
   return Execute(**kernel_lookup, **plan, plan_meter, cache_hit, wall);
 }

@@ -85,14 +85,12 @@ class CpuTadocEngine {
 
   /// Resolves (and caches) the plan a Run of (task, strategy_override) would
   /// consume without executing anything — the CPU twin of
-  /// GTadocEngine::PlanOnly, and the dispatcher's CPU-side probe: the
-  /// returned plan's `estimate` is this backend's predicted cost in the same
-  /// simulated seconds as the GPU estimate. `probe_seconds` (optional)
-  /// receives the metered planning cost (0 on a cache hit).
+  /// GTadocEngine::PlanOnly: the returned plan's `estimate` is this
+  /// backend's predicted cost in the same simulated seconds as the GPU
+  /// estimate.
   Result<std::shared_ptr<const RunPlan>> PlanOnly(
       Task task,
-      TraversalStrategy strategy_override = TraversalStrategy::kAuto,
-      double* probe_seconds = nullptr);
+      TraversalStrategy strategy_override = TraversalStrategy::kAuto) const;
 
   const DagView& dag() const { return index_->dag; }
   /// The ops of the phase-1 DAG walk that builds `dag`: one pass over every
@@ -114,22 +112,9 @@ class CpuTadocEngine {
                  const CpuTadocOptions& options)
       : g_(g), index_(std::move(index)), options_(options) {}
 
-  /// The engine's charged planning passes (cpu_engine.cc): bounds as a
-  /// metered reverse-topological loop, the GPU pass's twin.
-  struct CpuPlanner;
-
   /// The per-run task parameters handed to every kernel hook (query_sets
   /// flattened into the effective accept set).
   TaskInput MakeInput() const;
-  /// The one place CPU plan keys are assembled: resolves a kAuto override
-  /// against the engine's configured strategy (in place) and stamps the CPU
-  /// backend, so store and lookup can never drift apart.
-  PlanKey MakePlanKey(Task task, TraversalStrategy* strategy_override,
-                      const PlanShape& shape) const;
-  /// Resolves (or fetches) the run's plan, charging `plan_meter` on a miss.
-  Result<std::shared_ptr<const RunPlan>> ResolvePlan(
-      const TaskKernel& kernel, TraversalStrategy strategy_override,
-      CpuCostMeter* plan_meter, bool* cache_hit) const;
 
   /// The one executor body behind both Runs: phase-1 preparation, then the
   /// plan's shape driver. `plan_meter` holds whatever resolving the plan
@@ -163,6 +148,38 @@ class CpuTadocEngine {
   /// Whether Runs charge the DAG walk that builds index_ (true only when
   /// the engine built the index itself).
   bool charge_dag_walk_ = false;
+};
+
+/// \brief The CPU planner: charges the planning passes to a CpuCostMeter
+/// over one document's DAG view, and prices plans under a CpuSpec.
+///
+/// Bounds run as a metered reverse-topological loop (the twin of the GPU's
+/// genLocTblBound pass); the relevance probe charges its flat per-rule work.
+/// It holds no engine: a CpuTadocEngine plans with its own meter, and the
+/// serving Submit probe with a fresh one per document. `dag`, `cpu` and
+/// `meter` must outlive the planner.
+class CpuPlanner : public Planner {
+ public:
+  CpuPlanner(const DagView& dag, const gpu::CpuSpec& cpu, CpuCostMeter* meter)
+      : dag_(dag), cpu_(cpu), meter_(meter) {}
+
+  /// The shape a CPU plan key hashes: the query alone.
+  static PlanShape Shape(const QuerySpec& query);
+
+ protected:
+  std::vector<uint64_t> BoundsTraversal(const WordFilter& filter,
+                                        uint64_t vocab_clamp) override;
+  /// The CPU sequence driver walks the full expanded stream and never reads
+  /// expansion lengths, so its plans carry none.
+  std::vector<uint64_t> ExpansionPass() override { return {}; }
+  void ChargeFlat(const char* what, uint64_t items,
+                  uint64_t ops_per_item) override;
+  CostEstimate PriceEstimate(const PlanWorkProfile& p) override;
+
+ private:
+  const DagView& dag_;
+  const gpu::CpuSpec& cpu_;
+  CpuCostMeter* meter_;
 };
 
 }  // namespace gtadoc

@@ -84,10 +84,7 @@ TEST(CostEstimateTest, BothBackendsPriceEveryPlan) {
   copt.cpu = gpu::PascalPlatform().cpu;
   auto cpu_engine = CpuTadocEngine::Create(doc, copt);
   ASSERT_TRUE(cpu_engine.ok());
-  double probe_seconds = -1.0;
-  auto cpu_plan = cpu_engine->PlanOnly(Task::kWordCount,
-                                       TraversalStrategy::kAuto,
-                                       &probe_seconds);
+  auto cpu_plan = cpu_engine->PlanOnly(Task::kWordCount);
   ASSERT_TRUE(cpu_plan.ok()) << cpu_plan.status().ToString();
 
   // Same work profile (the quantities are backend-neutral), different
@@ -97,15 +94,11 @@ TEST(CostEstimateTest, BothBackendsPriceEveryPlan) {
   EXPECT_GT((*gpu_plan)->estimate.fixed_seconds, 0.0);
   EXPECT_GT((*cpu_plan)->estimate.seconds, 0.0);
   EXPECT_EQ((*cpu_plan)->estimate.fixed_seconds, 0.0);
-  // Cold planning is metered (a trivial top-down plan may charge nothing);
-  // a repeat of the same shape is a free cache hit.
-  EXPECT_GE(probe_seconds, 0.0);
-  double repeat_seconds = -1.0;
-  ASSERT_TRUE(cpu_engine
-                  ->PlanOnly(Task::kWordCount, TraversalStrategy::kAuto,
-                             &repeat_seconds)
-                  .ok());
-  EXPECT_EQ(repeat_seconds, 0.0);
+  // The probe cached the plan: a run of the same shape is a free hit.
+  auto repeat = cpu_engine->Run(Task::kWordCount);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_EQ(repeat->timing.plan_cache_hits, 1u);
+  EXPECT_EQ(repeat->timing.plan_seconds, 0.0);
 }
 
 TEST(CostEstimateTest, MonotoneInDocumentSize) {

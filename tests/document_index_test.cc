@@ -20,6 +20,7 @@
 #include "gpu/platform.h"
 #include "gtadoc/engine.h"
 #include "sequitur/compressor.h"
+#include "tadoc/cpu_engine.h"
 #include "serve_util.h"
 
 namespace gtadoc {
@@ -499,7 +500,7 @@ TEST(ProbeTest, RepeatedShapeProbeBindsNoDeviceGrammar) {
   auto first = Admit(*tenant, request);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_GT(first->admission->admission_seconds, 0.0);
-  EXPECT_EQ((*server)->stats().gpu_probe_binds, n);
+  EXPECT_EQ((*server)->plan_cache()->misses(), n);
   ASSERT_TRUE(first->ticket->Await().ok());
   // One lookup per document at probe, none at execution (the run executes
   // the probe's plans); a miss is looked up once, then built.
@@ -509,12 +510,109 @@ TEST(ProbeTest, RepeatedShapeProbeBindsNoDeviceGrammar) {
   auto second = Admit(*tenant, request);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->admission->admission_seconds, 0.0);
-  EXPECT_EQ((*server)->stats().gpu_probe_binds, n);
   EXPECT_EQ((*server)->plan_cache()->hits(), n);
   EXPECT_EQ((*server)->plan_cache()->misses(), n);
   auto second_run = second->ticket->Await();
   ASSERT_TRUE(second_run.ok());
   EXPECT_EQ(second_run->batch.timing.plan_seconds, 0.0);
+}
+
+// A cold Submit charges exactly what standalone engines charge to plan the
+// executed documents, and prices the run with exactly their plans; a repeat
+// Submit plans nothing.
+TEST(ProbeTest, ColdSubmitChargesTheStandaloneEnginesPlanning) {
+  using RunBackend = CorpusServer::RunBackend;
+  MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/4, /*relevant=*/2);
+  CorpusServer::Options options = LaneOptions();
+  // No allocation charge: admission_seconds is then the plan builds alone.
+  options.engine.gpu.device_alloc_us = 0;
+  for (const RunBackend backend : {RunBackend::kGpu, RunBackend::kCpu}) {
+    const bool cpu = backend == RunBackend::kCpu;
+    auto server = CorpusServer::Create(&mc.corpus, options);
+    ASSERT_TRUE(server.ok());
+    auto tenant = (*server)->OpenTenant({});
+    ASSERT_TRUE(tenant.ok());
+    CorpusServer::RunOptions run_options;
+    run_options.backend = backend;
+    double charged = 0.0;
+    for (const Task task : TaskRegistry::RegisteredTasks()) {
+      SCOPED_TRACE(std::string(TaskName(task)) + (cpu ? " cpu" : " gpu"));
+      CorpusServer::RunRequest request = TaskRequest(task);
+      request.query_words = {mc.markers[0], mc.markers[1]};
+      auto cold = tenant->Submit(request, run_options);
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      ASSERT_TRUE(cold->admitted());
+      auto served = cold->ticket->Await();
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+      GTadocEngine::Options gopt = options.engine;
+      static_cast<QuerySpec&>(gopt) =
+          ResolveQueryDefaults(request, options.engine);
+      CpuTadocOptions copt;
+      static_cast<QuerySpec&>(copt) = gopt;
+      copt.cpu = options.cpu;
+      copt.strategy = gopt.strategy;
+      double plan_seconds = 0.0;
+      double estimate_seconds = 0.0;
+      for (size_t d = 0; d < mc.corpus.partitions.size(); ++d) {
+        if (served->batch.documents[d].skipped) continue;
+        const Grammar* doc = &mc.corpus.partitions[d];
+        std::shared_ptr<const RunPlan> plan;
+        if (cpu) {
+          auto engine = CpuTadocEngine::Create(doc, copt);
+          ASSERT_TRUE(engine.ok());
+          auto run = engine->Run(task);
+          ASSERT_TRUE(run.ok());
+          plan_seconds += run->timing.plan_seconds;
+          plan = engine->CachedPlan(task);
+        } else {
+          auto engine = GTadocEngine::Create(doc, gopt);
+          ASSERT_TRUE(engine.ok());
+          auto run = (*engine)->Run(task);
+          ASSERT_TRUE(run.ok());
+          plan_seconds += run->timing.plan_seconds;
+          plan = (*engine)->CachedPlan(task);
+        }
+        ASSERT_NE(plan, nullptr);
+        estimate_seconds += plan->estimate.seconds;
+      }
+      EXPECT_EQ(cold->admission->admission_seconds, plan_seconds);
+      EXPECT_EQ(cold->admission->backend_estimate_seconds, estimate_seconds);
+      charged += plan_seconds;
+
+      const uint64_t misses = (*server)->plan_cache()->misses();
+      auto repeat = tenant->Submit(request, run_options);
+      ASSERT_TRUE(repeat.ok());
+      ASSERT_TRUE(repeat->admitted());
+      EXPECT_EQ(repeat->admission->admission_seconds, 0.0);
+      EXPECT_EQ((*server)->plan_cache()->misses(), misses);
+      ASSERT_TRUE(repeat->ticket->Await().ok());
+    }
+    // Some plan builds charge planning passes on either backend.
+    EXPECT_GT(charged, 0.0) << (cpu ? "cpu" : "gpu");
+  }
+}
+
+// An n-gram shorter than two words is refused at Submit on either backend,
+// as both engines refuse it at Create.
+TEST(ProbeTest, RejectsNgramLenBelowTwoOnEitherBackend) {
+  using RunBackend = CorpusServer::RunBackend;
+  MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/3, /*relevant=*/1);
+  auto server = CorpusServer::Create(&mc.corpus, LaneOptions());
+  ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
+  CorpusServer::RunRequest request = TaskRequest(Task::kSequenceCount);
+  request.ngram_len = 1;
+  for (const RunBackend backend : {RunBackend::kGpu, RunBackend::kCpu}) {
+    CorpusServer::RunOptions run_options;
+    run_options.backend = backend;
+    auto submitted = (*tenant).Submit(request, run_options);
+    EXPECT_TRUE(submitted.status().IsInvalidArgument())
+        << (backend == RunBackend::kCpu ? "cpu: " : "gpu: ")
+        << submitted.status().ToString();
+  }
+  EXPECT_EQ((*server)->queued(), 0u);
 }
 
 // --------------------------------------------------------------------------

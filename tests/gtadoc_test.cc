@@ -8,6 +8,7 @@
 #include "gtadoc/engine.h"
 #include "gtadoc/scheduler.h"
 #include "sequitur/compressor.h"
+#include "tadoc/cpu_engine.h"
 
 namespace gtadoc {
 namespace {
@@ -58,6 +59,11 @@ TEST(GTadocEngineTest, RejectsBadNgramLen) {
   GTadocEngine::Options opt = TestOptions();
   opt.ngram_len = 1;
   EXPECT_TRUE(GTadocEngine::Create(&g, opt).status().IsInvalidArgument());
+  // The CPU engine applies the same check.
+  CpuTadocOptions copt;
+  copt.cpu = gpu::PascalPlatform().cpu;
+  copt.ngram_len = 1;
+  EXPECT_TRUE(CpuTadocEngine::Create(&g, copt).status().IsInvalidArgument());
 }
 
 TEST(GTadocEngineTest, RejectsCorruptGrammar) {

@@ -174,7 +174,16 @@ TEST(PlanCacheTest, ContainerVersionsShareOneKeyAndOnePlan) {
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE((*engine)->PlanOnly(task, top_down).ok());
     auto cached = (*engine)->CachedPlan(task, top_down);
-    auto fresh = (*engine)->BuildPlan(task, top_down);
+    // A fresh build by an engine-free planner over this copy's own index.
+    auto index = DocumentIndex::Build(*g);
+    ASSERT_TRUE(index.ok());
+    gpu::Device device(opt.gpu, opt.host_workers);
+    GpuPlanner planner(&device, (*index)->device_grammar, opt);
+    const PlanShape shape = GpuPlanner::Shape(opt);
+    auto fresh = planner.BuildPlan(
+        **TaskRegistry::Get(task), *g, **index, shape,
+        MakePlanKey(kGpuPlanBackend, (*index)->fingerprint, task, top_down,
+                    opt.strategy, shape));
     ASSERT_NE(cached, nullptr);
     ASSERT_TRUE(fresh.ok());
     EXPECT_TRUE(PlanEquals(*cached, **fresh))
