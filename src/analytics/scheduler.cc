@@ -4,6 +4,99 @@
 
 namespace gtadoc {
 
+SlotLedger::SlotLedger(std::vector<uint64_t> capacities)
+    : devices_(capacities.size()) {
+  for (size_t d = 0; d < capacities.size(); ++d) {
+    devices_[d].capacity = capacities[d];
+  }
+}
+
+bool SlotLedger::FitsLocked(const std::vector<uint64_t>& slots,
+                            uint64_t tenant) const {
+  if (slots.size() != devices_.size()) return false;
+  uint64_t total = 0;
+  for (size_t d = 0; d < slots.size(); ++d) {
+    const DeviceState& device = devices_[d];
+    if (device.capacity > 0 && (slots[d] > device.capacity ||
+                                device.in_use > device.capacity - slots[d])) {
+      return false;
+    }
+    total += slots[d];
+  }
+  auto it = tenants_.find(tenant);
+  if (it == tenants_.end() || it->second.quota == 0) return true;
+  const TenantState& state = it->second;
+  return total <= state.quota && state.in_use <= state.quota - total;
+}
+
+bool SlotLedger::CanReserve(const std::vector<uint64_t>& slots,
+                            uint64_t tenant) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return FitsLocked(slots, tenant);
+}
+
+bool SlotLedger::TryReserve(const std::vector<uint64_t>& slots,
+                            uint64_t tenant) {
+  // Every device and the quota are checked before anything is applied, all
+  // under the one lock: no partial hold to roll back, and two racing
+  // reservations cannot both pass a check only one of them fits under.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!FitsLocked(slots, tenant)) return false;
+  uint64_t total = 0;
+  for (size_t d = 0; d < slots.size(); ++d) {
+    DeviceState& device = devices_[d];
+    device.in_use += slots[d];
+    device.peak = std::max(device.peak, device.in_use);
+    total += slots[d];
+  }
+  in_use_ += total;
+  peak_ = std::max(peak_, in_use_);
+  tenants_[tenant].in_use += total;
+  return true;
+}
+
+void SlotLedger::ReleaseOn(size_t device, uint64_t slots, uint64_t tenant) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (device >= devices_.size()) return;
+  auto release = [slots](uint64_t* held) {
+    *held = slots > *held ? 0 : *held - slots;
+  };
+  release(&devices_[device].in_use);
+  release(&in_use_);
+  release(&tenants_[tenant].in_use);
+}
+
+void SlotLedger::SetTenantQuota(uint64_t tenant, uint64_t quota_slots) {
+  std::lock_guard<std::mutex> lock(mu_);
+  tenants_[tenant].quota = quota_slots;
+}
+
+uint64_t SlotLedger::in_use() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return in_use_;
+}
+
+uint64_t SlotLedger::peak_in_use() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return peak_;
+}
+
+uint64_t SlotLedger::in_use_on(size_t device) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return devices_.at(device).in_use;
+}
+
+uint64_t SlotLedger::peak_in_use_on(size_t device) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return devices_.at(device).peak;
+}
+
+uint64_t SlotLedger::tenant_in_use(uint64_t tenant) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = tenants_.find(tenant);
+  return it == tenants_.end() ? 0 : it->second.in_use;
+}
+
 bool RunScheduler::QosBefore(const ScheduledRun& a, const ScheduledRun& b) {
   if (a.priority != b.priority) return a.priority > b.priority;
   if (a.deadline != b.deadline) return a.deadline < b.deadline;
@@ -12,22 +105,10 @@ bool RunScheduler::QosBefore(const ScheduledRun& a, const ScheduledRun& b) {
 
 void RunScheduler::Enqueue(ScheduledRun run) {
   run.submit_time = now_;
-  if (run.cpu_lane) {
-    // CPU-lane runs hold one lane and ZERO device slots: no budget
-    // reservation, no quota charge — the lane count is their only
-    // admission constraint.
-    run.footprint_slots = 0;
-    run.device_slots.assign(num_devices(), 0);
-  } else if (run.device_slots.empty()) {
-    // A reservation described by one number lives on device 0.
-    run.device_slots.assign(num_devices(), 0);
-    run.device_slots[0] = run.footprint_slots;
-  } else {
-    run.device_slots.resize(num_devices(), 0);
-    uint64_t total = 0;
-    for (uint64_t s : run.device_slots) total += s;
-    run.footprint_slots = total;
-  }
+  // CPU-lane runs hold one lane and ZERO device slots: no ledger
+  // reservation, no quota charge — the lane count is their only admission
+  // constraint.
+  if (run.cpu_lane) run.device_slots.assign(num_devices(), 0);
   queue_.push_back(QueuedEntry{run});
 }
 
@@ -45,7 +126,7 @@ int RunScheduler::PickCandidate() const {
     const bool fits =
         entry.run.cpu_lane
             ? lanes_in_use_ < options_.cpu_lanes
-            : group_.CanReserve(entry.run.device_slots, entry.run.tenant);
+            : ledger_.CanReserve(entry.run.device_slots, entry.run.tenant);
     if (fits) return static_cast<int>(idx);
     // Backfill is starvation-bounded: once a run has been bypassed
     // aging_limit times it is urgent, and nothing may start ahead of it.
@@ -57,14 +138,14 @@ int RunScheduler::PickCandidate() const {
 AdmissionDecision RunScheduler::Start(size_t index) {
   const ScheduledRun run = queue_[index].run;
   // PickCandidate just saw the reservation fit; serving is single-threaded,
-  // so this cannot fail. The group reservation is all-or-nothing: the run
+  // so this cannot fail. The ledger reservation is all-or-nothing: the run
   // holds slots on every device it scatters to, or on none. Lane runs hold
   // a lane instead — their device_slots are all zero.
   if (run.cpu_lane) {
     ++lanes_in_use_;
     peak_lanes_in_use_ = std::max(peak_lanes_in_use_, lanes_in_use_);
   } else {
-    group_.TryReserve(run.device_slots, run.tenant);
+    ledger_.TryReserve(run.device_slots, run.tenant);
   }
 
   AdmissionDecision decision;
@@ -106,21 +187,9 @@ std::optional<AdmissionDecision> RunScheduler::StartNext() {
   return std::nullopt;
 }
 
-void RunScheduler::FinishStarted(uint64_t ticket, double duration_seconds) {
-  for (ActiveRun& run : active_) {
-    if (run.ticket == ticket) {
-      const double completion = run.start_time + duration_seconds;
-      std::fill(run.device_completion.begin(), run.device_completion.end(),
-                completion);
-      run.completion = completion;
-      return;
-    }
-  }
-}
-
-void RunScheduler::FinishSharded(uint64_t ticket,
-                                 const std::vector<double>& device_durations,
-                                 double gather_seconds) {
+void RunScheduler::Finish(uint64_t ticket,
+                          const std::vector<double>& device_durations,
+                          double tail_seconds) {
   for (ActiveRun& run : active_) {
     if (run.ticket != ticket) continue;
     double max_duration = 0.0;
@@ -133,7 +202,7 @@ void RunScheduler::FinishSharded(uint64_t ticket,
     // The run itself completes after its slowest shard plus the gather
     // (the cross-shard merge); each device is releasable at its own shard
     // completion — the per-device rolling window.
-    run.completion = run.start_time + max_duration + gather_seconds;
+    run.completion = run.start_time + max_duration + tail_seconds;
     return;
   }
 }
@@ -173,16 +242,16 @@ void RunScheduler::PopEarliestCompletion() {
   if (run_idx == active_.size()) return;  // defensive: nothing pending
   ActiveRun& run = active_[run_idx];
   now_ = std::max(now_, earliest);
-  group_.ReleaseOn(dev_idx, run.device_slots[dev_idx], run.tenant);
+  ledger_.ReleaseOn(dev_idx, run.device_slots[dev_idx], run.tenant);
   run.device_released[dev_idx] = true;
   AccountRelease(run, dev_idx, earliest);
   bool all_released = true;
   for (bool released : run.device_released) all_released &= released;
   if (all_released) {
     // Retiring the run advances the clock through its scatter/gather tail
-    // (completion includes the corpus-order merge; for FinishStarted runs
-    // it equals the release event just popped). A lane run frees its lane
-    // here — the lane is held for the run's full duration.
+    // (completion includes the corpus-order merge; for a run without a
+    // tail it equals the release event just popped). A lane run frees its
+    // lane here — the lane is held for the run's full duration.
     now_ = std::max(now_, run.completion < 0.0 ? run.start_time
                                                : run.completion);
     if (run.cpu_lane && lanes_in_use_ > 0) --lanes_in_use_;

@@ -4,34 +4,104 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <vector>
-
-#include "gpu/memory_pool.h"
 
 namespace gtadoc {
 
 /// Absent deadline: orders after every finite deadline.
 inline constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
+/// \brief The admission ledger of an N-device group (N = 1 included): one
+/// slot budget per device, reserved all or nothing.
+///
+/// Every admitted GPU run reserves its pool footprint (known before
+/// execution from `RunPlan::total_slots`) on each device it scatters to,
+/// and frees each device's share when that device's shard completes.
+/// TryReserve never blocks and never oversubscribes: it checks every device
+/// and the tenant's quota under one lock before applying anything, so a run
+/// holds slots on all its devices or on none (partial holds would deadlock
+/// admission: run A holding device 0 waiting for device 1, run B the
+/// reverse). A run that does not fit is queued instead, which is how
+/// admitted runs never need a mid-run EnsureCapacity growth.
+///
+/// A device capacity of 0 means unmetered: every share fits there (in-use
+/// and peak are still tracked). Tenant quotas span the devices: a tenant's
+/// quota bounds its reserved slots summed over all of them, so it stays
+/// meaningful when the tenant's runs scatter across shards. Tenant 0 is the
+/// untagged default.
+class SlotLedger {
+ public:
+  /// One budget per device, `capacities[d]` slots on device d.
+  explicit SlotLedger(std::vector<uint64_t> capacities);
+
+  size_t num_devices() const { return devices_.size(); }
+
+  /// Would TryReserve(slots, tenant) succeed right now? Read-only peek for
+  /// admission policies that rank candidates before reserving.
+  bool CanReserve(const std::vector<uint64_t>& slots,
+                  uint64_t tenant = 0) const;
+  /// Reserves slots[d] on every device d for `tenant`, all or nothing.
+  /// `slots` holds one entry per device (0 reserves nothing there). False,
+  /// and no state change, on a wrong arity, a device without room, or a
+  /// tenant quota the total would exceed.
+  bool TryReserve(const std::vector<uint64_t>& slots, uint64_t tenant = 0);
+  /// Returns `slots` of `tenant`'s reservation on `device` only: a sharded
+  /// run frees each device the moment that device's shard completes.
+  /// Releasing more than is held clamps to zero (a caller bug, defended).
+  void ReleaseOn(size_t device, uint64_t slots, uint64_t tenant = 0);
+  /// Ceiling on `tenant`'s reserved slots summed over devices; 0 =
+  /// unquotaed (only the device capacities bound it).
+  void SetTenantQuota(uint64_t tenant, uint64_t quota_slots);
+
+  /// Reserved slots summed over devices, now and at the high-water mark.
+  uint64_t in_use() const;
+  uint64_t peak_in_use() const;
+  /// Device `device`'s reserved slots, now and at the high-water mark (the
+  /// "admitted set never exceeded the budget" witness).
+  uint64_t in_use_on(size_t device) const;
+  uint64_t peak_in_use_on(size_t device) const;
+  /// `tenant`'s reserved slots summed over devices.
+  uint64_t tenant_in_use(uint64_t tenant) const;
+
+ private:
+  struct DeviceState {
+    uint64_t capacity = 0;  ///< 0 = unmetered
+    uint64_t in_use = 0;
+    uint64_t peak = 0;
+  };
+  struct TenantState {
+    uint64_t quota = 0;  ///< 0 = unquotaed
+    uint64_t in_use = 0;
+  };
+
+  /// Every device's capacity and the tenant's quota; caller holds mu_.
+  bool FitsLocked(const std::vector<uint64_t>& slots, uint64_t tenant) const;
+
+  mutable std::mutex mu_;
+  std::vector<DeviceState> devices_;
+  uint64_t in_use_ = 0;
+  uint64_t peak_ = 0;
+  std::map<uint64_t, TenantState> tenants_;
+};
+
 /// One queued unit of work as the scheduler sees it: an opaque ticket plus
-/// the admission-relevant facts (footprint, owner, QoS knobs). Durations are
-/// unknown until the run executes; see RunScheduler::FinishStarted.
+/// the admission-relevant facts (footprint, tenant, QoS knobs). Durations
+/// are unknown until the run executes; see RunScheduler::Finish.
 struct ScheduledRun {
-  uint64_t ticket = 0;           ///< caller-issued, unique, FIFO-ordered
-  uint64_t tenant = 0;           ///< SlotBudget owner id (0 = default)
-  uint64_t footprint_slots = 0;  ///< device-slot reservation while resident
-  /// The run's reservation on each device of the group (one entry per
-  /// scheduler device; zero = the run does not touch that device). May be
-  /// left empty — Enqueue then places footprint_slots on device 0. When
-  /// set, footprint_slots is normalized to the entries' sum.
+  uint64_t ticket = 0;  ///< caller-issued, unique, FIFO-ordered
+  uint64_t tenant = 0;  ///< SlotLedger tenant id (0 = default)
+  /// The run's reservation on each device of the group while resident: one
+  /// entry per scheduler device (zero = the run does not touch that
+  /// device).
   std::vector<uint64_t> device_slots;
   int32_t priority = 0;           ///< higher starts first
   double deadline = kNoDeadline;  ///< absolute simulated s; ties break EDF
   double submit_time = 0.0;       ///< stamped by Enqueue from the sim clock
   /// CPU-dispatched run: occupies one simulated CPU lane for its full
-  /// duration and ZERO device slots (Enqueue clears its footprint). Lane
-  /// runs never reserve against the budgets, so they overlap GPU device
+  /// duration and ZERO device slots (Enqueue zeroes device_slots). Lane
+  /// runs never reserve against the ledger, so they overlap GPU device
   /// time freely and backfill past GPU-bound queues; their only admission
   /// constraint is RunSchedulerOptions::cpu_lanes.
   bool cpu_lane = false;
@@ -65,7 +135,7 @@ struct AdmissionDecision {
 };
 
 /// \brief Rolling-admission scheduler on a simulated timeline over the
-/// SlotBudgets of an N-device group (N = 1 included).
+/// SlotLedger of an N-device group (N = 1 included).
 ///
 /// The model: admitted runs are co-resident on the device group, overlapping
 /// in SIMULATED time — run i occupies its per-device footprints for
@@ -81,65 +151,52 @@ struct AdmissionDecision {
 ///   2. Loop: StartNext() picks a run and reserves its footprint on every
 ///      device it touches, all or nothing (possibly first advancing the
 ///      clock through completion events to free slots); the caller executes
-///      it and reports the measured duration(s) via FinishStarted (one
-///      duration for every device, e.g. a CPU-lane run) or FinishSharded
-///      (per-device durations + the scatter/gather tail). Repeat until
-///      StartNext returns nullopt.
+///      it and reports its measured per-device durations and its tail via
+///      Finish (a CPU-lane run reports its one duration on every device
+///      and no tail). Repeat until StartNext returns nullopt.
 ///   3. DrainActive() retires the remaining completions.
 ///
 /// Ordering: priority desc, then deadline asc (EDF, kNoDeadline last), then
 /// ticket asc (FIFO). Runs that do not fit are backfilled past, bounded by
 /// the aging limit.
 ///
-/// Multi-device reservations go through gpu::SlotBudgetGroup: a run holds
-/// slots on all its devices or none (the deadlock-free all-or-nothing
-/// protocol), and per-tenant group quotas bind across shards.
+/// Reservations go through the scheduler's SlotLedger: a run holds slots on
+/// all its devices or none, and per-tenant quotas bind across shards.
 class RunScheduler {
  public:
-  /// Single-device scheduler (a group of one). `budget` must outlive the
-  /// scheduler; reservations are tagged with each run's tenant so per-tenant
-  /// quotas bind (see SlotBudget::SetOwnerQuota).
-  explicit RunScheduler(gpu::SlotBudget* budget,
+  /// Scheduler over one slot budget per device, `device_capacities[d]`
+  /// slots on device d (0 = unmetered).
+  explicit RunScheduler(std::vector<uint64_t> device_capacities,
                         RunSchedulerOptions options = {})
-      : RunScheduler(std::vector<gpu::SlotBudget*>{budget}, options) {}
+      : ledger_(std::move(device_capacities)), options_(options) {}
 
-  /// Sharded scheduler over one SlotBudget per device. The budgets must
-  /// outlive the scheduler.
-  explicit RunScheduler(std::vector<gpu::SlotBudget*> budgets,
-                        RunSchedulerOptions options = {})
-      : budgets_(std::move(budgets)), group_(budgets_), options_(options) {}
-
-  size_t num_devices() const { return budgets_.size(); }
-  /// The group-reservation seam (per-tenant cross-shard quotas live here).
-  gpu::SlotBudgetGroup* group() { return &group_; }
+  size_t num_devices() const { return ledger_.num_devices(); }
+  /// The reservations of every admitted run; tenant quotas are set here.
+  SlotLedger* ledger() { return &ledger_; }
 
   /// Queues a run. Its submit_time is stamped from the scheduler clock.
-  /// Precondition (caller-validated): every per-device footprint fits that
-  /// device empty and the tenant's quota, so every queued run can
-  /// eventually start.
+  /// Precondition (caller-validated): device_slots has one entry per
+  /// device (lane runs excepted) and every entry fits its device empty and
+  /// the tenant's quota, so every queued run can eventually start.
   void Enqueue(ScheduledRun run);
 
-  /// Starts the next eligible run: reserves its footprint against the
-  /// budget(s) and returns the admission decision. Advances the simulated
+  /// Starts the next eligible run: reserves its footprint in the ledger
+  /// and returns the admission decision. Advances the simulated
   /// clock through completion events (releasing their reservations) as
   /// needed to make room. Returns nullopt when the queue is empty, or when
   /// nothing queued can ever fit (a precondition violation).
   std::optional<AdmissionDecision> StartNext();
 
-  /// Reports the measured duration of a started run; its completion event
-  /// (start + duration) is when its reservation becomes releasable. Must be
-  /// called before the next StartNext (execution is serial).
-  void FinishStarted(uint64_t ticket, double duration_seconds);
-
-  /// Sharded completion report: device d's reservation becomes releasable
-  /// at start + device_durations[d] (one entry per device; entries for
-  /// devices the run holds no slots on are ignored except for the run's
+  /// Reports a started run's measured durations; must be called before the
+  /// next StartNext (execution is serial). Device d's reservation becomes
+  /// releasable at start + device_durations[d] (one entry per device;
+  /// entries for devices the run holds no slots on count only toward its
   /// overall completion), and the run itself completes at
-  /// start + max(device_durations) + gather_seconds — the scatter/gather
-  /// barrier plus the merge tail.
-  void FinishSharded(uint64_t ticket,
-                     const std::vector<double>& device_durations,
-                     double gather_seconds);
+  /// start + max(device_durations) + tail_seconds: the scatter/gather
+  /// barrier plus the merge tail. A CPU-lane run passes its duration on
+  /// every device and no tail; its lane is held until that completion.
+  void Finish(uint64_t ticket, const std::vector<double>& device_durations,
+              double tail_seconds);
 
   /// Retires every remaining active run by walking the remaining completion
   /// events. The clock ends at the last completion — the workload's
@@ -152,7 +209,6 @@ class RunScheduler {
 
   double now() const { return now_; }
   size_t queued() const { return queue_.size(); }
-  size_t active() const { return active_.size(); }
   bool idle() const { return queue_.empty() && active_.empty(); }
   /// Starts that jumped ahead of a QoS-earlier queued run.
   uint64_t backfills() const { return backfills_; }
@@ -167,8 +223,6 @@ class RunScheduler {
       const {
     return slot_seconds_per_device_;
   }
-  /// CPU lanes currently held by active cpu_lane runs.
-  uint32_t cpu_lanes_in_use() const { return lanes_in_use_; }
   /// High-water mark of co-resident cpu_lane runs (the dispatch bench's
   /// lane-saturation gate).
   uint32_t peak_cpu_lanes_in_use() const { return peak_lanes_in_use_; }
@@ -184,7 +238,7 @@ class RunScheduler {
     std::vector<uint64_t> device_slots;  ///< per device; zeroed on release
     std::vector<bool> device_released;
     /// Per-device completion (start + that device's shard duration);
-    /// < 0 until a Finish* call reports durations.
+    /// < 0 until Finish reports durations.
     std::vector<double> device_completion;
     double start_time = 0.0;
     double completion = -1.0;  ///< full completion incl. the gather tail
@@ -206,8 +260,7 @@ class RunScheduler {
   /// accounts.
   void AccountRelease(const ActiveRun& run, size_t device, double held_until);
 
-  std::vector<gpu::SlotBudget*> budgets_;
-  gpu::SlotBudgetGroup group_;
+  SlotLedger ledger_;
   RunSchedulerOptions options_;
   double now_ = 0.0;
   std::vector<QueuedEntry> queue_;  // ticket (FIFO) order

@@ -74,14 +74,13 @@ Result<CorpusServer::Submitted> CorpusServer::TenantHandle::Submit(
   return Submit(request, RunOptions{});
 }
 
-CorpusServer::CorpusServer(
-    const PartitionedCorpus* corpus, const Options& options,
-    std::vector<std::unique_ptr<gpu::SlotBudget>> device_budgets,
-    std::vector<gpu::SlotBudget*> scheduler_budgets)
+CorpusServer::CorpusServer(const PartitionedCorpus* corpus,
+                           const Options& options)
     : corpus_(corpus),
       options_(options),
-      device_budgets_(std::move(device_budgets)),
-      scheduler_(std::move(scheduler_budgets), options.scheduler) {}
+      scheduler_(std::vector<uint64_t>(options.num_devices,
+                                       options.device_slot_budget),
+                 options.scheduler) {}
 
 Result<std::unique_ptr<CorpusServer>> CorpusServer::Create(
     const PartitionedCorpus* corpus, const Options& options) {
@@ -141,16 +140,7 @@ Result<std::unique_ptr<CorpusServer>> CorpusServer::Create(
     }
   }
 
-  std::vector<std::unique_ptr<gpu::SlotBudget>> budgets;
-  std::vector<gpu::SlotBudget*> scheduler_budgets;
-  for (size_t d = 0; d < normalized.num_devices; ++d) {
-    budgets.push_back(
-        std::make_unique<gpu::SlotBudget>(normalized.device_slot_budget));
-    scheduler_budgets.push_back(budgets.back().get());
-  }
-  std::unique_ptr<CorpusServer> server(
-      new CorpusServer(corpus, normalized, std::move(budgets),
-                       std::move(scheduler_budgets)));
+  std::unique_ptr<CorpusServer> server(new CorpusServer(corpus, normalized));
   // One cache for the Submit probes of every run: a repeat shape is a free
   // probe. Execution runs each run's own plans and never consults it.
   server->plan_cache_ = std::make_shared<PlanCache>(
@@ -187,10 +177,9 @@ Result<CorpusServer::TenantHandle> CorpusServer::OpenTenant(
   tenant.slot_quota = options.slot_quota;
   tenant.default_priority = options.default_priority;
   // The quota is enforced where reservations happen, atomically with the
-  // capacity checks: at the group level, where it bounds the tenant's slots
-  // summed over ALL devices (a per-member quota would only bound each
-  // device independently).
-  scheduler_.group()->SetOwnerQuota(id, options.slot_quota);
+  // capacity checks: in the scheduler's ledger, where it bounds the
+  // tenant's slots summed over ALL devices.
+  scheduler_.ledger()->SetTenantQuota(id, options.slot_quota);
   stats_.tenants[id].name = tenant.name;
   tenants_[id] = std::move(tenant);
   return TenantHandle(this, id);
@@ -438,7 +427,6 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   ScheduledRun scheduled;
   scheduled.ticket = run.admission.ticket;
   scheduled.tenant = tenant_id;
-  scheduled.footprint_slots = run.admission.footprint_slots;
   scheduled.device_slots = run.device_footprint;  // empty for CPU lanes
   scheduled.cpu_lane = backend == RunBackend::kCpu;
   scheduled.priority = run.admission.priority;
@@ -533,7 +521,9 @@ Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
       // The first failure abandons the queue. The failed run's reservation
       // (and any still-active ones) are retired so the budget does not
       // leak.
-      scheduler_.FinishStarted(decision->ticket, 0.0);
+      scheduler_.Finish(decision->ticket,
+                        std::vector<double>(scheduler_.num_devices(), 0.0),
+                        0.0);
       scheduler_.DrainActive();
       scheduler_.ClearQueue();
       pending_.clear();
@@ -541,14 +531,15 @@ Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
       return batch.status();
     }
     const double duration = batch->timing.total_seconds();
-    if (cpu_run) {
-      scheduler_.FinishStarted(decision->ticket, duration);
-    } else {
-      // Each device is releasable at its OWN shard completion; the run
-      // completes after its slowest shard plus the gather merge.
-      scheduler_.FinishSharded(decision->ticket, device_durations,
-                               gather_seconds);
-    }
+    // Each device is releasable at its OWN shard completion; the run
+    // completes after its slowest shard plus the gather merge. A lane run
+    // reports its one duration on every device, so it retires (and frees
+    // its lane) when that duration ends.
+    scheduler_.Finish(decision->ticket,
+                      cpu_run ? std::vector<double>(scheduler_.num_devices(),
+                                                    duration)
+                              : device_durations,
+                      gather_seconds);
 
     ServedRun served;
     served.admission = run.admission;
@@ -638,14 +629,15 @@ void CorpusServer::SyncSchedulerStats() {
 
   // Group total for the aggregate; per-device peaks (each bounded by the
   // per-device budget — the admission invariant) in devices[].
-  stats_.peak_admitted_slots = scheduler_.group()->peak_in_use();
+  const SlotLedger& ledger = *scheduler_.ledger();
+  stats_.peak_admitted_slots = ledger.peak_in_use();
   const size_t num_devices = sharded_->num_devices();
   stats_.devices.assign(num_devices, Stats::DeviceStats{});
   for (size_t d = 0; d < num_devices; ++d) {
     Stats::DeviceStats& device = stats_.devices[d];
     static_cast<DeviceGroup::DeviceCounters&>(device) =
         device_group_->counters()[d];
-    device.peak_admitted_slots = device_budgets_[d]->peak_in_use();
+    device.peak_admitted_slots = ledger.peak_in_use_on(d);
   }
   for (const auto& [tenant, per_device] :
        scheduler_.slot_seconds_per_device()) {

@@ -17,7 +17,6 @@
 #include "analytics/sharding.h"
 #include "analytics/task_kernel.h"
 #include "common/result.h"
-#include "gpu/memory_pool.h"
 #include "sequitur/compressor.h"
 
 namespace gtadoc {
@@ -182,10 +181,10 @@ class CorpusServer {
   /// A registered serving principal.
   struct TenantOptions {
     std::string name;  ///< empty: "tenant-<id>"
-    /// Ceiling on the tenant's concurrently reserved slots. Admission
-    /// enforces it atomically with the global budget (SlotBudget owner
-    /// quotas), and a single run over the quota is rejected at Submit
-    /// (Rejection::Reason::kOverQuota). 0 = unquotaed.
+    /// Ceiling on the tenant's concurrently reserved slots, summed over
+    /// devices. Admission enforces it atomically with the device budgets
+    /// (SlotLedger tenant quotas), and a single run over the quota is
+    /// rejected at Submit (Rejection::Reason::kOverQuota). 0 = unquotaed.
     uint64_t slot_quota = 0;
     /// Priority applied when a Submit's RunOptions leaves priority unset.
     int32_t default_priority = 0;
@@ -424,7 +423,7 @@ class CorpusServer {
       const PartitionedCorpus* corpus, const Options& options);
 
   /// Registers a serving tenant: its slot quota becomes a standing
-  /// SlotBudget owner quota, its default priority applies to Submits that
+  /// SlotLedger tenant quota, its default priority applies to Submits that
   /// set none.
   Result<TenantHandle> OpenTenant(const TenantOptions& options);
 
@@ -470,9 +469,7 @@ class CorpusServer {
     std::vector<double> device_weight;
   };
 
-  CorpusServer(const PartitionedCorpus* corpus, const Options& options,
-               std::vector<std::unique_ptr<gpu::SlotBudget>> device_budgets,
-               std::vector<gpu::SlotBudget*> scheduler_budgets);
+  CorpusServer(const PartitionedCorpus* corpus, const Options& options);
 
   Result<Submitted> SubmitForTenant(uint64_t tenant_id,
                                     const RunRequest& request,
@@ -527,8 +524,6 @@ class CorpusServer {
   /// DocumentBlooms(*corpus_), computed once at Create: Submit's
   /// BloomExecuteMask input.
   std::vector<uint64_t> document_blooms_;
-  /// One budget per simulated GPU.
-  std::vector<std::unique_ptr<gpu::SlotBudget>> device_budgets_;
   RunScheduler scheduler_;
   /// Topology, executor, and the standing per-device routed-slot load
   /// replica selection balances against.
@@ -539,7 +534,7 @@ class CorpusServer {
   std::map<uint64_t, PendingRun> pending_;  ///< queued, by ticket
   std::map<uint64_t, ServedRun> served_;    ///< completed, not yet taken
   uint64_t next_ticket_ = 0;
-  /// 0 stays the untagged SlotBudget owner, never a tenant.
+  /// 0 stays the untagged SlotLedger tenant, never a served tenant.
   uint64_t next_tenant_ = 1;
   std::mutex progress_mu_;  ///< guards live document counters in stats_
   Stats stats_;

@@ -104,7 +104,7 @@ class ShardedCorpus {
 /// On the simulated timeline the device pipelines overlap (they are separate
 /// GPUs): the run's duration is the slowest device's shard plus the gather
 /// merge, and each device is individually releasable at its own shard
-/// completion (RunScheduler::FinishSharded).
+/// completion (RunScheduler::Finish).
 ///
 /// Devices keep the documents they execute resident across Execute calls,
 /// on the simulated timeline: a run that loads a document (the grammar

@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <vector>
 
 #include "common/result.h"
@@ -88,146 +86,6 @@ class MemoryPool {
   DeviceBuffer<uint64_t> slab_;
   std::atomic<uint64_t> cursor_{0};
   uint64_t growths_ = 0;
-};
-
-/// \brief Device-slot budget shared by concurrent pool owners — the
-/// admission-control seam of the serving front-end (CorpusServer).
-///
-/// A device has one slab budget; every admitted run reserves its full pool
-/// footprint (known before execution from `RunPlan::total_slots`) for the
-/// time it holds device state, and releases it when its wave completes.
-/// TryReserve never blocks and never oversubscribes: a reservation that
-/// would push `in_use` past `capacity` fails, and the caller queues the run
-/// instead — which is exactly how admitted runs are guaranteed to never
-/// need a mid-run EnsureCapacity growth.
-///
-/// A capacity of 0 means "unmetered": every reservation succeeds (the
-/// accounting still tracks in_use/peak for diagnostics).
-///
-/// Multi-tenant accounting: every reservation is tagged with an `owner` id
-/// (a serving tenant; 0 is the untagged default owner). Owners may carry a
-/// quota — a per-owner ceiling on concurrently reserved slots — and
-/// TryReserve enforces the global capacity AND the owner's quota
-/// atomically, so a tenant can never crowd the device past its share no
-/// matter how the scheduler interleaves admissions. Per-owner
-/// in-use/peak counters feed the serving layer's per-tenant stats.
-class SlotBudget {
- public:
-  explicit SlotBudget(uint64_t capacity_slots) : capacity_(capacity_slots) {}
-
-  /// Reserves `slots` against the budget for `owner`; false (and no state
-  /// change) when the reservation would exceed the global capacity or the
-  /// owner's quota.
-  bool TryReserve(uint64_t slots, uint64_t owner = 0);
-  /// Returns `slots` to the budget (and to `owner`'s quota). Releasing more
-  /// than is in use clamps to zero (defensive; indicates a caller bug).
-  void Release(uint64_t slots, uint64_t owner = 0);
-  /// Would TryReserve(slots, owner) succeed right now? Read-only peek for
-  /// admission policies that must rank candidates before reserving.
-  bool CanReserve(uint64_t slots, uint64_t owner = 0) const;
-
-  /// Sets `owner`'s quota (ceiling on its concurrently reserved slots).
-  /// 0 = unquotaed: only the global capacity bounds the owner.
-  void SetOwnerQuota(uint64_t owner, uint64_t quota_slots);
-  uint64_t owner_quota(uint64_t owner) const;
-  uint64_t owner_in_use(uint64_t owner) const;
-  /// High-water mark of `owner`'s concurrent reservations (the per-tenant
-  /// "quota respected" witness).
-  uint64_t owner_peak_in_use(uint64_t owner) const;
-
-  uint64_t capacity() const { return capacity_; }
-  uint64_t in_use() const;
-  /// High-water mark of concurrent reservations (the admission gate's
-  /// "admitted set never exceeded the budget" witness).
-  uint64_t peak_in_use() const;
-
- private:
-  struct OwnerState {
-    uint64_t quota = 0;  ///< 0 = unquotaed
-    uint64_t in_use = 0;
-    uint64_t peak = 0;
-  };
-
-  /// The capacity/quota check, caller holds mu_.
-  bool FitsLocked(uint64_t slots, const OwnerState& owner) const;
-
-  const uint64_t capacity_;
-  mutable std::mutex mu_;
-  uint64_t in_use_ = 0;
-  uint64_t peak_ = 0;
-  std::map<uint64_t, OwnerState> owners_;
-};
-
-/// \brief All-or-nothing reservations across the SlotBudgets of a device
-/// group — the admission seam of multi-device sharded serving.
-///
-/// A sharded run holds device slots on EVERY device its documents route to,
-/// or on none: partial reservations would deadlock admission (run A holds
-/// device 0 waiting for device 1, run B the reverse). TryReserve therefore
-/// visits members in index order and rolls back every acquired member the
-/// moment one refuses — the caller sees a plain bool and the group is never
-/// left partially reserved. Because reservations never block and acquisition
-/// order is a fixed global order, interleaved group reservations from any
-/// number of threads cannot deadlock.
-///
-/// Owner (tenant) quotas span the group: an owner's quota bounds its
-/// concurrently reserved slots summed over ALL members, enforced atomically
-/// with the member capacity checks. This is what makes a per-tenant slot
-/// quota meaningful when the tenant's runs scatter across shards — the
-/// per-member SlotBudget quotas would only bound each device independently.
-///
-/// The group does not own its members; budgets may also be reserved against
-/// directly (single-device callers), and the group-level owner accounting
-/// then simply does not see those reservations.
-class SlotBudgetGroup {
- public:
-  /// `members` must outlive the group; index order is the (deadlock-free)
-  /// acquisition order.
-  explicit SlotBudgetGroup(std::vector<SlotBudget*> members);
-
-  size_t size() const { return members_.size(); }
-  SlotBudget* member(size_t i) const { return members_[i]; }
-
-  /// Reserves slots[i] on member i for `owner`, all or nothing. `slots`
-  /// must be one entry per member (zero entries reserve nothing on that
-  /// member). False — and no state change anywhere — when any member
-  /// refuses or the owner's group quota would be exceeded.
-  bool TryReserve(const std::vector<uint64_t>& slots, uint64_t owner = 0);
-  /// Returns slots[i] to every member (the inverse of TryReserve).
-  void Release(const std::vector<uint64_t>& slots, uint64_t owner = 0);
-  /// Returns `slots` to member `index` only — the per-device rolling
-  /// release: a sharded run frees each device the moment that device's
-  /// shard completes, not when the whole run does.
-  void ReleaseOn(size_t index, uint64_t slots, uint64_t owner = 0);
-  /// Would TryReserve(slots, owner) succeed right now? Read-only.
-  bool CanReserve(const std::vector<uint64_t>& slots,
-                  uint64_t owner = 0) const;
-
-  /// Sets `owner`'s group quota: a ceiling on its concurrently reserved
-  /// slots summed over all members. 0 = unquotaed.
-  void SetOwnerQuota(uint64_t owner, uint64_t quota_slots);
-  uint64_t owner_quota(uint64_t owner) const;
-  /// Owner's group-reserved slots (via this group's TryReserve only).
-  uint64_t owner_in_use(uint64_t owner) const;
-  uint64_t owner_peak_in_use(uint64_t owner) const;
-
-  /// Group totals: current and peak concurrently reserved slots summed over
-  /// members (group reservations only).
-  uint64_t in_use() const;
-  uint64_t peak_in_use() const;
-
- private:
-  struct OwnerState {
-    uint64_t quota = 0;  ///< 0 = unquotaed
-    uint64_t in_use = 0;
-    uint64_t peak = 0;
-  };
-
-  std::vector<SlotBudget*> members_;
-  mutable std::mutex mu_;  ///< guards group-level accounting
-  uint64_t in_use_ = 0;
-  uint64_t peak_ = 0;
-  std::map<uint64_t, OwnerState> owners_;
 };
 
 }  // namespace gpu

@@ -10,14 +10,6 @@
 
 namespace gtadoc {
 
-namespace {
-
-uint64_t PackPair(uint32_t hi, uint32_t lo) {
-  return (static_cast<uint64_t>(hi) << 32) | lo;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Shared Algorithm 2 machinery for both bottom-up executors: the per-rule
 // content bounds were computed at plan time (the genLocTblBound pass, cached
@@ -193,8 +185,8 @@ Status GTadocEngine::FileTaskBottomUp(const TaskKernel& kernel,
         const uint32_t file = dev_->root_file_of_pos[it.pos];
         ctx.Charge(1);
         if (it.child == UINT32_MAX) {
-          return global.AddOrInsert(ctx, PackPair(file, dev_->body_sym[it.pos]),
-                                    1);
+          return global.AddOrInsert(
+              ctx, internal::PackPair(file, dev_->body_sym[it.pos]), 1);
         }
         uint32_t word;
         uint64_t cnt;
@@ -202,7 +194,7 @@ Status GTadocEngine::FileTaskBottomUp(const TaskKernel& kernel,
                              &cnt)) {
           return gpu::InsertOutcome::kDone;
         }
-        return global.AddOrInsert(ctx, PackPair(file, word), cnt);
+        return global.AddOrInsert(ctx, internal::PackPair(file, word), cnt);
       });
   if (!ok) return Status::Internal("file-task table undersized (bottom-up)");
 

@@ -336,57 +336,25 @@ uint32_t GTadocEngine::ComputeGlobalWeights(const TaskKernel& kernel,
   // may carry e.g. saturating counters through the same rounds).
   const StateLayout& layout = kernel.Layout(TraversalStrategy::kTopDown);
 
-  std::vector<std::atomic<uint32_t>> cur_in(n);
-  std::vector<uint8_t> mask(n, 0);
-  std::vector<std::atomic<uint8_t>> mask_next(n);
-
   // initTopDownMaskKernel: weights seeded with root frequencies; rules whose
   // only parent is the root start the traversal (Algorithm 1 lines 2, 9-11).
-  device_->Launch("initTopDownMask", n, [&](gpu::ThreadCtx& ctx) {
-    const uint32_t r = ctx.tid();
-    ctx.Charge(2);
-    if (r == 0) return;
-    GpuStateOps ops(&ctx);
-    layout.Init(lease.state_at(r), ops);
-    if (dev_->root_freq[r] != 0) {
-      layout.Absorb(lease.state_at(r), 0, dev_->root_freq[r], ops);
-    }
-    if (dev_->in_edges_nonroot[r] == 0) mask[r] = 1;
-  });
-
   // topDownKernel rounds (Algorithm 1 lines 3-7): a ready rule folds its
   // state into every child, scaled by the edge frequency.
-  uint32_t rounds = 0;
-  std::atomic<bool> stop{false};
-  while (!stop.load(std::memory_order_relaxed)) {
-    stop.store(true, std::memory_order_relaxed);
-    ++rounds;
-    device_->Launch("topDown", n, [&](gpu::ThreadCtx& ctx) {
-      const uint32_t r = ctx.tid();
-      ctx.Charge(1);
-      if (r == 0 || !mask[r]) return;
-      GpuStateOps ops(&ctx);
-      for (uint32_t e = dev_->child_off[r]; e < dev_->child_off[r + 1]; ++e) {
-        const uint32_t c = dev_->child_id[e];
-        layout.Merge(lease.state_at(c), lease.state_at(r), dev_->child_freq[e],
-                     ops);
-        const uint32_t got =
-            cur_in[c].fetch_add(1, std::memory_order_relaxed) + 1;
-        ctx.ChargeAtomic(1);
-        if (got == dev_->in_edges_nonroot[c]) {
-          mask_next[c].store(1, std::memory_order_relaxed);
-          stop.store(false, std::memory_order_relaxed);
+  const uint32_t rounds = internal::TopDownRounds(
+      device_, *dev_, "initTopDownMask", "topDown",
+      [&](uint32_t r, gpu::ThreadCtx& ctx) {
+        ctx.Charge(1);
+        if (r == 0) return;
+        GpuStateOps ops(&ctx);
+        layout.Init(lease.state_at(r), ops);
+        if (dev_->root_freq[r] != 0) {
+          layout.Absorb(lease.state_at(r), 0, dev_->root_freq[r], ops);
         }
-      }
-    });
-    // Swap masks: rules that just finished never rerun; newly-ready rules run
-    // in the next round (rule.mask <- false, subRule.mask <- true).
-    // Double-buffered masks: the production kernels read the mask through a
-    // pointer the host swaps between rounds, so this costs no device work.
-    for (uint32_t r = 0; r < n; ++r) {
-      mask[r] = mask_next[r].exchange(0, std::memory_order_relaxed);
-    }
-  }
+      },
+      [&](uint32_t r, uint32_t c, uint32_t freq, gpu::ThreadCtx& ctx) {
+        GpuStateOps ops(&ctx);
+        layout.Merge(lease.state_at(c), lease.state_at(r), freq, ops);
+      });
 
   weight[0] = 1;
   for (uint32_t r = 1; r < n; ++r) {

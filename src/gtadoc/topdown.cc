@@ -1,19 +1,13 @@
 #include <algorithm>
-#include <atomic>
 #include <map>
 
 #include "common/logging.h"
 #include "gpu/memory_pool.h"
 #include "gpu/round_loop.h"
 #include "gtadoc/engine.h"
+#include "gtadoc/traversal_util.h"
 
 namespace gtadoc {
-
-namespace {
-uint64_t PackPair(uint32_t hi, uint32_t lo) {
-  return (static_cast<uint64_t>(hi) << 32) | lo;
-}
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // kGlobalWeight, Algorithm 1: weights then a fine-grained parallel reduce.
@@ -246,46 +240,15 @@ Status GTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
   // state into each relevant child, scaled by the edge frequency (the
   // layout's cross-chunk reduce). Readiness counters are bumped for every
   // child so the mask protocol converges regardless of pruning.
-  std::vector<uint8_t> mask(n, 0);
-  std::vector<std::atomic<uint8_t>> mask_next(n);
-  std::vector<std::atomic<uint32_t>> cur_in(n);
-  device_->Launch("initFileMask", n, [&](gpu::ThreadCtx& ctx) {
-    const uint32_t r = ctx.tid();
-    ctx.Charge(1);
-    if (r != 0 && dev_->in_edges_nonroot[r] == 0) mask[r] = 1;
-  });
-
-  std::atomic<bool> stop{false};
-  uint32_t rounds = 0;
-  while (!stop.load(std::memory_order_relaxed)) {
-    stop.store(true, std::memory_order_relaxed);
-    ++rounds;
-    device_->Launch("fileTopDown", n, [&](gpu::ThreadCtx& ctx) {
-      const uint32_t r = ctx.tid();
-      ctx.Charge(1);
-      if (r == 0 || !mask[r]) return;
-      GpuStateOps ops(&ctx);
-      for (uint32_t e = dev_->child_off[r]; e < dev_->child_off[r + 1]; ++e) {
-        const uint32_t c = dev_->child_id[e];
+  last_rounds_ = internal::TopDownRounds(
+      device_, *dev_, "initFileMask", "fileTopDown",
+      [](uint32_t, gpu::ThreadCtx&) {},
+      [&](uint32_t r, uint32_t c, uint32_t freq, gpu::ThreadCtx& ctx) {
         if (lease.state_at(r).valid() && lease.state_at(c).valid()) {
-          layout.Merge(lease.state_at(c), lease.state_at(r),
-                       dev_->child_freq[e], ops);
+          GpuStateOps ops(&ctx);
+          layout.Merge(lease.state_at(c), lease.state_at(r), freq, ops);
         }
-        const uint32_t got =
-            cur_in[c].fetch_add(1, std::memory_order_relaxed) + 1;
-        ctx.ChargeAtomic(1);
-        if (got == dev_->in_edges_nonroot[c]) {
-          mask_next[c].store(1, std::memory_order_relaxed);
-          stop.store(false, std::memory_order_relaxed);
-        }
-      }
-    });
-    // Double-buffered mask swap (host pointer swap; no device work).
-    for (uint32_t r = 0; r < n; ++r) {
-      mask[r] = mask_next[r].exchange(0, std::memory_order_relaxed);
-    }
-  }
-  last_rounds_ = rounds;
+      });
 
   // --- Reduce: (file, word) counts into the global table. Work items are
   // single layout read units — (rule, word entry, state slot) — so the retry
@@ -321,7 +284,7 @@ Status GTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
           return gpu::InsertOutcome::kDone;
         }
         return table.AddOrInsert(
-            ctx, PackPair(file, dev_->word_id[it.entry]),
+            ctx, internal::PackPair(file, dev_->word_id[it.entry]),
             w * dev_->word_freq[it.entry]);
       });
   if (!ok) return Status::Internal("file-task table undersized");
@@ -336,7 +299,7 @@ Status GTadocEngine::FileTaskTopDown(const TaskKernel& kernel,
           return gpu::InsertOutcome::kDone;
         }
         return table.AddOrInsert(
-            ctx, PackPair(dev_->root_file_of_pos[p], sym), 1);
+            ctx, internal::PackPair(dev_->root_file_of_pos[p], sym), 1);
       });
   if (!ok) return Status::Internal("file-task table undersized (root)");
 

@@ -5,7 +5,6 @@
 #include <iterator>
 #include <map>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -392,124 +391,6 @@ TEST(RoundLoopTest, EmptyIsTriviallyDone) {
   EXPECT_TRUE(RoundLoop(&device, "empty", 0, 4, [&](size_t, ThreadCtx&) {
     return InsertOutcome::kDone;
   }));
-}
-
-// ------------------------------------------------------- SlotBudgetGroup ---
-
-TEST(SlotBudgetGroupTest, AllOrNothingRollsBackOnMemberRefusal) {
-  SlotBudget a(10);
-  SlotBudget b(10);
-  SlotBudgetGroup group({&a, &b});
-
-  ASSERT_TRUE(group.TryReserve({2, 8}));
-  EXPECT_EQ(group.in_use(), 10u);
-
-  // Member 0 would fit (2+5 <= 10) but member 1 refuses (8+5 > 10): the
-  // reservation must fail WITHOUT leaving member 0 partially held.
-  EXPECT_FALSE(group.CanReserve({5, 5}));
-  EXPECT_FALSE(group.TryReserve({5, 5}));
-  EXPECT_EQ(a.in_use(), 2u);
-  EXPECT_EQ(b.in_use(), 8u);
-  EXPECT_EQ(group.in_use(), 10u);
-  EXPECT_EQ(group.peak_in_use(), 10u);
-
-  group.Release({2, 8});
-  EXPECT_EQ(a.in_use(), 0u);
-  EXPECT_EQ(b.in_use(), 0u);
-  EXPECT_EQ(group.in_use(), 0u);
-  EXPECT_TRUE(group.TryReserve({5, 5}));
-}
-
-TEST(SlotBudgetGroupTest, ZeroEntriesAndSizeMismatch) {
-  SlotBudget a(4);
-  SlotBudget b(4);
-  SlotBudgetGroup group({&a, &b});
-
-  // Zero entries reserve nothing on that member.
-  ASSERT_TRUE(group.TryReserve({0, 3}));
-  EXPECT_EQ(a.in_use(), 0u);
-  EXPECT_EQ(b.in_use(), 3u);
-
-  // A wrong-arity request is refused outright, no state change.
-  EXPECT_FALSE(group.TryReserve({1}));
-  EXPECT_FALSE(group.CanReserve({1, 1, 1}));
-  EXPECT_EQ(group.in_use(), 3u);
-}
-
-TEST(SlotBudgetGroupTest, OwnerQuotaSpansShards) {
-  SlotBudget a(100);
-  SlotBudget b(100);
-  SlotBudgetGroup group({&a, &b});
-  group.SetOwnerQuota(1, 50);
-
-  // 30 + 10 = 40 of 50: fits.
-  ASSERT_TRUE(group.TryReserve({30, 10}, 1));
-  // Each member individually has room, but the GROUP total (40 + 20 = 60)
-  // exceeds the owner's cross-shard quota.
-  EXPECT_FALSE(group.CanReserve({10, 10}, 1));
-  EXPECT_FALSE(group.TryReserve({10, 10}, 1));
-  EXPECT_EQ(group.owner_in_use(1), 40u);
-  // Another owner is not bound by tenant 1's quota.
-  EXPECT_TRUE(group.TryReserve({10, 10}, 2));
-
-  // Per-device rolling release: freeing one member's share re-opens the
-  // quota headroom.
-  group.ReleaseOn(0, 30, 1);
-  EXPECT_EQ(group.owner_in_use(1), 10u);
-  EXPECT_TRUE(group.TryReserve({10, 10}, 1));
-  EXPECT_EQ(group.owner_peak_in_use(1), 40u);
-}
-
-TEST(SlotBudgetGroupTest, NoDeadlockUnderInterleavedReservations) {
-  // Two owners repeatedly grab opposite-skew reservations across the same
-  // two budgets — the classic hold-and-wait shape. TryReserve never blocks
-  // and acquires in index order with rollback, so this must always run to
-  // completion with budgets never oversubscribed.
-  SlotBudget a(10);
-  SlotBudget b(10);
-  SlotBudgetGroup group({&a, &b});
-
-  std::atomic<uint64_t> successes{0};
-  std::atomic<bool> overcommitted{false};
-  auto worker = [&](std::vector<uint64_t> slots, uint64_t owner) {
-    for (int i = 0; i < 20000; ++i) {
-      if (group.TryReserve(slots, owner)) {
-        if (a.in_use() > a.capacity() || b.in_use() > b.capacity()) {
-          overcommitted = true;
-        }
-        ++successes;
-        group.Release(slots, owner);
-      }
-    }
-  };
-  std::thread t1(worker, std::vector<uint64_t>{6, 4}, 1);
-  std::thread t2(worker, std::vector<uint64_t>{4, 6}, 2);
-  std::thread t3(worker, std::vector<uint64_t>{10, 10}, 3);
-  t1.join();
-  t2.join();
-  t3.join();
-
-  EXPECT_GT(successes.load(), 0u);
-  EXPECT_FALSE(overcommitted.load());
-  EXPECT_EQ(a.in_use(), 0u);
-  EXPECT_EQ(b.in_use(), 0u);
-  EXPECT_EQ(group.in_use(), 0u);
-  EXPECT_LE(group.peak_in_use(), 20u);
-}
-
-TEST(SlotBudgetGroupTest, GroupDoesNotOwnDirectMemberTraffic) {
-  // Budgets may also be reserved against directly; the group's capacity
-  // checks see that usage (member TryReserve refuses) but its group-level
-  // owner accounting does not.
-  SlotBudget a(10);
-  SlotBudget b(10);
-  SlotBudgetGroup group({&a, &b});
-
-  ASSERT_TRUE(a.TryReserve(7));
-  EXPECT_FALSE(group.CanReserve({4, 4}));
-  EXPECT_TRUE(group.TryReserve({3, 4}));
-  EXPECT_EQ(group.in_use(), 7u);  // the direct 7 is not group traffic
-  EXPECT_EQ(a.in_use(), 10u);
 }
 
 }  // namespace

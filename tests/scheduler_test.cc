@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "analytics/batch.h"
@@ -49,27 +51,40 @@ MarkerCorpus MakeMarkerCorpus(uint32_t num_docs, uint32_t relevant,
   return std::move(*built);
 }
 
-/// Drives a synthetic workload through a RunScheduler the way the serving
-/// layer does — serial execution, durations reported at each start — and
-/// records the admission order plus the budget occupancy seen at every
-/// start event.
+/// Drives a synthetic one-device workload through a RunScheduler the way
+/// the serving layer does — serial execution, durations reported at each
+/// start — and records the admission order plus the ledger occupancy seen
+/// at every start event.
 struct SyntheticDrive {
   std::vector<uint64_t> start_order;           ///< tickets, in start order
   std::map<uint64_t, AdmissionDecision> decisions;  ///< by ticket
   uint64_t peak_at_any_event = 0;
+  /// Per tenant: the most slots it held at any start event.
+  std::map<uint64_t, uint64_t> tenant_peak_at_any_event;
 };
 
-SyntheticDrive Drive(RunScheduler* scheduler, gpu::SlotBudget* budget,
+SyntheticDrive Drive(RunScheduler* scheduler,
                      const std::map<uint64_t, double>& durations) {
   SyntheticDrive out;
+  const SlotLedger& ledger = *scheduler->ledger();
   while (auto decision = scheduler->StartNext()) {
     out.start_order.push_back(decision->ticket);
     out.decisions[decision->ticket] = *decision;
-    out.peak_at_any_event = std::max(out.peak_at_any_event, budget->in_use());
-    scheduler->FinishStarted(decision->ticket, durations.at(decision->ticket));
+    out.peak_at_any_event = std::max(out.peak_at_any_event, ledger.in_use());
+    uint64_t& tenant_peak = out.tenant_peak_at_any_event[decision->tenant];
+    tenant_peak = std::max(tenant_peak, ledger.tenant_in_use(decision->tenant));
+    scheduler->Finish(decision->ticket, {durations.at(decision->ticket)}, 0.0);
   }
   scheduler->DrainActive();
   return out;
+}
+
+/// A one-device run of `slots` slots.
+ScheduledRun OneDeviceRun(uint64_t ticket, uint64_t slots) {
+  ScheduledRun run;
+  run.ticket = ticket;
+  run.device_slots = {slots};
+  return run;
 }
 
 // --------------------------------------------------------------------------
@@ -77,34 +92,29 @@ SyntheticDrive Drive(RunScheduler* scheduler, gpu::SlotBudget* budget,
 // --------------------------------------------------------------------------
 
 TEST(RunSchedulerTest, BudgetNeverExceededAtAnyCompletionEvent) {
-  gpu::SlotBudget budget(100);
-  RunScheduler scheduler(&budget);
+  RunScheduler scheduler({100});
   std::map<uint64_t, double> durations;
   // A mix that cannot all be resident at once: footprints sum to 260.
   const uint64_t footprints[] = {60, 40, 80, 30, 50};
   for (uint64_t t = 0; t < 5; ++t) {
-    ScheduledRun run;
-    run.ticket = t;
-    run.footprint_slots = footprints[t];
-    scheduler.Enqueue(run);
+    scheduler.Enqueue(OneDeviceRun(t, footprints[t]));
     durations[t] = 1.0 + static_cast<double>(t);
   }
-  SyntheticDrive drive =
-      Drive(&scheduler, &budget, durations);
+  SyntheticDrive drive = Drive(&scheduler, durations);
   ASSERT_EQ(drive.start_order.size(), 5u);
   // The invariant, observed at every admission event and as the overall
   // reservation high-water mark.
+  const SlotLedger& ledger = *scheduler.ledger();
   EXPECT_LE(drive.peak_at_any_event, 100u);
-  EXPECT_LE(budget.peak_in_use(), 100u);
-  EXPECT_EQ(budget.in_use(), 0u) << "DrainActive must release everything";
+  EXPECT_LE(ledger.peak_in_use_on(0), 100u);
+  EXPECT_EQ(ledger.in_use(), 0u) << "DrainActive must release everything";
   EXPECT_TRUE(scheduler.idle());
 }
 
 TEST(RunSchedulerTest, PerTenantQuotaRespectedUnderInterleaving) {
-  gpu::SlotBudget budget(200);
-  budget.SetOwnerQuota(1, 60);
-  budget.SetOwnerQuota(2, 100);
-  RunScheduler scheduler(&budget);
+  RunScheduler scheduler({200});
+  scheduler.ledger()->SetTenantQuota(1, 60);
+  scheduler.ledger()->SetTenantQuota(2, 100);
   std::map<uint64_t, double> durations;
   // Tenant 1 submits three 40-slot runs (two would breach its 60-slot
   // quota); tenant 2 submits two 50-slot runs. The global budget could
@@ -115,46 +125,38 @@ TEST(RunSchedulerTest, PerTenantQuotaRespectedUnderInterleaving) {
   };
   const Spec specs[] = {{1, 40}, {1, 40}, {2, 50}, {1, 40}, {2, 50}};
   for (uint64_t t = 0; t < 5; ++t) {
-    ScheduledRun run;
-    run.ticket = t;
+    ScheduledRun run = OneDeviceRun(t, specs[t].footprint);
     run.tenant = specs[t].tenant;
-    run.footprint_slots = specs[t].footprint;
     scheduler.Enqueue(run);
     durations[t] = 2.0;
   }
-  SyntheticDrive drive =
-      Drive(&scheduler, &budget, durations);
+  SyntheticDrive drive = Drive(&scheduler, durations);
   ASSERT_EQ(drive.start_order.size(), 5u);
-  EXPECT_LE(budget.owner_peak_in_use(1), 60u);
-  EXPECT_LE(budget.owner_peak_in_use(2), 100u);
+  EXPECT_LE(drive.tenant_peak_at_any_event[1], 60u);
+  EXPECT_LE(drive.tenant_peak_at_any_event[2], 100u);
   // Tenant 2's second run backfilled past tenant 1's quota-blocked runs:
   // the quota bounds the tenant, not the device.
   EXPECT_GT(scheduler.backfills(), 0u);
 }
 
 TEST(RunSchedulerTest, AgingAdmitsStarvedLargeRunUnderContinuousBackfill) {
-  gpu::SlotBudget budget(100);
   RunSchedulerOptions opt;
   opt.aging_limit = 4;
-  RunScheduler scheduler(&budget, opt);
+  RunScheduler scheduler({100}, opt);
   std::map<uint64_t, double> durations;
   // Ticket 0: a small run that is resident when the full-budget run (ticket
   // 1) arrives. Tickets 2..21: a continuous stream of small runs that all
   // fit next to each other — without aging, they could backfill forever
   // and ticket 1 would starve.
   auto enqueue = [&](uint64_t ticket, uint64_t footprint, double duration) {
-    ScheduledRun run;
-    run.ticket = ticket;
-    run.footprint_slots = footprint;
-    scheduler.Enqueue(run);
+    scheduler.Enqueue(OneDeviceRun(ticket, footprint));
     durations[ticket] = duration;
   };
   enqueue(0, 50, 10.0);
   enqueue(1, 100, 5.0);  // needs the whole device
   for (uint64_t t = 2; t < 22; ++t) enqueue(t, 50, 10.0);
 
-  SyntheticDrive drive =
-      Drive(&scheduler, &budget, durations);
+  SyntheticDrive drive = Drive(&scheduler, durations);
   ASSERT_EQ(drive.start_order.size(), 22u);
   const auto it =
       std::find(drive.start_order.begin(), drive.start_order.end(), 1u);
@@ -165,33 +167,28 @@ TEST(RunSchedulerTest, AgingAdmitsStarvedLargeRunUnderContinuousBackfill) {
   // nothing may start ahead of it, so at most ticket 0 plus aging_limit
   // backfills precede it — not the whole small-run stream.
   EXPECT_LE(starts_before_large, 1u + opt.aging_limit);
-  EXPECT_LE(budget.peak_in_use(), 100u);
+  EXPECT_LE(scheduler.ledger()->peak_in_use_on(0), 100u);
 }
 
 TEST(RunSchedulerTest, DeadlinesOrderStartsEarliestFirst) {
-  gpu::SlotBudget budget(100);
-  RunScheduler scheduler(&budget);
+  RunScheduler scheduler({100});
   std::map<uint64_t, double> durations;
   // Every run needs the whole device, so starts serialize and the order is
   // pure QoS: equal priority, EDF by deadline, submission order last.
   const double deadlines[] = {40.0, 10.0, 30.0, 20.0, kNoDeadline};
   for (uint64_t t = 0; t < 5; ++t) {
-    ScheduledRun run;
-    run.ticket = t;
-    run.footprint_slots = 100;
+    ScheduledRun run = OneDeviceRun(t, 100);
     run.deadline = deadlines[t];
     scheduler.Enqueue(run);
     durations[t] = 1.0;
   }
-  SyntheticDrive drive =
-      Drive(&scheduler, &budget, durations);
+  SyntheticDrive drive = Drive(&scheduler, durations);
   EXPECT_EQ(drive.start_order, (std::vector<uint64_t>{1, 3, 2, 0, 4}))
       << "EDF within a priority class; no-deadline runs go last";
 }
 
 TEST(RunSchedulerTest, PriorityOutranksDeadlineAndSubmissionOrder) {
-  gpu::SlotBudget budget(100);
-  RunScheduler scheduler(&budget);
+  RunScheduler scheduler({100});
   std::map<uint64_t, double> durations;
   struct Spec {
     int32_t priority;
@@ -199,39 +196,155 @@ TEST(RunSchedulerTest, PriorityOutranksDeadlineAndSubmissionOrder) {
   };
   const Spec specs[] = {{0, 5.0}, {1, kNoDeadline}, {1, 8.0}, {0, 2.0}};
   for (uint64_t t = 0; t < 4; ++t) {
-    ScheduledRun run;
-    run.ticket = t;
-    run.footprint_slots = 100;
+    ScheduledRun run = OneDeviceRun(t, 100);
     run.priority = specs[t].priority;
     run.deadline = specs[t].deadline;
     scheduler.Enqueue(run);
     durations[t] = 1.0;
   }
-  SyntheticDrive drive =
-      Drive(&scheduler, &budget, durations);
+  SyntheticDrive drive = Drive(&scheduler, durations);
   EXPECT_EQ(drive.start_order, (std::vector<uint64_t>{2, 1, 3, 0}));
 }
 
 // --------------------------------------------------------------------------
-// SlotBudget owner quotas.
+// SlotLedger: one device budget per device, all-or-nothing reservations,
+// tenant quotas spanning devices.
 // --------------------------------------------------------------------------
 
+TEST(SlotBudgetTest, ReserveReleasePeak) {
+  SlotLedger ledger({100});
+  EXPECT_TRUE(ledger.TryReserve({60}));
+  EXPECT_TRUE(ledger.TryReserve({40}));
+  EXPECT_FALSE(ledger.TryReserve({1}));  // full: no oversubscription
+  EXPECT_EQ(ledger.in_use_on(0), 100u);
+  ledger.ReleaseOn(0, 40);
+  EXPECT_EQ(ledger.in_use_on(0), 60u);
+  EXPECT_TRUE(ledger.TryReserve({40}));
+  EXPECT_EQ(ledger.peak_in_use_on(0), 100u);
+  EXPECT_FALSE(ledger.TryReserve({200}));  // larger than the whole budget
+}
+
+TEST(SlotBudgetTest, ZeroCapacityIsUnmetered) {
+  SlotLedger ledger({0});
+  EXPECT_TRUE(ledger.TryReserve({1ull << 40}));
+  EXPECT_EQ(ledger.peak_in_use_on(0), 1ull << 40);
+  EXPECT_EQ(ledger.peak_in_use(), 1ull << 40);
+}
+
 TEST(SlotBudgetOwnerTest, QuotaBindsAtomicallyWithCapacity) {
-  gpu::SlotBudget budget(100);
-  budget.SetOwnerQuota(1, 30);
-  EXPECT_TRUE(budget.TryReserve(30, 1));
-  EXPECT_FALSE(budget.TryReserve(1, 1)) << "owner quota full";
-  EXPECT_TRUE(budget.TryReserve(60, 2)) << "other owners are not bound";
-  EXPECT_FALSE(budget.TryReserve(20, 2)) << "global capacity still binds";
-  EXPECT_EQ(budget.owner_in_use(1), 30u);
-  EXPECT_EQ(budget.owner_in_use(2), 60u);
-  budget.Release(30, 1);
-  EXPECT_EQ(budget.owner_in_use(1), 0u);
-  EXPECT_EQ(budget.owner_peak_in_use(1), 30u);
-  EXPECT_EQ(budget.in_use(), 60u);
-  // Legacy single-argument calls are the untagged owner 0.
-  EXPECT_TRUE(budget.TryReserve(40));
-  EXPECT_EQ(budget.owner_in_use(0), 40u);
+  SlotLedger ledger({100});
+  ledger.SetTenantQuota(1, 30);
+  EXPECT_TRUE(ledger.TryReserve({30}, 1));
+  EXPECT_FALSE(ledger.TryReserve({1}, 1)) << "tenant quota full";
+  EXPECT_TRUE(ledger.TryReserve({60}, 2)) << "other tenants are not bound";
+  EXPECT_FALSE(ledger.TryReserve({20}, 2)) << "device capacity still binds";
+  EXPECT_EQ(ledger.tenant_in_use(1), 30u);
+  EXPECT_EQ(ledger.tenant_in_use(2), 60u);
+  ledger.ReleaseOn(0, 30, 1);
+  EXPECT_EQ(ledger.tenant_in_use(1), 0u);
+  EXPECT_EQ(ledger.in_use(), 60u);
+  EXPECT_EQ(ledger.peak_in_use(), 90u);
+  // Untagged calls reserve for the default tenant 0.
+  EXPECT_TRUE(ledger.TryReserve({40}));
+  EXPECT_EQ(ledger.tenant_in_use(0), 40u);
+}
+
+TEST(SlotBudgetGroupTest, AllOrNothingRollsBackOnMemberRefusal) {
+  SlotLedger ledger({10, 10});
+
+  ASSERT_TRUE(ledger.TryReserve({2, 8}));
+  EXPECT_EQ(ledger.in_use(), 10u);
+
+  // Device 0 would fit (2+5 <= 10) but device 1 refuses (8+5 > 10): the
+  // reservation must fail WITHOUT leaving device 0 partially held.
+  EXPECT_FALSE(ledger.CanReserve({5, 5}));
+  EXPECT_FALSE(ledger.TryReserve({5, 5}));
+  EXPECT_EQ(ledger.in_use_on(0), 2u);
+  EXPECT_EQ(ledger.in_use_on(1), 8u);
+  EXPECT_EQ(ledger.in_use(), 10u);
+  EXPECT_EQ(ledger.peak_in_use(), 10u);
+
+  ledger.ReleaseOn(0, 2);
+  ledger.ReleaseOn(1, 8);
+  EXPECT_EQ(ledger.in_use_on(0), 0u);
+  EXPECT_EQ(ledger.in_use_on(1), 0u);
+  EXPECT_EQ(ledger.in_use(), 0u);
+  EXPECT_TRUE(ledger.TryReserve({5, 5}));
+}
+
+TEST(SlotBudgetGroupTest, ZeroEntriesAndSizeMismatch) {
+  SlotLedger ledger({4, 4});
+
+  // Zero entries reserve nothing on that device.
+  ASSERT_TRUE(ledger.TryReserve({0, 3}));
+  EXPECT_EQ(ledger.in_use_on(0), 0u);
+  EXPECT_EQ(ledger.in_use_on(1), 3u);
+
+  // A wrong-arity request is refused outright, no state change.
+  EXPECT_FALSE(ledger.TryReserve({1}));
+  EXPECT_FALSE(ledger.CanReserve({1, 1, 1}));
+  EXPECT_EQ(ledger.in_use(), 3u);
+}
+
+TEST(SlotBudgetGroupTest, OwnerQuotaSpansShards) {
+  SlotLedger ledger({100, 100});
+  ledger.SetTenantQuota(1, 50);
+
+  // 30 + 10 = 40 of 50: fits.
+  ASSERT_TRUE(ledger.TryReserve({30, 10}, 1));
+  // Each device individually has room, but the total over devices
+  // (40 + 20 = 60) exceeds the tenant's cross-shard quota.
+  EXPECT_FALSE(ledger.CanReserve({10, 10}, 1));
+  EXPECT_FALSE(ledger.TryReserve({10, 10}, 1));
+  EXPECT_EQ(ledger.tenant_in_use(1), 40u);
+  // Another tenant is not bound by tenant 1's quota.
+  EXPECT_TRUE(ledger.TryReserve({10, 10}, 2));
+
+  // Per-device rolling release: freeing one device's share re-opens the
+  // quota headroom.
+  ledger.ReleaseOn(0, 30, 1);
+  EXPECT_EQ(ledger.tenant_in_use(1), 10u);
+  EXPECT_TRUE(ledger.TryReserve({10, 10}, 1));
+  EXPECT_EQ(ledger.tenant_in_use(1), 30u);
+}
+
+TEST(SlotBudgetGroupTest, NoDeadlockUnderInterleavedReservations) {
+  // Three tenants repeatedly grab opposite-skew reservations across the
+  // same two devices — the classic hold-and-wait shape. TryReserve never
+  // blocks and checks every device before applying anything, so this must
+  // always run to completion with no device ever oversubscribed.
+  SlotLedger ledger({10, 10});
+
+  std::atomic<uint64_t> successes{0};
+  std::atomic<bool> overcommitted{false};
+  auto worker = [&](std::vector<uint64_t> slots, uint64_t tenant) {
+    for (int i = 0; i < 20000; ++i) {
+      if (ledger.TryReserve(slots, tenant)) {
+        if (ledger.in_use_on(0) > 10 || ledger.in_use_on(1) > 10) {
+          overcommitted = true;
+        }
+        ++successes;
+        for (size_t d = 0; d < slots.size(); ++d) {
+          ledger.ReleaseOn(d, slots[d], tenant);
+        }
+      }
+    }
+  };
+  std::thread t1(worker, std::vector<uint64_t>{6, 4}, 1);
+  std::thread t2(worker, std::vector<uint64_t>{4, 6}, 2);
+  std::thread t3(worker, std::vector<uint64_t>{10, 10}, 3);
+  t1.join();
+  t2.join();
+  t3.join();
+
+  EXPECT_GT(successes.load(), 0u);
+  EXPECT_FALSE(overcommitted.load());
+  EXPECT_EQ(ledger.in_use_on(0), 0u);
+  EXPECT_EQ(ledger.in_use_on(1), 0u);
+  EXPECT_EQ(ledger.in_use(), 0u);
+  EXPECT_LE(ledger.peak_in_use_on(0), 10u);
+  EXPECT_LE(ledger.peak_in_use_on(1), 10u);
+  EXPECT_LE(ledger.peak_in_use(), 20u);
 }
 
 // --------------------------------------------------------------------------

@@ -90,29 +90,6 @@ TEST(PlanOnlyTest, UnknownTaskIsNotFound) {
 }
 
 // --------------------------------------------------------------------------
-// SlotBudget (the device-memory admission seam).
-// --------------------------------------------------------------------------
-
-TEST(SlotBudgetTest, ReserveReleasePeak) {
-  gpu::SlotBudget budget(100);
-  EXPECT_TRUE(budget.TryReserve(60));
-  EXPECT_TRUE(budget.TryReserve(40));
-  EXPECT_FALSE(budget.TryReserve(1));  // full: no oversubscription
-  EXPECT_EQ(budget.in_use(), 100u);
-  budget.Release(40);
-  EXPECT_EQ(budget.in_use(), 60u);
-  EXPECT_TRUE(budget.TryReserve(40));
-  EXPECT_EQ(budget.peak_in_use(), 100u);
-  EXPECT_FALSE(budget.TryReserve(200));  // larger than the whole budget
-}
-
-TEST(SlotBudgetTest, ZeroCapacityIsUnmetered) {
-  gpu::SlotBudget budget(0);
-  EXPECT_TRUE(budget.TryReserve(1ull << 40));
-  EXPECT_EQ(budget.peak_in_use(), 1ull << 40);
-}
-
-// --------------------------------------------------------------------------
 // Admission control.
 // --------------------------------------------------------------------------
 
