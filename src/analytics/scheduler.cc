@@ -4,19 +4,27 @@
 
 namespace gtadoc {
 
-SlotLedger::SlotLedger(std::vector<uint64_t> capacities)
+SlotLedger::SlotLedger(std::vector<uint64_t> capacities, uint32_t lanes)
     : devices_(capacities.size()) {
   for (size_t d = 0; d < capacities.size(); ++d) {
     devices_[d].capacity = capacities[d];
   }
+  lanes_.capacity = lanes;
 }
 
-bool SlotLedger::FitsLocked(const std::vector<uint64_t>& slots,
+bool SlotLedger::FitsLocked(const Reservation& reservation,
                             uint64_t tenant) const {
-  if (slots.size() != devices_.size()) return false;
+  const std::vector<uint64_t>& slots = reservation.device_slots;
+  // A reservation names every device or none, and one that holds nothing
+  // at all would have nothing to complete on.
+  if (slots.size() != devices_.size() &&
+      !(slots.empty() && reservation.lanes > 0)) {
+    return false;
+  }
+  if (reservation.lanes > lanes_.capacity - lanes_.in_use) return false;
   uint64_t total = 0;
   for (size_t d = 0; d < slots.size(); ++d) {
-    const DeviceState& device = devices_[d];
+    const ResourceState& device = devices_[d];
     if (device.capacity > 0 && (slots[d] > device.capacity ||
                                 device.in_use > device.capacity - slots[d])) {
       return false;
@@ -29,22 +37,23 @@ bool SlotLedger::FitsLocked(const std::vector<uint64_t>& slots,
   return total <= state.quota && state.in_use <= state.quota - total;
 }
 
-bool SlotLedger::CanReserve(const std::vector<uint64_t>& slots,
+bool SlotLedger::CanReserve(const Reservation& reservation,
                             uint64_t tenant) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return FitsLocked(slots, tenant);
+  return FitsLocked(reservation, tenant);
 }
 
-bool SlotLedger::TryReserve(const std::vector<uint64_t>& slots,
-                            uint64_t tenant) {
-  // Every device and the quota are checked before anything is applied, all
-  // under the one lock: no partial hold to roll back, and two racing
-  // reservations cannot both pass a check only one of them fits under.
+bool SlotLedger::TryReserve(const Reservation& reservation, uint64_t tenant) {
+  // Every device, the lanes and the quota are checked before anything is
+  // applied, all under the one lock: no partial hold to roll back, and two
+  // racing reservations cannot both pass a check only one of them fits
+  // under.
   std::lock_guard<std::mutex> lock(mu_);
-  if (!FitsLocked(slots, tenant)) return false;
+  if (!FitsLocked(reservation, tenant)) return false;
+  const std::vector<uint64_t>& slots = reservation.device_slots;
   uint64_t total = 0;
   for (size_t d = 0; d < slots.size(); ++d) {
-    DeviceState& device = devices_[d];
+    ResourceState& device = devices_[d];
     device.in_use += slots[d];
     device.peak = std::max(device.peak, device.in_use);
     total += slots[d];
@@ -52,16 +61,20 @@ bool SlotLedger::TryReserve(const std::vector<uint64_t>& slots,
   in_use_ += total;
   peak_ = std::max(peak_, in_use_);
   tenants_[tenant].in_use += total;
+  lanes_.in_use += reservation.lanes;
+  lanes_.peak = std::max(lanes_.peak, lanes_.in_use);
   return true;
 }
 
-void SlotLedger::ReleaseOn(size_t device, uint64_t slots, uint64_t tenant) {
+void SlotLedger::ReleaseOn(size_t resource, uint64_t units, uint64_t tenant) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (device >= devices_.size()) return;
-  auto release = [slots](uint64_t* held) {
-    *held = slots > *held ? 0 : *held - slots;
+  auto release = [units](uint64_t* held) {
+    *held = units > *held ? 0 : *held - units;
   };
-  release(&devices_[device].in_use);
+  // Lanes are not slots: releasing one touches no slot total or quota.
+  if (resource == lane_resource()) return release(&lanes_.in_use);
+  if (resource > lane_resource()) return;
+  release(&devices_[resource].in_use);
   release(&in_use_);
   release(&tenants_[tenant].in_use);
 }
@@ -97,6 +110,16 @@ uint64_t SlotLedger::tenant_in_use(uint64_t tenant) const {
   return it == tenants_.end() ? 0 : it->second.in_use;
 }
 
+uint64_t SlotLedger::lanes_in_use() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return lanes_.in_use;
+}
+
+uint64_t SlotLedger::peak_lanes_in_use() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return lanes_.peak;
+}
+
 bool RunScheduler::QosBefore(const ScheduledRun& a, const ScheduledRun& b) {
   if (a.priority != b.priority) return a.priority > b.priority;
   if (a.deadline != b.deadline) return a.deadline < b.deadline;
@@ -105,10 +128,6 @@ bool RunScheduler::QosBefore(const ScheduledRun& a, const ScheduledRun& b) {
 
 void RunScheduler::Enqueue(ScheduledRun run) {
   run.submit_time = now_;
-  // CPU-lane runs hold one lane and ZERO device slots: no ledger
-  // reservation, no quota charge — the lane count is their only admission
-  // constraint.
-  if (run.cpu_lane) run.device_slots.assign(num_devices(), 0);
   queue_.push_back(QueuedEntry{run});
 }
 
@@ -123,11 +142,9 @@ int RunScheduler::PickCandidate() const {
   });
   for (size_t idx : order) {
     const QueuedEntry& entry = queue_[idx];
-    const bool fits =
-        entry.run.cpu_lane
-            ? lanes_in_use_ < options_.cpu_lanes
-            : ledger_.CanReserve(entry.run.device_slots, entry.run.tenant);
-    if (fits) return static_cast<int>(idx);
+    if (ledger_.CanReserve(entry.run.reservation, entry.run.tenant)) {
+      return static_cast<int>(idx);
+    }
     // Backfill is starvation-bounded: once a run has been bypassed
     // aging_limit times it is urgent, and nothing may start ahead of it.
     if (entry.bypass >= options_.aging_limit) return -1;
@@ -139,14 +156,8 @@ AdmissionDecision RunScheduler::Start(size_t index) {
   const ScheduledRun run = queue_[index].run;
   // PickCandidate just saw the reservation fit; serving is single-threaded,
   // so this cannot fail. The ledger reservation is all-or-nothing: the run
-  // holds slots on every device it scatters to, or on none. Lane runs hold
-  // a lane instead — their device_slots are all zero.
-  if (run.cpu_lane) {
-    ++lanes_in_use_;
-    peak_lanes_in_use_ = std::max(peak_lanes_in_use_, lanes_in_use_);
-  } else {
-    ledger_.TryReserve(run.device_slots, run.tenant);
-  }
+  // holds every device and lane it names, or none of them.
+  ledger_.TryReserve(run.reservation, run.tenant);
 
   AdmissionDecision decision;
   decision.ticket = run.ticket;
@@ -167,10 +178,14 @@ AdmissionDecision RunScheduler::Start(size_t index) {
   ActiveRun active;
   active.ticket = run.ticket;
   active.tenant = run.tenant;
-  active.cpu_lane = run.cpu_lane;
-  active.device_slots = run.device_slots;
-  active.device_released.assign(run.device_slots.size(), false);
-  active.device_completion.assign(run.device_slots.size(), -1.0);
+  const std::vector<uint64_t>& slots = run.reservation.device_slots;
+  for (size_t d = 0; d < slots.size(); ++d) {
+    active.holds.push_back(Hold{d, slots[d]});
+  }
+  if (run.reservation.lanes > 0) {
+    active.holds.push_back(
+        Hold{ledger_.lane_resource(), run.reservation.lanes});
+  }
   active.start_time = now_;
   active_.push_back(std::move(active));
   queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(index));
@@ -187,74 +202,72 @@ std::optional<AdmissionDecision> RunScheduler::StartNext() {
   return std::nullopt;
 }
 
-void RunScheduler::Finish(uint64_t ticket,
-                          const std::vector<double>& device_durations,
+void RunScheduler::Finish(uint64_t ticket, const std::vector<double>& durations,
                           double tail_seconds) {
   for (ActiveRun& run : active_) {
     if (run.ticket != ticket) continue;
     double max_duration = 0.0;
-    for (size_t d = 0; d < run.device_completion.size(); ++d) {
-      const double duration =
-          d < device_durations.size() ? device_durations[d] : 0.0;
-      run.device_completion[d] = run.start_time + duration;
+    for (size_t h = 0; h < run.holds.size(); ++h) {
+      const double duration = h < durations.size() ? durations[h] : 0.0;
+      run.holds[h].completion = run.start_time + duration;
       max_duration = std::max(max_duration, duration);
     }
     // The run itself completes after its slowest shard plus the gather
-    // (the cross-shard merge); each device is releasable at its own shard
-    // completion — the per-device rolling window.
+    // (the cross-shard merge); each resource is releasable at its own
+    // completion — the per-resource rolling window.
     run.completion = run.start_time + max_duration + tail_seconds;
     return;
   }
 }
 
-void RunScheduler::AccountRelease(const ActiveRun& run, size_t device,
+void RunScheduler::AccountRelease(const ActiveRun& run, const Hold& hold,
                                   double held_until) {
-  const double held = static_cast<double>(run.device_slots[device]) *
-                      (held_until - run.start_time);
+  if (hold.resource >= num_devices()) return;
+  const double held =
+      static_cast<double>(hold.units) * (held_until - run.start_time);
   slot_seconds_[run.tenant] += held;
   std::vector<double>& per_device = slot_seconds_per_device_[run.tenant];
   if (per_device.size() < num_devices()) per_device.resize(num_devices(), 0.0);
-  per_device[device] += held;
+  per_device[hold.resource] += held;
 }
 
 void RunScheduler::PopEarliestCompletion() {
   if (active_.empty()) return;
-  // The earliest pending (run, device) release event. A device whose shard
+  // The earliest pending (run, resource) release event. A hold whose
   // duration is unreported yet (completion < 0) is treated as completing at
   // its start.
   size_t run_idx = active_.size();
-  size_t dev_idx = 0;
+  size_t hold_idx = 0;
   double earliest = 0.0;
   for (size_t i = 0; i < active_.size(); ++i) {
     const ActiveRun& run = active_[i];
-    for (size_t d = 0; d < run.device_slots.size(); ++d) {
-      if (run.device_released[d]) continue;
-      const double t = run.device_completion[d] < 0.0
-                           ? run.start_time
-                           : run.device_completion[d];
+    for (size_t h = 0; h < run.holds.size(); ++h) {
+      const Hold& hold = run.holds[h];
+      if (hold.released) continue;
+      const double t = hold.completion < 0.0 ? run.start_time
+                                             : hold.completion;
       if (run_idx == active_.size() || t < earliest) {
         run_idx = i;
-        dev_idx = d;
+        hold_idx = h;
         earliest = t;
       }
     }
   }
   if (run_idx == active_.size()) return;  // defensive: nothing pending
   ActiveRun& run = active_[run_idx];
+  Hold& hold = run.holds[hold_idx];
   now_ = std::max(now_, earliest);
-  ledger_.ReleaseOn(dev_idx, run.device_slots[dev_idx], run.tenant);
-  run.device_released[dev_idx] = true;
-  AccountRelease(run, dev_idx, earliest);
+  ledger_.ReleaseOn(hold.resource, hold.units, run.tenant);
+  hold.released = true;
+  AccountRelease(run, hold, earliest);
   bool all_released = true;
-  for (bool released : run.device_released) all_released &= released;
+  for (const Hold& other : run.holds) all_released &= other.released;
   if (all_released) {
     // Retiring the run advances the clock through its scatter/gather tail
     // (completion includes the corpus-order merge; for a run without a
-    // tail it equals the release event just popped). A lane run frees its
-    // lane here — the lane is held for the run's full duration.
+    // tail it equals the release event just popped).
     now_ = std::max(now_, run.completion < 0.0 ? run.start_time
                                                : run.completion);
-    if (run.cpu_lane && lanes_in_use_ > 0) --lanes_in_use_;
     active_.erase(active_.begin() + static_cast<ptrdiff_t>(run_idx));
   }
 }

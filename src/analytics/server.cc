@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/timer.h"
 #include "gtadoc/engine.h"
 #include "tadoc/cpu_engine.h"
 
@@ -366,7 +365,13 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   // Execution runs the chosen side's plans and nothing else.
   run.plans = std::move(cpu_chosen ? cpu_plans : gpu_plans);
   run.plans.resize(corpus_->partitions.size());
-  if (!cpu_chosen) ShardFootprint(&run);
+  // A CPU run is routed to one lane and reserves it; a GPU run is routed
+  // over the devices and reserves its footprint there.
+  if (cpu_chosen) {
+    run.route = ShardedCorpus::RouteToLane(run.execute_mask);
+  } else {
+    ShardFootprint(&run);
+  }
 
   // Over-budget refusal: every device's share must fit that device's
   // budget.
@@ -427,8 +432,9 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   ScheduledRun scheduled;
   scheduled.ticket = run.admission.ticket;
   scheduled.tenant = tenant_id;
-  scheduled.device_slots = run.device_footprint;  // empty for CPU lanes
-  scheduled.cpu_lane = backend == RunBackend::kCpu;
+  scheduled.reservation.device_slots = run.device_footprint;
+  scheduled.reservation.lanes =
+      static_cast<uint32_t>(run.route.lane_docs.size());
   scheduled.priority = run.admission.priority;
   scheduled.deadline = run.admission.deadline;
   scheduler_.Enqueue(scheduled);
@@ -439,54 +445,15 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   return out;
 }
 
-Result<BatchEngine::BatchRun> CorpusServer::Execute(const PendingRun& run) {
-  Timer wall;
-  // The sequential CPU TADOC baseline over the executed documents only — no
-  // device, no pool, no pre-sizing; bit-identical results through the same
-  // gather.
-  std::vector<uint32_t> ids;
-  PlanList plans;
-  for (uint32_t g = 0; g < run.plans.size(); ++g) {
-    if (run.plans[g] == nullptr) continue;
-    ids.push_back(g);
-    plans.push_back(run.plans[g]);
-  }
-  BatchEngine::BatchRun batch;
-  batch.timing.documents = 0;  // nothing executed yet
-  if (!ids.empty()) {
-    BatchEngine::Options bopt;
-    bopt.engine = run.engine;
-    bopt.backend = kCpuPlanBackend;
-    bopt.cpu = options_.cpu;
-    bopt.host_workers = options_.host_workers;
-    bopt.merge_results = false;  // Gather merges
-    // Live progress: executed documents tick as shard workers finish them.
-    bopt.on_document_complete = [this](const BatchEngine::DocumentRun&) {
-      std::lock_guard<std::mutex> lock(progress_mu_);
-      ++stats_.documents_executed;
-    };
-    auto engine = BatchEngine::Create(corpus_, bopt, index_.get(), &ids);
-    if (!engine.ok()) return engine.status();
-    auto executed = (*engine)->Run(run.task, plans);
-    if (!executed.ok()) return executed.status();
-    batch = std::move(*executed);
-  }
-  // A lane holds no device: the merge runs on one CPU thread.
-  auto gather = BatchEngine::Gather(run.task, run.engine, *corpus_,
-                                    options_.cpu.thread_ops_per_sec(), &batch);
-  if (!gather.ok()) return gather.status();
-  batch.timing.wall_seconds = wall.ElapsedSeconds();
-  return batch;
-}
-
-Result<DeviceGroup::RunResult> CorpusServer::ExecuteOnDevices(
-    const PendingRun& run, double start_time) {
+Result<DeviceGroup::RunResult> CorpusServer::Execute(const PendingRun& run,
+                                                     double start_time) {
   DeviceGroup::RunSpec spec;
   spec.task = run.task;
   spec.engine = run.engine;
   spec.route = &run.route;
   spec.start_time = start_time;
   spec.plans = run.plans;
+  spec.cpu = options_.cpu;
   spec.host_workers = options_.host_workers;
   // Live progress: executed documents tick from the shard workers.
   spec.on_document_executed = [this](const BatchEngine::DocumentRun&) {
@@ -506,40 +473,27 @@ Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
     PendingRun run = std::move(it->second);
     pending_.erase(it);
 
-    const bool cpu_run = run.admission.backend == RunBackend::kCpu;
-    std::vector<double> device_durations;
-    double gather_seconds = 0.0;
-    auto batch = [&]() -> Result<BatchEngine::BatchRun> {
-      if (cpu_run) return Execute(run);
-      auto gpu_run = ExecuteOnDevices(run, decision->start_time);
-      if (!gpu_run.ok()) return gpu_run.status();
-      device_durations = std::move(gpu_run->device_durations);
-      gather_seconds = gpu_run->gather_seconds;
-      return std::move(gpu_run->batch);
-    }();
-    if (!batch.ok()) {
+    auto executed_run = Execute(run, decision->start_time);
+    if (!executed_run.ok()) {
       // The first failure abandons the queue. The failed run's reservation
       // (and any still-active ones) are retired so the budget does not
       // leak.
-      scheduler_.Finish(decision->ticket,
-                        std::vector<double>(scheduler_.num_devices(), 0.0),
-                        0.0);
+      scheduler_.Finish(decision->ticket, {}, 0.0);
       scheduler_.DrainActive();
       scheduler_.ClearQueue();
       pending_.clear();
       SyncSchedulerStats();
-      return batch.status();
+      return executed_run.status();
     }
-    const double duration = batch->timing.total_seconds();
-    // Each device is releasable at its OWN shard completion; the run
-    // completes after its slowest shard plus the gather merge. A lane run
-    // reports its one duration on every device, so it retires (and frees
-    // its lane) when that duration ends.
-    scheduler_.Finish(decision->ticket,
-                      cpu_run ? std::vector<double>(scheduler_.num_devices(),
-                                                    duration)
-                              : device_durations,
-                      gather_seconds);
+    DeviceGroup::RunResult& result = *executed_run;
+    const double duration = result.batch.timing.total_seconds();
+    // Each held resource is releasable at its OWN completion (a device at
+    // its shard's end, a lane after the merge it runs); the run completes
+    // after its slowest shard plus the gather tail.
+    std::vector<double> durations = result.device_durations;
+    durations.insert(durations.end(), result.lane_durations.begin(),
+                     result.lane_durations.end());
+    scheduler_.Finish(decision->ticket, durations, result.gather_seconds);
 
     ServedRun served;
     served.admission = run.admission;
@@ -547,9 +501,9 @@ Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
     served.completion_seconds = decision->start_time + duration;
     served.queue_wait_seconds = decision->queue_wait;
     served.backfilled = decision->backfilled;
-    served.device_durations = std::move(device_durations);
-    served.gather_seconds = gather_seconds;
-    served.batch = std::move(*batch);
+    served.device_durations = std::move(result.device_durations);
+    served.gather_seconds = result.gather_seconds;
+    served.batch = std::move(result.batch);
     const uint64_t executed =
         static_cast<uint64_t>(served.batch.documents.size()) -
         served.batch.documents_skipped;
@@ -567,6 +521,7 @@ Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
     // the run, how much simulated time and work it took there.
     const uint64_t run_ops =
         served.batch.timing.init_ops + served.batch.timing.traversal_ops;
+    const bool cpu_run = run.admission.backend == RunBackend::kCpu;
     BackendStats& backend_stats =
         cpu_run ? stats_.cpu_backend : stats_.gpu_backend;
     BackendStats& tenant_backend =
@@ -614,7 +569,6 @@ Status CorpusServer::ServeUntilIdle() { return ServeLoop(std::nullopt); }
 void CorpusServer::SyncSchedulerStats() {
   stats_.backfills = scheduler_.backfills();
   stats_.makespan_seconds = scheduler_.now();
-  stats_.peak_cpu_lanes_in_use = scheduler_.peak_cpu_lanes_in_use();
   stats_.plan_cache.hits = plan_cache_->hits();
   stats_.plan_cache.misses = plan_cache_->misses();
   stats_.plan_cache.evictions = plan_cache_->evictions();
@@ -631,6 +585,8 @@ void CorpusServer::SyncSchedulerStats() {
   // per-device budget — the admission invariant) in devices[].
   const SlotLedger& ledger = *scheduler_.ledger();
   stats_.peak_admitted_slots = ledger.peak_in_use();
+  stats_.peak_cpu_lanes_in_use =
+      static_cast<uint32_t>(ledger.peak_lanes_in_use());
   const size_t num_devices = sharded_->num_devices();
   stats_.devices.assign(num_devices, Stats::DeviceStats{});
   for (size_t d = 0; d < num_devices; ++d) {

@@ -80,10 +80,11 @@ std::vector<uint8_t> BloomExecuteMask(
 /// The API is session-oriented: `OpenTenant` returns a TenantHandle; its
 /// `Submit` returns a RunTicket (or a structured Rejection);
 /// `ServeUntilIdle` (or `RunTicket::Await`) executes under rolling
-/// admission. Every GPU run goes through the one sharded path — a
-/// ShardedCorpus plus DeviceGroup, one device being the ordinary case — and
-/// every CPU-lane run through one host BatchEngine over its executed
-/// documents; both end in the one corpus-order gather (BatchEngine::Gather).
+/// admission. Every run goes through the one execution path: a RoutePlan
+/// names the resources it holds — devices of the ShardedCorpus (one device
+/// being the ordinary case) or one CPU lane — the scheduler's SlotLedger
+/// reserves exactly those, and the DeviceGroup executes it there and ends
+/// in the one corpus-order gather (BatchEngine::Gather).
 class CorpusServer {
  public:
   /// Which backend a run executes on. kAuto lets the dispatcher compare the
@@ -126,19 +127,21 @@ class CorpusServer {
     /// options() reports both fields as the ShardedCorpus clamped them.
     size_t replication = 1;
     /// Host worker threads per run's BatchEngine (wall clock only). Each
-    /// device splits the documents routed to it (a CPU lane, its executed
-    /// documents) over up to this many worker contexts; each GPU context
-    /// holds its own pool, so a device's admission footprint is its context
-    /// count, BatchEngine::ShardSplit(routed, host_workers).size(), times
-    /// the maximum plan footprint routed there.
+    /// resource a run holds (a device, or its CPU lane) splits the
+    /// documents routed to it over up to this many worker contexts; each
+    /// GPU context holds its own pool, so a device's admission footprint is
+    /// its context count, BatchEngine::ShardSplit(routed,
+    /// host_workers).size(), times the maximum plan footprint routed there.
     size_t host_workers = 1;
     /// Rolling-admission QoS knobs: aging limit for starvation-free
-    /// backfill, and `scheduler.cpu_lanes` — the hybrid-dispatch switch.
-    /// With cpu_lanes > 0 every kAuto Submit probes BOTH backends'
-    /// plan-derived CostEstimates and dispatches the run to the cheaper
-    /// one; CPU-dispatched runs occupy one simulated CPU lane (never device
-    /// slots) and overlap GPU device time on the scheduler's clock. 0 (the
-    /// default) keeps GPU-only serving bit-for-bit unchanged.
+    /// backfill, and `scheduler.cpu_lanes` — the hybrid-dispatch switch and
+    /// the lane capacity of the scheduler's SlotLedger. With cpu_lanes > 0
+    /// every kAuto Submit probes BOTH backends' plan-derived CostEstimates
+    /// and dispatches the run to the cheaper one; a CPU-dispatched run is
+    /// routed to one lane and reserves it in the ledger (never device
+    /// slots), holds it through its merge, and overlaps GPU device time on
+    /// the scheduler's clock. 0 (the default) keeps GPU-only serving
+    /// bit-for-bit unchanged.
     RunSchedulerOptions scheduler;
     /// Cost model of the CPU backend. Required (ghz > 0) when
     /// scheduler.cpu_lanes > 0; ignored otherwise.
@@ -403,8 +406,9 @@ class CorpusServer {
     /// aggregates keep their exact pre-dispatch meaning.
     BackendStats gpu_backend;
     BackendStats cpu_backend;
-    /// High-water mark of co-resident CPU-lane runs (bounded by
-    /// Options::scheduler.cpu_lanes; the bench's lane-saturation witness).
+    /// High-water mark of reserved CPU lanes, read from the ledger (bounded
+    /// by Options::scheduler.cpu_lanes; the bench's lane-saturation
+    /// witness).
     uint32_t peak_cpu_lanes_in_use = 0;
     /// Shared plan-cache counters; refreshed on every serve.
     PlanCacheStats plan_cache;
@@ -461,7 +465,8 @@ class CorpusServer {
     /// resolved it (null = not executed): execution's only plan input, so
     /// a queued run cannot lose its plans to cache eviction.
     PlanList plans;
-    /// GPU runs: the scatter decision and its per-device footprint.
+    /// The scatter decision (its devices, or one CPU lane) and, for GPU
+    /// runs, the per-device footprint the reservation names.
     ShardedCorpus::RoutePlan route;
     std::vector<uint64_t> device_footprint;
     /// Slot-weighted load each device gains if this run admits (feeds
@@ -491,17 +496,12 @@ class CorpusServer {
   /// times the maximum total_slots routed there, plus the pre-sizing
   /// allocation charge.
   void ShardFootprint(PendingRun* run);
-  /// CPU-lane execution: one host BatchEngine over the run's executed
-  /// documents (none: no engine at all), then the shared gather, its merge
-  /// charged at the lane's CPU rate (a lane holds no device, so there is
-  /// nothing to scatter to).
-  Result<BatchEngine::BatchRun> Execute(const PendingRun& run);
-  /// GPU execution: scatters the run's plans over the device group along
-  /// its RoutePlan and gathers the global batch. `start_time` is the run's
-  /// simulated admission time, which decides the documents it finds
-  /// resident.
-  Result<DeviceGroup::RunResult> ExecuteOnDevices(const PendingRun& run,
-                                                  double start_time);
+  /// Executes a run on the resources its RoutePlan names (devices, or a
+  /// CPU lane) through the DeviceGroup, which gathers the global batch.
+  /// `start_time` is the run's simulated admission time, which decides the
+  /// documents it finds resident on a device.
+  Result<DeviceGroup::RunResult> Execute(const PendingRun& run,
+                                         double start_time);
   /// The serving loop: starts runs through the scheduler, executes each
   /// serially, reports durations back. Stops early after `until_ticket`
   /// completes (leaving the rest queued). On failure the queue is

@@ -68,6 +68,16 @@ ShardedCorpus::RoutePlan ShardedCorpus::Route(
   return plan;
 }
 
+ShardedCorpus::RoutePlan ShardedCorpus::RouteToLane(
+    const std::vector<uint8_t>& execute_mask) {
+  RoutePlan plan;
+  plan.lane_docs.emplace_back();
+  for (uint32_t g = 0; g < execute_mask.size(); ++g) {
+    if (execute_mask[g] != 0) plan.lane_docs[0].push_back(g);
+  }
+  return plan;
+}
+
 DeviceGroup::DeviceGroup(const ShardedCorpus* corpus, const CorpusIndex* index)
     : corpus_(corpus),
       index_(index),
@@ -84,57 +94,71 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
   const PartitionedCorpus* global = corpus_->global_corpus();
   const size_t n = global->partitions.size();
   const size_t num_devices = corpus_->num_devices();
-  if (spec.route == nullptr || spec.route->device_docs.size() != num_devices ||
-      spec.plans.size() != n) {
+  if (spec.route == nullptr || spec.plans.size() != n ||
+      (!spec.route->device_docs.empty() &&
+       spec.route->device_docs.size() != num_devices)) {
     return Status::InvalidArgument(
-        "needs a route over the group's devices and one plan per document");
+        "needs a route over all of the group's devices or none, and one plan "
+        "per document");
   }
   const ShardedCorpus::RoutePlan& route = *spec.route;
-  // Slice the plans along the route before any device executes: device d
-  // gets the plan of each document routed there, and a routed document
-  // without a plan fails the whole run with no device touched.
-  std::vector<PlanList> device_plans(num_devices);
-  for (size_t d = 0; d < num_devices; ++d) {
-    for (uint32_t g : route.device_docs[d]) {
-      if (g >= n || spec.plans[g] == nullptr) {
-        return Status::InvalidArgument("routed document " + std::to_string(g) +
-                                       " has no plan");
+  // A routed document without a plan fails the whole run before anything
+  // executes.
+  for (const auto* lists : {&route.device_docs, &route.lane_docs}) {
+    for (const std::vector<uint32_t>& docs : *lists) {
+      for (uint32_t g : docs) {
+        if (g >= n || spec.plans[g] == nullptr) {
+          return Status::InvalidArgument("routed document " +
+                                         std::to_string(g) + " has no plan");
+        }
       }
-      device_plans[d].push_back(spec.plans[g]);
     }
   }
 
   RunResult out;
-  out.device_durations.assign(num_devices, 0.0);
+  out.device_durations.assign(route.device_docs.size(), 0.0);
   BatchEngine::BatchRun& batch = out.batch;
-  batch.timing.documents = 0;  // empty accumulator over the device shards
+  batch.timing.documents = 0;  // empty accumulator over the shards
   double serial = 0.0;
   double longest = 0.0;
-
-  // Scatter: one shard-local batch per device the route sends work to,
-  // over exactly its routed documents. Devices routed nothing are never
-  // touched — no engine, no device state. Host execution is serial over
-  // devices (deterministic stats); on the SIMULATED timeline the shards
-  // overlap, being separate GPUs.
-  for (size_t d = 0; d < num_devices; ++d) {
-    const std::vector<uint32_t>& docs = route.device_docs[d];
-    if (docs.empty()) continue;
-    BatchEngine::Options bopt;
+  // One shard-local batch over a resource's routed documents, folded into
+  // the run. The gather below performs the one corpus-order merge;
+  // shard-local merges would charge duplicate reduce work the real run
+  // never does.
+  auto run_shard =
+      [&](const std::vector<uint32_t>& docs, BatchEngine::Options bopt,
+          const std::vector<uint8_t>* resident) -> Result<BatchEngine::BatchRun> {
     bopt.engine = spec.engine;
     bopt.host_workers = spec.host_workers;
-    // The gather below performs the one corpus-order merge; shard-local
-    // merges would charge duplicate reduce work the real run never does.
     bopt.merge_results = false;
     bopt.on_document_complete = spec.on_document_executed;
+    PlanList plans;
+    for (uint32_t g : docs) plans.push_back(spec.plans[g]);
+    auto engine = BatchEngine::Create(global, bopt, index_, &docs, resident);
+    if (!engine.ok()) return engine.status();
+    auto run = (*engine)->Run(spec.task, plans);
+    if (!run.ok()) return run.status();
+    batch.timing.Accumulate(run->timing);
+    batch.mid_run_pool_growths += run->mid_run_pool_growths;
+    serial += run->timing.total_seconds();
+    longest = std::max(longest, run->timing.total_seconds());
+    return run;
+  };
+
+  // Scatter: devices routed nothing are never touched — no engine, no
+  // device state. Host execution is serial over resources (deterministic
+  // stats); on the SIMULATED timeline the shards overlap, being separate
+  // GPUs and lanes.
+  for (size_t d = 0; d < route.device_docs.size(); ++d) {
+    const std::vector<uint32_t>& docs = route.device_docs[d];
+    if (docs.empty()) continue;
     // A document is resident for this run only if a load of it finished
     // on this device by the run's start.
     std::vector<uint8_t> resident(docs.size());
     for (size_t i = 0; i < docs.size(); ++i) {
       resident[i] = resident_since_[d][docs[i]] <= spec.start_time ? 1 : 0;
     }
-    auto engine = BatchEngine::Create(global, bopt, index_, &docs, &resident);
-    if (!engine.ok()) return engine.status();
-    auto run = (*engine)->Run(spec.task, device_plans[d]);
+    auto run = run_shard(docs, BatchEngine::Options{}, &resident);
     if (!run.ok()) return run.status();
 
     const double duration = run->timing.total_seconds();
@@ -147,7 +171,6 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     counters.upload_seconds += run->timing.upload_seconds;
     counters.busy_seconds += duration;
     counters.mid_run_pool_growths += run->mid_run_pool_growths;
-    batch.mid_run_pool_growths += run->mid_run_pool_growths;
     // Every document this run loaded here is resident once the run has
     // finished it: by its place in the serial document order, which never
     // lands earlier than the pipelined schedule finishes the document,
@@ -165,27 +188,42 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
       }
       since = std::min(since, spec.start_time + std::min(executed_by, duration));
     }
-
-    // Device pipelines overlap on the simulated timeline: cross-device
-    // parallelism goes into overlap_saved_seconds below.
-    batch.timing.Accumulate(run->timing);
-    serial += duration;
-    longest = std::max(longest, duration);
     for (BatchEngine::DocumentRun& doc : run->documents) {
       batch.documents.push_back(std::move(doc));
     }
   }
+  // A lane runs the sequential CPU TADOC backend over its documents: no
+  // device, no pool, no pre-sizing, no residency.
+  for (const std::vector<uint32_t>& docs : route.lane_docs) {
+    if (docs.empty()) continue;
+    BatchEngine::Options bopt;
+    bopt.backend = kCpuPlanBackend;
+    bopt.cpu = spec.cpu;
+    auto run = run_shard(docs, bopt, nullptr);
+    if (!run.ok()) return run.status();
+    for (BatchEngine::DocumentRun& doc : run->documents) {
+      batch.documents.push_back(std::move(doc));
+    }
+  }
+  // Cross-shard parallelism goes into overlap_saved_seconds.
   batch.timing.overlap_saved_seconds += serial - longest;
 
   // Gather: the executed runs already carry global ids and file bases; the
   // shared gather assembles the skipped documents and performs the one
-  // corpus-order merge, charged at device reduce throughput as the serial
-  // tail — total_seconds() is the sharded makespan.
-  auto gather = BatchEngine::Gather(spec.task, spec.engine, *global,
-                                    spec.engine.gpu.device_ops_per_sec(),
-                                    &batch);
+  // corpus-order merge, charged at the merge rate of the resource that ran
+  // the run. Devices are released at their own shards' ends, so on them
+  // the merge is the run's tail; a lane runs the merge on its one thread
+  // and is held through it. Either way total_seconds() is the makespan.
+  const bool on_lanes = !route.lane_docs.empty();
+  auto gather = BatchEngine::Gather(
+      spec.task, spec.engine, *global,
+      on_lanes ? spec.cpu.thread_ops_per_sec()
+               : spec.engine.gpu.device_ops_per_sec(),
+      &batch);
   if (!gather.ok()) return gather.status();
-  out.gather_seconds = *gather;
+  out.lane_durations.assign(route.lane_docs.size(),
+                            batch.timing.total_seconds());
+  out.gather_seconds = on_lanes ? 0.0 : *gather;
   batch.timing.wall_seconds = wall.ElapsedSeconds();
   return out;
 }

@@ -40,14 +40,20 @@ class ShardedCorpus {
     size_t replication = 1;
   };
 
-  /// One run's scatter decision: which documents each device executes.
+  /// One run's scatter decision: which documents each resource it holds
+  /// executes. A GPU run names every device of the group and no lane; a
+  /// CPU-dispatched run names one lane and no device. The run's
+  /// reservation names the same resources (SlotLedger).
   struct RoutePlan {
-    /// Per device, the global ids of the documents routed there, ascending.
-    /// A device with an empty list receives NO work at all — no engine, no
-    /// upload, no plan, no traversal. A document in no list (root-Bloom
-    /// skipped or masked out) reaches no engine and is assembled empty at
-    /// the gather; replicas the route did not choose never see the run.
+    /// Per device, the global ids of the documents routed there, ascending
+    /// (one list per device of the group, or none). A device with an empty
+    /// list receives NO work at all — no engine, no upload, no plan, no
+    /// traversal. A document in no list (root-Bloom skipped or masked out)
+    /// reaches no engine and is assembled empty at the gather; replicas the
+    /// route did not choose never see the run.
     std::vector<std::vector<uint32_t>> device_docs;
+    /// Per CPU lane the run holds, the global ids it executes, ascending.
+    std::vector<std::vector<uint32_t>> lane_docs;
   };
 
   /// The corpus must outlive the sharded view (every device runs its
@@ -79,6 +85,9 @@ class ShardedCorpus {
   RoutePlan Route(const std::vector<uint8_t>& execute_mask,
                   const PlanList& plans,
                   const std::vector<double>& device_load) const;
+  /// Routes every executed document (execute_mask[g] != 0) to one CPU
+  /// lane: no device is named, so none is reserved or touched.
+  static RoutePlan RouteToLane(const std::vector<uint8_t>& execute_mask);
 
  private:
   ShardedCorpus() = default;
@@ -89,22 +98,27 @@ class ShardedCorpus {
   std::vector<std::vector<uint32_t>> doc_replicas_;
 };
 
-/// \brief Scatter/gather executor over a ShardedCorpus — the N-GPU
-/// counterpart of one BatchEngine run.
+/// \brief Scatter/gather executor over a ShardedCorpus and the CPU lanes —
+/// every served run, on either backend, executes here.
 ///
 /// Execute() runs a BatchEngine over exactly the documents the RoutePlan
 /// sends to each device (devices routed zero documents are never touched —
-/// the per-device counters witness it), one plan per routed document. It
-/// then gathers through BatchEngine::Gather: each executed document's run
-/// comes from the one device that ran it, Gather assembles the skipped
+/// the per-device counters witness it), or to its CPU lane (the sequential
+/// TADOC backend, no device state), one plan per routed document. It then
+/// gathers through BatchEngine::Gather: each executed document's run comes
+/// from the one resource that ran it, Gather assembles the skipped
 /// documents empty, and ONE corpus-order merge produces the global result —
 /// the same merge a single-device batch performs, on identical inputs, so
-/// the merged view is bit-identical to the unsharded run.
+/// the merged view is bit-identical to the unsharded run. The merge is
+/// charged at the rate of the resource that executed the run: device
+/// reduce throughput, or one CPU thread on a lane.
 ///
 /// On the simulated timeline the device pipelines overlap (they are separate
 /// GPUs): the run's duration is the slowest device's shard plus the gather
 /// merge, and each device is individually releasable at its own shard
-/// completion (RunScheduler::Finish).
+/// completion (RunScheduler::Finish). A lane runs the merge itself, so it
+/// is held through it: its duration includes the merge and the run has no
+/// tail.
 ///
 /// Devices keep the documents they execute resident across Execute calls,
 /// on the simulated timeline: a run that loads a document (the grammar
@@ -128,31 +142,41 @@ class DeviceGroup {
     /// Simulated time the run starts (the scheduler's admission time): it
     /// finds resident exactly the documents whose loads landed by then.
     double start_time = 0.0;
-    /// The run's GPU plan per global document (null where nothing runs);
-    /// must hold one for every routed document. Each device executes its
-    /// routed slice of them and pre-sizes its pools to the slice's largest
-    /// total_slots — the footprint admission reserved there. BatchEngine's
-    /// backend check refuses CPU plans before its device executes, so a
-    /// dispatch bug cannot charge CPU work to device counters.
+    /// The run's plan per global document (null where nothing runs); must
+    /// hold one for every routed document, of the backend it is routed to.
+    /// Each device executes its routed slice of them and pre-sizes its
+    /// pools to the slice's largest total_slots — the footprint admission
+    /// reserved there. BatchEngine's backend check refuses CPU plans before
+    /// a device executes, so a dispatch bug cannot charge CPU work to
+    /// device counters.
     PlanList plans;
-    /// Forwarded to each device's BatchEngine, which splits the device's
-    /// routed documents over that many worker contexts.
+    /// Cost model of the CPU lanes; required (ghz > 0) when the route names
+    /// a lane.
+    gpu::CpuSpec cpu;
+    /// Forwarded to each resource's BatchEngine, which splits its routed
+    /// documents over that many worker contexts.
     size_t host_workers = 1;
-    /// Forwarded to each device's BatchEngine: invoked once per executed
-    /// document, on the device that ran it (devices run only their routed
-    /// documents, so no document is reported twice). Must be thread-safe;
-    /// may be null.
+    /// Forwarded to each resource's BatchEngine: invoked once per executed
+    /// document, on the resource that ran it (resources run only their
+    /// routed documents, so no document is reported twice). Must be
+    /// thread-safe; may be null.
     std::function<void(const BatchEngine::DocumentRun&)> on_document_executed;
   };
 
   struct RunResult {
     /// The gathered global batch: documents in corpus order with global
     /// ids, merged corpus view, composed timing whose total_seconds() is
-    /// the sharded makespan (slowest device + gather).
+    /// the run's makespan (slowest device + gather, or the lane's run).
     BatchEngine::BatchRun batch;
-    /// Simulated duration of each device's shard (0 for idle devices).
+    /// Simulated duration of each device's shard, one per device the route
+    /// names (0 for idle devices; none on a lane run).
     std::vector<double> device_durations;
-    /// The cross-device merge tail, charged at device reduce throughput.
+    /// Simulated duration of each lane the route names, its merge
+    /// included (none on a GPU run).
+    std::vector<double> lane_durations;
+    /// The cross-device merge tail after the slowest shard, charged at
+    /// device reduce throughput; 0 on a lane run, whose lane holds the
+    /// merge.
     double gather_seconds = 0;
   };
 

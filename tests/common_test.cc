@@ -5,7 +5,6 @@
 #include <numeric>
 #include <set>
 
-#include "common/arena.h"
 #include "common/hash.h"
 #include "common/io.h"
 #include "common/random.h"
@@ -111,41 +110,6 @@ TEST(SliceTest, StartsWithAndEquality) {
   EXPECT_FALSE(Slice("gt").StartsWith("gta"));
   EXPECT_TRUE(Slice("x") == Slice("x"));
   EXPECT_TRUE(Slice("x") != Slice("y"));
-}
-
-// ----------------------------------------------------------------- Arena ---
-
-TEST(ArenaTest, AlignmentRespected) {
-  Arena arena(64);
-  for (size_t align : {1u, 2u, 4u, 8u, 16u, 64u}) {
-    void* p = arena.Allocate(3, align);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % align, 0u) << align;
-  }
-}
-
-TEST(ArenaTest, GrowsAcrossBlocks) {
-  Arena arena(16);
-  // Allocations larger than the block force growth.
-  char* a = static_cast<char*>(arena.Allocate(100));
-  char* b = static_cast<char*>(arena.Allocate(1000));
-  std::memset(a, 0xAB, 100);
-  std::memset(b, 0xCD, 1000);
-  EXPECT_NE(a, b);
-  EXPECT_GE(arena.MemoryUsage(), 1100u);
-}
-
-TEST(ArenaTest, AllocateArrayValueInitializes) {
-  Arena arena;
-  int* xs = arena.AllocateArray<int>(16);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(xs[i], 0);
-}
-
-TEST(ArenaTest, ResetReleasesMemory) {
-  Arena arena;
-  arena.Allocate(4096);
-  EXPECT_GT(arena.MemoryUsage(), 0u);
-  arena.Reset();
-  EXPECT_EQ(arena.MemoryUsage(), 0u);
 }
 
 // ------------------------------------------------------------------ Hash ---

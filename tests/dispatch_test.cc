@@ -527,6 +527,47 @@ TEST(DispatchTest, CpuRunsOnShardedServersSkipTheDeviceGroup) {
   EXPECT_TRUE(served->batch.merged.SameAs(gpu_served->batch.merged));
 }
 
+// A lane runs its run's merge on its one thread, so it is held through it:
+// with one lane, the second CPU run starts exactly when the first run's
+// merged result is done, not when its last document is.
+TEST(DispatchTest, LaneIsHeldThroughItsRunsMerge) {
+  MarkerCorpus mc = MakeDispatchCorpus(4000);
+  CorpusServer::Options opt = HybridOptions(1);
+  opt.num_devices = 3;
+  auto server = CorpusServer::Create(&mc.corpus, opt);
+  ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
+
+  CorpusServer::RunOptions force_cpu;
+  force_cpu.backend = CorpusServer::RunBackend::kCpu;
+  CorpusServer::RunRequest request;
+  request.task = Task::kWordCount;
+  auto first_submitted = tenant->Submit(request, force_cpu);
+  auto second_submitted = tenant->Submit(request, force_cpu);
+  ASSERT_TRUE(first_submitted.ok() && second_submitted.ok());
+  ASSERT_TRUE(first_submitted->admitted() && second_submitted->admitted());
+  ASSERT_TRUE((*server)->ServeUntilIdle().ok());
+  auto first = first_submitted->ticket->Await();
+  auto second = second_submitted->ticket->Await();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+
+  // The first run's timing includes a merge beyond its documents' work.
+  RunTiming documents;
+  documents.documents = 0;
+  for (const BatchEngine::DocumentRun& doc : first->batch.documents) {
+    documents.Accumulate(doc.timing);
+  }
+  EXPECT_GT(first->batch.timing.total_seconds(), documents.total_seconds());
+
+  EXPECT_EQ(first->start_seconds, 0.0);
+  EXPECT_EQ(first->completion_seconds,
+            first->start_seconds + first->batch.timing.total_seconds());
+  EXPECT_EQ(second->start_seconds, first->completion_seconds);
+  EXPECT_EQ((*server)->stats().peak_cpu_lanes_in_use, 1u);
+}
+
 // A CPU lane runs over the server's prebuilt document index, so it charges
 // no phase-1 DAG walk — unlike an engine that builds its own index from the
 // grammar — and does the same traversal work for the same result.

@@ -83,7 +83,7 @@ SyntheticDrive Drive(RunScheduler* scheduler,
 ScheduledRun OneDeviceRun(uint64_t ticket, uint64_t slots) {
   ScheduledRun run;
   run.ticket = ticket;
-  run.device_slots = {slots};
+  run.reservation.device_slots = {slots};
   return run;
 }
 
@@ -206,6 +206,79 @@ TEST(RunSchedulerTest, PriorityOutranksDeadlineAndSubmissionOrder) {
   EXPECT_EQ(drive.start_order, (std::vector<uint64_t>{2, 1, 3, 0}));
 }
 
+// CPU lanes are a ledger resource beside the device slots: a lane run
+// reserves one lane and no slot, so lane runs overlap device runs, bind only
+// on the lane capacity, and leave slot totals, quotas and slot-seconds as
+// the device runs alone leave them.
+TEST(RunSchedulerTest, LaneRunsOverlapDeviceRunsAndHoldNoSlots) {
+  RunSchedulerOptions options;
+  options.cpu_lanes = 2;
+  RunScheduler scheduler({100, 100, 100, 100}, options);
+  SlotLedger& ledger = *scheduler.ledger();
+  ledger.SetTenantQuota(1, 100);
+
+  // Two device runs of tenant 1, each its whole quota, so the second waits
+  // for the first; then five lane runs of the same tenant. Durations are
+  // one per held resource: every device for a device run, the lane for a
+  // lane run.
+  std::map<uint64_t, std::vector<double>> durations;
+  ScheduledRun first;
+  first.ticket = 0;
+  first.tenant = 1;
+  first.reservation.device_slots = {60, 40, 0, 0};
+  durations[0] = {10.0, 8.0, 0.0, 0.0};
+  ScheduledRun second = first;
+  second.ticket = 1;
+  second.reservation.device_slots = {0, 0, 50, 50};
+  durations[1] = {0.0, 0.0, 4.0, 2.0};
+  scheduler.Enqueue(first);
+  scheduler.Enqueue(second);
+  const double lane_seconds[] = {3.0, 5.0, 3.0, 1.0, 2.0};
+  for (uint64_t t = 2; t < 7; ++t) {
+    ScheduledRun lane;
+    lane.ticket = t;
+    lane.tenant = 1;
+    lane.reservation.lanes = 1;
+    scheduler.Enqueue(lane);
+    durations[t] = {lane_seconds[t - 2]};
+  }
+
+  std::map<uint64_t, double> start;
+  while (auto decision = scheduler.StartNext()) {
+    start[decision->ticket] = decision->start_time;
+    EXPECT_LE(ledger.lanes_in_use(), 2u);
+    if (decision->ticket >= 2) {
+      // The first run holds its devices and the tenant's whole quota at
+      // every lane start, and the lane runs add nothing to either.
+      EXPECT_EQ(ledger.in_use(), 100u) << "ticket " << decision->ticket;
+      EXPECT_EQ(ledger.tenant_in_use(1), 100u) << "ticket " << decision->ticket;
+    }
+    scheduler.Finish(decision->ticket, durations.at(decision->ticket), 0.0);
+  }
+  scheduler.DrainActive();
+
+  ASSERT_EQ(start.size(), 7u);
+  // Lane runs start beside the first device run, and each retires at
+  // exactly its start plus its one duration, which is when the next
+  // queued lane run starts.
+  EXPECT_EQ(start[2], 0.0);
+  EXPECT_EQ(start[3], 0.0);
+  EXPECT_EQ(start[4], start[2] + lane_seconds[0]);
+  EXPECT_EQ(start[5], start[3] + lane_seconds[1]);
+  EXPECT_EQ(start[6], start[4] + lane_seconds[2]);
+  EXPECT_EQ(start[1], 10.0) << "the quota-bound run waits for the first";
+  EXPECT_EQ(scheduler.now(), 14.0);
+  EXPECT_EQ(ledger.peak_lanes_in_use(), 2u);
+  EXPECT_EQ(ledger.lanes_in_use(), 0u);
+  EXPECT_EQ(ledger.in_use(), 0u);
+  EXPECT_EQ(ledger.peak_in_use(), 100u);
+  // Slot-seconds are the device runs' alone.
+  EXPECT_EQ(scheduler.slot_seconds().at(1), 60 * 10.0 + 40 * 8.0 + 50 * 4.0 +
+                                                 50 * 2.0);
+  EXPECT_EQ(scheduler.slot_seconds_per_device().at(1),
+            (std::vector<double>{600.0, 320.0, 200.0, 100.0}));
+}
+
 // --------------------------------------------------------------------------
 // SlotLedger: one device budget per device, all-or-nothing reservations,
 // tenant quotas spanning devices.
@@ -213,20 +286,45 @@ TEST(RunSchedulerTest, PriorityOutranksDeadlineAndSubmissionOrder) {
 
 TEST(SlotBudgetTest, ReserveReleasePeak) {
   SlotLedger ledger({100});
-  EXPECT_TRUE(ledger.TryReserve({60}));
-  EXPECT_TRUE(ledger.TryReserve({40}));
-  EXPECT_FALSE(ledger.TryReserve({1}));  // full: no oversubscription
+  EXPECT_TRUE(ledger.TryReserve({{60}}));
+  EXPECT_TRUE(ledger.TryReserve({{40}}));
+  EXPECT_FALSE(ledger.TryReserve({{1}}));  // full: no oversubscription
   EXPECT_EQ(ledger.in_use_on(0), 100u);
   ledger.ReleaseOn(0, 40);
   EXPECT_EQ(ledger.in_use_on(0), 60u);
-  EXPECT_TRUE(ledger.TryReserve({40}));
+  EXPECT_TRUE(ledger.TryReserve({{40}}));
   EXPECT_EQ(ledger.peak_in_use_on(0), 100u);
-  EXPECT_FALSE(ledger.TryReserve({200}));  // larger than the whole budget
+  EXPECT_FALSE(ledger.TryReserve({{200}}));  // larger than the whole budget
+}
+
+TEST(SlotBudgetTest, LanesBindButAreNotSlots) {
+  SlotLedger ledger({4, 4}, 1);
+  ledger.SetTenantQuota(1, 2);
+  Reservation lane;
+  lane.lanes = 1;
+  EXPECT_TRUE(ledger.TryReserve(lane, 1));
+  EXPECT_EQ(ledger.lanes_in_use(), 1u);
+  EXPECT_EQ(ledger.in_use(), 0u);
+  EXPECT_EQ(ledger.tenant_in_use(1), 0u);
+  EXPECT_FALSE(ledger.CanReserve(lane, 2)) << "the one lane is held";
+  EXPECT_TRUE(ledger.TryReserve({{2, 0}}, 1)) << "the lane took no quota";
+
+  // A reservation names every device or none, and never nothing at all.
+  EXPECT_FALSE(ledger.CanReserve(Reservation{}));
+  EXPECT_FALSE(ledger.CanReserve({{1}, 1}));
+
+  ledger.ReleaseOn(ledger.lane_resource(), 1, 1);
+  EXPECT_EQ(ledger.lanes_in_use(), 0u);
+  EXPECT_EQ(ledger.tenant_in_use(1), 2u);
+  EXPECT_EQ(ledger.peak_lanes_in_use(), 1u);
+
+  SlotLedger no_lanes({4});
+  EXPECT_FALSE(no_lanes.CanReserve(lane)) << "0 lanes means none";
 }
 
 TEST(SlotBudgetTest, ZeroCapacityIsUnmetered) {
   SlotLedger ledger({0});
-  EXPECT_TRUE(ledger.TryReserve({1ull << 40}));
+  EXPECT_TRUE(ledger.TryReserve({{1ull << 40}}));
   EXPECT_EQ(ledger.peak_in_use_on(0), 1ull << 40);
   EXPECT_EQ(ledger.peak_in_use(), 1ull << 40);
 }
@@ -234,10 +332,10 @@ TEST(SlotBudgetTest, ZeroCapacityIsUnmetered) {
 TEST(SlotBudgetOwnerTest, QuotaBindsAtomicallyWithCapacity) {
   SlotLedger ledger({100});
   ledger.SetTenantQuota(1, 30);
-  EXPECT_TRUE(ledger.TryReserve({30}, 1));
-  EXPECT_FALSE(ledger.TryReserve({1}, 1)) << "tenant quota full";
-  EXPECT_TRUE(ledger.TryReserve({60}, 2)) << "other tenants are not bound";
-  EXPECT_FALSE(ledger.TryReserve({20}, 2)) << "device capacity still binds";
+  EXPECT_TRUE(ledger.TryReserve({{30}}, 1));
+  EXPECT_FALSE(ledger.TryReserve({{1}}, 1)) << "tenant quota full";
+  EXPECT_TRUE(ledger.TryReserve({{60}}, 2)) << "other tenants are not bound";
+  EXPECT_FALSE(ledger.TryReserve({{20}}, 2)) << "device capacity still binds";
   EXPECT_EQ(ledger.tenant_in_use(1), 30u);
   EXPECT_EQ(ledger.tenant_in_use(2), 60u);
   ledger.ReleaseOn(0, 30, 1);
@@ -245,20 +343,20 @@ TEST(SlotBudgetOwnerTest, QuotaBindsAtomicallyWithCapacity) {
   EXPECT_EQ(ledger.in_use(), 60u);
   EXPECT_EQ(ledger.peak_in_use(), 90u);
   // Untagged calls reserve for the default tenant 0.
-  EXPECT_TRUE(ledger.TryReserve({40}));
+  EXPECT_TRUE(ledger.TryReserve({{40}}));
   EXPECT_EQ(ledger.tenant_in_use(0), 40u);
 }
 
 TEST(SlotBudgetGroupTest, AllOrNothingRollsBackOnMemberRefusal) {
   SlotLedger ledger({10, 10});
 
-  ASSERT_TRUE(ledger.TryReserve({2, 8}));
+  ASSERT_TRUE(ledger.TryReserve({{2, 8}}));
   EXPECT_EQ(ledger.in_use(), 10u);
 
   // Device 0 would fit (2+5 <= 10) but device 1 refuses (8+5 > 10): the
   // reservation must fail WITHOUT leaving device 0 partially held.
-  EXPECT_FALSE(ledger.CanReserve({5, 5}));
-  EXPECT_FALSE(ledger.TryReserve({5, 5}));
+  EXPECT_FALSE(ledger.CanReserve({{5, 5}}));
+  EXPECT_FALSE(ledger.TryReserve({{5, 5}}));
   EXPECT_EQ(ledger.in_use_on(0), 2u);
   EXPECT_EQ(ledger.in_use_on(1), 8u);
   EXPECT_EQ(ledger.in_use(), 10u);
@@ -269,20 +367,20 @@ TEST(SlotBudgetGroupTest, AllOrNothingRollsBackOnMemberRefusal) {
   EXPECT_EQ(ledger.in_use_on(0), 0u);
   EXPECT_EQ(ledger.in_use_on(1), 0u);
   EXPECT_EQ(ledger.in_use(), 0u);
-  EXPECT_TRUE(ledger.TryReserve({5, 5}));
+  EXPECT_TRUE(ledger.TryReserve({{5, 5}}));
 }
 
 TEST(SlotBudgetGroupTest, ZeroEntriesAndSizeMismatch) {
   SlotLedger ledger({4, 4});
 
   // Zero entries reserve nothing on that device.
-  ASSERT_TRUE(ledger.TryReserve({0, 3}));
+  ASSERT_TRUE(ledger.TryReserve({{0, 3}}));
   EXPECT_EQ(ledger.in_use_on(0), 0u);
   EXPECT_EQ(ledger.in_use_on(1), 3u);
 
   // A wrong-arity request is refused outright, no state change.
-  EXPECT_FALSE(ledger.TryReserve({1}));
-  EXPECT_FALSE(ledger.CanReserve({1, 1, 1}));
+  EXPECT_FALSE(ledger.TryReserve({{1}}));
+  EXPECT_FALSE(ledger.CanReserve({{1, 1, 1}}));
   EXPECT_EQ(ledger.in_use(), 3u);
 }
 
@@ -291,20 +389,20 @@ TEST(SlotBudgetGroupTest, OwnerQuotaSpansShards) {
   ledger.SetTenantQuota(1, 50);
 
   // 30 + 10 = 40 of 50: fits.
-  ASSERT_TRUE(ledger.TryReserve({30, 10}, 1));
+  ASSERT_TRUE(ledger.TryReserve({{30, 10}}, 1));
   // Each device individually has room, but the total over devices
   // (40 + 20 = 60) exceeds the tenant's cross-shard quota.
-  EXPECT_FALSE(ledger.CanReserve({10, 10}, 1));
-  EXPECT_FALSE(ledger.TryReserve({10, 10}, 1));
+  EXPECT_FALSE(ledger.CanReserve({{10, 10}}, 1));
+  EXPECT_FALSE(ledger.TryReserve({{10, 10}}, 1));
   EXPECT_EQ(ledger.tenant_in_use(1), 40u);
   // Another tenant is not bound by tenant 1's quota.
-  EXPECT_TRUE(ledger.TryReserve({10, 10}, 2));
+  EXPECT_TRUE(ledger.TryReserve({{10, 10}}, 2));
 
   // Per-device rolling release: freeing one device's share re-opens the
   // quota headroom.
   ledger.ReleaseOn(0, 30, 1);
   EXPECT_EQ(ledger.tenant_in_use(1), 10u);
-  EXPECT_TRUE(ledger.TryReserve({10, 10}, 1));
+  EXPECT_TRUE(ledger.TryReserve({{10, 10}}, 1));
   EXPECT_EQ(ledger.tenant_in_use(1), 30u);
 }
 
@@ -319,7 +417,7 @@ TEST(SlotBudgetGroupTest, NoDeadlockUnderInterleavedReservations) {
   std::atomic<bool> overcommitted{false};
   auto worker = [&](std::vector<uint64_t> slots, uint64_t tenant) {
     for (int i = 0; i < 20000; ++i) {
-      if (ledger.TryReserve(slots, tenant)) {
+      if (ledger.TryReserve({slots}, tenant)) {
         if (ledger.in_use_on(0) > 10 || ledger.in_use_on(1) > 10) {
           overcommitted = true;
         }
