@@ -15,13 +15,12 @@ SlotLedger::SlotLedger(std::vector<uint64_t> capacities, uint32_t lanes)
 bool SlotLedger::FitsLocked(const Reservation& reservation,
                             uint64_t tenant) const {
   const std::vector<uint64_t>& slots = reservation.device_slots;
-  // A reservation names every device or none, and one that holds nothing
-  // at all would have nothing to complete on.
-  if (slots.size() != devices_.size() &&
-      !(slots.empty() && reservation.lanes > 0)) {
-    return false;
+  // A reservation names one lane and no device, or every device and no
+  // lane.
+  if (reservation.lane) {
+    return slots.empty() && lanes_.in_use < lanes_.capacity;
   }
-  if (reservation.lanes > lanes_.capacity - lanes_.in_use) return false;
+  if (slots.size() != devices_.size()) return false;
   uint64_t total = 0;
   for (size_t d = 0; d < slots.size(); ++d) {
     const ResourceState& device = devices_[d];
@@ -50,6 +49,11 @@ bool SlotLedger::TryReserve(const Reservation& reservation, uint64_t tenant) {
   // under.
   std::lock_guard<std::mutex> lock(mu_);
   if (!FitsLocked(reservation, tenant)) return false;
+  if (reservation.lane) {
+    ++lanes_.in_use;
+    lanes_.peak = std::max(lanes_.peak, lanes_.in_use);
+    return true;
+  }
   const std::vector<uint64_t>& slots = reservation.device_slots;
   uint64_t total = 0;
   for (size_t d = 0; d < slots.size(); ++d) {
@@ -61,8 +65,6 @@ bool SlotLedger::TryReserve(const Reservation& reservation, uint64_t tenant) {
   in_use_ += total;
   peak_ = std::max(peak_, in_use_);
   tenants_[tenant].in_use += total;
-  lanes_.in_use += reservation.lanes;
-  lanes_.peak = std::max(lanes_.peak, lanes_.in_use);
   return true;
 }
 
@@ -156,7 +158,7 @@ AdmissionDecision RunScheduler::Start(size_t index) {
   const ScheduledRun run = queue_[index].run;
   // PickCandidate just saw the reservation fit; serving is single-threaded,
   // so this cannot fail. The ledger reservation is all-or-nothing: the run
-  // holds every device and lane it names, or none of them.
+  // holds every device it names, or its lane, or nothing.
   ledger_.TryReserve(run.reservation, run.tenant);
 
   AdmissionDecision decision;
@@ -182,9 +184,8 @@ AdmissionDecision RunScheduler::Start(size_t index) {
   for (size_t d = 0; d < slots.size(); ++d) {
     active.holds.push_back(Hold{d, slots[d]});
   }
-  if (run.reservation.lanes > 0) {
-    active.holds.push_back(
-        Hold{ledger_.lane_resource(), run.reservation.lanes});
+  if (run.reservation.lane) {
+    active.holds.push_back(Hold{ledger_.lane_resource(), 1});
   }
   active.start_time = now_;
   active_.push_back(std::move(active));

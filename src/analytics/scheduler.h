@@ -13,16 +13,15 @@ namespace gtadoc {
 /// Absent deadline: orders after every finite deadline.
 inline constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
-/// What one run holds while it is active: slots on the devices of the
-/// group, CPU lanes, or both.
+/// What one run holds while it is active: slots on every device of the
+/// group (a GPU run) or one CPU lane (a CPU-dispatched run), never both.
 struct Reservation {
   /// Slots on each device: one entry per device of the group (0 holds that
-  /// device with nothing reserved there), or none for a run that holds no
-  /// device.
+  /// device with nothing reserved there); empty on a lane run.
   std::vector<uint64_t> device_slots;
-  /// CPU lanes held. Lanes are not slots: they count toward no slot total,
-  /// tenant quota or slot-seconds.
-  uint32_t lanes = 0;
+  /// True for a lane run. Lanes are not slots: they count toward no slot
+  /// total, tenant quota or slot-seconds.
+  bool lane = false;
 };
 
 /// \brief The admission ledger of an N-device group (N = 1 included) and its
@@ -61,13 +60,13 @@ class SlotLedger {
   /// Would TryReserve(reservation, tenant) succeed right now? Read-only
   /// peek for admission policies that rank candidates before reserving.
   bool CanReserve(const Reservation& reservation, uint64_t tenant = 0) const;
-  /// Reserves slots[d] on every device d and the named lanes for `tenant`,
-  /// all or nothing. False, and no state change, on a reservation that
-  /// names neither every device nor a lane, a device or lane pool without
-  /// room, or a tenant quota the slot total would exceed.
+  /// Reserves slots[d] on every device d, or one lane, for `tenant`, all
+  /// or nothing. False, and no state change, on a reservation that names
+  /// neither every device alone nor a lane alone, a device or the lanes
+  /// without room, or a tenant quota the slot total would exceed.
   bool TryReserve(const Reservation& reservation, uint64_t tenant = 0);
   /// Returns `units` of `tenant`'s reservation on one resource only (slots
-  /// on a device, or lanes): a sharded run frees each device the moment
+  /// on a device, or the lane): a sharded run frees each device the moment
   /// that device's shard completes. Releasing more than is held clamps to
   /// zero (a caller bug, defended).
   void ReleaseOn(size_t resource, uint64_t units, uint64_t tenant = 0);
@@ -159,12 +158,13 @@ struct AdmissionDecision {
 ///
 /// The model: admitted runs are co-resident on the device group, overlapping
 /// in SIMULATED time — run i occupies its per-device footprints (or its
-/// CPU lane) for [start_i, completion). Host execution stays serial in admission order
-/// (which keeps results and durations deterministic and bit-identical to
-/// serial runs); the scheduler's clock, queue waits, and budget occupancy
-/// all live on the simulated timeline. Each resource a run holds is released
-/// at that resource's OWN completion, and the next eligible queued run
-/// starts the moment its reservation fits — per-completion-event admission.
+/// CPU lane) for [start_i, completion). Host execution stays serial in
+/// admission order (which keeps results and durations deterministic and
+/// bit-identical to serial runs); the scheduler's clock, queue waits, and
+/// budget occupancy all live on the simulated timeline. Each resource a run
+/// holds is released at that resource's OWN completion, and the next
+/// eligible queued run starts the moment its reservation fits —
+/// per-completion-event admission.
 ///
 /// Protocol (driven by the serving layer, single-threaded):
 ///   1. Enqueue every submitted run (footprint known from its RunPlan).
@@ -180,7 +180,7 @@ struct AdmissionDecision {
 /// the aging limit.
 ///
 /// Reservations go through the scheduler's SlotLedger: a run holds all it
-/// names (slots on its devices, a lane) or nothing, and per-tenant quotas
+/// names (slots on its devices, or a lane) or nothing, and per-tenant quotas
 /// bind across shards.
 class RunScheduler {
  public:
@@ -198,8 +198,9 @@ class RunScheduler {
 
   /// Queues a run. Its submit_time is stamped from the scheduler clock.
   /// Precondition (caller-validated): the reservation fits an empty ledger
-  /// (every device entry its device, the slot total the tenant's quota, the
-  /// lanes the lane capacity), so every queued run can eventually start.
+  /// (every device entry its device and the slot total the tenant's quota,
+  /// or a lane and a nonzero lane capacity), so every queued run can
+  /// eventually start.
   void Enqueue(ScheduledRun run);
 
   /// Starts the next eligible run: reserves its footprint in the ledger
@@ -210,8 +211,8 @@ class RunScheduler {
   std::optional<AdmissionDecision> StartNext();
 
   /// Reports a started run's measured durations, one per resource it holds
-  /// in reservation order (each device it names, then its lanes; a missing
-  /// entry counts as 0); must be called before the next StartNext
+  /// (each device it names in order, or its lane; a missing entry counts
+  /// as 0); must be called before the next StartNext
   /// (execution is serial). Each resource becomes releasable at start +
   /// its duration (a device the run holds no slots on counts only toward
   /// the run's completion), and the run itself completes at
@@ -255,7 +256,7 @@ class RunScheduler {
   /// One resource an active run holds, released at its own completion.
   struct Hold {
     size_t resource = 0;  ///< SlotLedger resource index
-    uint64_t units = 0;   ///< slots on a device, or lanes
+    uint64_t units = 0;   ///< slots on a device, or 1 lane
     /// start + this resource's duration; < 0 until Finish reports it.
     double completion = -1.0;
     bool released = false;
@@ -263,7 +264,7 @@ class RunScheduler {
   struct ActiveRun {
     uint64_t ticket = 0;
     uint64_t tenant = 0;
-    std::vector<Hold> holds;  ///< reservation order: devices, then lanes
+    std::vector<Hold> holds;  ///< every device in order, or the lane
     double start_time = 0.0;
     double completion = -1.0;  ///< full completion incl. the gather tail
   };

@@ -433,8 +433,7 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   scheduled.ticket = run.admission.ticket;
   scheduled.tenant = tenant_id;
   scheduled.reservation.device_slots = run.device_footprint;
-  scheduled.reservation.lanes =
-      static_cast<uint32_t>(run.route.lane_docs.size());
+  scheduled.reservation.lane = run.route.lane_docs.has_value();
   scheduled.priority = run.admission.priority;
   scheduled.deadline = run.admission.deadline;
   scheduler_.Enqueue(scheduled);
@@ -487,13 +486,13 @@ Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
     }
     DeviceGroup::RunResult& result = *executed_run;
     const double duration = result.batch.timing.total_seconds();
-    // Each held resource is releasable at its OWN completion (a device at
-    // its shard's end, a lane after the merge it runs); the run completes
-    // after its slowest shard plus the gather tail.
-    std::vector<double> durations = result.device_durations;
-    durations.insert(durations.end(), result.lane_durations.begin(),
-                     result.lane_durations.end());
-    scheduler_.Finish(decision->ticket, durations, result.gather_seconds);
+    // Each device is releasable at its OWN shard's end, and the run
+    // completes after its slowest shard plus the gather tail; a lane runs
+    // the merge itself, so its one duration is the whole run.
+    scheduler_.Finish(decision->ticket,
+                      run.route.lane_docs ? std::vector<double>{duration}
+                                          : result.device_durations,
+                      result.gather_seconds);
 
     ServedRun served;
     served.admission = run.admission;

@@ -71,9 +71,9 @@ ShardedCorpus::RoutePlan ShardedCorpus::Route(
 ShardedCorpus::RoutePlan ShardedCorpus::RouteToLane(
     const std::vector<uint8_t>& execute_mask) {
   RoutePlan plan;
-  plan.lane_docs.emplace_back();
+  plan.lane_docs.emplace();
   for (uint32_t g = 0; g < execute_mask.size(); ++g) {
-    if (execute_mask[g] != 0) plan.lane_docs[0].push_back(g);
+    if (execute_mask[g] != 0) plan.lane_docs->push_back(g);
   }
   return plan;
 }
@@ -94,26 +94,31 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
   const PartitionedCorpus* global = corpus_->global_corpus();
   const size_t n = global->partitions.size();
   const size_t num_devices = corpus_->num_devices();
+  // A route names every device of the group and no lane, or one lane and
+  // no device.
+  const bool on_lane = spec.route != nullptr && spec.route->lane_docs;
   if (spec.route == nullptr || spec.plans.size() != n ||
-      (!spec.route->device_docs.empty() &&
-       spec.route->device_docs.size() != num_devices)) {
+      spec.route->device_docs.size() != (on_lane ? 0 : num_devices)) {
     return Status::InvalidArgument(
-        "needs a route over all of the group's devices or none, and one plan "
-        "per document");
+        "needs a route over every device of the group or one lane, and one "
+        "plan per document");
   }
   const ShardedCorpus::RoutePlan& route = *spec.route;
   // A routed document without a plan fails the whole run before anything
   // executes.
-  for (const auto* lists : {&route.device_docs, &route.lane_docs}) {
-    for (const std::vector<uint32_t>& docs : *lists) {
-      for (uint32_t g : docs) {
-        if (g >= n || spec.plans[g] == nullptr) {
-          return Status::InvalidArgument("routed document " +
-                                         std::to_string(g) + " has no plan");
-        }
+  auto check_plans = [&](const std::vector<uint32_t>& docs) {
+    for (uint32_t g : docs) {
+      if (g >= n || spec.plans[g] == nullptr) {
+        return Status::InvalidArgument("routed document " + std::to_string(g) +
+                                       " has no plan");
       }
     }
+    return Status::OK();
+  };
+  for (const std::vector<uint32_t>& docs : route.device_docs) {
+    GTADOC_RETURN_IF_ERROR(check_plans(docs));
   }
+  if (on_lane) GTADOC_RETURN_IF_ERROR(check_plans(*route.lane_docs));
 
   RunResult out;
   out.device_durations.assign(route.device_docs.size(), 0.0);
@@ -194,12 +199,11 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
   }
   // A lane runs the sequential CPU TADOC backend over its documents: no
   // device, no pool, no pre-sizing, no residency.
-  for (const std::vector<uint32_t>& docs : route.lane_docs) {
-    if (docs.empty()) continue;
+  if (on_lane && !route.lane_docs->empty()) {
     BatchEngine::Options bopt;
     bopt.backend = kCpuPlanBackend;
     bopt.cpu = spec.cpu;
-    auto run = run_shard(docs, bopt, nullptr);
+    auto run = run_shard(*route.lane_docs, bopt, nullptr);
     if (!run.ok()) return run.status();
     for (BatchEngine::DocumentRun& doc : run->documents) {
       batch.documents.push_back(std::move(doc));
@@ -214,16 +218,13 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
   // the run. Devices are released at their own shards' ends, so on them
   // the merge is the run's tail; a lane runs the merge on its one thread
   // and is held through it. Either way total_seconds() is the makespan.
-  const bool on_lanes = !route.lane_docs.empty();
   auto gather = BatchEngine::Gather(
       spec.task, spec.engine, *global,
-      on_lanes ? spec.cpu.thread_ops_per_sec()
-               : spec.engine.gpu.device_ops_per_sec(),
+      on_lane ? spec.cpu.thread_ops_per_sec()
+              : spec.engine.gpu.device_ops_per_sec(),
       &batch);
   if (!gather.ok()) return gather.status();
-  out.lane_durations.assign(route.lane_docs.size(),
-                            batch.timing.total_seconds());
-  out.gather_seconds = on_lanes ? 0.0 : *gather;
+  out.gather_seconds = on_lane ? 0.0 : *gather;
   batch.timing.wall_seconds = wall.ElapsedSeconds();
   return out;
 }

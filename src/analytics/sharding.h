@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "analytics/batch.h"
@@ -46,14 +47,15 @@ class ShardedCorpus {
   /// reservation names the same resources (SlotLedger).
   struct RoutePlan {
     /// Per device, the global ids of the documents routed there, ascending
-    /// (one list per device of the group, or none). A device with an empty
-    /// list receives NO work at all — no engine, no upload, no plan, no
-    /// traversal. A document in no list (root-Bloom skipped or masked out)
-    /// reaches no engine and is assembled empty at the gather; replicas the
-    /// route did not choose never see the run.
+    /// (one list per device of the group; none on a lane run). A device
+    /// with an empty list receives NO work at all — no engine, no upload,
+    /// no plan, no traversal. A document in no list (root-Bloom skipped or
+    /// masked out) reaches no engine and is assembled empty at the gather;
+    /// replicas the route did not choose never see the run.
     std::vector<std::vector<uint32_t>> device_docs;
-    /// Per CPU lane the run holds, the global ids it executes, ascending.
-    std::vector<std::vector<uint32_t>> lane_docs;
+    /// On a CPU-dispatched run, the global ids its one lane executes,
+    /// ascending; absent on a GPU run.
+    std::optional<std::vector<uint32_t>> lane_docs;
   };
 
   /// The corpus must outlive the sharded view (every device runs its
@@ -171,9 +173,6 @@ class DeviceGroup {
     /// Simulated duration of each device's shard, one per device the route
     /// names (0 for idle devices; none on a lane run).
     std::vector<double> device_durations;
-    /// Simulated duration of each lane the route names, its merge
-    /// included (none on a GPU run).
-    std::vector<double> lane_durations;
     /// The cross-device merge tail after the slowest shard, charged at
     /// device reduce throughput; 0 on a lane run, whose lane holds the
     /// merge.

@@ -238,7 +238,7 @@ TEST(RunSchedulerTest, LaneRunsOverlapDeviceRunsAndHoldNoSlots) {
     ScheduledRun lane;
     lane.ticket = t;
     lane.tenant = 1;
-    lane.reservation.lanes = 1;
+    lane.reservation.lane = true;
     scheduler.Enqueue(lane);
     durations[t] = {lane_seconds[t - 2]};
   }
@@ -301,7 +301,7 @@ TEST(SlotBudgetTest, LanesBindButAreNotSlots) {
   SlotLedger ledger({4, 4}, 1);
   ledger.SetTenantQuota(1, 2);
   Reservation lane;
-  lane.lanes = 1;
+  lane.lane = true;
   EXPECT_TRUE(ledger.TryReserve(lane, 1));
   EXPECT_EQ(ledger.lanes_in_use(), 1u);
   EXPECT_EQ(ledger.in_use(), 0u);
@@ -309,9 +309,14 @@ TEST(SlotBudgetTest, LanesBindButAreNotSlots) {
   EXPECT_FALSE(ledger.CanReserve(lane, 2)) << "the one lane is held";
   EXPECT_TRUE(ledger.TryReserve({{2, 0}}, 1)) << "the lane took no quota";
 
-  // A reservation names every device or none, and never nothing at all.
+  // A reservation names every device or one lane: not some devices, not
+  // both, and never nothing at all.
+  ledger.ReleaseOn(ledger.lane_resource(), 1, 1);
   EXPECT_FALSE(ledger.CanReserve(Reservation{}));
-  EXPECT_FALSE(ledger.CanReserve({{1}, 1}));
+  EXPECT_FALSE(ledger.CanReserve({{1}, false}));
+  EXPECT_FALSE(ledger.CanReserve({{1, 0}, true}));
+  EXPECT_TRUE(ledger.CanReserve(lane));
+  EXPECT_TRUE(ledger.TryReserve(lane, 1));
 
   ledger.ReleaseOn(ledger.lane_resource(), 1, 1);
   EXPECT_EQ(ledger.lanes_in_use(), 0u);
