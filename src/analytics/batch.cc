@@ -208,7 +208,6 @@ Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
       if (!run.ok()) return run.status();
       out.result = std::move(run->result);
       out.timing = run->timing;
-      if (options_.on_document_complete) options_.on_document_complete(out);
       continue;
     }
     // A device that keeps documents resident loads each one once; without
@@ -229,7 +228,6 @@ Status BatchEngine::RunShard(Task task, const PlanList* plans, uint64_t presize,
     if (!run.ok()) return run.status();
     out.result = std::move(run->result);
     out.timing = run->timing;
-    if (options_.on_document_complete) options_.on_document_complete(out);
   }
   if (pool != nullptr && mid_run_growths != nullptr) {
     *mid_run_growths = pool->growth_count() - growth_baseline;

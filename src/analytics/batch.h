@@ -2,7 +2,6 @@
 #define GTADOC_ANALYTICS_BATCH_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -91,12 +90,6 @@ class BatchEngine {
     /// merge would be duplicate work the timing must not charge. When
     /// false, `merged` carries only the task tag.
     bool merge_results = true;
-    /// Invoked once per document as soon as its DocumentRun is final,
-    /// before the batch completes. Serving layers use it for live progress
-    /// counters. Called from shard worker threads concurrently, so the
-    /// callback must be thread-safe; the reference is only valid for the
-    /// duration of the call. Null: no notifications.
-    std::function<void(const DocumentRun&)> on_document_complete;
   };
 
   /// One document's run inside the batch.

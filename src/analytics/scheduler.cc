@@ -12,34 +12,50 @@ SlotLedger::SlotLedger(std::vector<uint64_t> capacities, uint32_t lanes)
   lanes_.capacity = lanes;
 }
 
-bool SlotLedger::FitsLocked(const Reservation& reservation,
-                            uint64_t tenant) const {
+std::optional<SlotLedger::Overrun> SlotLedger::OverrunLocked(
+    const Reservation& reservation, uint64_t tenant, bool empty) const {
+  using Limit = Overrun::Limit;
+  // `request` more units fit `used` of `capacity` (compared without
+  // overflow).
+  auto fits = [empty](uint64_t used, uint64_t request, uint64_t capacity) {
+    return request <= capacity && (empty ? 0 : used) <= capacity - request;
+  };
   const std::vector<uint64_t>& slots = reservation.device_slots;
   // A reservation names one lane and no device, or every device and no
   // lane.
-  if (reservation.lane) {
-    return slots.empty() && lanes_.in_use < lanes_.capacity;
+  if (reservation.lane ? !slots.empty() : slots.size() != devices_.size()) {
+    return Overrun{Limit::kShape};
   }
-  if (slots.size() != devices_.size()) return false;
+  if (reservation.lane) {
+    if (fits(lanes_.in_use, 1, lanes_.capacity)) return std::nullopt;
+    return Overrun{Limit::kLane, 1, lanes_.capacity};
+  }
   uint64_t total = 0;
   for (size_t d = 0; d < slots.size(); ++d) {
     const ResourceState& device = devices_[d];
-    if (device.capacity > 0 && (slots[d] > device.capacity ||
-                                device.in_use > device.capacity - slots[d])) {
-      return false;
+    if (device.capacity > 0 &&
+        !fits(device.in_use, slots[d], device.capacity)) {
+      return Overrun{Limit::kDevice, slots[d], device.capacity};
     }
     total += slots[d];
   }
   auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.quota == 0) return true;
+  if (it == tenants_.end() || it->second.quota == 0) return std::nullopt;
   const TenantState& state = it->second;
-  return total <= state.quota && state.in_use <= state.quota - total;
+  if (fits(state.in_use, total, state.quota)) return std::nullopt;
+  return Overrun{Limit::kQuota, total, state.quota};
 }
 
 bool SlotLedger::CanReserve(const Reservation& reservation,
                             uint64_t tenant) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return FitsLocked(reservation, tenant);
+  return !OverrunLocked(reservation, tenant, /*empty=*/false);
+}
+
+std::optional<SlotLedger::Overrun> SlotLedger::OverrunWhenEmpty(
+    const Reservation& reservation, uint64_t tenant) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return OverrunLocked(reservation, tenant, /*empty=*/true);
 }
 
 bool SlotLedger::TryReserve(const Reservation& reservation, uint64_t tenant) {
@@ -48,7 +64,7 @@ bool SlotLedger::TryReserve(const Reservation& reservation, uint64_t tenant) {
   // racing reservations cannot both pass a check only one of them fits
   // under.
   std::lock_guard<std::mutex> lock(mu_);
-  if (!FitsLocked(reservation, tenant)) return false;
+  if (OverrunLocked(reservation, tenant, /*empty=*/false)) return false;
   if (reservation.lane) {
     ++lanes_.in_use;
     lanes_.peak = std::max(lanes_.peak, lanes_.in_use);
@@ -81,9 +97,19 @@ void SlotLedger::ReleaseOn(size_t resource, uint64_t units, uint64_t tenant) {
   release(&tenants_[tenant].in_use);
 }
 
-void SlotLedger::SetTenantQuota(uint64_t tenant, uint64_t quota_slots) {
+bool SlotLedger::SetTenantQuota(uint64_t tenant, uint64_t quota_slots) {
   std::lock_guard<std::mutex> lock(mu_);
+  // The devices' summed capacity, saturating; an unmetered device bounds
+  // nothing.
+  const uint64_t max = std::numeric_limits<uint64_t>::max();
+  uint64_t capacity = 0;
+  for (const ResourceState& device : devices_) {
+    capacity += std::min(device.capacity == 0 ? max : device.capacity,
+                         max - capacity);
+  }
+  if (quota_slots > capacity) return false;
   tenants_[tenant].quota = quota_slots;
+  return true;
 }
 
 uint64_t SlotLedger::in_use() const {
@@ -221,17 +247,6 @@ void RunScheduler::Finish(uint64_t ticket, const std::vector<double>& durations,
   }
 }
 
-void RunScheduler::AccountRelease(const ActiveRun& run, const Hold& hold,
-                                  double held_until) {
-  if (hold.resource >= num_devices()) return;
-  const double held =
-      static_cast<double>(hold.units) * (held_until - run.start_time);
-  slot_seconds_[run.tenant] += held;
-  std::vector<double>& per_device = slot_seconds_per_device_[run.tenant];
-  if (per_device.size() < num_devices()) per_device.resize(num_devices(), 0.0);
-  per_device[hold.resource] += held;
-}
-
 void RunScheduler::PopEarliestCompletion() {
   if (active_.empty()) return;
   // The earliest pending (run, resource) release event. A hold whose
@@ -260,7 +275,13 @@ void RunScheduler::PopEarliestCompletion() {
   now_ = std::max(now_, earliest);
   ledger_.ReleaseOn(hold.resource, hold.units, run.tenant);
   hold.released = true;
-  AccountRelease(run, hold, earliest);
+  // Slot-seconds accrue per device; a lane holds no slots and adds nothing.
+  if (hold.resource < num_devices()) {
+    std::vector<double>& held = slot_seconds_per_device_[run.tenant];
+    held.resize(num_devices(), 0.0);
+    held[hold.resource] +=
+        static_cast<double>(hold.units) * (earliest - run.start_time);
+  }
   bool all_released = true;
   for (const Hold& other : run.holds) all_released &= other.released;
   if (all_released) {

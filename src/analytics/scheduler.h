@@ -57,22 +57,38 @@ class SlotLedger {
   size_t num_devices() const { return devices_.size(); }
   size_t lane_resource() const { return devices_.size(); }
 
+  /// The first limit a reservation overruns, checked in this order: its
+  /// shape (every device and no lane, or one lane and no device), the
+  /// lanes, each device in index order, the tenant's quota.
+  struct Overrun {
+    enum class Limit { kShape, kLane, kDevice, kQuota };
+    Limit limit = Limit::kShape;
+    uint64_t requested = 0;  ///< 1 lane, the device's share, or slot total
+    uint64_t capacity = 0;   ///< lane capacity, device capacity, or quota
+  };
+
   /// Would TryReserve(reservation, tenant) succeed right now? Read-only
   /// peek for admission policies that rank candidates before reserving.
   bool CanReserve(const Reservation& reservation, uint64_t tenant = 0) const;
   /// Reserves slots[d] on every device d, or one lane, for `tenant`, all
-  /// or nothing. False, and no state change, on a reservation that names
-  /// neither every device alone nor a lane alone, a device or the lanes
-  /// without room, or a tenant quota the slot total would exceed.
+  /// or nothing. False, and no state change, when the reservation overruns
+  /// any limit given what is already held.
   bool TryReserve(const Reservation& reservation, uint64_t tenant = 0);
+  /// The first limit `reservation` overruns on an EMPTY ledger, or nullopt
+  /// when it fits one — so it can start once the ledger drains. Admission
+  /// refuses a run with an overrun here instead of queueing it forever.
+  std::optional<Overrun> OverrunWhenEmpty(const Reservation& reservation,
+                                          uint64_t tenant = 0) const;
   /// Returns `units` of `tenant`'s reservation on one resource only (slots
   /// on a device, or the lane): a sharded run frees each device the moment
   /// that device's shard completes. Releasing more than is held clamps to
   /// zero (a caller bug, defended).
   void ReleaseOn(size_t resource, uint64_t units, uint64_t tenant = 0);
   /// Ceiling on `tenant`'s reserved slots summed over devices; 0 =
-  /// unquotaed (only the device capacities bound it).
-  void SetTenantQuota(uint64_t tenant, uint64_t quota_slots);
+  /// unquotaed (only the device capacities bound it). False, and no change,
+  /// when the quota exceeds the devices' summed capacity (saturating; any
+  /// unmetered device makes it unbounded): no run could ever use it.
+  bool SetTenantQuota(uint64_t tenant, uint64_t quota_slots);
 
   /// Reserved slots summed over devices, now and at the high-water mark.
   uint64_t in_use() const;
@@ -98,9 +114,11 @@ class SlotLedger {
     uint64_t in_use = 0;
   };
 
-  /// Every device's capacity, the lanes and the tenant's quota; caller
-  /// holds mu_.
-  bool FitsLocked(const Reservation& reservation, uint64_t tenant) const;
+  /// The one limit check behind CanReserve, TryReserve and
+  /// OverrunWhenEmpty: the first overrun counting what is held now, or
+  /// nothing held when `empty`; caller holds mu_.
+  std::optional<Overrun> OverrunLocked(const Reservation& reservation,
+                                       uint64_t tenant, bool empty) const;
 
   mutable std::mutex mu_;
   std::vector<ResourceState> devices_;
@@ -129,7 +147,7 @@ struct RunSchedulerOptions {
   /// Starvation bound: once a queued run has been bypassed (a later-ordered
   /// run started ahead of it) this many times, it becomes "urgent" — no
   /// further backfill past it until it starts. Because every enqueued run's
-  /// footprint is validated to fit an empty device, the urgent run is
+  /// reservation is validated to fit an empty ledger, the urgent run is
   /// admitted no later than when the active set drains.
   uint32_t aging_limit = 8;
   /// Simulated CPU lanes: the SlotLedger's lane capacity, i.e. how many
@@ -197,9 +215,8 @@ class RunScheduler {
   SlotLedger* ledger() { return &ledger_; }
 
   /// Queues a run. Its submit_time is stamped from the scheduler clock.
-  /// Precondition (caller-validated): the reservation fits an empty ledger
-  /// (every device entry its device and the slot total the tenant's quota,
-  /// or a lane and a nonzero lane capacity), so every queued run can
+  /// Precondition (caller-validated): ledger()->OverrunWhenEmpty(
+  /// run.reservation, run.tenant) reports nothing, so every queued run can
   /// eventually start.
   void Enqueue(ScheduledRun run);
 
@@ -237,12 +254,8 @@ class RunScheduler {
   /// Starts that jumped ahead of a QoS-earlier queued run.
   uint64_t backfills() const { return backfills_; }
   /// Per-tenant footprint-slots x simulated-seconds held, accumulated at
-  /// each release.
-  const std::map<uint64_t, double>& slot_seconds() const {
-    return slot_seconds_;
-  }
-  /// The per-device split of slot_seconds(): element d of a tenant's vector
-  /// is the slot-seconds its reservations held on device d.
+  /// each release: element d of a tenant's vector is what its reservations
+  /// held on device d, and their sum is the tenant's total.
   const std::map<uint64_t, std::vector<double>>& slot_seconds_per_device()
       const {
     return slot_seconds_per_device_;
@@ -280,10 +293,6 @@ class RunScheduler {
   /// Retires the earliest pending (run, resource) completion event; the run
   /// leaves the active set when its last hold is freed.
   void PopEarliestCompletion();
-  /// Folds one device release into the aggregate and per-device
-  /// slot-second accounts (a lane holds no slots and adds nothing).
-  void AccountRelease(const ActiveRun& run, const Hold& hold,
-                      double held_until);
 
   SlotLedger ledger_;
   RunSchedulerOptions options_;
@@ -291,7 +300,6 @@ class RunScheduler {
   std::vector<QueuedEntry> queue_;  // ticket (FIFO) order
   std::vector<ActiveRun> active_;
   uint64_t backfills_ = 0;
-  std::map<uint64_t, double> slot_seconds_;
   std::map<uint64_t, std::vector<double>> slot_seconds_per_device_;
 };
 

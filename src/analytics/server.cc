@@ -158,27 +158,21 @@ Result<std::unique_ptr<CorpusServer>> CorpusServer::Create(
 
 Result<CorpusServer::TenantHandle> CorpusServer::OpenTenant(
     const TenantOptions& options) {
-  if (options_.device_slot_budget > 0) {
-    // Quotas span the device group, so they are bounded by the group's
-    // total capacity, not any single device's.
-    const uint64_t capacity =
-        options_.device_slot_budget * static_cast<uint64_t>(num_devices());
-    if (options.slot_quota > capacity) {
-      return Status::InvalidArgument(
-          "tenant quota " + std::to_string(options.slot_quota) +
-          " slots exceeds the device budget " + std::to_string(capacity));
-    }
+  // The quota is enforced where reservations happen, atomically with the
+  // capacity checks: in the scheduler's ledger, where it bounds the
+  // tenant's slots summed over ALL devices, and so is refused above the
+  // group's summed capacity.
+  const uint64_t id = next_tenant_;
+  if (!scheduler_.ledger()->SetTenantQuota(id, options.slot_quota)) {
+    return Status::InvalidArgument(
+        "tenant quota " + std::to_string(options.slot_quota) +
+        " slots exceeds the device group's summed slot budget");
   }
-  const uint64_t id = next_tenant_++;
+  ++next_tenant_;
   Tenant tenant;
   tenant.name =
       options.name.empty() ? "tenant-" + std::to_string(id) : options.name;
-  tenant.slot_quota = options.slot_quota;
   tenant.default_priority = options.default_priority;
-  // The quota is enforced where reservations happen, atomically with the
-  // capacity checks: in the scheduler's ledger, where it bounds the
-  // tenant's slots summed over ALL devices.
-  scheduler_.ledger()->SetTenantQuota(id, options.slot_quota);
   stats_.tenants[id].name = tenant.name;
   tenants_[id] = std::move(tenant);
   return TenantHandle(this, id);
@@ -228,8 +222,8 @@ Status CorpusServer::ProbePlans(PendingRun* run, PlanBackend backend,
 void CorpusServer::ShardFootprint(PendingRun* run) {
   run->route = sharded_->Route(run->execute_mask, run->plans, route_load_);
   const size_t num_devices = sharded_->num_devices();
-  run->device_footprint.assign(num_devices, 0);
-  run->device_weight.assign(num_devices, 0.0);
+  std::vector<uint64_t>& footprint = run->reservation.device_slots;
+  footprint.assign(num_devices, 0);
 
   uint64_t total = 0;
   for (size_t d = 0; d < num_devices; ++d) {
@@ -240,9 +234,7 @@ void CorpusServer::ShardFootprint(PendingRun* run) {
     // to from the same plans, not the corpus-wide maximum.
     uint64_t presize = 0;
     for (uint32_t g : docs) {
-      const uint64_t slots = run->plans[g]->total_slots;
-      presize = std::max(presize, slots);
-      run->device_weight[d] += slots > 0 ? static_cast<double>(slots) : 1.0;
+      presize = std::max(presize, run->plans[g]->total_slots);
     }
     // One pool per worker context, each pre-sized to the same value; the
     // device's BatchEngine splits exactly its routed documents with
@@ -250,8 +242,8 @@ void CorpusServer::ShardFootprint(PendingRun* run) {
     // creates.
     const size_t contexts =
         BatchEngine::ShardSplit(docs.size(), options_.host_workers).size();
-    run->device_footprint[d] = contexts * presize;
-    total += run->device_footprint[d];
+    footprint[d] = contexts * presize;
+    total += footprint[d];
     // The pre-sizing allocation call each context will pay at setup,
     // charged to admission so moving the growth out of the run does not
     // make it free.
@@ -281,30 +273,26 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   if (!kernel_lookup.ok()) return kernel_lookup.status();
   const TaskKernel& kernel = **kernel_lookup;
 
-  Submitted out;
-  // Malformed QoS parameters are a structured refusal: the caller can fix
-  // and resubmit; nothing is wrong with the server.
-  if (std::isnan(run_options.deadline_seconds) ||
-      run_options.deadline_seconds < 0.0) {
-    Rejection rejection;
-    rejection.reason = Rejection::Reason::kMalformed;
-    rejection.detail = "deadline_seconds must be non-negative";
+  // A refusal is structured: the caller can fix and resubmit; nothing is
+  // wrong with the server.
+  auto refuse = [&](Rejection::Reason reason, std::string detail,
+                    uint64_t requested = 0, uint64_t limit = 0) {
     ++stats_.rejected;
     ++stats_.tenants[tenant_id].rejected;
-    out.rejection = std::move(rejection);
+    Submitted out;
+    out.rejection = Rejection{reason, std::move(detail), requested, limit};
     return out;
+  };
+  if (std::isnan(run_options.deadline_seconds) ||
+      run_options.deadline_seconds < 0.0) {
+    return refuse(Rejection::Reason::kMalformed,
+                  "deadline_seconds must be non-negative");
   }
   const bool lanes_enabled = options_.scheduler.cpu_lanes > 0;
   if (run_options.backend == RunBackend::kCpu && !lanes_enabled) {
-    Rejection rejection;
-    rejection.reason = Rejection::Reason::kMalformed;
-    rejection.detail =
-        "backend = kCpu on a server with no CPU lanes "
-        "(Options::scheduler.cpu_lanes == 0)";
-    ++stats_.rejected;
-    ++stats_.tenants[tenant_id].rejected;
-    out.rejection = std::move(rejection);
-    return out;
+    return refuse(Rejection::Reason::kMalformed,
+                  "backend = kCpu on a server with no CPU lanes "
+                  "(Options::scheduler.cpu_lanes == 0)");
   }
 
   PendingRun run;
@@ -369,48 +357,25 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   // over the devices and reserves its footprint there.
   if (cpu_chosen) {
     run.route = ShardedCorpus::RouteToLane(run.execute_mask);
+    run.reservation.lane = true;
   } else {
     ShardFootprint(&run);
   }
-
-  // Over-budget refusal: every device's share must fit that device's
-  // budget.
-  uint64_t over_slots = 0;
-  for (uint64_t device_slots : run.device_footprint) {
-    if (options_.device_slot_budget > 0 &&
-        device_slots > options_.device_slot_budget) {
-      over_slots = device_slots;
-      break;
-    }
-  }
-  if (over_slots > 0) {
-    Rejection rejection;
-    rejection.reason = Rejection::Reason::kOverBudget;
-    rejection.requested_slots = over_slots;
-    rejection.limit_slots = options_.device_slot_budget;
-    rejection.detail =
-        "run footprint " + std::to_string(over_slots) +
-        " slots exceeds the device budget " +
-        std::to_string(options_.device_slot_budget);
-    ++stats_.rejected;
-    ++stats_.tenants[tenant_id].rejected;
-    out.rejection = std::move(rejection);
-    return out;
-  }
-  if (tenant.slot_quota > 0 &&
-      run.admission.footprint_slots > tenant.slot_quota) {
-    Rejection rejection;
-    rejection.reason = Rejection::Reason::kOverQuota;
-    rejection.requested_slots = run.admission.footprint_slots;
-    rejection.limit_slots = tenant.slot_quota;
-    rejection.detail =
-        "run footprint " + std::to_string(run.admission.footprint_slots) +
-        " slots exceeds tenant '" + tenant.name + "' quota " +
-        std::to_string(tenant.slot_quota);
-    ++stats_.rejected;
-    ++stats_.tenants[tenant_id].rejected;
-    out.rejection = std::move(rejection);
-    return out;
+  // The ledger refuses what could never start: the first device whose
+  // share exceeds its budget, else a slot total over the tenant's quota.
+  // (Lanes always fit an empty ledger here: kCpu without lanes was refused
+  // above, and kAuto never picks a lane then.)
+  if (auto overrun =
+          scheduler_.ledger()->OverrunWhenEmpty(run.reservation, tenant_id)) {
+    const bool quota = overrun->limit == SlotLedger::Overrun::Limit::kQuota;
+    return refuse(
+        quota ? Rejection::Reason::kOverQuota : Rejection::Reason::kOverBudget,
+        "run footprint " + std::to_string(overrun->requested) +
+            " slots exceeds " +
+            (quota ? "tenant '" + tenant.name + "' quota "
+                   : std::string("the device budget ")) +
+            std::to_string(overrun->capacity),
+        overrun->requested, overrun->capacity);
   }
 
   run.admission.ticket = next_ticket_++;
@@ -425,41 +390,23 @@ Result<CorpusServer::Submitted> CorpusServer::SubmitForTenant(
   ++stats_.tenants[tenant_id].submitted;
   // The admitted run's routed documents become standing load, steering
   // later runs' replica selection toward the less-loaded devices.
-  for (size_t d = 0; d < run.device_weight.size(); ++d) {
-    route_load_[d] += run.device_weight[d];
+  for (size_t d = 0; d < run.route.placed_load.size(); ++d) {
+    route_load_[d] += run.route.placed_load[d];
   }
 
   ScheduledRun scheduled;
   scheduled.ticket = run.admission.ticket;
   scheduled.tenant = tenant_id;
-  scheduled.reservation.device_slots = run.device_footprint;
-  scheduled.reservation.lane = run.route.lane_docs.has_value();
+  scheduled.reservation = run.reservation;
   scheduled.priority = run.admission.priority;
   scheduled.deadline = run.admission.deadline;
   scheduler_.Enqueue(scheduled);
 
+  Submitted out;
   out.ticket = RunTicket(this, run.admission.ticket);
   out.admission = run.admission;
   pending_.emplace(run.admission.ticket, std::move(run));
   return out;
-}
-
-Result<DeviceGroup::RunResult> CorpusServer::Execute(const PendingRun& run,
-                                                     double start_time) {
-  DeviceGroup::RunSpec spec;
-  spec.task = run.task;
-  spec.engine = run.engine;
-  spec.route = &run.route;
-  spec.start_time = start_time;
-  spec.plans = run.plans;
-  spec.cpu = options_.cpu;
-  spec.host_workers = options_.host_workers;
-  // Live progress: executed documents tick from the shard workers.
-  spec.on_document_executed = [this](const BatchEngine::DocumentRun&) {
-    std::lock_guard<std::mutex> lock(progress_mu_);
-    ++stats_.documents_executed;
-  };
-  return device_group_->Execute(spec);
 }
 
 Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
@@ -472,7 +419,18 @@ Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
     PendingRun run = std::move(it->second);
     pending_.erase(it);
 
-    auto executed_run = Execute(run, decision->start_time);
+    // The resources the route names (devices, or a CPU lane) execute the
+    // run and the DeviceGroup gathers it; the start time decides which
+    // documents the run finds resident on a device.
+    DeviceGroup::RunSpec spec;
+    spec.task = run.task;
+    spec.engine = run.engine;
+    spec.route = &run.route;
+    spec.start_time = decision->start_time;
+    spec.plans = std::move(run.plans);
+    spec.cpu = options_.cpu;
+    spec.host_workers = options_.host_workers;
+    auto executed_run = device_group_->Execute(spec);
     if (!executed_run.ok()) {
       // The first failure abandons the queue. The failed run's reservation
       // (and any still-active ones) are retired so the budget does not
@@ -508,6 +466,7 @@ Status CorpusServer::ServeLoop(std::optional<uint64_t> until_ticket) {
         served.batch.documents_skipped;
 
     ++stats_.served;
+    stats_.documents_executed += executed;
     stats_.documents_skipped += served.batch.documents_skipped;
     stats_.mid_run_pool_growths += served.batch.mid_run_pool_growths;
     stats_.queue_wait_seconds += decision->queue_wait;
@@ -572,13 +531,6 @@ void CorpusServer::SyncSchedulerStats() {
   stats_.plan_cache.misses = plan_cache_->misses();
   stats_.plan_cache.evictions = plan_cache_->evictions();
   stats_.plan_cache.size = plan_cache_->size();
-  for (const auto& [tenant, seconds] : scheduler_.slot_seconds()) {
-    stats_.tenants[tenant].slot_seconds_held = seconds;
-  }
-  for (const auto& [tenant, per_device] :
-       scheduler_.slot_seconds_per_device()) {
-    stats_.tenants[tenant].slot_seconds_per_device = per_device;
-  }
 
   // Group total for the aggregate; per-device peaks (each bounded by the
   // per-device budget — the admission invariant) in devices[].
@@ -594,10 +546,15 @@ void CorpusServer::SyncSchedulerStats() {
         device_group_->counters()[d];
     device.peak_admitted_slots = ledger.peak_in_use_on(d);
   }
+  // Each tenant's slot-seconds are its per-device account summed in device
+  // order; each device's sum the tenants' entries for it.
   for (const auto& [tenant, per_device] :
        scheduler_.slot_seconds_per_device()) {
-    (void)tenant;
+    TenantStats& tstats = stats_.tenants[tenant];
+    tstats.slot_seconds_per_device = per_device;
+    tstats.slot_seconds_held = 0;
     for (size_t d = 0; d < per_device.size() && d < num_devices; ++d) {
+      tstats.slot_seconds_held += per_device[d];
       stats_.devices[d].slot_seconds_held += per_device[d];
     }
   }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -391,7 +390,8 @@ class CorpusServer {
     /// Documents served runs skipped, counted once per run from its
     /// gathered batch (either backend).
     uint64_t documents_skipped = 0;
-    /// Documents served runs executed, ticking live as each finishes.
+    /// Documents served runs executed, counted once per run from its
+    /// gathered batch (either backend); a failed run adds nothing.
     uint64_t documents_executed = 0;
     /// Pool growths charged while served documents were executing, summed
     /// over every served run. Stays 0: admission pre-sizes every context.
@@ -428,7 +428,8 @@ class CorpusServer {
 
   /// Registers a serving tenant: its slot quota becomes a standing
   /// SlotLedger tenant quota, its default priority applies to Submits that
-  /// set none.
+  /// set none. InvalidArgument when the ledger refuses the quota: above the
+  /// group's summed device budget, so no run could ever use it.
   Result<TenantHandle> OpenTenant(const TenantOptions& options);
 
   /// Serves every queued run to completion under rolling admission.
@@ -453,7 +454,6 @@ class CorpusServer {
  private:
   struct Tenant {
     std::string name;
-    uint64_t slot_quota = 0;
     int32_t default_priority = 0;
   };
   struct PendingRun {
@@ -465,13 +465,10 @@ class CorpusServer {
     /// resolved it (null = not executed): execution's only plan input, so
     /// a queued run cannot lose its plans to cache eviction.
     PlanList plans;
-    /// The scatter decision (its devices, or one CPU lane) and, for GPU
-    /// runs, the per-device footprint the reservation names.
+    /// The scatter decision (its devices, or one CPU lane) and what the
+    /// run reserves there, built together and enqueued as is.
     ShardedCorpus::RoutePlan route;
-    std::vector<uint64_t> device_footprint;
-    /// Slot-weighted load each device gains if this run admits (feeds
-    /// least-loaded replica selection for later Submits).
-    std::vector<double> device_weight;
+    Reservation reservation;
   };
 
   CorpusServer(const PartitionedCorpus* corpus, const Options& options);
@@ -491,17 +488,11 @@ class CorpusServer {
   /// the GPU.
   Status ProbePlans(PendingRun* run, PlanBackend backend, PlanList* plans);
   /// Prices a GPU-dispatched run from its plans: routes it (least-loaded
-  /// replica selection over the standing per-device load), then prices
-  /// each device as the worker contexts its routed documents split into
-  /// times the maximum total_slots routed there, plus the pre-sizing
-  /// allocation charge.
+  /// replica selection over the standing per-device load), then reserves
+  /// on each device the worker contexts its routed documents split into
+  /// times the maximum total_slots routed there, and charges the pre-sizing
+  /// allocation to admission.
   void ShardFootprint(PendingRun* run);
-  /// Executes a run on the resources its RoutePlan names (devices, or a
-  /// CPU lane) through the DeviceGroup, which gathers the global batch.
-  /// `start_time` is the run's simulated admission time, which decides the
-  /// documents it finds resident on a device.
-  Result<DeviceGroup::RunResult> Execute(const PendingRun& run,
-                                         double start_time);
   /// The serving loop: starts runs through the scheduler, executes each
   /// serially, reports durations back. Stops early after `until_ticket`
   /// completes (leaving the rest queued). On failure the queue is
@@ -536,7 +527,6 @@ class CorpusServer {
   uint64_t next_ticket_ = 0;
   /// 0 stays the untagged SlotLedger tenant, never a served tenant.
   uint64_t next_tenant_ = 1;
-  std::mutex progress_mu_;  ///< guards live document counters in stats_
   Stats stats_;
 };
 

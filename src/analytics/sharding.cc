@@ -45,6 +45,7 @@ ShardedCorpus::RoutePlan ShardedCorpus::Route(
   const size_t n = corpus_->partitions.size();
   RoutePlan plan;
   plan.device_docs.resize(num_devices());
+  plan.placed_load.assign(num_devices(), 0.0);
 
   std::vector<double> load(num_devices(), 0.0);
   for (size_t d = 0; d < num_devices() && d < device_load.size(); ++d) {
@@ -62,7 +63,9 @@ ShardedCorpus::RoutePlan ShardedCorpus::Route(
     }
     const uint64_t slots =
         g < plans.size() && plans[g] != nullptr ? plans[g]->total_slots : 0;
-    load[best] += slots > 0 ? static_cast<double>(slots) : 1.0;
+    const double weight = slots > 0 ? static_cast<double>(slots) : 1.0;
+    load[best] += weight;
+    plan.placed_load[best] += weight;
     plan.device_docs[best].push_back(g);
   }
   return plan;
@@ -136,7 +139,6 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     bopt.engine = spec.engine;
     bopt.host_workers = spec.host_workers;
     bopt.merge_results = false;
-    bopt.on_document_complete = spec.on_document_executed;
     PlanList plans;
     for (uint32_t g : docs) plans.push_back(spec.plans[g]);
     auto engine = BatchEngine::Create(global, bopt, index_, &docs, resident);

@@ -2,7 +2,6 @@
 #define GTADOC_ANALYTICS_SHARDING_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -53,6 +52,9 @@ class ShardedCorpus {
     /// masked out) reaches no engine and is assembled empty at the gather;
     /// replicas the route did not choose never see the run.
     std::vector<std::vector<uint32_t>> device_docs;
+    /// Per device, the load Route placed there: its documents' weights
+    /// (see Route); empty on a lane run.
+    std::vector<double> placed_load;
     /// On a CPU-dispatched run, the global ids its one lane executes,
     /// ascending; absent on a GPU run.
     std::optional<std::vector<uint32_t>> lane_docs;
@@ -82,8 +84,9 @@ class ShardedCorpus {
   /// routed by previously admitted runs) plus the slots this plan has
   /// already placed — ties keep the primary, so an idle group degenerates
   /// to pure round-robin. `plans` weighs documents by their planned pool
-  /// footprint, RunPlan::total_slots (empty or null entries = unit
-  /// weights). Deterministic: a pure function of its arguments.
+  /// footprint, RunPlan::total_slots (empty or null entries, and plans of 0
+  /// slots, weigh 1); the plan reports what it placed in placed_load.
+  /// Deterministic: a pure function of its arguments.
   RoutePlan Route(const std::vector<uint8_t>& execute_mask,
                   const PlanList& plans,
                   const std::vector<double>& device_load) const;
@@ -158,11 +161,6 @@ class DeviceGroup {
     /// Forwarded to each resource's BatchEngine, which splits its routed
     /// documents over that many worker contexts.
     size_t host_workers = 1;
-    /// Forwarded to each resource's BatchEngine: invoked once per executed
-    /// document, on the resource that ran it (resources run only their
-    /// routed documents, so no document is reported twice). Must be
-    /// thread-safe; may be null.
-    std::function<void(const BatchEngine::DocumentRun&)> on_document_executed;
   };
 
   struct RunResult {

@@ -4,9 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -272,9 +272,8 @@ TEST(RunSchedulerTest, LaneRunsOverlapDeviceRunsAndHoldNoSlots) {
   EXPECT_EQ(ledger.lanes_in_use(), 0u);
   EXPECT_EQ(ledger.in_use(), 0u);
   EXPECT_EQ(ledger.peak_in_use(), 100u);
-  // Slot-seconds are the device runs' alone.
-  EXPECT_EQ(scheduler.slot_seconds().at(1), 60 * 10.0 + 40 * 8.0 + 50 * 4.0 +
-                                                 50 * 2.0);
+  // Slot-seconds are the device runs' alone: 60 x 10 + 40 x 8 + 50 x 4 +
+  // 50 x 2 over the four devices.
   EXPECT_EQ(scheduler.slot_seconds_per_device().at(1),
             (std::vector<double>{600.0, 320.0, 200.0, 100.0}));
 }
@@ -325,6 +324,87 @@ TEST(SlotBudgetTest, LanesBindButAreNotSlots) {
 
   SlotLedger no_lanes({4});
   EXPECT_FALSE(no_lanes.CanReserve(lane)) << "0 lanes means none";
+}
+
+// One limit check answers both "does it fit now?" and "could it ever fit?",
+// and reports the first overrun: devices in order, then the tenant's quota.
+TEST(SlotBudgetTest, OverrunsReportDevicesBeforeTheQuota) {
+  using Limit = SlotLedger::Overrun::Limit;
+  SlotLedger ledger({10, 20});
+  ledger.SetTenantQuota(1, 15);
+
+  auto both = ledger.OverrunWhenEmpty({{5, 21}}, 1);
+  ASSERT_TRUE(both.has_value()) << "over device 1 and the quota";
+  EXPECT_EQ(both->limit, Limit::kDevice);
+  EXPECT_EQ(both->requested, 21u);
+  EXPECT_EQ(both->capacity, 20u);
+  auto first = ledger.OverrunWhenEmpty({{11, 21}}, 1);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->requested, 11u) << "device 0 is checked first";
+  EXPECT_EQ(first->capacity, 10u);
+
+  auto quota = ledger.OverrunWhenEmpty({{10, 6}}, 1);
+  ASSERT_TRUE(quota.has_value()) << "each device fits, the total does not";
+  EXPECT_EQ(quota->limit, Limit::kQuota);
+  EXPECT_EQ(quota->requested, 16u);
+  EXPECT_EQ(quota->capacity, 15u);
+  EXPECT_FALSE(ledger.OverrunWhenEmpty({{10, 6}}, 2)) << "tenant 2 is free";
+
+  // What is held counts now, never on an empty ledger.
+  ASSERT_TRUE(ledger.TryReserve({{10, 0}}, 2));
+  EXPECT_FALSE(ledger.CanReserve({{1, 0}}, 1));
+  EXPECT_FALSE(ledger.OverrunWhenEmpty({{1, 0}}, 1));
+
+  auto shape = ledger.OverrunWhenEmpty({{1}});
+  ASSERT_TRUE(shape.has_value());
+  EXPECT_EQ(shape->limit, Limit::kShape);
+}
+
+TEST(SlotBudgetTest, UnmeteredDeviceNeverOverruns) {
+  SlotLedger ledger({0, 4});
+  const uint64_t huge = 1ull << 62;
+  EXPECT_FALSE(ledger.OverrunWhenEmpty({{huge, 4}}));
+  ASSERT_TRUE(ledger.TryReserve({{huge, 0}}));
+  EXPECT_TRUE(ledger.CanReserve({{huge, 4}})) << "held slots never fill it";
+  auto metered = ledger.OverrunWhenEmpty({{huge, 5}});
+  ASSERT_TRUE(metered.has_value());
+  EXPECT_EQ(metered->limit, SlotLedger::Overrun::Limit::kDevice);
+  EXPECT_EQ(metered->capacity, 4u);
+}
+
+TEST(SlotBudgetTest, LaneFitsAnEmptyLedgerExactlyWhenThereAreLanes) {
+  Reservation lane;
+  lane.lane = true;
+  SlotLedger none({4});
+  auto overrun = none.OverrunWhenEmpty(lane);
+  ASSERT_TRUE(overrun.has_value());
+  EXPECT_EQ(overrun->limit, SlotLedger::Overrun::Limit::kLane);
+  EXPECT_EQ(overrun->capacity, 0u);
+
+  SlotLedger one({4}, 1);
+  EXPECT_FALSE(one.OverrunWhenEmpty(lane));
+  ASSERT_TRUE(one.TryReserve(lane));
+  EXPECT_FALSE(one.CanReserve(lane)) << "the one lane is held";
+  EXPECT_FALSE(one.OverrunWhenEmpty(lane)) << "but it fits once drained";
+}
+
+// A quota above the devices' summed capacity could never be used; the sum
+// saturates instead of wrapping, and an unmetered device bounds nothing.
+TEST(SlotBudgetTest, QuotaIsBoundedByTheSummedCapacity) {
+  const uint64_t max = std::numeric_limits<uint64_t>::max();
+  SlotLedger wide({1ull << 62, 1ull << 62, 1ull << 62, 1ull << 62});
+  EXPECT_TRUE(wide.SetTenantQuota(1, 100));
+  EXPECT_TRUE(wide.SetTenantQuota(1, max));
+
+  SlotLedger ledger({10, 20});
+  EXPECT_TRUE(ledger.SetTenantQuota(1, 20));
+  EXPECT_FALSE(ledger.SetTenantQuota(1, 31));
+  EXPECT_TRUE(ledger.OverrunWhenEmpty({{10, 20}}, 1)) << "quota still 20";
+  EXPECT_TRUE(ledger.SetTenantQuota(1, 30));
+  EXPECT_FALSE(ledger.OverrunWhenEmpty({{10, 20}}, 1));
+
+  SlotLedger unmetered({0, 10});
+  EXPECT_TRUE(unmetered.SetTenantQuota(1, max));
 }
 
 TEST(SlotBudgetTest, ZeroCapacityIsUnmetered) {
@@ -733,27 +813,20 @@ TEST(TenantServingTest, ZeroDocumentRunIsServedWithoutReservingBudget) {
 }
 
 // --------------------------------------------------------------------------
-// BatchEngine completion callbacks (the serving layer's live progress).
+// What a BatchEngine executes, read from the batch it returns (the serving
+// layer's documents_executed tally).
 // --------------------------------------------------------------------------
 
-// The engine lists only the documents the Bloom mask executes, so the
-// callback fires once for each of them and never for a skipped document;
-// the gather accounts for the rest.
-TEST(BatchCallbackTest, OnDocumentCompleteFiresOncePerDocument) {
+// The engine lists only the documents the Bloom mask executes, so its batch
+// holds each of them once, none skipped; the gather adds the rest, skipped.
+TEST(BatchGatherTest, ExecutedDocumentsRunOnceAndTheGatherSkipsTheRest) {
   MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/8, /*relevant=*/3,
                                      /*num_markers=*/2);
+  const size_t n = mc.corpus.partitions.size();
   BatchEngine::Options bopt;
   bopt.engine = GpuOptions();
   bopt.engine.query_words = {mc.markers[0], mc.markers[1]};
   bopt.merge_results = false;
-  std::mutex mu;
-  std::vector<uint32_t> calls(mc.corpus.partitions.size(), 0);
-  uint32_t skipped = 0;
-  bopt.on_document_complete = [&](const BatchEngine::DocumentRun& doc) {
-    std::lock_guard<std::mutex> lock(mu);
-    ++calls[doc.doc];
-    if (doc.skipped) ++skipped;
-  };
   const TaskKernel& kernel = **TaskRegistry::Get(Task::kKeywordSearch);
   TaskInput input;
   input.query_words = bopt.engine.query_words;
@@ -766,17 +839,25 @@ TEST(BatchCallbackTest, OnDocumentCompleteFiresOncePerDocument) {
   ASSERT_TRUE(engine.ok());
   auto run = (*engine)->Run(Task::kKeywordSearch, executed->plans);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(skipped, 0u);
-  for (uint32_t d = 0; d < calls.size(); ++d) {
-    EXPECT_EQ(calls[d], mask[d]) << "doc " << d;
+  std::vector<uint32_t> runs(n, 0);
+  for (const BatchEngine::DocumentRun& doc : run->documents) {
+    ++runs[doc.doc];
+    EXPECT_FALSE(doc.skipped) << "doc " << doc.doc;
+  }
+  for (uint32_t d = 0; d < n; ++d) {
+    EXPECT_EQ(runs[d], mask[d]) << "doc " << d;
   }
   auto gather = BatchEngine::Gather(Task::kKeywordSearch, bopt.engine,
                                     mc.corpus,
                                     bopt.engine.gpu.device_ops_per_sec(),
                                     &*run);
   ASSERT_TRUE(gather.ok()) << gather.status().ToString();
-  EXPECT_EQ(executed->ids.size() + run->documents_skipped,
-            mc.corpus.partitions.size());
+  ASSERT_EQ(run->documents.size(), n);
+  for (uint32_t d = 0; d < n; ++d) {
+    EXPECT_EQ(run->documents[d].doc, d);
+    EXPECT_EQ(run->documents[d].skipped, mask[d] == 0) << "doc " << d;
+  }
+  EXPECT_EQ(executed->ids.size() + run->documents_skipped, n);
   EXPECT_GT(run->documents_skipped, 0u);
 }
 

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -488,6 +488,70 @@ TEST(ShardedServerTest, TenantQuotaSpansShards) {
   EXPECT_TRUE((*server)->OpenTenant(group_wide).ok());
 }
 
+// A run over both its device budget and its tenant's quota is refused for
+// the budget, with that device's share and the budget as its numbers: the
+// ledger checks every device before the quota.
+TEST(ShardedServerTest, OverBudgetIsReportedBeforeOverQuota) {
+  MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/8, /*relevant=*/8,
+                                     /*num_markers=*/2);
+  CorpusServer::RunRequest request;
+  request.task = Task::kInvertedIndex;
+
+  // Sizing pass, as above: the run's largest per-device share and its total.
+  auto sizing = CorpusServer::Create(&mc.corpus, ServerOptions(4, 1));
+  ASSERT_TRUE(sizing.ok());
+  ASSERT_TRUE(SubmitAndServe(sizing->get(), {request}).ok());
+  uint64_t share = 0;
+  for (const auto& device : (*sizing)->stats().devices) {
+    share = std::max(share, device.peak_admitted_slots);
+  }
+  ASSERT_GT(share, 1u);
+  ASSERT_GT((*sizing)->stats().peak_admitted_slots, share)
+      << "the run must scatter, so its share differs from its total";
+
+  auto server =
+      CorpusServer::Create(&mc.corpus, ServerOptions(4, 1, share - 1));
+  ASSERT_TRUE(server.ok());
+  CorpusServer::TenantOptions topt;
+  topt.slot_quota = 1;
+  auto tenant = (*server)->OpenTenant(topt);
+  ASSERT_TRUE(tenant.ok());
+  auto submitted = tenant->Submit(request);
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_FALSE(submitted->admitted());
+  EXPECT_EQ(submitted->rejection->reason,
+            CorpusServer::Rejection::Reason::kOverBudget);
+  EXPECT_EQ(submitted->rejection->requested_slots, share);
+  EXPECT_EQ(submitted->rejection->limit_slots, share - 1);
+}
+
+// The group's summed budget bounds quotas without wrapping: four devices of
+// 2^62 slots sum past 2^64 - 1, so they bound no quota.
+TEST(ShardedServerTest, QuotaBoundSumsTheBudgetWithoutOverflow) {
+  MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/8, /*relevant=*/8,
+                                     /*num_markers=*/2);
+  CorpusServer::Options opt = ServerOptions(4, 1, 1ull << 62);
+  opt.engine.gpu.memory_bytes = 0;  // unbounded memory takes any budget
+  auto server = CorpusServer::Create(&mc.corpus, opt);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  CorpusServer::TenantOptions topt;
+  topt.slot_quota = 100;
+  auto tenant = (*server)->OpenTenant(topt);
+  EXPECT_TRUE(tenant.ok()) << tenant.status().ToString();
+  topt.slot_quota = std::numeric_limits<uint64_t>::max();
+  EXPECT_TRUE((*server)->OpenTenant(topt).ok());
+
+  // Four devices of 2^61 slots sum to exactly 2^63: a quota above it is
+  // still refused.
+  opt.device_slot_budget = 1ull << 61;
+  auto bounded = CorpusServer::Create(&mc.corpus, opt);
+  ASSERT_TRUE(bounded.ok());
+  topt.slot_quota = 1ull << 63;
+  EXPECT_TRUE((*bounded)->OpenTenant(topt).ok());
+  topt.slot_quota = (1ull << 63) + 1;
+  EXPECT_FALSE((*bounded)->OpenTenant(topt).ok());
+}
+
 // --------------------------------------------------------------------------
 // Residency: each device loads a document once; replicas load their own copy.
 // --------------------------------------------------------------------------
@@ -595,23 +659,15 @@ TEST(DeviceGroupTest, DevicesRunOnlyTheirRoutedDocuments) {
     const ShardedCorpus::RoutePlan route =
         (*sharded)->Route(mask, *plans, {1e9, 0, 0, 0});
 
-    std::mutex mu;
-    std::vector<uint32_t> calls;
     DeviceGroup::RunSpec spec;
     spec.task = request.task;
     spec.engine = engine;
     spec.route = &route;
     spec.plans = *plans;
-    spec.on_document_executed = [&](const BatchEngine::DocumentRun& doc) {
-      std::lock_guard<std::mutex> lock(mu);
-      calls.push_back(doc.doc);
-    };
     const std::vector<DeviceGroup::DeviceCounters> before = group.counters();
     auto result = group.Execute(spec);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-    // Devices run serially on the host with one worker each, so the calls
-    // are the routed lists, device by device, and nothing else.
     std::vector<uint32_t> routed;
     for (size_t d = 0; d < 4; ++d) {
       const std::vector<uint32_t>& docs = route.device_docs[d];
@@ -621,7 +677,6 @@ TEST(DeviceGroupTest, DevicesRunOnlyTheirRoutedDocuments) {
                 docs.size())
           << "device " << d;
     }
-    EXPECT_EQ(calls, routed);
     uint32_t executes = 0;
     for (uint8_t e : mask) executes += e;
     EXPECT_EQ(routed.size(), executes);
@@ -630,10 +685,16 @@ TEST(DeviceGroupTest, DevicesRunOnlyTheirRoutedDocuments) {
     EXPECT_EQ(batch.documents_skipped, n - executes);
     EXPECT_EQ(batch.timing.documents, n);
     ASSERT_EQ(batch.documents.size(), n);
+    std::vector<uint32_t> executed;
     for (uint32_t g = 0; g < n; ++g) {
       EXPECT_EQ(batch.documents[g].doc, g);
       EXPECT_EQ(batch.documents[g].skipped, mask[g] == 0) << "doc " << g;
+      if (!batch.documents[g].skipped) executed.push_back(g);
     }
+    // The gathered batch lists each document once, so every routed document
+    // ran exactly once, on one device, and nothing else ran.
+    std::sort(routed.begin(), routed.end());
+    EXPECT_EQ(routed, executed);
     expected_skipped += n - executes;
 
     // Bit-identical to the uncompressed truth and to a serial BatchEngine
